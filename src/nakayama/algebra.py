@@ -70,9 +70,6 @@ class Relation:
     start: int
     length: int
 
-    def arrows(self, n: int) -> tuple[int, ...]:
-        return tuple(mod1(self.start + t, n) for t in range(self.length))
-
     def contains(self, other: "Relation", n: int) -> bool:
         """Is `other` a subword of this relation, cyclically?
 

@@ -30,21 +30,26 @@ class InputError(Exception):
         self.code = code
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; JSON true/false parse to bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def algebra_from_dict(data) -> NakayamaAlgebra:
     if not isinstance(data, dict):
         raise InputError("bad-schema", "top level must be a JSON object")
     keys = set(data)
     if keys == {"kupisch"}:
         c = data["kupisch"]
-        if not isinstance(c, list) or not all(isinstance(x, int) for x in c):
+        if not isinstance(c, list) or not all(_is_int(x) for x in c):
             raise InputError("bad-schema", '"kupisch" must be a list of integers')
         return algebra_from_kupisch(tuple(c))
     if keys == {"n", "relations"}:
         n, rels = data["n"], data["relations"]
-        if not isinstance(n, int):
+        if not _is_int(n):
             raise InputError("bad-schema", '"n" must be an integer')
         if not isinstance(rels, list) or not all(
-            isinstance(r, list) and len(r) == 2 and all(isinstance(x, int) for x in r)
+            isinstance(r, list) and len(r) == 2 and all(_is_int(x) for x in r)
             for r in rels
         ):
             raise InputError("bad-schema", '"relations" must be a list of [start, length] pairs')
@@ -265,11 +270,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        target = getattr(args, "file", "<input>")
-        sys.stderr.write(f"error[{exc.code}] {target}: {exc}\n")
-        return 1
-    except AlgebraError as exc:
+    except (InputError, AlgebraError) as exc:
         target = getattr(args, "file", "<input>")
         sys.stderr.write(f"error[{exc.code}] {target}: {exc}\n")
         return 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from . import linalg
 from .algebra import NakayamaAlgebra
@@ -79,24 +80,27 @@ def canonicalize(stations: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return canonical, sign
 
 
-def differential(algebra: NakayamaAlgebra, p: int) -> linalg.Matrix:
-    """Matrix of the induced differential from degree p to degree p-1 on the
-    orbit bases (rows: degree p-1, columns: degree p).
+def differential(
+    algebra: NakayamaAlgebra, source: Sequence[MorphismCycle], index: dict[tuple[int, ...], int]
+) -> linalg.SparseMap:
+    """Sparse columns of the induced differential from degree p to degree
+    p-1 on the orbit bases: one column per cycle of `source`, the degree-p
+    basis, with rows numbered by `index`, the position of each degree-(p-1)
+    basis cycle.
 
     Face i < p composes the morphisms at stations w_i, w_{i+1}, dropping
     w_{i+1}; the last face composes around the wrap, dropping w_0 and
     leaving a tuple that starts at w_p, so it picks up one rotation sign on
-    top of its (-1)^p face sign.
+    top of its (-1)^p face sign.  Distinct faces drop distinct stations, so
+    no two of them land on the same row.
     """
-    source = basis(algebra, p)
-    target = basis(algebra, p - 1) if p >= 1 else []
-    index = {cycle.stations: i for i, cycle in enumerate(target)}
-    matrix = linalg.zero_matrix(len(target), len(source))
-    if p == 0:
-        return matrix
+    if not source or source[0].degree == 0:
+        return [{} for _ in source]  # degree 0 maps to the zero space
     c = algebra.kupisch
-    for col, cycle in enumerate(source):
-        w, g = cycle.stations, cycle.gaps
+    columns = []
+    for cycle in source:
+        w, g, p = cycle.stations, cycle.gaps, cycle.degree
+        col: linalg.Column = {}
         for i in range(p + 1):
             if i < p:
                 merged_at, merged_gap = w[i], g[i] + g[i + 1]
@@ -107,17 +111,18 @@ def differential(algebra: NakayamaAlgebra, p: int) -> linalg.Matrix:
             if merged_gap >= c[merged_at - 1]:
                 continue  # the composed path completes a relation
             canonical, rot_sign = canonicalize(faced)
-            face_sign = -1 if i % 2 else 1
-            matrix[index[canonical]][col] += face_sign * rot_sign
-    return matrix
+            col[index[canonical]] = -rot_sign if i % 2 else rot_sign
+        columns.append(col)
+    return columns
 
 
 @dataclass(frozen=True)
 class CyclicComplex:
     n: int
     bases: tuple[tuple[MorphismCycle, ...], ...]
-    # differentials[p] maps degree p to degree p-1; differentials[0] == 0
-    differentials: tuple[linalg.Matrix, ...]
+    # differentials[p] maps degree p to degree p-1, as sparse columns
+    # indexed by bases[p]; differentials[0] is the zero map
+    differentials: tuple[linalg.SparseMap, ...]
 
     @property
     def basis_sizes(self) -> tuple[int, ...]:
@@ -125,17 +130,19 @@ class CyclicComplex:
 
 
 def build_cyclic_complex(algebra: NakayamaAlgebra) -> CyclicComplex:
+    """Build each degree's basis and its index once; every differential
+    is derived from the two bases it connects."""
     bases = tuple(tuple(basis(algebra, p)) for p in range(algebra.n))
-    diffs = tuple(differential(algebra, p) for p in range(algebra.n))
-    return CyclicComplex(n=algebra.n, bases=bases, differentials=diffs)
+    diffs = []
+    index: dict[tuple[int, ...], int] = {}
+    for source in bases:
+        diffs.append(differential(algebra, source, index))
+        index = {cycle.stations: i for i, cycle in enumerate(source)}
+    return CyclicComplex(n=algebra.n, bases=bases, differentials=tuple(diffs))
 
 
 def differential_squares_to_zero(cc: CyclicComplex) -> bool:
-    for p in range(2, cc.n):
-        prod = linalg.matmul(cc.differentials[p - 1], cc.differentials[p])
-        if not linalg.is_zero(prod):
-            return False
-    return True
+    return linalg.squares_to_zero(cc.differentials)
 
 
 def hc_dimensions(algebra: NakayamaAlgebra, cc: CyclicComplex | None = None) -> tuple[int, ...]:
@@ -143,19 +150,20 @@ def hc_dimensions(algebra: NakayamaAlgebra, cc: CyclicComplex | None = None) -> 
     if cc is None:
         cc = build_cyclic_complex(algebra)
     sizes = cc.basis_sizes
-    ranks = [linalg.rank(cc.differentials[p]) for p in range(cc.n)] + [0]
+    ranks = linalg.chain_ranks(cc.differentials) + [0]
     return tuple(sizes[p] - ranks[p] - ranks[p + 1] for p in range(cc.n))
 
 
-def hc_euler(algebra: NakayamaAlgebra, cc: CyclicComplex | None = None) -> int:
-    dims = hc_dimensions(algebra, cc)
+def hc_euler(dims: Sequence[int]) -> int:
+    """Alternating sum of the HC dimensions from `hc_dimensions`."""
     return sum((-1) ** p * d for p, d in enumerate(dims))
 
 
 def report(algebra: NakayamaAlgebra) -> dict:
     cc = build_cyclic_complex(algebra)
+    dims = hc_dimensions(algebra, cc)
     return {
-        "hc_dims": list(hc_dimensions(algebra, cc)),
-        "hc_euler": hc_euler(algebra, cc),
+        "hc_dims": list(dims),
+        "hc_euler": hc_euler(dims),
         "basis_sizes": list(cc.basis_sizes),
     }

@@ -27,6 +27,7 @@ import csv
 import io
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -173,7 +174,7 @@ def verify(algebra: NakayamaAlgebra, checks: tuple[str, ...] = THEOREM_CHECKS) -
     chi = relation_complex.euler_characteristic(cx)
     betti = relation_complex.reduced_betti(cx)
     hc_dims = cyclic.hc_dimensions(algebra, cc)
-    hc_eu = cyclic.hc_euler(algebra, cc)
+    hc_eu = cyclic.hc_euler(hc_dims)
     weights = rq.weights
     lvs = tuple(sorted(resolution.leaves(rq)))
     finite = gldim.is_finite
@@ -317,11 +318,15 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
 
 
 def default_workers() -> int:
+    """Worker processes for `sweep`: NAKAYAMA_THREADS, clamped to 1..cpu
+    count.  An unparsable value is reported on stderr and gives 1."""
     raw = os.environ.get("NAKAYAMA_THREADS", "1")
     try:
-        return max(1, int(raw))
+        requested = int(raw)
     except ValueError:
+        sys.stderr.write(f"warning: NAKAYAMA_THREADS={raw!r} is not an integer; using 1 worker\n")
         return 1
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 CSV_COLUMNS = (

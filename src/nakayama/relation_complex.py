@@ -7,8 +7,8 @@ iff the union of their interiors does not cover all n quiver vertices.
 Subsets of non-covering sets are non-covering, so the complex is downward
 closed for free.
 
-Homology is computed over the rationals from exact integer boundary
-matrices; reduced Betti numbers use the augmented complex.
+Homology is computed over the rationals from exact sparse integer boundary
+maps; reduced Betti numbers use the augmented complex.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ class SimplicialComplex:
     n: int
     vertices: tuple[Relation, ...]
     # simplices[p] lists the p-simplices as sorted vertex-index tuples,
-    # in lexicographic order; boundaries[p] is the matrix of the p-th
-    # boundary map (rows: (p-1)-simplices, columns: p-simplices).
+    # in lexicographic order; boundaries[p-1] is the p-th boundary map, as
+    # sparse columns indexed by the p-simplices with rows numbering the
+    # (p-1)-simplices.
     simplices: tuple[tuple[tuple[int, ...], ...], ...]
-    boundaries: tuple[linalg.Matrix, ...]
+    boundaries: tuple[linalg.SparseMap, ...]
 
     @property
     def is_empty(self) -> bool:
@@ -76,15 +77,14 @@ def complex_from_interiors(n: int, interiors: list[frozenset[int]]) -> Simplicia
             break
         by_dim.append(simplices)
 
-    boundaries: list[linalg.Matrix] = []
+    boundaries: list[linalg.SparseMap] = []
     for p in range(1, len(by_dim)):
         index = {simplex: i for i, simplex in enumerate(by_dim[p - 1])}
-        matrix = linalg.zero_matrix(len(by_dim[p - 1]), len(by_dim[p]))
-        for col, simplex in enumerate(by_dim[p]):
-            for j in range(len(simplex)):
-                face = simplex[:j] + simplex[j + 1:]
-                matrix[index[face]][col] = (-1) ** j
-        boundaries.append(matrix)
+        signs = [(-1) ** j for j in range(p + 1)]
+        boundaries.append([
+            {index[simplex[:j] + simplex[j + 1:]]: signs[j] for j in range(p + 1)}
+            for simplex in by_dim[p]
+        ])
 
     return SimplicialComplex(
         n=n,
@@ -124,7 +124,7 @@ def reduced_betti(cx: SimplicialComplex) -> tuple[int, ...]:
         return ()
     f = cx.f_vector
     # rank of the augmentation C_0 -> K is 1 once there is a vertex
-    ranks = [1] + [linalg.rank(b) for b in cx.boundaries] + [0]
+    ranks = [1] + linalg.chain_ranks(cx.boundaries) + [0]
     betti = [f[p] - ranks[p] - ranks[p + 1] for p in range(len(f))]
     while betti and betti[-1] == 0:
         betti.pop()
@@ -140,10 +140,7 @@ def rad_power_euler(n: int, power: int) -> int:
 
 
 def boundary_squares_to_zero(cx: SimplicialComplex) -> bool:
-    for p in range(1, len(cx.boundaries)):
-        if not linalg.is_zero(linalg.matmul(cx.boundaries[p - 1], cx.boundaries[p])):
-            return False
-    return True
+    return linalg.squares_to_zero(cx.boundaries)
 
 
 def report(cx: SimplicialComplex) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import NakayamaAlgebra, mod1, radical_power_algebra
+from .algebra import NakayamaAlgebra, mod1
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,6 @@ def rad_power_closed_form(n: int, power: int) -> tuple[int, int]:
         raise ValueError("need n >= 2 and power >= 1")
     g = math.gcd(n, power)
     return g, power // g
-
-
-def rad_power_build(n: int, power: int) -> ResolutionQuiver:
-    return build(radical_power_algebra(n, power))
 
 
 def to_dot(rq: ResolutionQuiver) -> str:

@@ -42,13 +42,6 @@ def relabel_map(n: int, leaf: int) -> tuple[int, ...]:
     return tuple(mod1(i - leaf + n, n) for i in range(1, n + 1))
 
 
-def reindex_algebra(algebra: NakayamaAlgebra, leaf: int) -> NakayamaAlgebra:
-    phi = relabel_map(algebra.n, leaf)
-    return validate(
-        algebra.n, [(phi[rel.start - 1], rel.length) for rel in algebra.relations]
-    )
-
-
 def delete_last_arrow(rel: Relation, n: int) -> Relation:
     """Image of one relation word under deleting all occurrences of x_n,
     prepending x_{n-1} when the word starts at n; lives on the (n-1)-cycle."""

@@ -63,7 +63,7 @@ def test_criterion_1_worked_examples():
     expect(cx2.f_vector == (4, 5, 1), "l2 f-vector")
     expect(euler_characteristic(cx2) == 0, "l2 euler 0")
     expect(not global_dimension(l2).is_finite, "l2 infinite gldim")
-    expect(hc_euler(l2) == 1, "l2 hc_euler 1")
+    expect(hc_euler(hc_dimensions(l2)) == 1, "l2 hc_euler 1")
 
     l3 = algebra_from_kupisch((2, 2, 2, 2))
     rq3 = build(l3)

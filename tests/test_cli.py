@@ -137,6 +137,20 @@ def test_bad_schema(tmp_path, capsys):
     assert "error[bad-schema]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    '{"kupisch": [true, 2, 2]}',
+    '{"kupisch": [3, 2, false]}',
+    '{"n": true, "relations": [[1, 1]]}',
+    '{"n": 3, "relations": [[true, 2], [2, 2], [3, 2]]}',
+    '{"n": 3, "relations": [[1, 2], [2, 2], [3, true]]}',
+])
+def test_json_booleans_are_not_integers(tmp_path, capsys, text):
+    path = tmp_path / "bool.json"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 1
+    assert "error[bad-schema]" in capsys.readouterr().err
+
+
 def test_invalid_algebra(tmp_path, capsys):
     path = tmp_path / "dup.json"
     path.write_text('{"n": 5, "relations": [[2,2],[2,3]]}')
@@ -182,6 +196,7 @@ def test_counterexample_exit_code(l1_file, monkeypatch, capsys):
 
 
 def test_sweep_honors_thread_env(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     monkeypatch.setenv("NAKAYAMA_THREADS", "2")
     assert harness.default_workers() == 2
     base = str(tmp_path / "par")
@@ -192,3 +207,24 @@ def test_sweep_honors_thread_env(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "par.csv").read_text() == (tmp_path / "ser.csv").read_text()
     monkeypatch.setenv("NAKAYAMA_THREADS", "junk")
     assert harness.default_workers() == 1
+
+
+@pytest.mark.parametrize("raw, cpus, expected", [
+    ("64", 4, 4),
+    ("3", 4, 3),
+    ("0", 4, 1),
+    ("-2", 4, 1),
+    ("8", None, 1),
+])
+def test_default_workers_clamps_to_cpu_count(monkeypatch, capsys, raw, cpus, expected):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("NAKAYAMA_THREADS", raw)
+    assert harness.default_workers() == expected
+    assert capsys.readouterr().err == ""
+
+
+def test_default_workers_warns_on_junk(monkeypatch, capsys):
+    monkeypatch.setenv("NAKAYAMA_THREADS", "two")
+    assert harness.default_workers() == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "NAKAYAMA_THREADS" in err and "'two'" in err

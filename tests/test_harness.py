@@ -1,5 +1,6 @@
 import json
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -139,3 +140,18 @@ def test_parallel_sweep_matches_serial():
     serial = sweep(config, workers=1)
     parallel = sweep(config, workers=2)
     assert to_csv(serial) == to_csv(parallel)
+
+
+def test_sweep_rows_match_recorded_reference():
+    """Every CSV row of a sweep at n <= 5, c <= 6 is byte-identical to the
+    row recorded in the benchmark's reference sweep (n <= 6, c <= 7)."""
+    reference = (Path(__file__).parents[1] / "perfbench" / "reference" / "sweep.csv").read_text()
+    header, *rows = reference.splitlines()
+    expected = [header] + [
+        row for row in rows
+        if int(row.split(",")[0]) <= 5 and max(map(int, row.split(",")[1].split())) <= 6
+    ]
+    got = to_csv(sweep(SweepConfig(n_min=2, n_max=5, c_max=6))).splitlines()
+    assert len(got) == len(expected) > 400
+    for got_row, expected_row in zip(got, expected):
+        assert got_row == expected_row
