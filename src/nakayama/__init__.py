@@ -12,6 +12,7 @@ from .algebra import (
     ProjDim,
     RedundantRelationError,
     Relation,
+    TooLargeError,
     UniserialModule,
     algebra_from_kupisch,
     global_dimension,

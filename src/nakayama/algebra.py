@@ -47,6 +47,16 @@ class ModuleTooLongError(AlgebraError):
     code = "module-too-long"
 
 
+class TooLargeError(AlgebraError):
+    code = "too-large"
+
+
+# The most subsets the cyclic basis (2^n - 1 station subsets) or the relation
+# complex (up to 2^r - 1 relation subsets) may scan.  At n = 16, `verify` of
+# rad^17 scans 65,535 and takes about 3 s.
+MAX_SUBSETS = 1 << 16
+
+
 class AlgebraClass(enum.Enum):
     CYCLIC = "cyclic"
     LINEAR = "linear"

@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import linalg
-from .algebra import NakayamaAlgebra
+from .algebra import MAX_SUBSETS, NakayamaAlgebra, TooLargeError
 
 
 @dataclass(frozen=True)
@@ -132,6 +132,8 @@ class CyclicComplex:
 def build_cyclic_complex(algebra: NakayamaAlgebra) -> CyclicComplex:
     """Build each degree's basis and its index once; every differential
     is derived from the two bases it connects."""
+    if 2 ** algebra.n - 1 > MAX_SUBSETS:
+        raise TooLargeError(f"the cyclic basis would scan 2^{algebra.n} - 1 subsets, over {MAX_SUBSETS}")
     bases = tuple(tuple(basis(algebra, p)) for p in range(algebra.n))
     diffs = []
     index: dict[tuple[int, ...], int] = {}

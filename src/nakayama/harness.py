@@ -32,13 +32,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from . import cyclic, relation_complex, resolution, unamalgamation
+from . import cyclic, relation_complex, unamalgamation
 from .algebra import (
     AlgebraClass,
     NakayamaAlgebra,
-    ProjDim,
     algebra_from_kupisch,
-    global_dimension,
     relations_from_kupisch,
 )
 
@@ -61,8 +59,6 @@ class SweepConfig:
     c_max: int = 4
     classes: frozenset[AlgebraClass] = ALL_CLASSES
     checks: tuple[str, ...] = THEOREM_CHECKS
-    # resume cursor: skip every series up to and including (n, kupisch)
-    start_after: tuple[int, tuple[int, ...]] | None = None
 
     def __post_init__(self):
         if self.n_min < 2 or self.c_max < 1:
@@ -97,42 +93,24 @@ def kupisch_series(n: int, c_max: int) -> Iterator[tuple[int, ...]]:
     yield from extend(())
 
 
-def series_class(c: tuple[int, ...]) -> AlgebraClass:
-    ones = sum(1 for ci in c if ci == 1)
-    if ones == 0:
-        return AlgebraClass.CYCLIC
-    if ones == 1:
-        return AlgebraClass.LINEAR
-    return AlgebraClass.PRODUCT_OF_LINEAR
-
-
 def enumerate_kupisch(config: SweepConfig) -> Iterator[NakayamaAlgebra]:
     for n in range(config.n_min, config.n_max + 1):
-        if config.start_after is not None and n < config.start_after[0]:
-            continue
         for c in kupisch_series(n, config.c_max):
-            if config.start_after is not None and (n, c) <= config.start_after:
-                continue
-            if series_class(c) in config.classes:
-                yield algebra_from_kupisch(c)
+            algebra = algebra_from_kupisch(c)
+            if algebra.algebra_class in config.classes:
+                yield algebra
 
 
 @dataclass
 class AlgebraVerdict:
-    algebra: NakayamaAlgebra
-    kupisch: tuple[int, ...]
-    gldim: ProjDim
-    component_count: int
-    weights: tuple[int, ...]
-    leaves: tuple[int, ...]
-    chi: int
-    f_vector: tuple[int, ...]
-    betti: tuple[int, ...]
-    complex_empty: bool
+    invariants: unamalgamation.Invariants
     hc_dims: tuple[int, ...]
-    hc_euler: int
     basis_sizes: tuple[int, ...]
     checks: dict[str, bool] = field(default_factory=dict)
+
+    @property
+    def hc_euler(self) -> int:
+        return cyclic.hc_euler(self.hc_dims)
 
     @property
     def failed(self) -> list[str]:
@@ -143,18 +121,19 @@ class AlgebraVerdict:
         return not self.failed
 
     def to_dict(self) -> dict:
+        inv = self.invariants
         return {
-            "algebra": self.algebra.to_dict(),
-            "kupisch": list(self.kupisch),
-            "class": self.algebra.algebra_class.value,
-            "gldim": self.gldim.value,
-            "components": self.component_count,
-            "weights": list(self.weights),
-            "leaves": list(self.leaves),
-            "chi": self.chi,
-            "f_vector": list(self.f_vector),
-            "reduced_betti": list(self.betti),
-            "complex_empty": self.complex_empty,
+            "algebra": inv.algebra.to_dict(),
+            "kupisch": list(inv.algebra.kupisch),
+            "class": inv.algebra.algebra_class.value,
+            "gldim": inv.gldim.value,
+            "components": len(inv.weights),
+            "weights": list(inv.weights),
+            "leaves": list(inv.leaves),
+            "chi": inv.chi,
+            "f_vector": list(inv.f_vector),
+            "reduced_betti": list(inv.betti),
+            "complex_empty": inv.complex_empty,
             "hc_dims": list(self.hc_dims),
             "hc_euler": self.hc_euler,
             "basis_sizes": list(self.basis_sizes),
@@ -166,35 +145,17 @@ def verify(algebra: NakayamaAlgebra, checks: tuple[str, ...] = THEOREM_CHECKS) -
     """Compute every invariant of one algebra and test the requested named
     checks plus all structural self-checks.  Failures become entries in the
     verdict, never exceptions."""
-    rq = resolution.build(algebra)
     cx = relation_complex.build_complex(algebra)
     cc = cyclic.build_cyclic_complex(algebra)
-    gldim = global_dimension(algebra)
-
-    chi = relation_complex.euler_characteristic(cx)
-    betti = relation_complex.reduced_betti(cx)
-    hc_dims = cyclic.hc_dimensions(algebra, cc)
-    hc_eu = cyclic.hc_euler(hc_dims)
-    weights = rq.weights
-    lvs = tuple(sorted(resolution.leaves(rq)))
-    finite = gldim.is_finite
-
+    inv = unamalgamation.invariants(algebra, cx)
     verdict = AlgebraVerdict(
-        algebra=algebra,
-        kupisch=algebra.kupisch,
-        gldim=gldim,
-        component_count=len(rq.components),
-        weights=weights,
-        leaves=lvs,
-        chi=chi,
-        f_vector=cx.f_vector,
-        betti=betti,
-        complex_empty=cx.is_empty,
-        hc_dims=hc_dims,
-        hc_euler=hc_eu,
+        invariants=inv,
+        hc_dims=cyclic.hc_dimensions(algebra, cc),
         basis_sizes=cc.basis_sizes,
     )
     results = verdict.checks
+    weights, chi, betti, lvs = inv.weights, inv.chi, inv.betti, inv.leaves
+    finite = inv.gldim.is_finite
 
     weight_one = sum(1 for w in weights if w == 1)
     if "A" in checks:
@@ -206,38 +167,33 @@ def verify(algebra: NakayamaAlgebra, checks: tuple[str, ...] = THEOREM_CHECKS) -
     if "SameWeight" in checks:
         results["SameWeight"] = len(set(weights)) == 1
     if "HCvsBetti" in checks:
-        expected = [1 if cx.is_empty else 0] + [
+        expected = [1 if inv.complex_empty else 0] + [
             betti[p - 1] if p - 1 < len(betti) else 0 for p in range(1, algebra.n)
         ]
-        results["HCvsBetti"] = list(hc_dims) == expected
+        results["HCvsBetti"] = list(verdict.hc_dims) == expected
     if "Bprime" in checks:
-        reduction = unamalgamation.reduce_fully(algebra)
         if finite:
-            results["Bprime"] = (
-                not any(betti) and not cx.is_empty and reduction.semisimple
-            )
+            acyclic = not any(betti) and not inv.complex_empty
+            results["Bprime"] = acyclic and unamalgamation.reduce_fully(algebra).semisimple
         else:
             results["Bprime"] = any(betti) or chi != 1
     if "UnamalgamationProps" in checks:
         ok = True
         if algebra.n >= 3:
-            summary = unamalgamation.AlgebraSummary(
-                quiver=rq, betti=betti, complex_empty=cx.is_empty, gldim=gldim
-            )
             for leaf in lvs:
-                report = unamalgamation.check_properties(algebra, leaf, summary)
+                report = unamalgamation.check_properties(algebra, leaf, inv)
                 ok = ok and report.all_ok and raw_complex_matches(report.step)
         results["UnamalgamationProps"] = ok
 
     results["RoundTrip"] = relations_from_kupisch(algebra.kupisch) == algebra.relations
-    if cx.is_empty:
+    if inv.complex_empty:
         results["EulerPoincare"] = chi == 0
     else:
         results["EulerPoincare"] = chi == 1 + sum((-1) ** p * b for p, b in enumerate(betti))
     results["BoundarySquare"] = relation_complex.boundary_squares_to_zero(cx)
     results["CyclicSquare"] = cyclic.differential_squares_to_zero(cc)
     alt_sizes = sum((-1) ** p * s for p, s in enumerate(cc.basis_sizes))
-    results["HCEulerIdentity"] = hc_eu == 1 - chi and hc_eu == alt_sizes
+    results["HCEulerIdentity"] = verdict.hc_euler == 1 - chi == alt_sizes
     results["NodesEqualRelations"] = algebra.n - len(lvs) == len(algebra.relations)
     return verdict
 
@@ -276,7 +232,7 @@ class TheoremReport:
     def totals(self) -> dict[tuple[int, str], int]:
         out: dict[tuple[int, str], int] = {}
         for v in self.verdicts:
-            key = (v.algebra.n, v.algebra.algebra_class.value)
+            key = (v.invariants.algebra.n, v.invariants.algebra.algebra_class.value)
             out[key] = out.get(key, 0) + 1
         return out
 
@@ -289,7 +245,7 @@ class TheoremReport:
                 for (n, cls), count in sorted(self.totals().items())
             ],
             "counterexamples": [
-                {"algebra": v.algebra.to_dict(), "failed": v.failed}
+                {"algebra": v.invariants.algebra.to_dict(), "failed": v.failed}
                 for v in self.counterexamples
             ],
             "ok": self.ok,
@@ -340,16 +296,17 @@ def to_csv(report: TheoremReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for v in report.verdicts:
-        weights = set(v.weights)
+        inv = v.invariants
+        weights = inv.weights
         writer.writerow(
             [
-                v.algebra.n,
-                " ".join(str(c) for c in v.kupisch),
-                "inf" if not v.gldim.is_finite else str(v.gldim.value),
-                v.component_count,
-                str(v.weights[0]) if len(weights) == 1 else "|".join(str(w) for w in v.weights),
-                v.chi,
-                " ".join(str(b) for b in v.betti),
+                inv.algebra.n,
+                " ".join(str(c) for c in inv.algebra.kupisch),
+                "inf" if not inv.gldim.is_finite else str(inv.gldim.value),
+                len(weights),
+                str(weights[0]) if len(set(weights)) == 1 else "|".join(str(w) for w in weights),
+                inv.chi,
+                " ".join(str(b) for b in inv.betti),
                 " ".join(str(d) for d in v.hc_dims),
                 "ok" if v.ok else ";".join(v.failed),
             ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import linalg
-from .algebra import NakayamaAlgebra, Relation, mod1
+from .algebra import MAX_SUBSETS, NakayamaAlgebra, Relation, TooLargeError, mod1
 
 
 def interior(rel: Relation, n: int) -> frozenset[int]:
@@ -66,6 +66,8 @@ def complex_from_interiors(n: int, interiors: list[frozenset[int]]) -> Simplicia
     Used directly when the vertex set is a raw (possibly redundant) relation
     list rather than a validated algebra's relations."""
     r = len(interiors)
+    if 2 ** r - 1 > MAX_SUBSETS:
+        raise TooLargeError(f"the relation complex would scan 2^{r} - 1 subsets, over {MAX_SUBSETS}")
     by_dim: list[list[tuple[int, ...]]] = []
     for size in range(1, r + 1):
         simplices = [
@@ -100,8 +102,7 @@ def complex_vertices(algebra: NakayamaAlgebra) -> tuple[Relation, ...]:
 
 def build_complex(algebra: NakayamaAlgebra) -> SimplicialComplex:
     """Enumerate all subsets of the length-<=n relations and keep the
-    non-covering ones.  The number of relations is at most n, so the 2^r
-    subset sweep is cheap at every size this package targets."""
+    non-covering ones."""
     vertices = complex_vertices(algebra)
     cx = complex_from_interiors(algebra.n, [interior(rel, algebra.n) for rel in vertices])
     return SimplicialComplex(

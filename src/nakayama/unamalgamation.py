@@ -107,12 +107,12 @@ class UnamalgamationStep:
 
 
 def unamalgamate(algebra: NakayamaAlgebra, leaf: int) -> UnamalgamationStep:
-    rq = resolution.build(algebra)
-    if leaf not in resolution.leaves(rq):
-        raise NotALeafError(f"vertex {leaf} is a node of the resolution quiver, not a leaf")
-    if algebra.n - 1 < 2:
-        raise TooSmallError(f"cannot drop a vertex from a quiver of size {algebra.n}")
     n = algebra.n
+    # the leaves are the vertices in 1..n that no arrow of the quiver targets
+    if not 1 <= leaf <= n or any(resolution.gustafson(algebra, i) == leaf for i in range(1, n + 1)):
+        raise NotALeafError(f"vertex {leaf} is a node of the resolution quiver, not a leaf")
+    if n - 1 < 2:
+        raise TooSmallError(f"cannot drop a vertex from a quiver of size {n}")
     phi = relabel_map(n, leaf)
     reindexed = [Relation(phi[rel.start - 1], rel.length) for rel in algebra.relations]
     raw = tuple(delete_last_arrow(rel, n) for rel in reindexed)
@@ -128,19 +128,45 @@ def unamalgamate(algebra: NakayamaAlgebra, leaf: int) -> UnamalgamationStep:
 
 
 @dataclass(frozen=True)
-class AlgebraSummary:
-    quiver: resolution.ResolutionQuiver
+class Invariants:
+    """What both finiteness criteria read off one algebra, kept small because
+    a sweep keeps one per algebra: the resolution quiver's targets and weights,
+    the relation complex's f-vector and reduced Betti numbers, and gldim."""
+
+    algebra: NakayamaAlgebra
+    targets: tuple[int, ...]  # entry i-1 is the target of the arrow at i
+    weights: tuple[int, ...]
+    f_vector: tuple[int, ...]
     betti: tuple[int, ...]
-    complex_empty: bool
     gldim: ProjDim
 
+    @property
+    def leaves(self) -> tuple[int, ...]:
+        return tuple(sorted(set(range(1, self.algebra.n + 1)).difference(self.targets)))
 
-def summarize(algebra: NakayamaAlgebra) -> AlgebraSummary:
-    cx = relation_complex.build_complex(algebra)
-    return AlgebraSummary(
-        quiver=resolution.build(algebra),
+    @property
+    def chi(self) -> int:
+        return sum((-1) ** p * count for p, count in enumerate(self.f_vector))
+
+    @property
+    def complex_empty(self) -> bool:
+        return not self.f_vector
+
+
+def invariants(
+    algebra: NakayamaAlgebra, cx: relation_complex.SimplicialComplex | None = None
+) -> Invariants:
+    """The invariants of `algebra`; `cx`, its relation complex, is built
+    unless the caller has it already."""
+    if cx is None:
+        cx = relation_complex.build_complex(algebra)
+    rq = resolution.build(algebra)
+    return Invariants(
+        algebra=algebra,
+        targets=rq.f,
+        weights=rq.weights,
+        f_vector=cx.f_vector,
         betti=relation_complex.reduced_betti(cx),
-        complex_empty=cx.is_empty,
         gldim=global_dimension(algebra),
     )
 
@@ -172,24 +198,24 @@ class PropertyReport:
 
 
 def check_properties(
-    algebra: NakayamaAlgebra,
-    leaf: int,
-    input_summary: AlgebraSummary | None = None,
+    algebra: NakayamaAlgebra, leaf: int, before: Invariants | None = None
 ) -> PropertyReport:
     """Verify, on one unamalgamation step, that the smaller algebra keeps the
     resolution quiver (minus the leaf), the weight, the reduced Betti numbers
-    of the relation complex, and a global dimension within two."""
+    of the relation complex, and a global dimension within two.  `before`
+    holds the invariants of `algebra` when the caller has them already."""
     step = unamalgamate(algebra, leaf)
-    before = input_summary if input_summary is not None else summarize(algebra)
-    after = summarize(step.output)
+    if before is None:
+        before = invariants(algebra)
+    after = invariants(step.output)
 
     phi = step.relabel
     quiver_match = all(
-        after.quiver.target(phi[i - 1]) == phi[before.quiver.target(i) - 1]
+        after.targets[phi[i - 1] - 1] == phi[before.targets[i - 1] - 1]
         for i in range(1, algebra.n + 1)
         if i != leaf
     )
-    weight_match = sorted(before.quiver.weights) == sorted(after.quiver.weights)
+    weight_match = sorted(before.weights) == sorted(after.weights)
     betti_match = (before.betti, before.complex_empty) == (after.betti, after.complex_empty)
 
     g_in, g_out = before.gldim, after.gldim

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nakayama import harness, validate
+from nakayama import cyclic, harness, relation_complex, validate
 from nakayama.cli import algebra_from_dict, main
 
 
@@ -110,9 +110,10 @@ def test_unamalgamate_lambda2(l2_file, tmp_path, capsys):
 
 
 def test_unamalgamate_not_a_leaf(l3_file, capsys):
-    assert main(["unamalgamate", l3_file, "--leaf", "1"]) == 1
-    err = capsys.readouterr().err
-    assert "error[not-a-leaf]" in err
+    for leaf in ("1", "0"):
+        assert main(["unamalgamate", l3_file, "--leaf", leaf]) == 1
+        err = capsys.readouterr().err
+        assert "error[not-a-leaf]" in err
 
 
 def test_reduce(l1_file, capsys):
@@ -149,6 +150,24 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["analyze", str(path)]) == 1
     assert "error[bad-schema]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("analyze", '{"n": 40, "relations": [[1, 41]]}'),
+    ("hc", '{"n": 40, "relations": [[1, 41]]}'),
+    ("complex", json.dumps({"kupisch": [2] * 40})),
+])
+def test_too_large_fails_before_enumerating(tmp_path, monkeypatch, capsys, command, text):
+    # 2^40 - 1 station subsets (cyclic basis) or relation subsets (complex)
+    def no_enumeration(*args):
+        raise AssertionError("subset enumeration started")
+
+    monkeypatch.setattr(cyclic, "combinations", no_enumeration)
+    monkeypatch.setattr(relation_complex, "combinations", no_enumeration)
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 1
+    assert "error[too-large]" in capsys.readouterr().err
 
 
 def test_invalid_algebra(tmp_path, capsys):

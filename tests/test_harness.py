@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from nakayama import AlgebraClass, algebra_from_kupisch
+from nakayama import AlgebraClass, algebra_from_kupisch, radical_power_algebra
 from nakayama.algebra import is_valid_kupisch
 from nakayama.harness import (
     STRUCTURAL_CHECKS,
@@ -18,6 +18,8 @@ from nakayama.harness import (
     verify,
 )
 from nakayama.resolution import build
+
+REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference"
 
 
 def _series(config):
@@ -49,16 +51,6 @@ def test_enumeration_monotone_in_c_max():
     assert all(a < b for a, b in zip(counts, counts[1:]))
 
 
-def test_resume_cursor():
-    config = SweepConfig(n_min=2, n_max=3, c_max=3)
-    full = _series(config)
-    cut = full[4]
-    resumed = _series(
-        SweepConfig(n_min=2, n_max=3, c_max=3, start_after=(len(cut), cut))
-    )
-    assert resumed == full[5:]
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(n_min=1, n_max=3)
@@ -68,26 +60,29 @@ def test_config_validation():
 
 def test_verify_lambda1(lambda1):
     v = verify(lambda1)
-    assert v.gldim.value == 4
-    assert v.component_count == 1 and v.weights == (1,)
-    assert v.chi == 1
+    inv = v.invariants
+    assert inv.gldim.value == 4
+    assert len(inv.weights) == 1 and inv.weights == (1,)
+    assert inv.chi == 1
     assert v.ok
     assert set(THEOREM_CHECKS) | set(STRUCTURAL_CHECKS) == set(v.checks)
 
 
 def test_verify_lambda2(lambda2):
     v = verify(lambda2)
-    assert not v.gldim.is_finite
-    assert v.weights == (2,) and v.chi == 0
+    inv = v.invariants
+    assert not inv.gldim.is_finite
+    assert inv.weights == (2,) and inv.chi == 0
     assert v.hc_euler == 1
     assert v.ok
 
 
 def test_verify_lambda3(lambda3):
     v = verify(lambda3)
-    assert not v.gldim.is_finite
-    assert v.component_count == 2 and v.weights == (1, 1)
-    assert v.chi == 2
+    inv = v.invariants
+    assert not inv.gldim.is_finite
+    assert len(inv.weights) == 2 and inv.weights == (1, 1)
+    assert inv.chi == 2
     # both sides of check A are false: two components, infinite dimension
     assert v.checks["A"] and v.checks["C"]
     assert v.ok
@@ -106,7 +101,7 @@ def test_sweep_small_is_clean():
 def test_sweep_single_algebra():
     report = sweep(SweepConfig(n_min=4, n_max=4, c_max=2, classes=frozenset({AlgebraClass.CYCLIC})))
     assert len(report.verdicts) == 1
-    assert report.verdicts[0].kupisch == (2, 2, 2, 2)
+    assert report.verdicts[0].invariants.algebra.kupisch == (2, 2, 2, 2)
     assert report.ok
 
 
@@ -145,7 +140,7 @@ def test_parallel_sweep_matches_serial():
 def test_sweep_rows_match_recorded_reference():
     """Every CSV row of a sweep at n <= 5, c <= 6 is byte-identical to the
     row recorded in the benchmark's reference sweep (n <= 6, c <= 7)."""
-    reference = (Path(__file__).parents[1] / "perfbench" / "reference" / "sweep.csv").read_text()
+    reference = (REFERENCE / "sweep.csv").read_text()
     header, *rows = reference.splitlines()
     expected = [header] + [
         row for row in rows
@@ -155,3 +150,17 @@ def test_sweep_rows_match_recorded_reference():
     assert len(got) == len(expected) > 400
     for got_row, expected_row in zip(got, expected):
         assert got_row == expected_row
+
+
+def test_verify_dicts_match_recorded_reference():
+    """`verify(...).to_dict()` of rad^(n+1), n = 2..8, equals the dict recorded
+    in the benchmark's rad-power reference, including the fields the CSV
+    omits (leaves, f_vector, complex_empty, hc_euler, basis_sizes, class)."""
+    reference = json.loads((REFERENCE / "rad-power.json").read_text())
+    for n in range(2, 9):
+        got = json.loads(json.dumps(verify(radical_power_algebra(n, n + 1)).to_dict()))
+        assert got == reference[str(n)], n
+
+
+def test_subset_limit_admits_rad12_on_11_vertices():
+    assert verify(radical_power_algebra(11, 12)).ok

@@ -1,6 +1,11 @@
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 
+import nakayama
 from nakayama import NotALeafError, Relation, TooSmallError, algebra_from_kupisch
 from nakayama.harness import SweepConfig, enumerate_kupisch, raw_complex_matches
 from nakayama.relation_complex import build_complex, euler_characteristic
@@ -15,6 +20,9 @@ from nakayama.unamalgamation import (
 )
 
 from strategies import raw_relation_lists
+
+sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's request and digest code)
 
 
 def test_relabel_map_sends_leaf_to_n():
@@ -54,7 +62,8 @@ def test_unamalgamate_lambda1_properties(lambda1):
 
 
 def test_unamalgamate_not_a_leaf(lambda3):
-    for vertex in range(1, 5):
+    # no arrow targets 0 or n + 1 either, but they are not vertices at all
+    for vertex in range(0, 6):
         with pytest.raises(NotALeafError):
             unamalgamate(lambda3, vertex)
 
@@ -200,3 +209,20 @@ def test_terminal_weight_independent_of_leaf_policy():
         t_max = reduce_with(algebra, max)
         assert build(t_min).weights[0] == build(t_max).weights[0]
         assert t_min.n == t_max.n
+
+
+def test_query_bundles_match_recorded_reference():
+    """The JSON of `check_properties` at every leaf, `reduce_fully` and the
+    relation complex report, for every linear and product-of-linear algebra
+    with n <= 6, c <= 3, matches the digest in the benchmark's leafy-queries
+    reference."""
+    nk = SimpleNamespace(
+        algebra=nakayama.algebra,
+        relation_complex=nakayama.relation_complex,
+        resolution=nakayama.resolution,
+        unamalgamation=nakayama.unamalgamation,
+    )
+    expected = {c: h for c, h in workloads.load_leafy_reference().items() if len(c) <= 6}
+    assert len(expected) == 390
+    for c, digest in expected.items():
+        assert workloads.digest(workloads.query_bundle(nk, c)) == digest, c
