@@ -89,7 +89,8 @@ def differential(
     basis cycle.
 
     Face i < p composes the morphisms at stations w_i, w_{i+1}, dropping
-    w_{i+1}; the last face composes around the wrap, dropping w_0 and
+    w_{i+1}; it keeps the stations sorted with w_0 first, so it is already
+    canonical.  The last face composes around the wrap, dropping w_0 and
     leaving a tuple that starts at w_p, so it picks up one rotation sign on
     top of its (-1)^p face sign.  Distinct faces drop distinct stations, so
     no two of them land on the same row.
@@ -101,17 +102,12 @@ def differential(
     for cycle in source:
         w, g, p = cycle.stations, cycle.gaps, cycle.degree
         col: linalg.Column = {}
-        for i in range(p + 1):
-            if i < p:
-                merged_at, merged_gap = w[i], g[i] + g[i + 1]
-                faced = w[: i + 1] + w[i + 2:]
-            else:
-                merged_at, merged_gap = w[p], g[p] + g[0]
-                faced = (w[p],) + w[1:p]
-            if merged_gap >= c[merged_at - 1]:
-                continue  # the composed path completes a relation
-            canonical, rot_sign = canonicalize(faced)
-            col[index[canonical]] = -rot_sign if i % 2 else rot_sign
+        for i in range(p):
+            if g[i] + g[i + 1] < c[w[i] - 1]:  # else the composed path completes a relation
+                col[index[w[: i + 1] + w[i + 2:]]] = -1 if i % 2 else 1
+        if g[p] + g[0] < c[w[p] - 1]:
+            canonical, rot_sign = canonicalize((w[p],) + w[1:p])
+            col[index[canonical]] = -rot_sign if p % 2 else rot_sign
         columns.append(col)
     return columns
 

@@ -141,10 +141,16 @@ class AlgebraVerdict:
         }
 
 
-def verify(algebra: NakayamaAlgebra, checks: tuple[str, ...] = THEOREM_CHECKS) -> AlgebraVerdict:
+def verify(
+    algebra: NakayamaAlgebra,
+    checks: tuple[str, ...] = THEOREM_CHECKS,
+    known: dict[tuple[int, ...], unamalgamation.Invariants] | None = None,
+) -> AlgebraVerdict:
     """Compute every invariant of one algebra and test the requested named
     checks plus all structural self-checks.  Failures become entries in the
-    verdict, never exceptions."""
+    verdict, never exceptions.  `known` maps Kupisch series to the invariants
+    of algebras verified before; the leaf checks look the smaller algebras
+    up there instead of rebuilding them."""
     cx = relation_complex.build_complex(algebra)
     cc = cyclic.build_cyclic_complex(algebra)
     inv = unamalgamation.invariants(algebra, cx)
@@ -181,8 +187,8 @@ def verify(algebra: NakayamaAlgebra, checks: tuple[str, ...] = THEOREM_CHECKS) -
         ok = True
         if algebra.n >= 3:
             for leaf in lvs:
-                report = unamalgamation.check_properties(algebra, leaf, inv)
-                ok = ok and report.all_ok and raw_complex_matches(report.step)
+                report = unamalgamation.check_properties(algebra, leaf, inv, known)
+                ok = ok and report.all_ok and raw_complex_matches(report.step, cx)
         results["UnamalgamationProps"] = ok
 
     results["RoundTrip"] = relations_from_kupisch(algebra.kupisch) == algebra.relations
@@ -198,22 +204,21 @@ def verify(algebra: NakayamaAlgebra, checks: tuple[str, ...] = THEOREM_CHECKS) -
     return verdict
 
 
-def raw_complex_matches(step: unamalgamation.UnamalgamationStep) -> bool:
+def raw_complex_matches(
+    step: unamalgamation.UnamalgamationStep, cx: relation_complex.SimplicialComplex
+) -> bool:
     """The complex built from the raw (possibly redundant) image relations
-    must be simplex-for-simplex the relation complex of the input, under the
-    index bijection between old and new relations."""
+    must be simplex-for-simplex `cx`, the relation complex of the input,
+    under the index bijection between old and new relations."""
     n = step.input.n
     old_idx = [i for i, r in enumerate(step.input.relations) if r.length <= n]
     new_idx = [i for i, r in enumerate(step.raw_relations) if r.length <= n - 1]
     if old_idx != new_idx:
         return False
-    old = relation_complex.complex_from_interiors(
-        n, [relation_complex.interior(step.input.relations[i], n) for i in old_idx]
-    )
     new = relation_complex.complex_from_interiors(
         n - 1, [relation_complex.interior(step.raw_relations[i], n - 1) for i in new_idx]
     )
-    return old.simplices == new.simplices
+    return cx.simplices == new.simplices
 
 
 @dataclass
@@ -252,9 +257,23 @@ class TheoremReport:
         }
 
 
+def _verify_all(algebras, checks: tuple[str, ...]) -> list[AlgebraVerdict]:
+    """Verify in order, keeping each verdict's invariants in a table for the
+    leaf checks of the algebras after it.  The enumeration runs in increasing
+    n, so a leaf's smaller algebra has usually been verified already; a miss
+    only costs the rebuild."""
+    known: dict[tuple[int, ...], unamalgamation.Invariants] = {}
+    verdicts = []
+    for algebra in algebras:
+        verdict = verify(algebra, checks, known)
+        known[algebra.kupisch] = verdict.invariants
+        verdicts.append(verdict)
+    return verdicts
+
+
 def _verify_chunk(args: tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]) -> list[AlgebraVerdict]:
     series_chunk, checks = args
-    return [verify(algebra_from_kupisch(c), checks) for c in series_chunk]
+    return _verify_all((algebra_from_kupisch(c) for c in series_chunk), checks)
 
 
 def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
@@ -262,7 +281,7 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
     order regardless of worker count."""
     algebras = list(enumerate_kupisch(config))
     if workers <= 1 or len(algebras) < 2 * workers:
-        verdicts = [verify(a, config.checks) for a in algebras]
+        verdicts = _verify_all(algebras, config.checks)
     else:
         series = [a.kupisch for a in algebras]
         chunk = max(1, len(series) // (4 * workers))

@@ -108,8 +108,10 @@ class UnamalgamationStep:
 
 def unamalgamate(algebra: NakayamaAlgebra, leaf: int) -> UnamalgamationStep:
     n = algebra.n
-    # the leaves are the vertices in 1..n that no arrow of the quiver targets
-    if not 1 <= leaf <= n or any(resolution.gustafson(algebra, i) == leaf for i in range(1, n + 1)):
+    if not 1 <= leaf <= n:
+        raise NotALeafError(f"vertex {leaf} is outside 1..{n}")
+    # the leaves are the vertices that no arrow of the quiver targets
+    if any(resolution.gustafson(algebra, i) == leaf for i in range(1, n + 1)):
         raise NotALeafError(f"vertex {leaf} is a node of the resolution quiver, not a leaf")
     if n - 1 < 2:
         raise TooSmallError(f"cannot drop a vertex from a quiver of size {n}")
@@ -198,16 +200,21 @@ class PropertyReport:
 
 
 def check_properties(
-    algebra: NakayamaAlgebra, leaf: int, before: Invariants | None = None
+    algebra: NakayamaAlgebra,
+    leaf: int,
+    before: Invariants | None = None,
+    known: dict[tuple[int, ...], Invariants] | None = None,
 ) -> PropertyReport:
     """Verify, on one unamalgamation step, that the smaller algebra keeps the
     resolution quiver (minus the leaf), the weight, the reduced Betti numbers
     of the relation complex, and a global dimension within two.  `before`
-    holds the invariants of `algebra` when the caller has them already."""
+    holds the invariants of `algebra` when the caller has them already;
+    `known` maps Kupisch series to invariants already built, and the smaller
+    algebra's are looked up there before they are built."""
     step = unamalgamate(algebra, leaf)
     if before is None:
         before = invariants(algebra)
-    after = invariants(step.output)
+    after = (known or {}).get(step.output.kupisch) or invariants(step.output)
 
     phi = step.relabel
     quiver_match = all(
@@ -273,8 +280,9 @@ def reduce_fully(algebra: NakayamaAlgebra) -> ReductionResult:
     current = algebra
     steps: list[UnamalgamationStep] = []
     while True:
-        rq = resolution.build(current)
-        lvs = resolution.leaves(rq)
+        n = current.n
+        targets = {resolution.gustafson(current, i) for i in range(1, n + 1)}
+        lvs = set(range(1, n + 1)).difference(targets)
         if not lvs:
             return ReductionResult(
                 initial=algebra,
@@ -282,8 +290,8 @@ def reduce_fully(algebra: NakayamaAlgebra) -> ReductionResult:
                 terminal=current,
                 terminal_kupisch=current.kupisch,
             )
-        if current.n == 2:
-            (node,) = set(rq.f)
+        if n == 2:
+            (node,) = targets
             c_node = current.kupisch[node - 1]
             return ReductionResult(
                 initial=algebra,

@@ -1,6 +1,10 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nakayama import cyclic, harness, relation_complex, validate
 from nakayama.cli import algebra_from_dict, main
@@ -110,10 +114,10 @@ def test_unamalgamate_lambda2(l2_file, tmp_path, capsys):
 
 
 def test_unamalgamate_not_a_leaf(l3_file, capsys):
-    for leaf in ("1", "0"):
+    for leaf, reason in (("1", "vertex 1 is a node of the resolution quiver"), ("0", "vertex 0 is outside 1..4")):
         assert main(["unamalgamate", l3_file, "--leaf", leaf]) == 1
         err = capsys.readouterr().err
-        assert "error[not-a-leaf]" in err
+        assert "error[not-a-leaf]" in err and reason in err
 
 
 def test_reduce(l1_file, capsys):
@@ -201,8 +205,8 @@ def test_sweep_stdout_json(capsys):
 def test_counterexample_exit_code(l1_file, monkeypatch, capsys):
     real_verify = harness.verify
 
-    def broken_verify(algebra, checks=harness.THEOREM_CHECKS):
-        verdict = real_verify(algebra, checks)
+    def broken_verify(algebra, checks=harness.THEOREM_CHECKS, known=None):
+        verdict = real_verify(algebra, checks, known)
         verdict.checks["A"] = False
         return verdict
 
@@ -247,3 +251,35 @@ def test_default_workers_warns_on_junk(monkeypatch, capsys):
     assert harness.default_workers() == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "NAKAYAMA_THREADS" in err and "'two'" in err
+
+
+_small = st.integers(-2, 8)
+_json = st.recursive(
+    st.none() | st.booleans() | _small | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+_documents = st.one_of(
+    _json,
+    st.fixed_dictionaries({"kupisch": st.lists(_small, max_size=7) | _json}),
+    st.fixed_dictionaries({
+        "n": _small | _json,
+        "relations": st.lists(st.lists(_small, min_size=2, max_size=2), max_size=6)
+        | st.lists(_json, max_size=4),
+    }),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _documents,
+    st.sampled_from(["gldim", "analyze", "complex", "hc", "quiver", "reduce", "unamalgamate"]),
+    st.integers(-1, 9),
+)
+def test_any_document_ends_in_an_exit_code(tmp_path_factory, doc, command, leaf):
+    """Whatever JSON a command reads, it returns 0, 1 or 2 and raises nothing."""
+    path = tmp_path_factory.mktemp("fuzz") / "algebra.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)] + (["--leaf", str(leaf)] if command == "unamalgamate" else [])
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)

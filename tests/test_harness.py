@@ -3,13 +3,16 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nakayama import AlgebraClass, algebra_from_kupisch, radical_power_algebra
+from nakayama import AlgebraClass, algebra_from_kupisch, radical_power_algebra, unamalgamation
 from nakayama.algebra import is_valid_kupisch
 from nakayama.harness import (
     STRUCTURAL_CHECKS,
     THEOREM_CHECKS,
     SweepConfig,
+    TheoremReport,
     enumerate_kupisch,
     kupisch_series,
     sweep,
@@ -18,6 +21,8 @@ from nakayama.harness import (
     verify,
 )
 from nakayama.resolution import build
+
+from strategies import kupisch_series as kupisch_series_strategy
 
 REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference"
 
@@ -164,3 +169,64 @@ def test_verify_dicts_match_recorded_reference():
 
 def test_subset_limit_admits_rad12_on_11_vertices():
     assert verify(radical_power_algebra(11, 12)).ok
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_verdicts_match_verify_without_table(workers):
+    """The table of invariants a sweep keeps changes no verdict: each one
+    equals a `verify` that builds every smaller algebra afresh."""
+    report = sweep(SweepConfig(n_min=2, n_max=5, c_max=6), workers=workers)
+    assert len(report.verdicts) > 400
+    for v in report.verdicts:
+        assert v.to_dict() == verify(v.invariants.algebra).to_dict(), v.invariants.algebra.kupisch
+
+
+def test_sweep_builds_invariants_once_per_algebra(monkeypatch):
+    """Enumeration runs in increasing n, so every leaf check of a full sweep
+    finds its smaller algebra in the table: `invariants` is built once per
+    verified algebra and never for a leaf."""
+    built = []
+    real = unamalgamation.invariants
+
+    def counting(algebra, cx=None):
+        built.append(algebra.kupisch)
+        return real(algebra, cx)
+
+    monkeypatch.setattr(unamalgamation, "invariants", counting)
+    report = sweep(SweepConfig(n_min=2, n_max=5, c_max=6), workers=1)
+    assert any(v.invariants.leaves for v in report.verdicts if v.invariants.algebra.n >= 3)
+    assert built == [v.invariants.algebra.kupisch for v in report.verdicts]
+
+
+def test_sweep_with_missing_smaller_algebras_matches_full_sweep():
+    """With n_min = 3 and only cyclic algebras, the smaller algebras at n = 3
+    and the non-cyclic ones are never verified, so lookups miss among the
+    hits (132 of 976); the rows still equal those of the full sweep."""
+    only_cyclic = frozenset({AlgebraClass.CYCLIC})
+    part = sweep(SweepConfig(n_min=3, n_max=5, c_max=6, classes=only_cyclic))
+    full = sweep(SweepConfig(n_min=2, n_max=5, c_max=6))
+    kept = [
+        v for v in full.verdicts
+        if v.invariants.algebra.n >= 3 and v.invariants.algebra.algebra_class in only_cyclic
+    ]
+    assert len(part.verdicts) == len(kept) > 100
+    assert to_csv(part).splitlines()[1:] == to_csv(TheoremReport(full.config, kept)).splitlines()[1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kupisch_series_strategy(max_n=6, max_c=6), st.integers(1, 5))
+def test_rotation_leaves_every_invariant_and_check_unchanged(c, k):
+    """Rotating the vertex labels is an isomorphism of algebras, so a rotated
+    Kupisch series has the same invariants and the same verdicts."""
+    k %= len(c)
+    a = verify(algebra_from_kupisch(c))
+    b = verify(algebra_from_kupisch(c[k:] + c[:k]))
+    ia, ib = a.invariants, b.invariants
+    assert ia.gldim == ib.gldim
+    assert sorted(ia.weights) == sorted(ib.weights)
+    assert ia.f_vector == ib.f_vector
+    assert ia.betti == ib.betti
+    assert len(ia.leaves) == len(ib.leaves)
+    assert a.hc_dims == b.hc_dims
+    assert a.basis_sizes == b.basis_sizes
+    assert a.checks == b.checks

@@ -61,6 +61,13 @@ def test_unamalgamate_lambda1_properties(lambda1):
         assert check_properties(lambda1, leaf).all_ok
 
 
+def test_raw_complex_matches_reads_the_given_complex(lambda1, lambda2):
+    for leaf in (1, 2):
+        step = unamalgamate(lambda1, leaf)
+        assert raw_complex_matches(step, build_complex(lambda1))
+        assert not raw_complex_matches(step, build_complex(lambda2))
+
+
 def test_unamalgamate_not_a_leaf(lambda3):
     # no arrow targets 0 or n + 1 either, but they are not vertices at all
     for vertex in range(0, 6):
@@ -178,7 +185,7 @@ def test_properties_hold_at_every_leaf_small_sweep():
         for leaf in sorted(leaves(build(algebra))):
             rep = check_properties(algebra, leaf)
             assert rep.all_ok, (algebra.kupisch, leaf)
-            assert raw_complex_matches(rep.step), (algebra.kupisch, leaf)
+            assert raw_complex_matches(rep.step, build_complex(algebra)), (algebra.kupisch, leaf)
             # one raw word per input relation, and the output is a sub-list
             step = rep.step
             assert len(step.raw_relations) == len(algebra.relations)
