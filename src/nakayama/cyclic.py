@@ -18,7 +18,6 @@ relation (g + g' >= c at the merge station).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from . import linalg
@@ -37,30 +36,44 @@ class MorphismCycle:
         return len(self.stations) - 1
 
 
-def station_gaps(stations: tuple[int, ...], n: int) -> tuple[int, ...]:
-    p = len(stations) - 1
-    return tuple(
-        stations[t + 1] - stations[t] if t < p else n - stations[p] + stations[0]
-        for t in range(p + 1)
-    )
+def _guard(algebra: NakayamaAlgebra) -> None:
+    """The walk visits at most 2^n - 1 station subsets; refuse before it starts."""
+    if 2 ** algebra.n - 1 > MAX_SUBSETS:
+        raise TooLargeError(f"the cyclic basis would scan 2^{algebra.n} - 1 subsets, over {MAX_SUBSETS}")
 
 
-def _is_valid(stations: tuple[int, ...], gaps: tuple[int, ...], c: tuple[int, ...]) -> bool:
-    return all(g < c[w - 1] for w, g in zip(stations, gaps))
+def _walk(algebra: NakayamaAlgebra) -> list[list[MorphismCycle]]:
+    """Every basis cycle, by degree, from one depth-first walk over the
+    station tuples that can still be completed.
+
+    From station w the walk steps only to w' <= min(n, w + c_w - 1), the
+    stations the path from w reaches before it dies, and emits the tuple
+    when its wrap gap n - w_p + w_0 also carries a path.  Pre-order with
+    the steps taken in increasing order lists each degree lexicographically.
+    """
+    n, c = algebra.n, algebra.kupisch
+    out: list[list[MorphismCycle]] = [[] for _ in range(n)]
+
+    def visit(stations: tuple[int, ...], gaps: tuple[int, ...]) -> None:
+        first, w = stations[0], stations[-1]
+        wrap = n - w + first
+        if wrap < c[w - 1]:
+            out[len(gaps)].append(MorphismCycle(stations=stations, gaps=gaps + (wrap,)))
+        for nxt in range(w + 1, min(n, w + c[w - 1] - 1) + 1):
+            visit(stations + (nxt,), gaps + (nxt - w,))
+
+    for first in range(1, n + 1):
+        visit((first,), ())
+    return out
 
 
 def basis(algebra: NakayamaAlgebra, p: int) -> list[MorphismCycle]:
     """Orbit basis in degree p: one cycle per (p+1)-subset of vertices whose
-    consecutive gaps all carry nonzero paths."""
+    consecutive gaps all carry nonzero paths, in lexicographic order."""
     if not 0 <= p <= algebra.n - 1:
         raise ValueError(f"degree {p} outside 0..{algebra.n - 1}")
-    n, c = algebra.n, algebra.kupisch
-    out = []
-    for subset in combinations(range(1, n + 1), p + 1):
-        gaps = station_gaps(subset, n)
-        if _is_valid(subset, gaps, c):
-            out.append(MorphismCycle(stations=subset, gaps=gaps))
-    return out
+    _guard(algebra)
+    return _walk(algebra)[p]
 
 
 def canonicalize(stations: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -126,11 +139,10 @@ class CyclicComplex:
 
 
 def build_cyclic_complex(algebra: NakayamaAlgebra) -> CyclicComplex:
-    """Build each degree's basis and its index once; every differential
-    is derived from the two bases it connects."""
-    if 2 ** algebra.n - 1 > MAX_SUBSETS:
-        raise TooLargeError(f"the cyclic basis would scan 2^{algebra.n} - 1 subsets, over {MAX_SUBSETS}")
-    bases = tuple(tuple(basis(algebra, p)) for p in range(algebra.n))
+    """Build every degree's basis in one walk and each index once; every
+    differential is derived from the two bases it connects."""
+    _guard(algebra)
+    bases = tuple(tuple(degree) for degree in _walk(algebra))
     diffs = []
     index: dict[tuple[int, ...], int] = {}
     for source in bases:

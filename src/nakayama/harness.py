@@ -215,10 +215,10 @@ def raw_complex_matches(
     new_idx = [i for i, r in enumerate(step.raw_relations) if r.length <= n - 1]
     if old_idx != new_idx:
         return False
-    new = relation_complex.complex_from_interiors(
+    levels = relation_complex.simplex_levels(
         n - 1, [relation_complex.interior(step.raw_relations[i], n - 1) for i in new_idx]
     )
-    return cx.simplices == new.simplices
+    return cx.simplices == tuple(tuple(level.values()) for level in levels)
 
 
 @dataclass

@@ -5,7 +5,7 @@ its l-1 internal vertices {start+1, ..., start+length-1} (mod n): the
 vertices i with x_{i-1} x_i a subword.  A set of relations spans a simplex
 iff the union of their interiors does not cover all n quiver vertices.
 Subsets of non-covering sets are non-covering, so the complex is downward
-closed for free.
+closed for free, and it is built level by level from its smaller simplices.
 
 Homology is computed over the rationals from exact sparse integer boundary
 maps; reduced Betti numbers use the augmented complex.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from typing import Sequence
 
 from . import linalg
 from .algebra import MAX_SUBSETS, NakayamaAlgebra, Relation, TooLargeError, mod1
@@ -60,38 +60,64 @@ class SimplicialComplex:
         return tuple(len(s) for s in self.simplices)
 
 
-def complex_from_interiors(n: int, interiors: list[frozenset[int]]) -> SimplicialComplex:
-    """Build the non-covering-subsets complex from bare interiors.
-
-    Used directly when the vertex set is a raw (possibly redundant) relation
-    list rather than a validated algebra's relations."""
+def simplex_levels(n: int, interiors: Sequence[frozenset[int]]) -> list[dict[int, tuple[int, ...]]]:
+    """The non-covering subsets of `interiors`, by dimension: level p maps
+    each p-simplex's vertex bitmask to its sorted vertex tuple, in
+    lexicographic order.  The list ends at the complex's top dimension."""
     r = len(interiors)
     if 2 ** r - 1 > MAX_SUBSETS:
         raise TooLargeError(f"the relation complex would scan 2^{r} - 1 subsets, over {MAX_SUBSETS}")
-    by_dim: list[list[tuple[int, ...]]] = []
-    for size in range(1, r + 1):
-        simplices = [
-            subset
-            for subset in combinations(range(r), size)
-            if len(frozenset().union(*(interiors[i] for i in subset))) < n
-        ]
-        if not simplices:
-            break
-        by_dim.append(simplices)
+    full = (1 << n) - 1
+    masks = [sum(1 << (v - 1) for v in vertices) for vertices in interiors]
+    level = [((i,), 1 << i, mask) for i, mask in enumerate(masks) if mask != full]
+    levels = []
+    while level:
+        levels.append({bits: simplex for simplex, bits, _ in level})
+        level = _extend(level, masks, full)
+    return levels
 
+
+def _extend(
+    level: list[tuple[tuple[int, ...], int, int]], masks: list[int], full: int
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """The (p+1)-simplices, as (vertices, vertex bitmask, union of interiors),
+    from the p-simplices in lexicographic order.
+
+    A simplex minus its last vertex is again a simplex, so extending each
+    p-simplex by every later vertex that leaves the union short of `full`
+    yields each (p+1)-simplex exactly once, again in lexicographic order.
+    """
+    r = len(masks)
+    out = []
+    for simplex, bits, mask in level:
+        for j in range(simplex[-1] + 1, r):
+            union = mask | masks[j]
+            if union != full:
+                out.append((simplex + (j,), bits | 1 << j, union))
+    return out
+
+
+def complex_from_interiors(n: int, interiors: Sequence[frozenset[int]]) -> SimplicialComplex:
+    """Build the non-covering-subsets complex from bare interiors.
+
+    Used directly when the vertex set is a raw (possibly redundant) relation
+    list rather than a validated algebra's relations.  Face j of a simplex
+    drops its j-th vertex, so its row is found under the simplex's bitmask
+    with that vertex's bit cleared."""
+    levels = simplex_levels(n, interiors)
     boundaries: list[linalg.SparseMap] = []
-    for p in range(1, len(by_dim)):
-        index = {simplex: i for i, simplex in enumerate(by_dim[p - 1])}
+    for p in range(1, len(levels)):
+        index = {bits: i for i, bits in enumerate(levels[p - 1])}
         signs = [(-1) ** j for j in range(p + 1)]
         boundaries.append([
-            {index[simplex[:j] + simplex[j + 1:]]: signs[j] for j in range(p + 1)}
-            for simplex in by_dim[p]
+            {index[bits ^ 1 << v]: signs[j] for j, v in enumerate(simplex)}
+            for bits, simplex in levels[p].items()
         ])
 
     return SimplicialComplex(
         n=n,
         vertices=tuple(),  # filled in by callers that have Relation vertices
-        simplices=tuple(tuple(s) for s in by_dim),
+        simplices=tuple(tuple(level.values()) for level in levels),
         boundaries=tuple(boundaries),
     )
 
@@ -101,8 +127,8 @@ def complex_vertices(algebra: NakayamaAlgebra) -> tuple[Relation, ...]:
 
 
 def build_complex(algebra: NakayamaAlgebra) -> SimplicialComplex:
-    """Enumerate all subsets of the length-<=n relations and keep the
-    non-covering ones."""
+    """The complex whose vertices are the length-<=n relations and whose
+    simplices are their non-covering subsets."""
     vertices = complex_vertices(algebra)
     cx = complex_from_interiors(algebra.n, [interior(rel, algebra.n) for rel in vertices])
     return SimplicialComplex(

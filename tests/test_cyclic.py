@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from enumeration_oracle import station_gaps
 from linalg_oracle import bareiss_rank, to_dense
 from nakayama import AlgebraClass, radical_power_algebra, validate
 from nakayama.cyclic import (
@@ -12,7 +13,6 @@ from nakayama.cyclic import (
     hc_dimensions,
     hc_euler,
     report,
-    station_gaps,
 )
 from nakayama.harness import SweepConfig, enumerate_kupisch
 from nakayama.linalg import rank

@@ -1,0 +1,79 @@
+"""The pruned enumerations (the cyclic basis walk and the level-wise
+relation complex) against the subset scans of `enumeration_oracle`."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import enumeration_oracle as oracle
+from nakayama.cyclic import basis, build_cyclic_complex
+from nakayama.harness import SweepConfig, enumerate_kupisch
+from nakayama.relation_complex import (
+    build_complex,
+    complex_from_interiors,
+    complex_vertices,
+    interior,
+    simplex_levels,
+)
+
+SMALL = SweepConfig(n_min=2, n_max=6, c_max=7)
+
+
+def _simplices(levels):
+    return tuple(tuple(level.values()) for level in levels)
+
+
+def test_cyclic_bases_match_subset_scan():
+    """Every basis of every algebra at n <= 6, c <= 7, degree by degree and
+    in order."""
+    count = 0
+    for algebra in enumerate_kupisch(SMALL):
+        bases = build_cyclic_complex(algebra).bases
+        for p in range(algebra.n):
+            expected = oracle.basis(algebra, p)
+            assert list(bases[p]) == expected, (algebra.kupisch, p)
+            assert basis(algebra, p) == expected, (algebra.kupisch, p)
+        count += 1
+    assert count == 2996
+
+
+def test_relation_complexes_match_subset_scan():
+    """Simplices per dimension in order and boundaries column for column,
+    for every algebra at n <= 6, c <= 7."""
+    for algebra in enumerate_kupisch(SMALL):
+        n = algebra.n
+        interiors = [interior(rel, n) for rel in complex_vertices(algebra)]
+        expected = oracle.complex_from_interiors(n, interiors)
+        cx = build_complex(algebra)
+        assert cx.simplices == expected.simplices, algebra.kupisch
+        assert cx.boundaries == expected.boundaries, algebra.kupisch
+        assert _simplices(simplex_levels(n, interiors)) == expected.simplices
+
+
+@st.composite
+def interior_families(draw):
+    """Up to 10 interiors on an n-cycle, n <= 10: cyclic intervals as real
+    relations have (empty for a length-1 relation), arbitrary subsets, the
+    covering set, and repeats of any of them."""
+    n = draw(st.integers(1, 10))
+    vertices = st.integers(1, n)
+    intervals = st.builds(
+        lambda start, length: frozenset((start + t - 1) % n + 1 for t in range(1, length)),
+        vertices, st.integers(1, n),
+    )
+    one = st.one_of(intervals, st.frozensets(vertices), st.just(frozenset(range(1, n + 1))))
+    family = draw(st.lists(one, max_size=10))
+    if family:
+        repeats = draw(st.lists(st.sampled_from(family), max_size=10 - len(family)))
+        family = draw(st.permutations(family + repeats))
+    return n, family
+
+
+@settings(max_examples=300, deadline=None)
+@given(interior_families())
+def test_raw_interior_families_match_subset_scan(case):
+    n, interiors = case
+    expected = oracle.complex_from_interiors(n, interiors)
+    cx = complex_from_interiors(n, interiors)
+    assert cx.simplices == expected.simplices
+    assert cx.boundaries == expected.boundaries
+    assert _simplices(simplex_levels(n, interiors)) == expected.simplices

@@ -143,16 +143,11 @@ def test_parallel_sweep_matches_serial():
 
 
 def test_sweep_rows_match_recorded_reference():
-    """Every CSV row of a sweep at n <= 5, c <= 6 is byte-identical to the
-    row recorded in the benchmark's reference sweep (n <= 6, c <= 7)."""
-    reference = (REFERENCE / "sweep.csv").read_text()
-    header, *rows = reference.splitlines()
-    expected = [header] + [
-        row for row in rows
-        if int(row.split(",")[0]) <= 5 and max(map(int, row.split(",")[1].split())) <= 6
-    ]
-    got = to_csv(sweep(SweepConfig(n_min=2, n_max=5, c_max=6))).splitlines()
-    assert len(got) == len(expected) > 400
+    """Every CSV row of a sweep at n <= 6, c <= 7 is byte-identical to the
+    row recorded in the benchmark's reference sweep of the same range."""
+    expected = (REFERENCE / "sweep.csv").read_text().splitlines()
+    got = to_csv(sweep(SweepConfig(n_min=2, n_max=6, c_max=7))).splitlines()
+    assert len(got) == len(expected) == 2997  # the header and 2996 rows
     for got_row, expected_row in zip(got, expected):
         assert got_row == expected_row
 
