@@ -28,12 +28,10 @@ from .harness import SweepConfig, enumerate_kupisch, sweep, verify
 from .relation_complex import (
     build_complex,
     euler_characteristic,
-    is_simplex,
-    rad_power_euler,
     reduced_betti,
 )
 from .resolution import build as build_resolution_quiver
-from .resolution import gustafson, leaves, rad_power_closed_form
+from .resolution import gustafson, leaves
 from .unamalgamation import (
     NotALeafError,
     TooSmallError,

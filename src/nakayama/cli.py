@@ -79,9 +79,12 @@ def _dump_json(obj) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError("bad-file", str(exc)) from exc
 
 
 def _seq(values) -> str:
@@ -182,19 +185,20 @@ def cmd_sweep(args) -> int:
         else harness.ALL_CLASSES
     )
     checks = tuple(args.checks) if args.checks else harness.THEOREM_CHECKS
-    config = harness.SweepConfig(
-        n_min=args.n_min,
-        n_max=args.n_max,
-        c_max=args.c_max,
-        classes=classes,
-        checks=checks,
-    )
+    try:
+        config = harness.SweepConfig(
+            n_min=args.n_min,
+            n_max=args.n_max,
+            c_max=args.c_max,
+            classes=classes,
+            checks=checks,
+        )
+    except ValueError as exc:
+        raise InputError("bad-config", str(exc)) from exc
     report = harness.sweep(config, workers=harness.default_workers())
     if args.out:
-        with open(args.out + ".csv", "w", encoding="utf-8") as fh:
-            fh.write(harness.to_csv(report))
-        with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            fh.write(harness.to_json(report))
+        _emit(harness.to_csv(report), args.out + ".csv")
+        _emit(harness.to_json(report), args.out + ".json")
         sys.stdout.write(
             f"checked {len(report.verdicts)} algebras, "
             f"{len(report.counterexamples)} counterexamples; "

@@ -4,15 +4,20 @@ A degree-n chain in homological degree p is a cycle of p+1 composable
 radical morphisms between indecomposable projectives whose degrees add up
 to n.  Such a cycle is determined by its stations: the p+1 distinct quiver
 vertices where the morphisms start, travelling forward around the cycle
-exactly once.  The gap g_t from station w_t to the next station is the
-length of the connecting path, and the chain is nonzero iff every such
-path survives in the algebra: g_t < c_{w_t}.
+exactly once.  The gap from station w_t to the next station is the length
+of the connecting path, and the chain is nonzero iff every such path
+survives in the algebra: the gap is below c_{w_t}.
 
 Because the stations are distinct, the rotation action of Z_{p+1} (with
-sign (-1)^p on the generator) is free, so the quotient complex has the
-station subsets as a basis.  Each face of the differential merges two
-adjacent gaps; the merged morphism dies iff the merged path completes a
-relation (g + g' >= c at the merge station).
+sign (-1)^p on the generator) is free, so the quotient complex has one
+basis cell per station set, written as its sorted tuple w_0 < ... < w_p.
+
+One rule gives every face of the differential.  Face j drops w_j: it
+merges the paths into and out of w_j (indices mod p+1), and it is nonzero
+iff the merged path from w_{j-1} to w_{j+1} is shorter than c_{w_{j-1}}.
+Its entry is -(-1)^j.  Face 0 is the one that wraps around the cycle;
+dropping w_0 leaves a sorted tuple, and its rotation sign (-1)^(p-1)
+times its face sign (-1)^p is always -1.
 """
 
 from __future__ import annotations
@@ -24,26 +29,14 @@ from . import linalg
 from .algebra import MAX_SUBSETS, NakayamaAlgebra, TooLargeError
 
 
-@dataclass(frozen=True)
-class MorphismCycle:
-    """Canonical orbit representative: stations sorted, minimal one first."""
-
-    stations: tuple[int, ...]
-    gaps: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.stations) - 1
-
-
 def _guard(algebra: NakayamaAlgebra) -> None:
     """The walk visits at most 2^n - 1 station subsets; refuse before it starts."""
     if 2 ** algebra.n - 1 > MAX_SUBSETS:
         raise TooLargeError(f"the cyclic basis would scan 2^{algebra.n} - 1 subsets, over {MAX_SUBSETS}")
 
 
-def _walk(algebra: NakayamaAlgebra) -> list[list[MorphismCycle]]:
-    """Every basis cycle, by degree, from one depth-first walk over the
+def _walk(algebra: NakayamaAlgebra) -> list[list[tuple[int, ...]]]:
+    """Every basis cell, by degree, from one depth-first walk over the
     station tuples that can still be completed.
 
     From station w the walk steps only to w' <= min(n, w + c_w - 1), the
@@ -52,23 +45,22 @@ def _walk(algebra: NakayamaAlgebra) -> list[list[MorphismCycle]]:
     the steps taken in increasing order lists each degree lexicographically.
     """
     n, c = algebra.n, algebra.kupisch
-    out: list[list[MorphismCycle]] = [[] for _ in range(n)]
+    out: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
 
-    def visit(stations: tuple[int, ...], gaps: tuple[int, ...]) -> None:
-        first, w = stations[0], stations[-1]
-        wrap = n - w + first
-        if wrap < c[w - 1]:
-            out[len(gaps)].append(MorphismCycle(stations=stations, gaps=gaps + (wrap,)))
+    def visit(stations: tuple[int, ...]) -> None:
+        w = stations[-1]
+        if n - w + stations[0] < c[w - 1]:
+            out[len(stations) - 1].append(stations)
         for nxt in range(w + 1, min(n, w + c[w - 1] - 1) + 1):
-            visit(stations + (nxt,), gaps + (nxt - w,))
+            visit(stations + (nxt,))
 
     for first in range(1, n + 1):
-        visit((first,), ())
+        visit((first,))
     return out
 
 
-def basis(algebra: NakayamaAlgebra, p: int) -> list[MorphismCycle]:
-    """Orbit basis in degree p: one cycle per (p+1)-subset of vertices whose
+def basis(algebra: NakayamaAlgebra, p: int) -> list[tuple[int, ...]]:
+    """Basis in degree p: the sorted (p+1)-tuples of stations whose
     consecutive gaps all carry nonzero paths, in lexicographic order."""
     if not 0 <= p <= algebra.n - 1:
         raise ValueError(f"degree {p} outside 0..{algebra.n - 1}")
@@ -76,51 +68,31 @@ def basis(algebra: NakayamaAlgebra, p: int) -> list[MorphismCycle]:
     return _walk(algebra)[p]
 
 
-def canonicalize(stations: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Rotate a station tuple so its minimal entry comes first.
-
-    Returns (canonical tuple, sign): the class of the input equals sign
-    times the class of the canonical representative.  One left-rotation of
-    a degree-q tuple costs a sign of (-1)^q, from the generator acting by
-    t(f_0,...,f_q) = (-1)^q (f_1,...,f_q,f_0).
-    """
-    if len(set(stations)) != len(stations):
-        raise AssertionError(f"stations must be distinct, got {stations}")
-    q = len(stations) - 1
-    k = stations.index(min(stations))
-    canonical = stations[k:] + stations[:k]
-    sign = -1 if (q * k) % 2 else 1
-    return canonical, sign
-
-
 def differential(
-    algebra: NakayamaAlgebra, source: Sequence[MorphismCycle], index: dict[tuple[int, ...], int]
+    algebra: NakayamaAlgebra, source: Sequence[tuple[int, ...]], index: dict[tuple[int, ...], int]
 ) -> linalg.SparseMap:
     """Sparse columns of the induced differential from degree p to degree
-    p-1 on the orbit bases: one column per cycle of `source`, the degree-p
-    basis, with rows numbered by `index`, the position of each degree-(p-1)
-    basis cycle.
+    p-1: one column per station tuple of `source`, the degree-p basis, with
+    rows numbered by `index`, the position of each degree-(p-1) tuple.
 
-    Face i < p composes the morphisms at stations w_i, w_{i+1}, dropping
-    w_{i+1}; it keeps the stations sorted with w_0 first, so it is already
-    canonical.  The last face composes around the wrap, dropping w_0 and
-    leaving a tuple that starts at w_p, so it picks up one rotation sign on
-    top of its (-1)^p face sign.  Distinct faces drop distinct stations, so
-    no two of them land on the same row.
+    Face j drops w_j and survives iff the merged path from w_{j-1} to
+    w_{j+1} (indices mod p+1), of length (w_{j+1} - w_{j-1} - 1) mod n + 1,
+    which is n when p = 1, is shorter than c_{w_{j-1}}.  For j >= 1 its
+    entry -(-1)^j is the face sign (-1)^(j-1) of the composition at
+    w_{j-1}.  Distinct faces drop distinct stations, so no two of them land
+    on the same row.
     """
-    if not source or source[0].degree == 0:
+    if not source or len(source[0]) == 1:
         return [{} for _ in source]  # degree 0 maps to the zero space
-    c = algebra.kupisch
+    n, c = algebra.n, algebra.kupisch
     columns = []
-    for cycle in source:
-        w, g, p = cycle.stations, cycle.gaps, cycle.degree
+    for w in source:
+        size = len(w)
         col: linalg.Column = {}
-        for i in range(p):
-            if g[i] + g[i + 1] < c[w[i] - 1]:  # else the composed path completes a relation
-                col[index[w[: i + 1] + w[i + 2:]]] = -1 if i % 2 else 1
-        if g[p] + g[0] < c[w[p] - 1]:
-            canonical, rot_sign = canonicalize((w[p],) + w[1:p])
-            col[index[canonical]] = -rot_sign if p % 2 else rot_sign
+        for j in range(size):
+            before = w[j - 1]
+            if (w[(j + 1) % size] - before - 1) % n + 1 < c[before - 1]:
+                col[index[w[:j] + w[j + 1:]]] = 1 if j % 2 else -1
         columns.append(col)
     return columns
 
@@ -128,7 +100,7 @@ def differential(
 @dataclass(frozen=True)
 class CyclicComplex:
     n: int
-    bases: tuple[tuple[MorphismCycle, ...], ...]
+    bases: tuple[tuple[tuple[int, ...], ...], ...]
     # differentials[p] maps degree p to degree p-1, as sparse columns
     # indexed by bases[p]; differentials[0] is the zero map
     differentials: tuple[linalg.SparseMap, ...]
@@ -147,7 +119,7 @@ def build_cyclic_complex(algebra: NakayamaAlgebra) -> CyclicComplex:
     index: dict[tuple[int, ...], int] = {}
     for source in bases:
         diffs.append(differential(algebra, source, index))
-        index = {cycle.stations: i for i, cycle in enumerate(source)}
+        index = {stations: i for i, stations in enumerate(source)}
     return CyclicComplex(n=algebra.n, bases=bases, differentials=tuple(diffs))
 
 

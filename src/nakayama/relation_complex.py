@@ -28,14 +28,6 @@ def interior(rel: Relation, n: int) -> frozenset[int]:
     return frozenset(mod1(rel.start + t, n) for t in range(1, rel.length))
 
 
-def is_simplex(algebra: NakayamaAlgebra, rels) -> bool:
-    """Do these relations fail to cover every vertex of the quiver?"""
-    covered: set[int] = set()
-    for rel in rels:
-        covered |= interior(rel, algebra.n)
-    return len(covered) < algebra.n
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
     n: int
@@ -50,10 +42,6 @@ class SimplicialComplex:
     @property
     def is_empty(self) -> bool:
         return not self.vertices
-
-    @property
-    def dim(self) -> int:
-        return len(self.simplices) - 1
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -98,12 +86,10 @@ def _extend(
 
 
 def complex_from_interiors(n: int, interiors: Sequence[frozenset[int]]) -> SimplicialComplex:
-    """Build the non-covering-subsets complex from bare interiors.
-
-    Used directly when the vertex set is a raw (possibly redundant) relation
-    list rather than a validated algebra's relations.  Face j of a simplex
-    drops its j-th vertex, so its row is found under the simplex's bitmask
-    with that vertex's bit cleared."""
+    """Build the non-covering-subsets complex, with its boundary maps, from
+    bare interiors; `build_complex` fills in the Relation vertices.  Face j
+    of a simplex drops its j-th vertex, so its row is found under the
+    simplex's bitmask with that vertex's bit cleared."""
     levels = simplex_levels(n, interiors)
     boundaries: list[linalg.SparseMap] = []
     for p in range(1, len(levels)):
@@ -156,14 +142,6 @@ def reduced_betti(cx: SimplicialComplex) -> tuple[int, ...]:
     while betti and betti[-1] == 0:
         betti.pop()
     return tuple(betti)
-
-
-def rad_power_euler(n: int, power: int) -> int:
-    """Euler characteristic of the relation complex of the rad^power algebra:
-    `power` when it divides n, and 0 otherwise."""
-    if n < 2 or power < 1:
-        raise ValueError("need n >= 2 and power >= 1")
-    return power if n % power == 0 else 0
 
 
 def boundary_squares_to_zero(cx: SimplicialComplex) -> bool:

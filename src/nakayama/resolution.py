@@ -9,7 +9,6 @@ a cycle is divisible by n; the quotient is the weight of the component.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .algebra import NakayamaAlgebra, mod1
@@ -98,15 +97,6 @@ def build(algebra: NakayamaAlgebra) -> ResolutionQuiver:
 def leaves(rq: ResolutionQuiver) -> frozenset[int]:
     """Vertices that are not the target of any arrow."""
     return frozenset(range(1, rq.n + 1)) - frozenset(rq.f)
-
-
-def rad_power_closed_form(n: int, power: int) -> tuple[int, int]:
-    """(component count, weight) of the resolution quiver of the rad^power
-    algebra on the n-cycle: (gcd(n, power), power / gcd(n, power))."""
-    if n < 2 or power < 1:
-        raise ValueError("need n >= 2 and power >= 1")
-    g = math.gcd(n, power)
-    return g, power // g
 
 
 def to_dot(rq: ResolutionQuiver) -> str:

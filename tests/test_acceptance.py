@@ -20,14 +20,14 @@ from nakayama.relation_complex import (
     boundary_squares_to_zero,
     build_complex,
     euler_characteristic,
-    rad_power_euler,
     reduced_betti,
 )
-from nakayama.resolution import build, leaves, rad_power_closed_form
+from nakayama.resolution import build, leaves
 from nakayama.unamalgamation import check_properties, unamalgamate
 from nakayama.algebra import relations_from_kupisch
 
 import repr_oracle
+from closed_form_oracle import rad_power_closed_form, rad_power_euler
 
 
 def _finish(number, description, failures, t0):

@@ -186,6 +186,33 @@ def test_missing_file(capsys):
     assert "error[bad-file]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--n-max", "3", "--n-min", "1"], ["--n-max", "3", "--c-max", "0"]])
+def test_sweep_bad_bounds_end_in_an_error_line(flags, capsys):
+    assert main(["sweep"] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error[bad-config] <input>: need n_min >= 2 and c_max >= 1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, flag, extra", [
+    ("analyze", "--out", []),
+    ("complex", "--out", []),
+    ("hc", "--out", []),
+    ("unamalgamate", "--out", ["--leaf", "5"]),
+    ("reduce", "--out", []),
+    ("quiver", "--dot", []),
+    ("sweep", "--out", ["--n-max", "2", "--c-max", "2"]),
+])
+def test_unwritable_output_ends_in_an_error_line(l2_file, tmp_path, capsys, command, flag, extra):
+    out = str(tmp_path / "missing" / "out")
+    argv = [command] + ([] if command == "sweep" else [l2_file]) + extra + [flag, out]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[bad-file] ") and out in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_sweep_writes_csv_and_json(tmp_path, capsys):
     base = str(tmp_path / "sweep")
     assert main(["sweep", "--n-max", "3", "--c-max", "3", "--out", base]) == 0

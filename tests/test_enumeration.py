@@ -1,10 +1,12 @@
 """The pruned enumerations (the cyclic basis walk and the level-wise
-relation complex) against the subset scans of `enumeration_oracle`."""
+relation complex) against the subset scans of `enumeration_oracle`, and
+the cyclic face rule against the oracle's gap-and-rotation differential."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumeration_oracle as oracle
+from nakayama import radical_power_algebra
 from nakayama.cyclic import basis, build_cyclic_complex
 from nakayama.harness import SweepConfig, enumerate_kupisch
 from nakayama.relation_complex import (
@@ -34,6 +36,23 @@ def test_cyclic_bases_match_subset_scan():
             assert basis(algebra, p) == expected, (algebra.kupisch, p)
         count += 1
     assert count == 2996
+
+
+def test_cyclic_differentials_match_oracle():
+    """Every basis and every differential column for column, for every
+    algebra at n <= 6, c <= 7 and for rad^(n+1) on n = 2..10, where every
+    station subset is a cell."""
+    algebras = list(enumerate_kupisch(SMALL))
+    algebras += [radical_power_algebra(n, n + 1) for n in range(2, 11)]
+    for algebra in algebras:
+        cc = build_cyclic_complex(algebra)
+        index = {}
+        for p in range(algebra.n):
+            source = oracle.basis(algebra, p)
+            assert list(cc.bases[p]) == source, (algebra.kupisch, p)
+            assert cc.differentials[p] == oracle.differential(algebra, source, index), (algebra.kupisch, p)
+            index = {stations: i for i, stations in enumerate(source)}
+    assert len(algebras) == 2996 + 9
 
 
 def test_relation_complexes_match_subset_scan():

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from closed_form_oracle import rad_power_euler
+from enumeration_oracle import is_simplex
 from linalg_oracle import bareiss_rank
 from nakayama import Relation, algebra_from_kupisch, radical_power_algebra, validate
 from nakayama.harness import SweepConfig, enumerate_kupisch
@@ -12,8 +14,6 @@ from nakayama.relation_complex import (
     build_complex,
     euler_characteristic,
     interior,
-    is_simplex,
-    rad_power_euler,
     reduced_betti,
     report,
     to_off,

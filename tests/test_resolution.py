@@ -1,12 +1,12 @@
 import pytest
 
+from closed_form_oracle import rad_power_closed_form
 from nakayama import algebra_from_kupisch, radical_power_algebra, validate
 from nakayama.harness import SweepConfig, enumerate_kupisch
 from nakayama.resolution import (
     build,
     gustafson,
     leaves,
-    rad_power_closed_form,
     to_dot,
 )
 
