@@ -56,6 +56,12 @@ class TooLargeError(AlgebraError):
 # any enumeration starts.  At n = 16, all 65,535 station subsets of rad^17 are
 # basis cycles, and its `verify` takes about 2 s (CPython 3.11).
 MAX_SUBSETS = 1 << 16
+# The most quiver vertices any algebra may have; `validate` checks it first,
+# because n-sized tuples and 2^n-sized bounds cost memory before any other
+# guard is reached.  `reduce` does work that grows with n^2: at n = 1,024 it
+# takes about 1.8 s on the linear algebra with the one relation (1, 1)
+# (CPython 3.11).
+MAX_VERTICES = 1 << 10
 
 
 class AlgebraClass(enum.Enum):
@@ -104,10 +110,6 @@ class NakayamaAlgebra:
     def kupisch(self) -> tuple[int, ...]:
         return kupisch_from_relations(self)
 
-    @property
-    def is_semisimple(self) -> bool:
-        return all(c == 1 for c in self.kupisch)
-
     def to_dict(self) -> dict:
         return {"n": self.n, "relations": [[r.start, r.length] for r in self.relations]}
 
@@ -128,11 +130,14 @@ def classify(relations: tuple[Relation, ...]) -> AlgebraClass:
 def validate(n: int, relations) -> NakayamaAlgebra:
     """Check and normalize raw relation data into a NakayamaAlgebra.
 
-    Raises EmptyRelationSetError for an empty relation set (the path algebra
+    Raises TooLargeError for more than MAX_VERTICES vertices,
+    EmptyRelationSetError for an empty relation set (the path algebra
     of the full cycle is infinite dimensional), DuplicateStartError for two
     relations at one start vertex, and RedundantRelationError when one
     relation is a cyclic subword of another.
     """
+    if n > MAX_VERTICES:
+        raise TooLargeError(f"quiver size {n} is over {MAX_VERTICES}")
     if n < 2:
         raise AlgebraError(f"quiver size must be at least 2, got {n}")
     rels = tuple(sorted(r if isinstance(r, Relation) else Relation(*r) for r in relations))
@@ -215,14 +220,6 @@ class ProjDim:
 
     value: int | None
 
-    @classmethod
-    def finite(cls, d: int) -> "ProjDim":
-        return cls(d)
-
-    @classmethod
-    def infinite(cls) -> "ProjDim":
-        return cls(None)
-
     @property
     def is_finite(self) -> bool:
         return self.value is not None
@@ -243,11 +240,6 @@ def _check_module(algebra: NakayamaAlgebra, m: UniserialModule) -> None:
         )
 
 
-def is_projective(algebra: NakayamaAlgebra, m: UniserialModule) -> bool:
-    _check_module(algebra, m)
-    return m.length == algebra.kupisch[m.top - 1]
-
-
 def syzygy(algebra: NakayamaAlgebra, m: UniserialModule) -> UniserialModule | None:
     """Kernel of the projective cover P_top ->> M, or None if M is projective.
 
@@ -262,20 +254,16 @@ def syzygy(algebra: NakayamaAlgebra, m: UniserialModule) -> UniserialModule | No
 
 
 def projective_dimension(algebra: NakayamaAlgebra, m: UniserialModule) -> ProjDim:
-    """Iterate the syzygy map; the state space (top, length) is finite, so a
-    revisited state means the resolution never terminates."""
+    """Walk the syzygies of m until one is zero; the state space (top,
+    length) is finite, so a repeated module means the resolution never
+    terminates."""
     seen = set()
-    current = m
-    steps = 0
-    while True:
-        if is_projective(algebra, current):
-            return ProjDim.finite(steps)
-        state = (current.top, current.length)
-        if state in seen:
-            return ProjDim.infinite()
-        seen.add(state)
-        current = syzygy(algebra, current)
-        steps += 1
+    while m is not None:
+        if m in seen:
+            return ProjDim(None)
+        seen.add(m)
+        m = syzygy(algebra, m)
+    return ProjDim(len(seen) - 1)
 
 
 def global_dimension(algebra: NakayamaAlgebra) -> ProjDim:
@@ -284,6 +272,6 @@ def global_dimension(algebra: NakayamaAlgebra) -> ProjDim:
     for i in range(1, algebra.n + 1):
         pd = projective_dimension(algebra, UniserialModule(i, 1))
         if not pd.is_finite:
-            return ProjDim.infinite()
+            return ProjDim(None)
         worst = max(worst, pd.value)
-    return ProjDim.finite(worst)
+    return ProjDim(worst)

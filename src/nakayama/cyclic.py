@@ -29,12 +29,6 @@ from . import linalg
 from .algebra import MAX_SUBSETS, NakayamaAlgebra, TooLargeError
 
 
-def _guard(algebra: NakayamaAlgebra) -> None:
-    """The walk visits at most 2^n - 1 station subsets; refuse before it starts."""
-    if 2 ** algebra.n - 1 > MAX_SUBSETS:
-        raise TooLargeError(f"the cyclic basis would scan 2^{algebra.n} - 1 subsets, over {MAX_SUBSETS}")
-
-
 def _walk(algebra: NakayamaAlgebra) -> list[list[tuple[int, ...]]]:
     """Every basis cell, by degree, from one depth-first walk over the
     station tuples that can still be completed.
@@ -57,15 +51,6 @@ def _walk(algebra: NakayamaAlgebra) -> list[list[tuple[int, ...]]]:
     for first in range(1, n + 1):
         visit((first,))
     return out
-
-
-def basis(algebra: NakayamaAlgebra, p: int) -> list[tuple[int, ...]]:
-    """Basis in degree p: the sorted (p+1)-tuples of stations whose
-    consecutive gaps all carry nonzero paths, in lexicographic order."""
-    if not 0 <= p <= algebra.n - 1:
-        raise ValueError(f"degree {p} outside 0..{algebra.n - 1}")
-    _guard(algebra)
-    return _walk(algebra)[p]
 
 
 def differential(
@@ -113,7 +98,9 @@ class CyclicComplex:
 def build_cyclic_complex(algebra: NakayamaAlgebra) -> CyclicComplex:
     """Build every degree's basis in one walk and each index once; every
     differential is derived from the two bases it connects."""
-    _guard(algebra)
+    # the walk visits at most 2^n - 1 station subsets; refuse before it starts
+    if 2 ** algebra.n - 1 > MAX_SUBSETS:
+        raise TooLargeError(f"the cyclic basis would scan 2^{algebra.n} - 1 subsets, over {MAX_SUBSETS}")
     bases = tuple(tuple(degree) for degree in _walk(algebra))
     diffs = []
     index: dict[tuple[int, ...], int] = {}

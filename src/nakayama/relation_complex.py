@@ -14,7 +14,7 @@ maps; reduced Betti numbers use the augmented complex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from . import linalg
@@ -117,9 +117,7 @@ def build_complex(algebra: NakayamaAlgebra) -> SimplicialComplex:
     simplices are their non-covering subsets."""
     vertices = complex_vertices(algebra)
     cx = complex_from_interiors(algebra.n, [interior(rel, algebra.n) for rel in vertices])
-    return SimplicialComplex(
-        n=cx.n, vertices=vertices, simplices=cx.simplices, boundaries=cx.boundaries
-    )
+    return replace(cx, vertices=vertices)
 
 
 def euler_characteristic(cx: SimplicialComplex) -> int:

@@ -47,51 +47,48 @@ def gustafson(algebra: NakayamaAlgebra, i: int) -> int:
 
 
 def build(algebra: NakayamaAlgebra) -> ResolutionQuiver:
+    """The resolution quiver, from one walk along f per unlabelled vertex.
+
+    The walk from vertex i runs until it meets a vertex already labelled
+    with a component, or closes a cycle on its own path; either way every
+    vertex on the path joins that component.  Vertices are started in
+    increasing order, so a component is first reached from its least
+    vertex, and the components come out ordered by their least vertex.
+    """
     n = algebra.n
     c = algebra.kupisch
     f = tuple(gustafson(algebra, i) for i in range(1, n + 1))
-
-    # union-find over the edges {i, f(i)}
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    label = [-1] * (n + 1)  # component index of each vertex, -1 while unvisited
+    members: list[list[int]] = []
+    cycles: list[tuple[tuple[int, ...], int]] = []  # (cycle, weight) per component
     for i in range(1, n + 1):
-        a, b = find(i), find(f[i - 1])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(1, n + 1):
-        groups.setdefault(find(i), []).append(i)
-
-    components = []
-    for root in sorted(groups):
-        vertices = groups[root]
-        # walk f from any vertex until a repeat; the tail of the walk is the cycle
-        seen = {}
-        v = vertices[0]
-        order = []
-        while v not in seen:
-            seen[v] = len(order)
-            order.append(v)
+        new = len(members)
+        path = []
+        v = i
+        while label[v] < 0:
+            label[v] = new
+            path.append(v)
             v = f[v - 1]
-        cycle = order[seen[v]:]
-        start = cycle.index(min(cycle))
-        cycle = tuple(cycle[start:] + cycle[:start])
-        total = sum(c[v - 1] for v in cycle)
-        if total % n != 0:
-            raise AssertionError(
-                f"cycle {cycle} has projective length sum {total}, not divisible by n={n}"
-            )
-        components.append(
-            Component(vertices=frozenset(vertices), cycle=cycle, weight=total // n)
-        )
-    return ResolutionQuiver(n=n, f=f, components=tuple(components))
+        if label[v] == new:  # the walk closed a cycle on its own path
+            cycle = path[path.index(v):]
+            start = cycle.index(min(cycle))
+            cycle = tuple(cycle[start:] + cycle[:start])
+            total = sum(c[u - 1] for u in cycle)
+            if total % n != 0:
+                raise AssertionError(
+                    f"cycle {cycle} has projective length sum {total}, not divisible by n={n}"
+                )
+            cycles.append((cycle, total // n))
+            members.append(path)
+        else:
+            for u in path:
+                label[u] = label[v]
+            members[label[v]].extend(path)
+    components = tuple(
+        Component(vertices=frozenset(vertices), cycle=cycle, weight=weight)
+        for vertices, (cycle, weight) in zip(members, cycles)
+    )
+    return ResolutionQuiver(n=n, f=f, components=components)
 
 
 def leaves(rq: ResolutionQuiver) -> frozenset[int]:

@@ -56,29 +56,23 @@ def eliminate_redundant(relations, n: int) -> tuple[tuple[Relation, ...], tuple[
     """Drop every relation that contains another one as a cyclic subword.
 
     The survivors are exactly the minimal words, so the outcome does not
-    depend on the order of deletion.  Returns (kept, eliminated) where each
-    eliminated entry carries a surviving witness subword.
+    depend on the order of deletion.  Returns (kept, eliminated): every
+    input word but the first copy of each kept word is eliminated, in input
+    order, with its witness, the kept word it contains that is least by
+    (length, start).
     """
     rels = [r if isinstance(r, Relation) else Relation(*r) for r in relations]
-    unique: list[Relation] = []
-    for r in rels:
-        if r not in unique:
-            unique.append(r)
-    minimal = [
-        r for r in unique if not any(o != r and r.contains(o, n) for o in unique)
-    ]
-    kept_first = set()
+    minimal = {r for r in rels if not any(o != r and r.contains(o, n) for o in rels)}
+    kept = set()
     eliminated = []
     for r in rels:
-        if r in minimal and r not in kept_first:
-            kept_first.add(r)
-            continue
-        if r in minimal:
-            eliminated.append((r, r))  # literal duplicate of a kept word
+        if r in minimal and r not in kept:
+            kept.add(r)
         else:
+            # a minimal word contains no other minimal word, so a repeated
+            # kept word is its own witness
             witness = min(
-                (o for o in minimal if o != r and r.contains(o, n)),
-                key=lambda o: (o.length, o.start),
+                (o for o in minimal if r.contains(o, n)), key=lambda o: (o.length, o.start)
             )
             eliminated.append((r, witness))
     return tuple(sorted(minimal)), tuple(eliminated)
@@ -180,8 +174,6 @@ class PropertyReport:
     weight_match: bool
     betti_match: bool
     gldim_sandwich: bool
-    input_gldim: ProjDim
-    output_gldim: ProjDim
 
     @property
     def all_ok(self) -> bool:
@@ -238,8 +230,6 @@ def check_properties(
         weight_match=weight_match,
         betti_match=betti_match,
         gldim_sandwich=gldim_sandwich,
-        input_gldim=g_in,
-        output_gldim=g_out,
     )
 
 
@@ -249,10 +239,6 @@ class ReductionResult:
     steps: tuple[UnamalgamationStep, ...]
     terminal: NakayamaAlgebra | None
     terminal_kupisch: tuple[int, ...]
-
-    @property
-    def collapsed_to_point(self) -> bool:
-        return self.terminal is None
 
     @property
     def semisimple(self) -> bool:
@@ -283,22 +269,19 @@ def reduce_fully(algebra: NakayamaAlgebra) -> ReductionResult:
         n = current.n
         targets = {resolution.gustafson(current, i) for i in range(1, n + 1)}
         lvs = set(range(1, n + 1)).difference(targets)
-        if not lvs:
-            return ReductionResult(
-                initial=algebra,
-                steps=tuple(steps),
-                terminal=current,
-                terminal_kupisch=current.kupisch,
-            )
-        if n == 2:
-            (node,) = targets
-            c_node = current.kupisch[node - 1]
-            return ReductionResult(
-                initial=algebra,
-                steps=tuple(steps),
-                terminal=None,
-                terminal_kupisch=((c_node + 1) // 2,),
-            )
+        if not lvs or n == 2:
+            break
         step = unamalgamate(current, min(lvs))
         steps.append(step)
         current = step.output
+    if lvs:  # two vertices and a leaf: collapse onto the node
+        (node,) = targets
+        terminal, terminal_kupisch = None, ((current.kupisch[node - 1] + 1) // 2,)
+    else:
+        terminal, terminal_kupisch = current, current.kupisch
+    return ReductionResult(
+        initial=algebra,
+        steps=tuple(steps),
+        terminal=terminal,
+        terminal_kupisch=terminal_kupisch,
+    )

@@ -6,7 +6,6 @@ from enumeration_oracle import canonicalize, station_gaps
 from linalg_oracle import bareiss_rank, to_dense
 from nakayama import AlgebraClass, radical_power_algebra, validate
 from nakayama.cyclic import (
-    basis,
     build_cyclic_complex,
     differential_squares_to_zero,
     hc_dimensions,
@@ -23,27 +22,23 @@ from nakayama.relation_complex import (
 
 
 def test_basis_lambda3(lambda3):
-    cycles = basis(lambda3, 3)
+    bases = build_cyclic_complex(lambda3).bases
+    cycles = bases[3]
     assert len(cycles) == 1
     assert cycles[0] == (1, 2, 3, 4)
     assert station_gaps(cycles[0], 4) == (1, 1, 1, 1)
     # no shorter cycle fits: some gap would need length >= 2 = c_i
-    assert all(basis(lambda3, p) == [] for p in range(3))
+    assert all(bases[p] == () for p in range(3))
 
 
 def test_basis_empty_for_linear():
     linear = validate(4, [(1, 1), (2, 2), (3, 2)])
-    assert all(basis(linear, p) == [] for p in range(4))
+    assert build_cyclic_complex(linear).bases == ((),) * 4
 
 
 def test_basis_empty_degree_zero_lambda1(lambda1):
     # a single station needs an endomorphism of degree n=5, but max c_i = 4
-    assert basis(lambda1, 0) == []
-
-
-def test_basis_range_check(lambda1):
-    with pytest.raises(ValueError):
-        basis(lambda1, 5)
+    assert build_cyclic_complex(lambda1).bases[0] == ()
 
 
 def test_station_gaps_wrap():
@@ -64,11 +59,10 @@ def test_differential_entries_rad3_on_4():
     # rad^3 on the 4-cycle: one top chain, faces alternate between the two
     # antipodal 1-chains; this pins the sign conventions
     a = radical_power_algebra(4, 3)
-    b1 = basis(a, 1)
-    b2 = basis(a, 2)
-    assert b1 == [(1, 3), (2, 4)]
-    assert b2 == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
     cc = build_cyclic_complex(a)
+    b1, b2 = cc.bases[1], cc.bases[2]
+    assert b1 == ((1, 3), (2, 4))
+    assert b2 == ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
     d3 = to_dense(cc.differentials[3], len(b2))
     assert [row[0] for row in d3] == [1, -1, 1, -1]
     d2 = to_dense(cc.differentials[2], len(b1))

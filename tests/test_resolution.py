@@ -96,6 +96,50 @@ def test_cycle_detection_agrees_with_iteration():
         assert on_cycle == set(rq.cycle_vertices)
 
 
+def _quiver_oracle(algebra):
+    """f, then each component as (vertices, cycle, weight), by brute force:
+    components are the classes of the closure of i ~ f(i), listed by least
+    vertex; a cycle is the orbit of the least periodic point of its
+    component."""
+    n, c = algebra.n, algebra.kupisch
+    f = tuple((i + c[i - 1] - 1) % n + 1 for i in range(1, n + 1))
+    component = {i: {i} for i in range(1, n + 1)}
+    for i in range(1, n + 1):
+        merged = component[i] | component[f[i - 1]]
+        for v in merged:
+            component[v] = merged
+    periodic = set()
+    for v in range(1, n + 1):
+        u = v
+        for _ in range(n):
+            u = f[u - 1]
+            if u == v:
+                periodic.add(v)
+                break
+    expected = []
+    for vertices in sorted({frozenset(s) for s in component.values()}, key=min):
+        start = min(vertices & periodic)
+        cycle = [start]
+        while f[cycle[-1] - 1] != start:
+            cycle.append(f[cycle[-1] - 1])
+        expected.append((vertices, tuple(cycle), sum(c[v - 1] for v in cycle) // n))
+    return f, expected
+
+
+def test_build_matches_brute_force_oracle():
+    """f, each component's vertices, cycle and weight, and the order of the
+    components, for every algebra at n <= 6, c <= 7."""
+    count = 0
+    for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=6, c_max=7)):
+        rq = build(algebra)
+        f, expected = _quiver_oracle(algebra)
+        assert rq.f == f, algebra.kupisch
+        got = [(comp.vertices, comp.cycle, comp.weight) for comp in rq.components]
+        assert got == expected, algebra.kupisch
+        count += 1
+    assert count == 2996
+
+
 def test_dot_output(lambda1):
     dot = to_dot(build(lambda1))
     assert dot.startswith("digraph resolution_quiver {")

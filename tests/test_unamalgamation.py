@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 import nakayama
-from nakayama import NotALeafError, Relation, TooSmallError, algebra_from_kupisch
+from nakayama import NotALeafError, Relation, TooSmallError, algebra_from_kupisch, global_dimension
 from nakayama.harness import SweepConfig, enumerate_kupisch, raw_complex_matches
 from nakayama.relation_complex import build_complex, euler_characteristic
 from nakayama.resolution import build, leaves
@@ -97,6 +97,11 @@ def test_eliminate_redundant_examples():
     kept, _ = eliminate_redundant([(1, 2), (1, 3)], 4)
     assert kept == (Relation(1, 2),)
 
+    # (1,5) contains both kept words; the shorter one is the witness
+    kept, eliminated = eliminate_redundant([(1, 5), (1, 3), (3, 2)], 6)
+    assert kept == (Relation(1, 3), Relation(3, 2))
+    assert eliminated == ((Relation(1, 5), Relation(3, 2)),)
+
 
 def test_eliminate_redundant_duplicates():
     kept, eliminated = eliminate_redundant([(1, 2), (1, 2)], 4)
@@ -129,14 +134,25 @@ def _delete_orders(rels, n):
 def test_eliminate_redundant_is_confluent(data):
     n, pairs = data
     rels = [Relation(*p) for p in pairs]
-    kept, _ = eliminate_redundant(rels, n)
+    kept, eliminated = eliminate_redundant(rels, n)
     assert _delete_orders(rels, n) == {tuple(sorted(set(kept)))}
+    # every input word is the first copy of a kept word or, in input order,
+    # eliminated with the kept word it contains that is least by (length, start)
+    expected, first = [], set()
+    for r in rels:
+        if r in kept and r not in first:
+            first.add(r)
+        else:
+            witness = min((k for k in kept if r.contains(k, n)), key=lambda k: (k.length, k.start))
+            expected.append((r, witness))
+    assert eliminated == tuple(expected)
 
 
 def test_check_properties_lambda2(lambda2):
     rep = check_properties(lambda2, 5)
     assert rep.quiver_match and rep.weight_match and rep.betti_match and rep.gldim_sandwich
-    assert not rep.input_gldim.is_finite and not rep.output_gldim.is_finite
+    assert not global_dimension(lambda2).is_finite
+    assert not global_dimension(rep.step.output).is_finite
     data = rep.to_dict()
     assert data["checks"] == {"quiver": True, "weight": True, "betti": True, "gldim": True}
 
@@ -144,7 +160,7 @@ def test_check_properties_lambda2(lambda2):
 def test_reduce_fully_lambda1(lambda1):
     result = reduce_fully(lambda1)
     assert len(result.steps) == 3  # the three off-cycle vertices of R
-    assert result.terminal is not None and result.terminal.is_semisimple
+    assert result.terminal is not None and set(result.terminal.kupisch) == {1}
     assert result.semisimple
     assert result.terminal_kupisch == (1, 1)
 
@@ -170,12 +186,12 @@ def test_reduce_fully_two_vertex_collapse():
     # finite global dimension: the final collapse ends at the one-point
     # semisimple algebra
     result = reduce_fully(algebra_from_kupisch((2, 3)))
-    assert result.collapsed_to_point
+    assert result.terminal is None
     assert result.terminal_kupisch == (1,)
     assert result.semisimple
     # infinite global dimension: the collapse remembers the nilpotency
     result = reduce_fully(algebra_from_kupisch((4, 3)))
-    assert result.collapsed_to_point
+    assert result.terminal is None
     assert result.terminal_kupisch == (2,)
     assert not result.semisimple
 
@@ -190,6 +206,25 @@ def test_properties_hold_at_every_leaf_small_sweep():
             step = rep.step
             assert len(step.raw_relations) == len(algebra.relations)
             assert set(step.output.relations) <= set(step.raw_relations)
+
+
+def test_output_kupisch_counts_the_surviving_composition_factors():
+    """The output of a step is the endomorphism algebra of the projectives
+    other than P_leaf, so for i != leaf its projective at phi(i) has one
+    composition factor per factor S_{i+t} (t < c_i) of P_i off the leaf.
+    Checked at every leaf of every algebra at n <= 6, c <= 7."""
+    steps = 0
+    for algebra in enumerate_kupisch(SweepConfig(n_min=3, n_max=6, c_max=7)):
+        n, c = algebra.n, algebra.kupisch
+        targets = {(i + c[i - 1] - 1) % n + 1 for i in range(1, n + 1)}
+        for leaf in sorted(set(range(1, n + 1)) - targets):
+            step = unamalgamate(algebra, leaf)
+            for i in range(1, n + 1):
+                if i != leaf:
+                    expected = sum(1 for t in range(c[i - 1]) if (i + t - leaf) % n)
+                    assert step.output.kupisch[step.relabel[i - 1] - 1] == expected, (c, leaf, i)
+            steps += 1
+    assert steps == 7128
 
 
 def test_euler_and_weight_one_count_invariant_under_steps():
