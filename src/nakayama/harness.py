@@ -19,6 +19,13 @@ records named checks:
 
 Structural self-checks (boundary squares vanish, Euler identities, the
 Kupisch round-trip, leaf/relation counts) always run alongside.
+
+Rotating the vertex labels is an isomorphism, so `sweep` runs `verify` once
+per rotation class, on the least rotation of the series, and relabels that
+verdict into the rows of the other rotations.  It runs level by level in n,
+keeping the records of the level below for the leaf checks; with several
+worker processes, each level's classes are split between them and every
+worker gets that table.
 """
 
 from __future__ import annotations
@@ -29,14 +36,18 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Iterator
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
+from itertools import groupby
+from multiprocessing import get_context
+from typing import Callable, Iterator
 
 from . import cyclic, relation_complex, unamalgamation
 from .algebra import (
     AlgebraClass,
     NakayamaAlgebra,
     algebra_from_kupisch,
+    least_rotation,
     relations_from_kupisch,
 )
 
@@ -107,6 +118,13 @@ class AlgebraVerdict:
     hc_dims: tuple[int, ...]
     basis_sizes: tuple[int, ...]
     checks: dict[str, bool] = field(default_factory=dict)
+    # reduce_fully(algebra).semisimple, when the Bprime check computed it
+    semisimple: bool | None = None
+
+    def rotate(self, algebra: NakayamaAlgebra, k: int) -> "AlgebraVerdict":
+        """The verdict of `algebra`, whose Kupisch series is this one's
+        shifted by k (see `Invariants.rotate`); all else is shared."""
+        return replace(self, invariants=self.invariants.rotate(algebra, k))
 
     @property
     def hc_euler(self) -> int:
@@ -144,13 +162,13 @@ class AlgebraVerdict:
 def verify(
     algebra: NakayamaAlgebra,
     checks: tuple[str, ...] = THEOREM_CHECKS,
-    known: dict[tuple[int, ...], unamalgamation.Invariants] | None = None,
+    known: unamalgamation.Table | None = None,
 ) -> AlgebraVerdict:
     """Compute every invariant of one algebra and test the requested named
     checks plus all structural self-checks.  Failures become entries in the
-    verdict, never exceptions.  `known` maps Kupisch series to the invariants
-    of algebras verified before; the leaf checks look the smaller algebras
-    up there instead of rebuilding them."""
+    verdict, never exceptions.  `known` is a sweep's table of the algebras
+    verified before; the leaf checks and `Bprime` look the smaller algebras
+    up there instead of rebuilding and reducing them."""
     cx = relation_complex.build_complex(algebra)
     cc = cyclic.build_cyclic_complex(algebra)
     inv = unamalgamation.invariants(algebra, cx)
@@ -162,6 +180,17 @@ def verify(
     results = verdict.checks
     weights, chi, betti, lvs = inv.weights, inv.chi, inv.betti, inv.leaves
     finite = inv.gldim.is_finite
+
+    # the leaf checks run first, so that Bprime can go on from the step at
+    # the least leaf, which is the first step of the full reduction
+    first_step = None
+    if "UnamalgamationProps" in checks:
+        props_ok = True
+        if algebra.n >= 3:
+            for leaf in lvs:
+                report = unamalgamation.check_properties(algebra, leaf, inv, known)
+                props_ok = props_ok and report.all_ok and raw_complex_matches(report.step, cx)
+                first_step = first_step or report.step
 
     weight_one = sum(1 for w in weights if w == 1)
     if "A" in checks:
@@ -180,16 +209,13 @@ def verify(
     if "Bprime" in checks:
         if finite:
             acyclic = not any(betti) and not inv.complex_empty
-            results["Bprime"] = acyclic and unamalgamation.reduce_fully(algebra).semisimple
+            if acyclic:
+                verdict.semisimple = _reduces_to_semisimple(algebra, first_step, known)
+            results["Bprime"] = acyclic and verdict.semisimple
         else:
             results["Bprime"] = any(betti) or chi != 1
     if "UnamalgamationProps" in checks:
-        ok = True
-        if algebra.n >= 3:
-            for leaf in lvs:
-                report = unamalgamation.check_properties(algebra, leaf, inv, known)
-                ok = ok and report.all_ok and raw_complex_matches(report.step, cx)
-        results["UnamalgamationProps"] = ok
+        results["UnamalgamationProps"] = props_ok
 
     results["RoundTrip"] = relations_from_kupisch(algebra.kupisch) == algebra.relations
     if inv.complex_empty:
@@ -202,6 +228,20 @@ def verify(
     results["HCEulerIdentity"] = verdict.hc_euler == 1 - chi == alt_sizes
     results["NodesEqualRelations"] = algebra.n - len(lvs) == len(algebra.relations)
     return verdict
+
+
+def _reduces_to_semisimple(
+    algebra: NakayamaAlgebra,
+    first_step: unamalgamation.UnamalgamationStep | None,
+    known: unamalgamation.Table | None,
+) -> bool:
+    """`reduce_fully(algebra).semisimple`.  After its first step, at the
+    least leaf, the reduction goes on as the reduction of the step's output,
+    so the output's entry in `known` answers when it holds the answer."""
+    found = first_step and unamalgamation.look_up(known, first_step.output)
+    if found and found[1] is not None:
+        return found[1]
+    return unamalgamation.reduce_fully(algebra).semisimple
 
 
 def raw_complex_matches(
@@ -257,38 +297,69 @@ class TheoremReport:
         }
 
 
-def _verify_all(algebras, checks: tuple[str, ...]) -> list[AlgebraVerdict]:
-    """Verify in order, keeping each verdict's invariants in a table for the
-    leaf checks of the algebras after it.  The enumeration runs in increasing
-    n, so a leaf's smaller algebra has usually been verified already; a miss
-    only costs the rebuild."""
-    known: dict[tuple[int, ...], unamalgamation.Invariants] = {}
-    verdicts = []
-    for algebra in algebras:
-        verdict = verify(algebra, checks, known)
-        known[algebra.kupisch] = verdict.invariants
-        verdicts.append(verdict)
-    return verdicts
+def _levels(config: SweepConfig):
+    """The enumerated algebras one level (one n) at a time, each with its
+    least rotation and shift."""
+    for _, group in groupby(enumerate_kupisch(config), key=lambda a: a.n):
+        level = list(group)
+        yield level, [least_rotation(a.kupisch) for a in level]
 
 
-def _verify_chunk(args: tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]) -> list[AlgebraVerdict]:
-    series_chunk, checks = args
-    return _verify_all((algebra_from_kupisch(c) for c in series_chunk), checks)
+def _verify_classes(
+    algebras: list[NakayamaAlgebra], checks: tuple[str, ...], known: unamalgamation.Table
+) -> list[AlgebraVerdict]:
+    return [verify(algebra, checks, known) for algebra in algebras]
+
+
+def _start_level(pool, workers, algebras, checks, known) -> Callable[[], list[AlgebraVerdict]]:
+    """Start verifying one level's classes; the returned function waits for
+    their verdicts, in order.  With a pool, worker i takes every
+    `workers`-th algebra from the i-th on, and every worker gets the table
+    of the level below."""
+    if pool is None or len(algebras) < 2 * workers:
+        verdicts = _verify_classes(algebras, checks, known)
+        return lambda: verdicts
+    shares = [algebras[i::workers] for i in range(workers)]
+    parts = pool.map(_verify_classes, shares, [checks] * workers, [known] * workers)
+
+    def collect() -> list[AlgebraVerdict]:
+        verdicts: list[AlgebraVerdict] = [None] * len(algebras)
+        for i, part in enumerate(parts):
+            verdicts[i::workers] = part
+        return verdicts
+
+    return collect
 
 
 def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
     """Verify every enumerated algebra; the verdict order is the enumeration
-    order regardless of worker count."""
-    algebras = list(enumerate_kupisch(config))
-    if workers <= 1 or len(algebras) < 2 * workers:
-        verdicts = _verify_all(algebras, config.checks)
-    else:
-        series = [a.kupisch for a in algebras]
-        chunk = max(1, len(series) // (4 * workers))
-        chunks = [tuple(series[i:i + chunk]) for i in range(0, len(series), chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_verify_chunk, [(ch, config.checks) for ch in chunks])
-        verdicts = [v for part in parts for v in part]
+    order regardless of worker count.
+
+    Only the least rotation of each Kupisch series is verified: the other
+    rows of its rotation class get its verdict, relabelled.  The levels
+    (one n each) run in order, and each level's classes are verified with
+    the table of the level below, where the leaf checks find the smaller
+    algebras.  On `workers` processes, each level's classes are split
+    between them, and the next level is enumerated while they work."""
+    verdicts: list[AlgebraVerdict] = []
+    known: unamalgamation.Table = {}
+    levels = _levels(config)
+    spawn = get_context("spawn")
+    with (ProcessPoolExecutor(workers, mp_context=spawn) if workers > 1 else nullcontext()) as pool:
+        level, shifts = next(levels, ([], []))
+        while level:
+            classes = [a for a, (_, k) in zip(level, shifts) if k == 0]
+            collect = _start_level(pool, workers, classes, config.checks, known)
+            upcoming = next(levels, ([], []))
+            by_class = {a.kupisch: v for a, v in zip(classes, collect())}
+            # a class is enumerated first at its least rotation, so every
+            # row finds its class verified
+            verdicts.extend(
+                by_class[c0] if k == 0 else by_class[c0].rotate(a, k)
+                for a, (c0, k) in zip(level, shifts)
+            )
+            known = {c0: (v.invariants, v.semisimple) for c0, v in by_class.items()}
+            level, shifts = upcoming
     return TheoremReport(config=config, verdicts=verdicts)
 
 

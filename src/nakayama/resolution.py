@@ -46,6 +46,13 @@ def gustafson(algebra: NakayamaAlgebra, i: int) -> int:
     return mod1(i + algebra.kupisch[i - 1], algebra.n)
 
 
+def targets(kupisch: tuple[int, ...]) -> tuple[int, ...]:
+    """Gustafson's function on every vertex of the Kupisch series: entry
+    i-1 is the target of the arrow at i."""
+    n = len(kupisch)
+    return tuple((i + c) % n + 1 for i, c in enumerate(kupisch))
+
+
 def build(algebra: NakayamaAlgebra) -> ResolutionQuiver:
     """The resolution quiver, from one walk along f per unlabelled vertex.
 
@@ -57,7 +64,7 @@ def build(algebra: NakayamaAlgebra) -> ResolutionQuiver:
     """
     n = algebra.n
     c = algebra.kupisch
-    f = tuple(gustafson(algebra, i) for i in range(1, n + 1))
+    f = targets(c)
     label = [-1] * (n + 1)  # component index of each vertex, -1 while unvisited
     members: list[list[int]] = []
     cycles: list[tuple[tuple[int, ...], int]] = []  # (cycle, weight) per component

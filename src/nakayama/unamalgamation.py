@@ -15,7 +15,7 @@ all four facts on one step; `reduce_fully` iterates to a leafless algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import relation_complex, resolution
 from .algebra import (
@@ -24,6 +24,7 @@ from .algebra import (
     ProjDim,
     Relation,
     global_dimension,
+    least_rotation,
     mod1,
     validate,
 )
@@ -105,10 +106,16 @@ def unamalgamate(algebra: NakayamaAlgebra, leaf: int) -> UnamalgamationStep:
     if not 1 <= leaf <= n:
         raise NotALeafError(f"vertex {leaf} is outside 1..{n}")
     # the leaves are the vertices that no arrow of the quiver targets
-    if any(resolution.gustafson(algebra, i) == leaf for i in range(1, n + 1)):
+    if leaf in resolution.targets(algebra.kupisch):
         raise NotALeafError(f"vertex {leaf} is a node of the resolution quiver, not a leaf")
     if n - 1 < 2:
         raise TooSmallError(f"cannot drop a vertex from a quiver of size {n}")
+    return _drop_leaf(algebra, leaf)
+
+
+def _drop_leaf(algebra: NakayamaAlgebra, leaf: int) -> UnamalgamationStep:
+    """`unamalgamate` for a leaf of an algebra with at least three vertices."""
+    n = algebra.n
     phi = relabel_map(n, leaf)
     reindexed = [Relation(phi[rel.start - 1], rel.length) for rel in algebra.relations]
     raw = tuple(delete_last_arrow(rel, n) for rel in reindexed)
@@ -147,6 +154,57 @@ class Invariants:
     @property
     def complex_empty(self) -> bool:
         return not self.f_vector
+
+    def rotate(self, algebra: NakayamaAlgebra, k: int) -> "Invariants":
+        """The invariants of `algebra`, whose Kupisch series is this one's
+        shifted by k (c[k:] + c[:k]): its vertex j is this algebra's vertex
+        j + k.  Only the labels change: the targets are relabelled, and a
+        weights tuple with several values is re-ordered by least vertex."""
+        n = algebra.n
+        t = self.targets
+        weights = self.weights
+        if len(set(weights)) > 1:
+            keys = _component_keys(t)
+            weight_of = dict(zip(dict.fromkeys(keys), weights))
+            weights = tuple(weight_of[key] for key in dict.fromkeys(keys[k:] + keys[:k]))
+        return replace(
+            self,
+            algebra=algebra,
+            targets=tuple((v - 1 - k) % n + 1 for v in t[k:] + t[:k]),
+            weights=weights,
+        )
+
+
+def _component_keys(targets: tuple[int, ...]) -> list[int]:
+    """The component of each vertex of the resolution quiver with these
+    targets, named by the least vertex on its cycle."""
+    n = len(targets)
+    keys = []
+    for v in range(1, n + 1):
+        on_cycle = v
+        for _ in range(n):  # n steps along f end on the cycle
+            on_cycle = targets[on_cycle - 1]
+        cycle = [on_cycle]
+        while (u := targets[cycle[-1] - 1]) != on_cycle:
+            cycle.append(u)
+        keys.append(min(cycle))
+    return keys
+
+
+# What a sweep keeps of each algebra it has verified, under the least rotation
+# of its Kupisch series: the invariants, and `reduce_fully(...).semisimple`
+# when the verification computed it (None otherwise).
+Table = dict[tuple[int, ...], tuple[Invariants, bool | None]]
+
+
+def look_up(known: Table | None, algebra: NakayamaAlgebra) -> tuple[Invariants, bool | None] | None:
+    """The entry of `algebra`, its invariants rotated out of the entry for
+    its rotation class, or None when `known` has no entry."""
+    if not known:
+        return None
+    canonical, k = least_rotation(algebra.kupisch)
+    entry = known.get(canonical)
+    return None if entry is None else (entry[0].rotate(algebra, k), entry[1])
 
 
 def invariants(
@@ -195,18 +253,18 @@ def check_properties(
     algebra: NakayamaAlgebra,
     leaf: int,
     before: Invariants | None = None,
-    known: dict[tuple[int, ...], Invariants] | None = None,
+    known: Table | None = None,
 ) -> PropertyReport:
     """Verify, on one unamalgamation step, that the smaller algebra keeps the
     resolution quiver (minus the leaf), the weight, the reduced Betti numbers
     of the relation complex, and a global dimension within two.  `before`
     holds the invariants of `algebra` when the caller has them already;
-    `known` maps Kupisch series to invariants already built, and the smaller
-    algebra's are looked up there before they are built."""
+    the smaller algebra's are looked up in `known` before they are built."""
     step = unamalgamate(algebra, leaf)
     if before is None:
         before = invariants(algebra)
-    after = (known or {}).get(step.output.kupisch) or invariants(step.output)
+    found = look_up(known, step.output)
+    after = found[0] if found else invariants(step.output)
 
     phi = step.relabel
     quiver_match = all(
@@ -267,11 +325,11 @@ def reduce_fully(algebra: NakayamaAlgebra) -> ReductionResult:
     steps: list[UnamalgamationStep] = []
     while True:
         n = current.n
-        targets = {resolution.gustafson(current, i) for i in range(1, n + 1)}
+        targets = set(resolution.targets(current.kupisch))
         lvs = set(range(1, n + 1)).difference(targets)
         if not lvs or n == 2:
             break
-        step = unamalgamate(current, min(lvs))
+        step = _drop_leaf(current, min(lvs))
         steps.append(step)
         current = step.output
     if lvs:  # two vertices and a leaf: collapse onto the node

@@ -19,6 +19,7 @@ from nakayama import (
     syzygy,
     validate,
 )
+from nakayama.algebra import least_rotation
 from nakayama.harness import SweepConfig, enumerate_kupisch
 
 from strategies import kupisch_series
@@ -155,3 +156,11 @@ def test_kupisch_invariant_cyclic_iff_min_two():
     for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=4, c_max=4)):
         cyclic = algebra.algebra_class is AlgebraClass.CYCLIC
         assert cyclic == all(ci >= 2 for ci in algebra.kupisch)
+
+
+@given(kupisch_series(max_n=8, max_c=9))
+def test_least_rotation_is_the_least_and_shifts_back(c):
+    least, k = least_rotation(c)
+    assert least == min(c[j:] + c[:j] for j in range(len(c)))
+    assert c == least[k:] + least[:k]
+    assert (k == 0) == (c == least)

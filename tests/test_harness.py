@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nakayama import AlgebraClass, algebra_from_kupisch, radical_power_algebra, unamalgamation
-from nakayama.algebra import is_valid_kupisch
+from nakayama import AlgebraClass, algebra_from_kupisch, radical_power_algebra, unamalgamate, unamalgamation
+from nakayama.algebra import is_valid_kupisch, least_rotation
 from nakayama.harness import (
     STRUCTURAL_CHECKS,
     THEOREM_CHECKS,
@@ -176,10 +176,10 @@ def test_sweep_verdicts_match_verify_without_table(workers):
         assert v.to_dict() == verify(v.invariants.algebra).to_dict(), v.invariants.algebra.kupisch
 
 
-def test_sweep_builds_invariants_once_per_algebra(monkeypatch):
-    """Enumeration runs in increasing n, so every leaf check of a full sweep
-    finds its smaller algebra in the table: `invariants` is built once per
-    verified algebra and never for a leaf."""
+def test_sweep_builds_invariants_once_per_rotation_class(monkeypatch):
+    """A full sweep builds `invariants` once per rotation class, for its
+    least rotation, and never for a leaf: every smaller algebra of a leaf
+    check is found in the table of the level below."""
     built = []
     real = unamalgamation.invariants
 
@@ -189,14 +189,67 @@ def test_sweep_builds_invariants_once_per_algebra(monkeypatch):
 
     monkeypatch.setattr(unamalgamation, "invariants", counting)
     report = sweep(SweepConfig(n_min=2, n_max=5, c_max=6), workers=1)
+    rows = [v.invariants.algebra.kupisch for v in report.verdicts]
     assert any(v.invariants.leaves for v in report.verdicts if v.invariants.algebra.n >= 3)
-    assert built == [v.invariants.algebra.kupisch for v in report.verdicts]
+    assert built == [c for c in rows if least_rotation(c)[1] == 0]
+    assert len(built) < len(rows) / 3
+
+
+ONLY_CYCLIC = frozenset({AlgebraClass.CYCLIC})
+
+
+@pytest.fixture(
+    scope="module",
+    params=[SweepConfig(n_min=2, n_max=6, c_max=7), SweepConfig(n_min=3, n_max=6, c_max=7, classes=ONLY_CYCLIC)],
+    ids=["all", "cyclic-from-3"],
+)
+def exhaustive(request):
+    """The oracle of the class sweep: `verify` on every enumerated algebra,
+    with no rotation classes and no table."""
+    config = request.param
+    return TheoremReport(config, [verify(a, config.checks) for a in enumerate_kupisch(config)])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_class_sweep_matches_exhaustive_oracle(exhaustive, workers):
+    """The sweep verifies one algebra per rotation class and rotates its
+    record into the other rows; its CSV, its JSON and every verdict's dict
+    equal those of the exhaustive sweep."""
+    report = sweep(exhaustive.config, workers=workers)
+    assert to_csv(report) == to_csv(exhaustive)
+    assert to_json(report) == to_json(exhaustive)
+    assert [v.to_dict() for v in report.verdicts] == [v.to_dict() for v in exhaustive.verdicts]
+
+
+def test_bprime_reads_the_entry_at_the_least_leaf():
+    """Given a table, Bprime takes `reduce_fully(...).semisimple` from the
+    entry for the output of the step at the least leaf.  The tables here
+    are planted: that entry alone says False (or alone True), so the
+    verdict shows which entry was read.  Runs over every finite-gldim,
+    acyclic algebra at n <= 6, c <= 7 whose least leaf's output is in a
+    rotation class of its own among its leaves' outputs."""
+    checked = 0
+    for algebra in enumerate_kupisch(SweepConfig(n_min=3, n_max=6, c_max=7)):
+        inv = unamalgamation.invariants(algebra)
+        if not inv.gldim.is_finite or any(inv.betti) or inv.complex_empty:
+            continue
+        classes = [least_rotation(unamalgamate(algebra, leaf).output.kupisch)[0] for leaf in inv.leaves]
+        if not classes or classes[0] in classes[1:]:
+            continue
+        records = {c0: unamalgamation.invariants(algebra_from_kupisch(c0)) for c0 in classes}
+        for planted in (False, True):
+            known = {c0: (records[c0], planted if c0 == classes[0] else not planted) for c0 in classes}
+            verdict = verify(algebra, known=known)
+            assert verdict.semisimple is planted and verdict.checks["Bprime"] is planted, algebra.kupisch
+        checked += 1
+    assert checked == 1090
 
 
 def test_sweep_with_missing_smaller_algebras_matches_full_sweep():
     """With n_min = 3 and only cyclic algebras, the smaller algebras at n = 3
     and the non-cyclic ones are never verified, so lookups miss among the
-    hits (132 of 976); the rows still equal those of the full sweep."""
+    hits (34 of 214 class lookups); the rows still equal those of the full
+    sweep."""
     only_cyclic = frozenset({AlgebraClass.CYCLIC})
     part = sweep(SweepConfig(n_min=3, n_max=5, c_max=6, classes=only_cyclic))
     full = sweep(SweepConfig(n_min=2, n_max=5, c_max=6))
