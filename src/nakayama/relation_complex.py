@@ -7,14 +7,24 @@ iff the union of their interiors does not cover all n quiver vertices.
 Subsets of non-covering sets are non-covering, so the complex is downward
 closed for free, and it is built level by level from its smaller simplices.
 
-Homology is computed over the rationals from exact sparse integer boundary
-maps; reduced Betti numbers use the augmented complex.
+A complex keeps only n, its vertices and their interiors.  The simplices,
+the boundary maps and the f-vector are computed the first time they are
+read, so a caller pays only for what it reads.
+
+A relation of length 1 has an empty interior, so it can join any simplex:
+it is a cone point.  With k cone points, the complex is the join of the
+(k-1)-simplex with the complex of the other relations, so its f-vector is a
+binomial convolution of that smaller complex's, and, being a cone, it has
+no reduced homology.  Any other nonempty complex has its homology computed
+over the rationals from exact sparse integer boundary maps; reduced Betti
+numbers use the augmented complex.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 from . import linalg
@@ -30,31 +40,90 @@ def interior(rel: Relation, n: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
+    """The non-covering subsets of `interiors` on the n-cycle.  Vertex i is
+    the relation vertices[i]; a complex built from bare interiors has no
+    Relation vertices.  The other members are computed when first read."""
+
     n: int
     vertices: tuple[Relation, ...]
-    # simplices[p] lists the p-simplices as sorted vertex-index tuples,
-    # in lexicographic order; boundaries[p-1] is the p-th boundary map, as
-    # sparse columns indexed by the p-simplices with rows numbering the
-    # (p-1)-simplices.
-    simplices: tuple[tuple[tuple[int, ...], ...], ...]
-    boundaries: tuple[linalg.SparseMap, ...]
+    interiors: tuple[frozenset[int], ...]
+
+    @cached_property
+    def _levels(self) -> list[dict[int, tuple[int, ...]]]:
+        return simplex_levels(self.n, self.interiors)
+
+    @cached_property
+    def simplices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """simplices[p] lists the p-simplices as sorted vertex-index tuples,
+        in lexicographic order."""
+        return tuple(tuple(level.values()) for level in self._levels)
+
+    @cached_property
+    def boundaries(self) -> tuple[linalg.SparseMap, ...]:
+        """boundaries[p-1] is the p-th boundary map, as sparse columns
+        indexed by the p-simplices with rows numbering the (p-1)-simplices."""
+        return _boundary_maps(self._levels)
+
+    @property
+    def cone_points(self) -> int:
+        """The number of vertices with an empty interior."""
+        return sum(1 for vertices in self.interiors if not vertices)
+
+    @cached_property
+    def f_vector(self) -> tuple[int, ...]:
+        """Simplex counts by dimension.  A complex already enumerated is
+        counted; otherwise cone points, if any, spare enumerating it (see
+        `_join_f_vector`): only the complex L'' of the other vertices is."""
+        k = self.cone_points
+        if not k or "_levels" in self.__dict__:
+            return tuple(len(level) for level in self._levels)
+        rest = [len(level) for level in simplex_levels(self.n, [v for v in self.interiors if v])]
+        return _join_f_vector(k, rest)
 
     @property
     def is_empty(self) -> bool:
-        return not self.vertices
+        return not self.f_vector
 
-    @property
-    def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.simplices)
+
+def _join_f_vector(k: int, rest: Sequence[int]) -> tuple[int, ...]:
+    """The f-vector of the join of the (k-1)-simplex with the complex L''
+    whose f-vector is `rest`.  A simplex of the join is a of the k cone
+    points together with a face on b vertices of L'' (the empty face when
+    b = 0), so f_p is the sum over a + b = p + 1 of C(k, a) f_{b-1}(L''),
+    with f_{-1}(L'') = 1."""
+    lower = [1, *rest]  # lower[b] = f_{b-1}(L'')
+    f = [0] * (k + len(lower) - 1)
+    for a in range(k + 1):
+        for b, count in enumerate(lower):
+            if a + b:
+                f[a + b - 1] += math.comb(k, a) * count
+    return tuple(f)
+
+
+def cone_factorization_holds(cx: SimplicialComplex) -> bool:
+    """The f-vector equals the enumerated simplex counts, and these equal
+    the binomial convolution of the counts of the simplices that avoid the
+    cone points, which are the simplices of L''."""
+    counts = tuple(len(level) for level in cx._levels)
+    cones = sum(1 << i for i, vertices in enumerate(cx.interiors) if not vertices)
+    if not cones:
+        return cx.f_vector == counts
+    rest = [sum(1 for bits in level if not bits & cones) for level in cx._levels]
+    while rest and not rest[-1]:
+        rest.pop()
+    return cx.f_vector == counts == _join_f_vector(cx.cone_points, rest)
+
+
+def _check_size(r: int) -> None:
+    if 2 ** r - 1 > MAX_SUBSETS:
+        raise TooLargeError(f"the relation complex would scan 2^{r} - 1 subsets, over {MAX_SUBSETS}")
 
 
 def simplex_levels(n: int, interiors: Sequence[frozenset[int]]) -> list[dict[int, tuple[int, ...]]]:
     """The non-covering subsets of `interiors`, by dimension: level p maps
     each p-simplex's vertex bitmask to its sorted vertex tuple, in
     lexicographic order.  The list ends at the complex's top dimension."""
-    r = len(interiors)
-    if 2 ** r - 1 > MAX_SUBSETS:
-        raise TooLargeError(f"the relation complex would scan 2^{r} - 1 subsets, over {MAX_SUBSETS}")
+    _check_size(len(interiors))
     full = (1 << n) - 1
     masks = [sum(1 << (v - 1) for v in vertices) for vertices in interiors]
     level = [((i,), 1 << i, mask) for i, mask in enumerate(masks) if mask != full]
@@ -85,12 +154,10 @@ def _extend(
     return out
 
 
-def complex_from_interiors(n: int, interiors: Sequence[frozenset[int]]) -> SimplicialComplex:
-    """Build the non-covering-subsets complex, with its boundary maps, from
-    bare interiors; `build_complex` fills in the Relation vertices.  Face j
+def _boundary_maps(levels: list[dict[int, tuple[int, ...]]]) -> tuple[linalg.SparseMap, ...]:
+    """The boundary maps of the complex with these `simplex_levels`.  Face j
     of a simplex drops its j-th vertex, so its row is found under the
     simplex's bitmask with that vertex's bit cleared."""
-    levels = simplex_levels(n, interiors)
     boundaries: list[linalg.SparseMap] = []
     for p in range(1, len(levels)):
         index = {bits: i for i, bits in enumerate(levels[p - 1])}
@@ -99,13 +166,15 @@ def complex_from_interiors(n: int, interiors: Sequence[frozenset[int]]) -> Simpl
             {index[bits ^ 1 << v]: signs[j] for j, v in enumerate(simplex)}
             for bits, simplex in levels[p].items()
         ])
+    return tuple(boundaries)
 
-    return SimplicialComplex(
-        n=n,
-        vertices=tuple(),  # filled in by callers that have Relation vertices
-        simplices=tuple(tuple(level.values()) for level in levels),
-        boundaries=tuple(boundaries),
-    )
+
+def complex_from_interiors(n: int, interiors: Sequence[frozenset[int]]) -> SimplicialComplex:
+    """The non-covering-subsets complex of bare interiors; `build_complex`
+    fills in the Relation vertices.  Nothing is enumerated here, but a
+    complex with more subsets than MAX_SUBSETS is refused at once."""
+    _check_size(len(interiors))
+    return SimplicialComplex(n=n, vertices=(), interiors=tuple(interiors))
 
 
 def complex_vertices(algebra: NakayamaAlgebra) -> tuple[Relation, ...]:
@@ -127,11 +196,13 @@ def euler_characteristic(cx: SimplicialComplex) -> int:
 def reduced_betti(cx: SimplicialComplex) -> tuple[int, ...]:
     """Reduced rational Betti numbers, trailing zeros stripped.
 
-    Contractible complexes therefore report ().  The empty complex (every
-    relation longer than n) also reports (); its one unit of reduced
-    homology sits in degree -1 and is exposed via is_empty instead.
+    Contractible complexes therefore report (), and a cone does so without
+    building a boundary map.  The empty complex (every relation longer
+    than n) also reports (); its one unit of reduced homology sits in
+    degree -1 and is exposed via is_empty instead.  Any other complex is
+    ranked from its boundary maps.
     """
-    if cx.is_empty:
+    if cx.cone_points or cx.is_empty:
         return ()
     f = cx.f_vector
     # rank of the augmentation C_0 -> K is 1 once there is a vertex

@@ -5,8 +5,9 @@ with `itertools.combinations`; the cyclic differential composes adjacent
 gaps and rotates the wrap face back into canonical form."""
 
 from itertools import combinations
+from typing import NamedTuple
 
-from nakayama.relation_complex import SimplicialComplex, interior
+from nakayama.relation_complex import interior
 
 
 def station_gaps(stations, n):
@@ -83,6 +84,14 @@ def is_simplex(algebra, rels):
     return len(covered) < algebra.n
 
 
+class Enumerated(NamedTuple):
+    """The oracle's record of a relation complex: what
+    `SimplicialComplex.simplices` and `.boundaries` must equal."""
+
+    simplices: tuple
+    boundaries: tuple
+
+
 def complex_from_interiors(n, interiors):
     """Every subset whose interiors leave a vertex uncovered, sizes 1.. up to
     the first size with none; boundaries keyed by the face tuples."""
@@ -107,9 +116,4 @@ def complex_from_interiors(n, interiors):
             for simplex in by_dim[p]
         ])
 
-    return SimplicialComplex(
-        n=n,
-        vertices=tuple(),
-        simplices=tuple(tuple(s) for s in by_dim),
-        boundaries=tuple(boundaries),
-    )
+    return Enumerated(simplices=tuple(tuple(s) for s in by_dim), boundaries=tuple(boundaries))

@@ -20,11 +20,15 @@ def bareiss_rank(mat):
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
+        pivot, top = m[r][c], m[r]
         for i in range(r + 1, nrows):
+            row, a = m[i], m[i][c]
+            if a == 0 and pivot == prev:
+                continue  # the update would multiply the row by pivot / prev = 1
             for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
+                row[j] = (pivot * row[j] - a * top[j]) // prev
+            row[c] = 0
+        prev = pivot
         r += 1
         if r == nrows:
             break
@@ -40,3 +44,14 @@ def to_sparse(mat):
     """Sparse columns {row: entry} of a dense matrix."""
     ncols = len(mat[0]) if mat else 0
     return [{i: row[j] for i, row in enumerate(mat) if row[j]} for j in range(ncols)]
+
+
+def reduced_betti(f, maps):
+    """Reduced Betti numbers, trailing zeros stripped, of the augmented
+    complex with cell counts `f` and these boundary maps (sparse columns),
+    each map ranked on its own by Bareiss elimination."""
+    ranks = [1] + [bareiss_rank(to_dense(m, rows)) for m, rows in zip(maps, f)] + [0]
+    betti = [f[p] - ranks[p] - ranks[p + 1] for p in range(len(f))]
+    while betti and betti[-1] == 0:
+        betti.pop()
+    return tuple(betti)

@@ -160,13 +160,16 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, text):
     ("analyze", '{"n": 40, "relations": [[1, 41]]}'),
     ("hc", '{"n": 40, "relations": [[1, 41]]}'),
     ("complex", json.dumps({"kupisch": [2] * 40})),
+    ("complex", json.dumps({"kupisch": [1] * 17})),
     ("reduce", '{"n": 1025, "relations": [[1, 1]]}'),
     ("gldim", '{"n": 1025, "relations": [[1, 1]]}'),
     ("quiver", '{"n": 1025, "relations": [[1, 1]]}'),
 ])
 def test_too_large_fails_before_enumerating(tmp_path, monkeypatch, capsys, command, text):
     # 2^40 - 1 station subsets (cyclic basis) or relation subsets (complex),
-    # or 2^10 + 1 vertices, one over algebra.MAX_VERTICES
+    # 2^17 - 1 relation subsets of a cone, whose f-vector needs no
+    # enumeration but whose build is refused all the same, or 2^10 + 1
+    # vertices, one over algebra.MAX_VERTICES
     def no_enumeration(*args):
         raise AssertionError("subset enumeration started")
 

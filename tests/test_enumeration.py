@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumeration_oracle as oracle
+import linalg_oracle
 from nakayama import radical_power_algebra
 from nakayama.cyclic import build_cyclic_complex
 from nakayama.harness import SweepConfig, enumerate_kupisch
@@ -14,6 +15,7 @@ from nakayama.relation_complex import (
     complex_from_interiors,
     complex_vertices,
     interior,
+    reduced_betti,
     simplex_levels,
 )
 
@@ -95,3 +97,9 @@ def test_raw_interior_families_match_subset_scan(case):
     assert cx.simplices == expected.simplices
     assert cx.boundaries == expected.boundaries
     assert _simplices(simplex_levels(n, interiors)) == expected.simplices
+    # the f-vector and Betti numbers of a complex not yet enumerated, read
+    # off its cone points where there are any
+    unread = complex_from_interiors(n, interiors)
+    f = tuple(len(level) for level in expected.simplices)
+    assert unread.f_vector == f
+    assert reduced_betti(unread) == linalg_oracle.reduced_betti(f, expected.boundaries)

@@ -1,15 +1,19 @@
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import linalg_oracle
 from closed_form_oracle import rad_power_euler
 from enumeration_oracle import is_simplex
 from linalg_oracle import bareiss_rank
-from nakayama import Relation, algebra_from_kupisch, radical_power_algebra, validate
-from nakayama.harness import SweepConfig, enumerate_kupisch
+from nakayama import Relation, algebra_from_kupisch, linalg, radical_power_algebra, relation_complex, validate
+from nakayama.harness import SweepConfig, enumerate_kupisch, verify
 from nakayama.relation_complex import (
+    SimplicialComplex,
     boundary_squares_to_zero,
     build_complex,
     euler_characteristic,
@@ -18,6 +22,8 @@ from nakayama.relation_complex import (
     report,
     to_off,
 )
+from nakayama.resolution import build, leaves
+from nakayama.unamalgamation import check_properties, invariants
 
 
 def test_interior():
@@ -64,6 +70,86 @@ def test_linear_algebra_complex_is_cone():
     maximal = [s for s in all_simplices
                if not any(set(s) < set(t) for t in all_simplices)]
     assert maximal and all(cone_point in s for s in maximal)
+
+
+def test_cone_factorization_matches_enumeration_over_sweep():
+    """The f-vector and reduced Betti numbers, read off the cone points where
+    there are any, equal the simplex counts of the enumerated complex and
+    the Betti numbers of its boundary maps ranked by Bareiss elimination,
+    for every algebra at n <= 7, c <= 8."""
+    cones = others = 0
+    for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=7, c_max=8)):
+        cx = build_complex(algebra)
+        enumerated = build_complex(algebra)
+        f = tuple(len(level) for level in enumerated.simplices)
+        assert cx.f_vector == f, algebra.kupisch
+        assert reduced_betti(cx) == linalg_oracle.reduced_betti(f, enumerated.boundaries), algebra.kupisch
+        cones += cx.cone_points > 0
+        others += cx.cone_points == 0
+    assert cones + others == 12600 and cones and others
+
+
+@pytest.mark.parametrize("kupisch", [
+    (1,) * 10,  # semisimple: ten cone points and nothing else; leafy-queries' largest
+    (3, 3, 3, 3, 3, 3, 3, 3, 2, 1),
+    (2, 1, 3, 2, 1, 2, 2, 2, 1),
+])
+def test_cones_build_no_simplices_and_no_boundary_maps(monkeypatch, kupisch):
+    """`report`, `invariants` and the leaf checks read a cone's f-vector and
+    Betti numbers without enumerating it or building a boundary map."""
+    def unread(*args):
+        raise AssertionError("the complex was enumerated or its boundaries built or ranked")
+
+    monkeypatch.setattr(linalg, "chain_ranks", unread)
+    monkeypatch.setattr(relation_complex, "_boundary_maps", unread)
+    # the simplices and the f-vector of a complex without cone points are
+    # read off its enumerated levels
+    monkeypatch.setattr(SimplicialComplex, "_levels", property(unread))
+    algebra = algebra_from_kupisch(kupisch)
+    cx = build_complex(algebra)
+    assert cx.cone_points > 0
+    assert report(cx)["reduced_betti"] == []
+    assert invariants(algebra).f_vector == cx.f_vector
+    for leaf in leaves(build(algebra)):
+        assert check_properties(algebra, leaf).all_ok
+
+
+def test_verify_squares_the_built_boundary_maps(monkeypatch):
+    """`verify` still builds a cone's boundary maps for BoundarySquare: a
+    planted wrong face sign makes it fail."""
+    algebra = algebra_from_kupisch((1,) * 10)
+    assert verify(algebra).checks["BoundarySquare"]
+    built = relation_complex._boundary_maps
+
+    def planted(levels):
+        maps = built(levels)
+        column = maps[1][0]
+        row = next(iter(column))
+        column[row] = -column[row]
+        return maps
+
+    monkeypatch.setattr(relation_complex, "_boundary_maps", planted)
+    assert not verify(algebra).checks["BoundarySquare"]
+
+
+@pytest.mark.parametrize("kupisch", [(1,) * 10, (3, 3, 3, 3, 3, 3, 3, 3, 2, 1), (2, 1, 3, 2, 1, 2, 2, 2, 1)])
+def test_verify_checks_the_cone_factorization(monkeypatch, kupisch):
+    """`verify` enumerates a cone once, and not its L'' as well (the leaf
+    checks enumerate only complexes on n - 1 vertices), and its
+    EulerPoincare self-check compares the counted f-vector with the
+    binomial convolution: a planted C(k+1, a) for C(k, a) makes it fail."""
+    algebra = algebra_from_kupisch(kupisch)
+    r = len(build_complex(algebra).vertices)
+    levels = relation_complex.simplex_levels
+    calls = []
+    monkeypatch.setattr(
+        relation_complex, "simplex_levels",
+        lambda n, interiors: calls.append((n, len(interiors))) or levels(n, interiors),
+    )
+    assert verify(algebra).checks["EulerPoincare"]
+    assert [call for call in calls if call[0] == algebra.n] == [(algebra.n, r)]
+    monkeypatch.setattr(relation_complex, "math", SimpleNamespace(comb=lambda k, a: math.comb(k + 1, a)))
+    assert not verify(algebra).checks["EulerPoincare"]
 
 
 def test_empty_complex():
