@@ -31,7 +31,7 @@ from .relation_complex import (
     reduced_betti,
 )
 from .resolution import build as build_resolution_quiver
-from .resolution import gustafson, leaves
+from .resolution import leaves
 from .unamalgamation import (
     NotALeafError,
     TooSmallError,

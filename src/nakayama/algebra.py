@@ -206,16 +206,14 @@ def algebra_from_kupisch(c) -> NakayamaAlgebra:
     return validate(len(c), relations_from_kupisch(c))
 
 
-def least_rotation(c: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """The lexicographically least rotation c0 of a Kupisch series, and a
-    shift k with c == c0[k:] + c0[:k]; k is 0 exactly when c is c0.
+def least_rotation(c: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically least rotation of a Kupisch series.
 
-    Shifting the vertex labels by k is an isomorphism of the algebras, so
-    c0 names the rotation class of c."""
+    Shifting the vertex labels is an isomorphism of the algebras, so the
+    least rotation names the rotation class of c."""
     n = len(c)
     twice = c + c
-    least, j = min((twice[j:j + n], j) for j in range(n))
-    return least, -j % n
+    return min(twice[j:j + n] for j in range(n))
 
 
 @dataclass(frozen=True)

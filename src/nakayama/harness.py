@@ -21,11 +21,11 @@ Structural self-checks (boundary squares vanish, Euler identities, the
 Kupisch round-trip, leaf/relation counts) always run alongside.
 
 Rotating the vertex labels is an isomorphism, so `sweep` runs `verify` once
-per rotation class, on the least rotation of the series, and relabels that
-verdict into the rows of the other rotations.  It runs level by level in n,
-keeping the records of the level below for the leaf checks; with several
-worker processes, each level's classes are split between them and every
-worker gets that table.
+per rotation class, on the least rotation of the series, and gives that
+verdict to the rows of the other rotations with their own algebra swapped
+in.  It runs level by level in n, keeping the records of the level below
+for the leaf checks; with several worker processes, each level's classes
+are split between them and every worker gets that table.
 """
 
 from __future__ import annotations
@@ -121,10 +121,10 @@ class AlgebraVerdict:
     # reduce_fully(algebra).semisimple, when the Bprime check computed it
     semisimple: bool | None = None
 
-    def rotate(self, algebra: NakayamaAlgebra, k: int) -> "AlgebraVerdict":
-        """The verdict of `algebra`, whose Kupisch series is this one's
-        shifted by k (see `Invariants.rotate`); all else is shared."""
-        return replace(self, invariants=self.invariants.rotate(algebra, k))
+    def rotate(self, algebra: NakayamaAlgebra) -> "AlgebraVerdict":
+        """The verdict of `algebra`, a rotation of this algebra (see
+        `Invariants.rotate`); all else is shared."""
+        return replace(self, invariants=self.invariants.rotate(algebra))
 
     @property
     def hc_euler(self) -> int:
@@ -303,7 +303,7 @@ class TheoremReport:
 
 def _levels(config: SweepConfig):
     """The enumerated algebras one level (one n) at a time, each with its
-    least rotation and shift."""
+    least rotation."""
     for _, group in groupby(enumerate_kupisch(config), key=lambda a: a.n):
         level = list(group)
         yield level, [least_rotation(a.kupisch) for a in level]
@@ -340,30 +340,30 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
     order regardless of worker count.
 
     Only the least rotation of each Kupisch series is verified: the other
-    rows of its rotation class get its verdict, relabelled.  The levels
-    (one n each) run in order, and each level's classes are verified with
-    the table of the level below, where the leaf checks find the smaller
-    algebras.  On `workers` processes, each level's classes are split
-    between them, and the next level is enumerated while they work."""
+    rows of its rotation class get its verdict, with their algebra swapped
+    in.  The levels (one n each) run in order, and each level's classes are
+    verified with the table of the level below, where the leaf checks find
+    the smaller algebras.  On `workers` processes, each level's classes are
+    split between them, and the next level is enumerated while they work."""
     verdicts: list[AlgebraVerdict] = []
     known: unamalgamation.Table = {}
     levels = _levels(config)
     spawn = get_context("spawn")
     with (ProcessPoolExecutor(workers, mp_context=spawn) if workers > 1 else nullcontext()) as pool:
-        level, shifts = next(levels, ([], []))
+        level, least = next(levels, ([], []))
         while level:
-            classes = [a for a, (_, k) in zip(level, shifts) if k == 0]
+            classes = [a for a, c0 in zip(level, least) if a.kupisch == c0]
             collect = _start_level(pool, workers, classes, config.checks, known)
             upcoming = next(levels, ([], []))
             by_class = {a.kupisch: v for a, v in zip(classes, collect())}
             # a class is enumerated first at its least rotation, so every
             # row finds its class verified
             verdicts.extend(
-                by_class[c0] if k == 0 else by_class[c0].rotate(a, k)
-                for a, (c0, k) in zip(level, shifts)
+                by_class[c0] if a.kupisch == c0 else by_class[c0].rotate(a)
+                for a, c0 in zip(level, least)
             )
             known = {c0: (v.invariants, v.semisimple) for c0, v in by_class.items()}
-            level, shifts = upcoming
+            level, least = upcoming
     return TheoremReport(config=config, verdicts=verdicts)
 
 

@@ -229,7 +229,7 @@ def report(cx: SimplicialComplex) -> dict:
 def to_off(cx: SimplicialComplex) -> str:
     """OFF-style text dump: vertices on the unit circle, then one line per
     simplex of dimension >= 1 (count followed by vertex indices)."""
-    nv = len(cx.vertices)
+    nv = len(cx.interiors)
     faces = [s for p in range(1, len(cx.simplices)) for s in cx.simplices[p]]
     lines = ["OFF", f"{nv} {len(faces)} 0"]
     for i in range(nv):

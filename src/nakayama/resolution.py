@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import NakayamaAlgebra, mod1
+from .algebra import NakayamaAlgebra
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,6 @@ class ResolutionQuiver:
     @property
     def cycle_vertices(self) -> frozenset[int]:
         return frozenset(v for comp in self.components for v in comp.cycle)
-
-
-def gustafson(algebra: NakayamaAlgebra, i: int) -> int:
-    """Target of the unique arrow at i, congruent to i + c_i mod n."""
-    if not 1 <= i <= algebra.n:
-        raise ValueError(f"vertex {i} outside 1..{algebra.n}")
-    return mod1(i + algebra.kupisch[i - 1], algebra.n)
 
 
 def targets(kupisch: tuple[int, ...]) -> tuple[int, ...]:

@@ -16,6 +16,7 @@ all four facts on one step; `reduce_fully` iterates to a leafless algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import relation_complex, resolution
 from .algebra import (
@@ -133,15 +134,20 @@ def _drop_leaf(algebra: NakayamaAlgebra, leaf: int) -> UnamalgamationStep:
 @dataclass(frozen=True)
 class Invariants:
     """What both finiteness criteria read off one algebra, kept small because
-    a sweep keeps one per algebra: the resolution quiver's targets and weights,
-    the relation complex's f-vector and reduced Betti numbers, and gldim."""
+    a sweep keeps one per algebra: the resolution quiver's weights, the
+    relation complex's f-vector and reduced Betti numbers, and gldim.  The
+    quiver's targets are read off the algebra's Kupisch series."""
 
     algebra: NakayamaAlgebra
-    targets: tuple[int, ...]  # entry i-1 is the target of the arrow at i
     weights: tuple[int, ...]
     f_vector: tuple[int, ...]
     betti: tuple[int, ...]
     gldim: ProjDim
+
+    @cached_property
+    def targets(self) -> tuple[int, ...]:
+        """Entry i-1 is the target of the arrow at i."""
+        return resolution.targets(self.algebra.kupisch)
 
     @property
     def leaves(self) -> tuple[int, ...]:
@@ -155,40 +161,15 @@ class Invariants:
     def complex_empty(self) -> bool:
         return not self.f_vector
 
-    def rotate(self, algebra: NakayamaAlgebra, k: int) -> "Invariants":
-        """The invariants of `algebra`, whose Kupisch series is this one's
-        shifted by k (c[k:] + c[:k]): its vertex j is this algebra's vertex
-        j + k.  Only the labels change: the targets are relabelled, and a
-        weights tuple with several values is re-ordered by least vertex."""
-        n = algebra.n
-        t = self.targets
+    def rotate(self, algebra: NakayamaAlgebra) -> "Invariants":
+        """The invariants of `algebra`, a rotation of this algebra: only the
+        labels differ.  The weights are listed by least vertex, so several
+        distinct weights, which only a counterexample to SameWeight has,
+        are read off the rotated quiver."""
         weights = self.weights
         if len(set(weights)) > 1:
-            keys = _component_keys(t)
-            weight_of = dict(zip(dict.fromkeys(keys), weights))
-            weights = tuple(weight_of[key] for key in dict.fromkeys(keys[k:] + keys[:k]))
-        return replace(
-            self,
-            algebra=algebra,
-            targets=tuple((v - 1 - k) % n + 1 for v in t[k:] + t[:k]),
-            weights=weights,
-        )
-
-
-def _component_keys(targets: tuple[int, ...]) -> list[int]:
-    """The component of each vertex of the resolution quiver with these
-    targets, named by the least vertex on its cycle."""
-    n = len(targets)
-    keys = []
-    for v in range(1, n + 1):
-        on_cycle = v
-        for _ in range(n):  # n steps along f end on the cycle
-            on_cycle = targets[on_cycle - 1]
-        cycle = [on_cycle]
-        while (u := targets[cycle[-1] - 1]) != on_cycle:
-            cycle.append(u)
-        keys.append(min(cycle))
-    return keys
+            weights = resolution.build(algebra).weights
+        return replace(self, algebra=algebra, weights=weights)
 
 
 # What a sweep keeps of each algebra it has verified, under the least rotation
@@ -202,9 +183,8 @@ def look_up(known: Table | None, algebra: NakayamaAlgebra) -> tuple[Invariants, 
     its rotation class, or None when `known` has no entry."""
     if not known:
         return None
-    canonical, k = least_rotation(algebra.kupisch)
-    entry = known.get(canonical)
-    return None if entry is None else (entry[0].rotate(algebra, k), entry[1])
+    entry = known.get(least_rotation(algebra.kupisch))
+    return None if entry is None else (entry[0].rotate(algebra), entry[1])
 
 
 def invariants(
@@ -214,11 +194,9 @@ def invariants(
     unless the caller has it already."""
     if cx is None:
         cx = relation_complex.build_complex(algebra)
-    rq = resolution.build(algebra)
     return Invariants(
         algebra=algebra,
-        targets=rq.f,
-        weights=rq.weights,
+        weights=resolution.build(algebra).weights,
         f_vector=cx.f_vector,
         betti=relation_complex.reduced_betti(cx),
         gldim=global_dimension(algebra),
@@ -267,8 +245,9 @@ def check_properties(
     after = found[0] if found else invariants(step.output)
 
     phi = step.relabel
+    f_before, f_after = before.targets, after.targets
     quiver_match = all(
-        after.targets[phi[i - 1] - 1] == phi[before.targets[i - 1] - 1]
+        f_after[phi[i - 1] - 1] == phi[f_before[i - 1] - 1]
         for i in range(1, algebra.n + 1)
         if i != leaf
     )

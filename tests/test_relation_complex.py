@@ -16,6 +16,7 @@ from nakayama.relation_complex import (
     SimplicialComplex,
     boundary_squares_to_zero,
     build_complex,
+    complex_from_interiors,
     euler_characteristic,
     interior,
     reduced_betti,
@@ -214,6 +215,14 @@ def test_to_off(lambda2):
     assert lines[0] == "OFF"
     assert lines[1] == "4 6 0"  # 4 vertices, 5 edges + 1 triangle
     assert "3 0 2 3" in lines  # the filled triangle y1 y3 y4
+
+
+def test_to_off_counts_the_vertices_of_bare_interiors():
+    """A complex built from bare interiors has no Relation vertices, but its
+    faces name vertices 0..2, so it needs one coordinate line for each."""
+    off = to_off(complex_from_interiors(4, [{2}, {3}, {1}]))
+    assert off.splitlines()[1] == "3 4 0"
+    assert off == to_off(build_complex(validate(4, [(1, 2), (2, 2), (4, 2)])))
 
 
 def _fraction_rank(mat):

@@ -1,26 +1,18 @@
-import pytest
-
 from closed_form_oracle import rad_power_closed_form
-from nakayama import algebra_from_kupisch, radical_power_algebra, validate
+from nakayama import radical_power_algebra, validate
 from nakayama.harness import SweepConfig, enumerate_kupisch
 from nakayama.resolution import (
     build,
-    gustafson,
     leaves,
+    targets,
     to_dot,
 )
 
 
 def test_gustafson_examples(lambda1, lambda2):
-    assert gustafson(lambda1, 1) == 4
-    assert gustafson(lambda2, 5) == 3
-    semisimple3 = algebra_from_kupisch((1, 1, 1))
-    assert [gustafson(semisimple3, i) for i in (1, 2, 3)] == [2, 3, 1]
-
-
-def test_gustafson_range_check(lambda1):
-    with pytest.raises(ValueError):
-        gustafson(lambda1, 6)
+    assert targets(lambda1.kupisch)[0] == 4
+    assert targets(lambda2.kupisch)[4] == 3
+    assert targets((1, 1, 1)) == (2, 3, 1)
 
 
 def test_build_lambda1(lambda1):

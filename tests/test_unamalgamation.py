@@ -216,7 +216,7 @@ def test_reduction_goes_on_from_the_step_at_the_least_leaf():
         whole, rest = reduce_fully(algebra), reduce_fully(step.output)
         assert whole.steps == (step,) + rest.steps, algebra.kupisch
         assert whole.terminal_kupisch == rest.terminal_kupisch, algebra.kupisch
-        canonical = algebra_from_kupisch(least_rotation(step.output.kupisch)[0])
+        canonical = algebra_from_kupisch(least_rotation(step.output.kupisch))
         assert whole.semisimple == reduce_fully(canonical).semisimple, algebra.kupisch
         checked += 1
     assert checked == 1646
@@ -229,21 +229,24 @@ def test_rotate_equals_invariants_of_the_rotated_algebra(c, k):
     of its rotation, field for field, the leaves included."""
     k %= len(c)
     rotated = algebra_from_kupisch(c[k:] + c[:k])
-    got = invariants(algebra_from_kupisch(c)).rotate(rotated, k)
+    got = invariants(algebra_from_kupisch(c)).rotate(rotated)
     want = invariants(rotated)
     assert got == want
     assert got.leaves == want.leaves
 
 
-def test_rotate_reorders_several_weights_by_least_vertex():
+def test_rotate_reads_several_weights_off_the_rotated_quiver():
     """Only a counterexample to SameWeight has components of different
-    weights, so this record is made up: the components {1, 2} of weight 1
-    and {3, 4} of weight 2, listed by least vertex."""
-    algebra = algebra_from_kupisch((2, 2, 2, 2))
-    record = Invariants(algebra, targets=(2, 1, 4, 3), weights=(1, 2), f_vector=(), betti=(), gldim=ProjDim(None))
-    assert record.rotate(algebra, 1).weights == (1, 2)  # new vertex 1 is old vertex 2
-    assert record.rotate(algebra, 2).weights == (2, 1)  # new vertex 1 is old vertex 3
-    assert record.rotate(algebra, 3).weights == (2, 1)  # new vertices 1, 2 are old 4, 1
+    weights, so this record is planted: its weights (1, 2) belong to no
+    algebra of its series.  Rotating it must read the weights off the
+    rotated algebra's quiver, which has one component of weight 1, and not
+    carry the planted ones along."""
+    record = Invariants(
+        algebra_from_kupisch((3, 2, 2, 4, 3)), weights=(1, 2), f_vector=(), betti=(), gldim=ProjDim(None)
+    )
+    rotated = algebra_from_kupisch((2, 2, 4, 3, 3))
+    assert build(rotated).weights == (1,)
+    assert record.rotate(rotated).weights == build(rotated).weights
 
 
 def test_properties_hold_at_every_leaf_small_sweep():
