@@ -6,112 +6,139 @@ to n.  Such a cycle is determined by its stations: the p+1 distinct quiver
 vertices where the morphisms start, travelling forward around the cycle
 exactly once.  The gap from station w_t to the next station is the length
 of the connecting path, and the chain is nonzero iff every such path
-survives in the algebra: the gap is below c_{w_t}.
+survives in the algebra: the gap is below c_{w_t}.  Equivalently, the
+station set W meets the arc I_w = {w+1, ..., w+c_w-1} (mod n) of every
+w in W.  The relation at i has interior I_i, and those interiors are the
+vertices of the relation complex, so both sides of HCvsBetti are read off
+one family of cyclic arcs.
 
 Because the stations are distinct, the rotation action of Z_{p+1} (with
 sign (-1)^p on the generator) is free, so the quotient complex has one
-basis cell per station set, written as its sorted tuple w_0 < ... < w_p.
+basis cell per station set W, written as its sorted tuple w_0 < ... < w_p.
+Face j drops w_j, with entry -(-1)^j, and it is nonzero iff the merged
+path from w_{j-1} to w_{j+1} (indices mod p+1) is shorter than
+c_{w_{j-1}}.  Two facts make this complex a relative simplicial complex:
 
-One rule gives every face of the differential.  Face j drops w_j: it
-merges the paths into and out of w_j (indices mod p+1), and it is nonzero
-iff the merged path from w_{j-1} to w_{j+1} is shorter than c_{w_{j-1}}.
-Its entry is -(-1)^j.  Face 0 is the one that wraps around the cycle;
-dropping w_0 leaves a sorted tuple, and its rotation sign (-1)^(p-1)
-times its face sign (-1)^p is always -1.
+  Fact 1: the cells form an up-set.  Adding a station x between w and its
+  successor w' leaves dist(x, w') = dist(w, w') - dist(w, x) below
+  c_w - dist(w, x) <= c_x, because c_{i+1} >= c_i - 1.
+  Fact 2: face j of a cell W exists iff W \\ {w_j} is a cell, because
+  dropping w_j changes only one gap.
+
+So the differential is -∂, the boundary of the full simplex Δ on the n
+stations restricted to the cells: the complex is the relative chain
+complex C(Δ, K), where K, the non-cells, is a subcomplex of Δ by Fact 1.
+It is built by `linalg.boundary_maps`, the builder of the relation
+complex's boundaries, and d∘d = 0 follows from ∂∘∂ = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from . import linalg
 from .algebra import MAX_SUBSETS, NakayamaAlgebra, TooLargeError
 
+# face j of a cell enters the differential with _SIGN * (-1)^j
+_SIGN = -1
 
-def _walk(algebra: NakayamaAlgebra) -> list[list[tuple[int, ...]]]:
-    """Every basis cell, by degree, from one depth-first walk over the
-    station tuples that can still be completed.
 
-    From station w the walk steps only to w' <= min(n, w + c_w - 1), the
-    stations the path from w reaches before it dies, and emits the tuple
-    when its wrap gap n - w_p + w_0 also carries a path.  Pre-order with
-    the steps taken in increasing order lists each degree lexicographically.
+def _walk(algebra: NakayamaAlgebra) -> list[dict[int, tuple[int, ...]]]:
+    """Every cell, by degree: level p maps each p-cell's station bitmask
+    (bit w for station w) to its station tuple.
+
+    The walk extends station tuples one station at a time, from the last
+    station w only to a w' <= min(n, w + c_w - 1), one the path from w
+    reaches before it dies.  So it visits the tuples whose gaps all carry
+    a path, save perhaps the wrap gap n - w_p + w_0, and a tuple is a cell
+    when that gap carries one too: when w_0 < c_{w_p} - n + w_p.  Extending
+    a level in lexicographic order, in order, lists the next one in
+    lexicographic order.
     """
     n, c = algebra.n, algebra.kupisch
-    out: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-
-    def visit(stations: tuple[int, ...]) -> None:
-        w = stations[-1]
-        if n - w + stations[0] < c[w - 1]:
-            out[len(stations) - 1].append(stations)
-        for nxt in range(w + 1, min(n, w + c[w - 1] - 1) + 1):
-            visit(stations + (nxt,))
-
-    for first in range(1, n + 1):
-        visit((first,))
-    return out
-
-
-def differential(
-    algebra: NakayamaAlgebra, source: Sequence[tuple[int, ...]], index: dict[tuple[int, ...], int]
-) -> linalg.SparseMap:
-    """Sparse columns of the induced differential from degree p to degree
-    p-1: one column per station tuple of `source`, the degree-p basis, with
-    rows numbered by `index`, the position of each degree-(p-1) tuple.
-
-    Face j drops w_j and survives iff the merged path from w_{j-1} to
-    w_{j+1} (indices mod p+1), of length (w_{j+1} - w_{j-1} - 1) mod n + 1,
-    which is n when p = 1, is shorter than c_{w_{j-1}}.  For j >= 1 its
-    entry -(-1)^j is the face sign (-1)^(j-1) of the composition at
-    w_{j-1}.  Distinct faces drop distinct stations, so no two of them land
-    on the same row.
-    """
-    if not source or len(source[0]) == 1:
-        return [{} for _ in source]  # degree 0 maps to the zero space
-    n, c = algebra.n, algebra.kupisch
-    columns = []
-    for w in source:
-        size = len(w)
-        col: linalg.Column = {}
-        for j in range(size):
-            before = w[j - 1]
-            if (w[(j + 1) % size] - before - 1) % n + 1 < c[before - 1]:
-                col[index[w[:j] + w[j + 1:]]] = 1 if j % 2 else -1
-        columns.append(col)
-    return columns
+    steps = [()] + [
+        tuple((x, 1 << x) for x in range(w + 1, min(n, w + c[w - 1] - 1) + 1)) for w in range(1, n + 1)
+    ]
+    wrap_bound = [0] + [c[w - 1] - n + w for w in range(1, n + 1)]
+    levels = []
+    walked = [((w,), 1 << w) for w in range(1, n + 1)]
+    for _ in range(n):
+        levels.append({bits: tup for tup, bits in walked if tup[0] < wrap_bound[tup[-1]]})
+        walked = [(tup + (x,), bits | bit) for tup, bits in walked for x, bit in steps[tup[-1]]]
+    return levels
 
 
 @dataclass(frozen=True)
 class CyclicComplex:
+    """The cells of the degree-n slice by degree, as `_walk` emits them.
+    The bases and the differentials are derived from them when first read."""
+
     n: int
-    bases: tuple[tuple[tuple[int, ...], ...], ...]
-    # differentials[p] maps degree p to degree p-1, as sparse columns
-    # indexed by bases[p]; differentials[0] is the zero map
-    differentials: tuple[linalg.SparseMap, ...]
+    levels: tuple[dict[int, tuple[int, ...]], ...]
+
+    @cached_property
+    def bases(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """bases[p] lists the p-cells as sorted station tuples, in
+        lexicographic order."""
+        return tuple(tuple(level.values()) for level in self.levels)
 
     @property
     def basis_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.bases)
+        return tuple(len(level) for level in self.levels)
+
+    @cached_property
+    def differentials(self) -> tuple[linalg.SparseMap, ...]:
+        """differentials[p] maps degree p to degree p-1, as sparse columns
+        indexed by bases[p]; differentials[0] is the zero map."""
+        zero = [{} for _ in self.levels[0]]
+        return (zero, *linalg.boundary_maps(self.levels, _SIGN, relative=True))
 
 
 def build_cyclic_complex(algebra: NakayamaAlgebra) -> CyclicComplex:
-    """Build every degree's basis in one walk and each index once; every
-    differential is derived from the two bases it connects."""
+    """Every cell from one walk; the differentials follow when read."""
     # the walk visits at most 2^n - 1 station subsets; refuse before it starts
     if 2 ** algebra.n - 1 > MAX_SUBSETS:
         raise TooLargeError(f"the cyclic basis would scan 2^{algebra.n} - 1 subsets, over {MAX_SUBSETS}")
-    bases = tuple(tuple(degree) for degree in _walk(algebra))
-    diffs = []
-    index: dict[tuple[int, ...], int] = {}
-    for source in bases:
-        diffs.append(differential(algebra, source, index))
-        index = {stations: i for i, stations in enumerate(source)}
-    return CyclicComplex(n=algebra.n, bases=bases, differentials=tuple(diffs))
+    return CyclicComplex(n=algebra.n, levels=tuple(_walk(algebra)))
 
 
 def differential_squares_to_zero(cc: CyclicComplex) -> bool:
-    return linalg.squares_to_zero(cc.differentials)
+    """d∘d = 0, certified without composing the maps.  The differentials
+    have no source but `linalg.boundary_maps` on the cells, so each is -∂
+    restricted to the cells, and its square vanishes if
+      - the sign rule alternates in j, so that ∂ is the simplicial
+        boundary, and
+      - the cells form an up-set, so that the non-cells are a subcomplex K
+        of the full simplex Δ and the complex is C(Δ, K) (Fact 1).
+    """
+    n = cc.n
+    for p in range(1, n):
+        signs = linalg.face_signs(p, _SIGN)
+        if any(signs[j] == signs[j - 1] for j in range(1, p + 1)):
+            return False
+    return _is_up_set(n, cc.levels)
+
+
+def _is_up_set(n: int, levels: Sequence[dict[int, tuple[int, ...]]]) -> bool:
+    """Is every superset of a cell a cell?  It is iff, for each station w,
+    each cell W without w has W + {w} a cell.  One byte per station bitmask
+    marks the cells (n <= 16 under MAX_SUBSETS); read as one integer,
+    shifting it right by 2^w bytes lines up the byte of W + {w} with the
+    byte of W, for every W at once."""
+    size = 2 << n  # the bitmasks use bits 1..n
+    marks = bytearray(size)
+    for level in levels:
+        for bits in level:
+            marks[bits] = 1
+    cells = int.from_bytes(marks, "little")
+    for w in range(1, n + 1):
+        step = 1 << w
+        without_w = int.from_bytes((b"\1" * step + b"\0" * step) * (size // (2 * step)), "little")
+        if cells & without_w & ~(cells >> 8 * step):
+            return False
+    return True
 
 
 def hc_dimensions(algebra: NakayamaAlgebra, cc: CyclicComplex | None = None) -> tuple[int, ...]:
@@ -125,7 +152,7 @@ def hc_dimensions(algebra: NakayamaAlgebra, cc: CyclicComplex | None = None) -> 
 
 def hc_euler(dims: Sequence[int]) -> int:
     """Alternating sum of the HC dimensions from `hc_dimensions`."""
-    return sum((-1) ** p * d for p, d in enumerate(dims))
+    return linalg.alternating_sum(dims)
 
 
 def report(algebra: NakayamaAlgebra) -> dict:

@@ -42,7 +42,7 @@ from itertools import groupby
 from multiprocessing import get_context
 from typing import Callable, Iterator
 
-from . import cyclic, relation_complex, unamalgamation
+from . import cyclic, linalg, relation_complex, unamalgamation
 from .algebra import (
     AlgebraClass,
     NakayamaAlgebra,
@@ -224,12 +224,11 @@ def verify(
     if inv.complex_empty:
         euler_ok = chi == 0
     else:
-        euler_ok = chi == 1 + sum((-1) ** p * b for p, b in enumerate(betti))
+        euler_ok = chi == 1 + linalg.alternating_sum(betti)
     results["EulerPoincare"] = euler_ok and relation_complex.cone_factorization_holds(cx)
     results["BoundarySquare"] = relation_complex.boundary_squares_to_zero(cx)
     results["CyclicSquare"] = cyclic.differential_squares_to_zero(cc)
-    alt_sizes = sum((-1) ** p * s for p, s in enumerate(cc.basis_sizes))
-    results["HCEulerIdentity"] = verdict.hc_euler == 1 - chi == alt_sizes
+    results["HCEulerIdentity"] = verdict.hc_euler == 1 - chi == linalg.alternating_sum(cc.basis_sizes)
     results["NodesEqualRelations"] = algebra.n - len(lvs) == len(algebra.relations)
     return verdict
 

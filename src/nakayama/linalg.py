@@ -5,6 +5,8 @@ holding the nonzero integer entries of the image of basis vector j.  The
 boundary maps of both complexes in this package have entries in {0, ±1} and
 a handful of nonzeros per column, so a column stays small while it is
 reduced.  Every entry is a Python int; there is no floating point anywhere.
+
+Both complexes are built by `boundary_maps`, from cells given as bitmasks.
 """
 
 from __future__ import annotations
@@ -14,6 +16,50 @@ from typing import Sequence
 
 Column = dict[int, int]
 SparseMap = list[Column]
+
+
+def alternating_sum(values: Sequence[int]) -> int:
+    """values[0] - values[1] + values[2] - ...: the Euler characteristic of
+    a complex whose cell counts, or homology dimensions, these are."""
+    return sum(values[::2]) - sum(values[1::2])
+
+
+def face_signs(p: int, sign: int) -> list[int]:
+    """The sign rule both complexes share: face j of a p-cell enters the
+    boundary with `sign` * (-1)^j, for j = 0..p."""
+    return [-sign if j % 2 else sign for j in range(p + 1)]
+
+
+def boundary_maps(
+    levels: Sequence[dict[int, tuple[int, ...]]], sign: int, relative: bool = False
+) -> list[SparseMap]:
+    """The boundary maps between consecutive levels of cells: entry p-1 maps
+    level p to level p-1, for p = 1..len(levels)-1.
+
+    Level p maps each p-cell's bitmask to its sorted tuple of elements,
+    element v having bit 1 << v.  Face j of a cell drops its j-th element
+    v, so its row is the position, in level p-1, of the cell's bitmask
+    with bit v cleared; its entry is face_signs(p, sign)[j].  A simplicial
+    complex holds every face of its simplices, so a missing face raises
+    KeyError.  A `relative` complex is C(Δ, K) for the full simplex Δ and
+    a subcomplex K of non-cells: a face in K is zero and is skipped.
+    """
+    maps = []
+    for p in range(1, len(levels)):
+        row_of = {bits: i for i, bits in enumerate(levels[p - 1])}.get
+        signs = face_signs(p, sign)
+        columns: SparseMap = []
+        for bits, cell in levels[p].items():
+            col: Column = {}
+            for v, s in zip(cell, signs):
+                row = row_of(bits ^ 1 << v)
+                if row is not None:
+                    col[row] = s
+                elif not relative:
+                    raise KeyError(f"face {bits ^ 1 << v:#b} of cell {bits:#b} is not a cell")
+            columns.append(col)
+        maps.append(columns)
+    return maps
 
 
 def rank(columns: Sequence[Column], pivot_rows: set[int] | None = None) -> int:

@@ -2,10 +2,13 @@
 
 Vertices are the relations of length <= n.  A relation of length l covers
 its l-1 internal vertices {start+1, ..., start+length-1} (mod n): the
-vertices i with x_{i-1} x_i a subword.  A set of relations spans a simplex
-iff the union of their interiors does not cover all n quiver vertices.
-Subsets of non-covering sets are non-covering, so the complex is downward
-closed for free, and it is built level by level from its smaller simplices.
+vertices i with x_{i-1} x_i a subword.  The interior of the relation at
+w is the cyclic arc I_w = {w+1, ..., w+c_w-1}, and the same arcs decide
+which station sets are cells of the cyclic complex (see `cyclic`).  A set
+of relations spans a simplex iff the union of their interiors does not
+cover all n quiver vertices.  Subsets of non-covering sets are
+non-covering, so the complex is downward closed for free, and it is built
+level by level from its smaller simplices.
 
 A complex keeps only n, its vertices and their interiors.  The simplices,
 the boundary maps and the f-vector are computed the first time they are
@@ -61,8 +64,9 @@ class SimplicialComplex:
     @cached_property
     def boundaries(self) -> tuple[linalg.SparseMap, ...]:
         """boundaries[p-1] is the p-th boundary map, as sparse columns
-        indexed by the p-simplices with rows numbering the (p-1)-simplices."""
-        return _boundary_maps(self._levels)
+        indexed by the p-simplices with rows numbering the (p-1)-simplices;
+        face j of a simplex enters with sign (-1)^j."""
+        return tuple(linalg.boundary_maps(self._levels, 1))
 
     @property
     def cone_points(self) -> int:
@@ -154,21 +158,6 @@ def _extend(
     return out
 
 
-def _boundary_maps(levels: list[dict[int, tuple[int, ...]]]) -> tuple[linalg.SparseMap, ...]:
-    """The boundary maps of the complex with these `simplex_levels`.  Face j
-    of a simplex drops its j-th vertex, so its row is found under the
-    simplex's bitmask with that vertex's bit cleared."""
-    boundaries: list[linalg.SparseMap] = []
-    for p in range(1, len(levels)):
-        index = {bits: i for i, bits in enumerate(levels[p - 1])}
-        signs = [(-1) ** j for j in range(p + 1)]
-        boundaries.append([
-            {index[bits ^ 1 << v]: signs[j] for j, v in enumerate(simplex)}
-            for bits, simplex in levels[p].items()
-        ])
-    return tuple(boundaries)
-
-
 def complex_from_interiors(n: int, interiors: Sequence[frozenset[int]]) -> SimplicialComplex:
     """The non-covering-subsets complex of bare interiors; `build_complex`
     fills in the Relation vertices.  Nothing is enumerated here, but a
@@ -190,7 +179,7 @@ def build_complex(algebra: NakayamaAlgebra) -> SimplicialComplex:
 
 
 def euler_characteristic(cx: SimplicialComplex) -> int:
-    return sum((-1) ** p * count for p, count in enumerate(cx.f_vector))
+    return linalg.alternating_sum(cx.f_vector)
 
 
 def reduced_betti(cx: SimplicialComplex) -> tuple[int, ...]:

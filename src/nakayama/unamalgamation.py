@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from . import relation_complex, resolution
+from . import linalg, relation_complex, resolution
 from .algebra import (
     AlgebraError,
     NakayamaAlgebra,
@@ -136,7 +136,8 @@ class Invariants:
     """What both finiteness criteria read off one algebra, kept small because
     a sweep keeps one per algebra: the resolution quiver's weights, the
     relation complex's f-vector and reduced Betti numbers, and gldim.  The
-    quiver's targets are read off the algebra's Kupisch series."""
+    quiver's targets are read off the algebra's Kupisch series when first
+    read, unless `invariants` seeded them from the quiver it built."""
 
     algebra: NakayamaAlgebra
     weights: tuple[int, ...]
@@ -155,7 +156,7 @@ class Invariants:
 
     @property
     def chi(self) -> int:
-        return sum((-1) ** p * count for p, count in enumerate(self.f_vector))
+        return linalg.alternating_sum(self.f_vector)
 
     @property
     def complex_empty(self) -> bool:
@@ -194,13 +195,18 @@ def invariants(
     unless the caller has it already."""
     if cx is None:
         cx = relation_complex.build_complex(algebra)
-    return Invariants(
+    quiver = resolution.build(algebra)
+    inv = Invariants(
         algebra=algebra,
-        weights=resolution.build(algebra).weights,
+        weights=quiver.weights,
         f_vector=cx.f_vector,
         betti=relation_complex.reduced_betti(cx),
         gldim=global_dimension(algebra),
     )
+    # seed the cached `targets` with the quiver's; a rotated record, a new
+    # instance, derives its own
+    inv.__dict__["targets"] = quiver.f
+    return inv
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ from hypothesis import strategies as st
 
 from enumeration_oracle import canonicalize, station_gaps
 from linalg_oracle import bareiss_rank, to_dense
-from nakayama import AlgebraClass, radical_power_algebra, validate
+from nakayama import AlgebraClass, linalg, radical_power_algebra, validate
 from nakayama.cyclic import (
+    CyclicComplex,
     build_cyclic_complex,
     differential_squares_to_zero,
     hc_dimensions,
@@ -120,8 +121,42 @@ def test_report_schema(lambda2):
 
 
 def test_differential_squares_to_zero_sweep():
-    for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=5, c_max=5)):
-        assert differential_squares_to_zero(build_cyclic_complex(algebra))
+    """The certificate holds, and so does the composite it stands for, on
+    every algebra at n <= 6, c <= 7 and on rad^(n+1) for n = 2..10."""
+    algebras = list(enumerate_kupisch(SweepConfig(n_min=2, n_max=6, c_max=7)))
+    algebras += [radical_power_algebra(n, n + 1) for n in range(2, 11)]
+    for algebra in algebras:
+        cc = build_cyclic_complex(algebra)
+        assert differential_squares_to_zero(cc), algebra.kupisch
+        assert linalg.squares_to_zero(cc.differentials), algebra.kupisch
+    assert len(algebras) == 2996 + 9
+
+
+@pytest.mark.parametrize("dropped", [(1, 2), (2, 4), (1, 2, 3, 4)])
+def test_differential_squares_to_zero_needs_an_up_set(dropped):
+    """On rad^5 of the 4-cycle every station set is a cell; without one of
+    them, the cells are no up-set (a subset of the dropped cell is still a
+    cell), and the certificate fails."""
+    levels = build_cyclic_complex(radical_power_algebra(4, 5)).levels
+    bits = sum(1 << w for w in dropped)
+    assert levels[len(dropped) - 1][bits] == dropped
+    planted = tuple({b: cell for b, cell in level.items() if b != bits} for level in levels)
+    assert differential_squares_to_zero(CyclicComplex(n=4, levels=levels))
+    assert not differential_squares_to_zero(CyclicComplex(n=4, levels=planted))
+
+
+def test_differential_squares_to_zero_needs_alternating_signs(monkeypatch):
+    cc = build_cyclic_complex(radical_power_algebra(4, 5))
+    signs = linalg.face_signs
+
+    def flipped(p, sign):
+        out = signs(p, sign)
+        if p == 2:
+            out[1] = -out[1]
+        return out
+
+    monkeypatch.setattr(linalg, "face_signs", flipped)
+    assert not differential_squares_to_zero(cc)
 
 
 def _hc_matches_shifted_betti(algebra):

@@ -1,6 +1,7 @@
 """The pruned enumerations (the cyclic basis walk and the level-wise
 relation complex) against the subset scans of `enumeration_oracle`, and
-the cyclic face rule against the oracle's gap-and-rotation differential."""
+the cyclic differentials of the bitmask builder against the oracle's
+gap-and-rotation differential."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nakayama import AlgebraClass, algebra_from_kupisch, radical_power_algebra, unamalgamate, unamalgamation
+from nakayama import AlgebraClass, algebra_from_kupisch, radical_power_algebra, resolution, unamalgamate, unamalgamation
 from nakayama.algebra import is_valid_kupisch, least_rotation
 from nakayama.harness import (
     STRUCTURAL_CHECKS,
@@ -91,6 +91,18 @@ def test_verify_lambda3(lambda3):
     # both sides of check A are false: two components, infinite dimension
     assert v.checks["A"] and v.checks["C"]
     assert v.ok
+
+
+def test_verify_computes_gustafsons_function_once(monkeypatch, lambda3):
+    """`invariants` seeds its record's targets with those of the quiver it
+    builds, so verifying a leafless algebra (no leaf check calls
+    `unamalgamate`) computes Gustafson's function once."""
+    calls = []
+    real = resolution.targets
+    monkeypatch.setattr(resolution, "targets", lambda kupisch: calls.append(kupisch) or real(kupisch))
+    v = verify(lambda3)
+    assert v.ok and v.invariants.leaves == ()
+    assert calls == [lambda3.kupisch]
 
 
 def test_sweep_small_is_clean():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from linalg_oracle import bareiss_rank, to_dense, to_sparse
 from nakayama.cyclic import build_cyclic_complex
 from nakayama.harness import SweepConfig, enumerate_kupisch
-from nakayama.linalg import chain_ranks, compose, rank, squares_to_zero
+from nakayama.linalg import boundary_maps, chain_ranks, compose, rank, squares_to_zero
 from nakayama.relation_complex import build_complex
 
 
@@ -79,3 +79,16 @@ def test_squares_to_zero_detects_a_nonzero_composite():
     assert squares_to_zero([[{0: 1}, {0: 1}], [{0: 1, 1: -1}]])
     assert not squares_to_zero([[{0: 1}, {0: 1}], [{0: 1, 1: 1}]])
     assert squares_to_zero([])
+
+
+def test_boundary_maps_skip_a_missing_face_only_when_relative():
+    """Vertex 1 is missing from level 0: the edge {0, 1} of a simplicial
+    complex then lacks a face, which raises, while in a relative complex
+    that face lies in the subcomplex and is zero."""
+    levels = [{0b01: (0,)}, {0b11: (0, 1)}]
+    with pytest.raises(KeyError):
+        boundary_maps(levels, 1)
+    assert boundary_maps(levels, 1, relative=True) == [[{0: -1}]]
+    assert boundary_maps(levels, -1, relative=True) == [[{0: 1}]]
+    whole = [{0b01: (0,), 0b10: (1,)}, {0b11: (0, 1)}]
+    assert boundary_maps(whole, 1) == [[{1: 1, 0: -1}]]

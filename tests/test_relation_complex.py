@@ -102,7 +102,7 @@ def test_cones_build_no_simplices_and_no_boundary_maps(monkeypatch, kupisch):
         raise AssertionError("the complex was enumerated or its boundaries built or ranked")
 
     monkeypatch.setattr(linalg, "chain_ranks", unread)
-    monkeypatch.setattr(relation_complex, "_boundary_maps", unread)
+    monkeypatch.setattr(linalg, "boundary_maps", unread)
     # the simplices and the f-vector of a complex without cone points are
     # read off its enumerated levels
     monkeypatch.setattr(SimplicialComplex, "_levels", property(unread))
@@ -120,16 +120,17 @@ def test_verify_squares_the_built_boundary_maps(monkeypatch):
     planted wrong face sign makes it fail."""
     algebra = algebra_from_kupisch((1,) * 10)
     assert verify(algebra).checks["BoundarySquare"]
-    built = relation_complex._boundary_maps
+    built = linalg.boundary_maps
 
-    def planted(levels):
-        maps = built(levels)
-        column = maps[1][0]
-        row = next(iter(column))
-        column[row] = -column[row]
+    def planted(levels, sign, relative=False):
+        maps = built(levels, sign, relative)
+        if not relative:  # the relation complex's maps, not the cyclic ones
+            column = maps[1][0]
+            row = next(iter(column))
+            column[row] = -column[row]
         return maps
 
-    monkeypatch.setattr(relation_complex, "_boundary_maps", planted)
+    monkeypatch.setattr(linalg, "boundary_maps", planted)
     assert not verify(algebra).checks["BoundarySquare"]
 
 

@@ -226,12 +226,14 @@ def test_reduction_goes_on_from_the_step_at_the_least_leaf():
 @given(kupisch_series(max_n=8, max_c=9), st.integers(0, 7))
 def test_rotate_equals_invariants_of_the_rotated_algebra(c, k):
     """`Invariants.rotate` turns the record of an algebra into the record
-    of its rotation, field for field, the leaves included."""
+    of its rotation, field for field, the targets and leaves included: the
+    rotated record does not keep the targets seeded into the original."""
     k %= len(c)
     rotated = algebra_from_kupisch(c[k:] + c[:k])
     got = invariants(algebra_from_kupisch(c)).rotate(rotated)
     want = invariants(rotated)
     assert got == want
+    assert got.targets == want.targets
     assert got.leaves == want.leaves
 
 
