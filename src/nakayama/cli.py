@@ -67,7 +67,9 @@ def load_algebra(path: str) -> NakayamaAlgebra:
             data = json.load(fh)
     except OSError as exc:
         raise InputError("bad-file", str(exc)) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
+        # nesting deeper than the decoder's recursion limit, or bytes that
+        # are not UTF-8, are malformed JSON too
         raise InputError("bad-json", str(exc)) from exc
     return algebra_from_dict(data)
 

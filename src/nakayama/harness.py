@@ -170,9 +170,6 @@ def verify(
     verified before; the leaf checks and `Bprime` look the smaller algebras
     up there instead of rebuilding and reducing them."""
     cx = relation_complex.build_complex(algebra)
-    # the self-checks below enumerate the complex anyway; doing it first
-    # lets the f-vector be counted off it rather than found a second way
-    cx.simplices
     cc = cyclic.build_cyclic_complex(algebra)
     inv = unamalgamation.invariants(algebra, cx)
     verdict = AlgebraVerdict(

@@ -10,9 +10,10 @@ cover all n quiver vertices.  Subsets of non-covering sets are
 non-covering, so the complex is downward closed for free, and it is built
 level by level from its smaller simplices.
 
-A complex keeps only n, its vertices and their interiors.  The simplices,
+A complex keeps only n and the interiors of its vertices.  The simplices,
 the boundary maps and the f-vector are computed the first time they are
-read, so a caller pays only for what it reads.
+read, so a caller pays only for what it reads, and each has one rule,
+whatever was read before it.
 
 A relation of length 1 has an empty interior, so it can join any simplex:
 it is a cone point.  With k cone points, the complex is the join of the
@@ -26,7 +27,7 @@ numbers use the augmented complex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -43,12 +44,11 @@ def interior(rel: Relation, n: int) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """The non-covering subsets of `interiors` on the n-cycle.  Vertex i is
-    the relation vertices[i]; a complex built from bare interiors has no
-    Relation vertices.  The other members are computed when first read."""
+    """The non-covering subsets of `interiors` on the n-cycle; vertex i has
+    interior interiors[i].  The other members are computed when first
+    read."""
 
     n: int
-    vertices: tuple[Relation, ...]
     interiors: tuple[frozenset[int], ...]
 
     @cached_property
@@ -75,11 +75,11 @@ class SimplicialComplex:
 
     @cached_property
     def f_vector(self) -> tuple[int, ...]:
-        """Simplex counts by dimension.  A complex already enumerated is
-        counted; otherwise cone points, if any, spare enumerating it (see
-        `_join_f_vector`): only the complex L'' of the other vertices is."""
+        """Simplex counts by dimension.  Cone points, if any, spare
+        enumerating the complex (see `_join_f_vector`): only the complex L''
+        of the other vertices is.  Otherwise its levels are counted."""
         k = self.cone_points
-        if not k or "_levels" in self.__dict__:
+        if not k:
             return tuple(len(level) for level in self._levels)
         rest = [len(level) for level in simplex_levels(self.n, [v for v in self.interiors if v])]
         return _join_f_vector(k, rest)
@@ -105,17 +105,10 @@ def _join_f_vector(k: int, rest: Sequence[int]) -> tuple[int, ...]:
 
 
 def cone_factorization_holds(cx: SimplicialComplex) -> bool:
-    """The f-vector equals the enumerated simplex counts, and these equal
-    the binomial convolution of the counts of the simplices that avoid the
-    cone points, which are the simplices of L''."""
-    counts = tuple(len(level) for level in cx._levels)
-    cones = sum(1 << i for i, vertices in enumerate(cx.interiors) if not vertices)
-    if not cones:
-        return cx.f_vector == counts
-    rest = [sum(1 for bits in level if not bits & cones) for level in cx._levels]
-    while rest and not rest[-1]:
-        rest.pop()
-    return cx.f_vector == counts == _join_f_vector(cx.cone_points, rest)
+    """The f-vector equals the enumerated simplex counts.  With cone points
+    it is the binomial convolution over L'', enumerated on its own, so the
+    comparison checks the join factorization."""
+    return cx.f_vector == tuple(len(level) for level in cx._levels)
 
 
 def _check_size(r: int) -> None:
@@ -159,11 +152,11 @@ def _extend(
 
 
 def complex_from_interiors(n: int, interiors: Sequence[frozenset[int]]) -> SimplicialComplex:
-    """The non-covering-subsets complex of bare interiors; `build_complex`
-    fills in the Relation vertices.  Nothing is enumerated here, but a
-    complex with more subsets than MAX_SUBSETS is refused at once."""
+    """The non-covering-subsets complex of bare interiors.  Nothing is
+    enumerated here, but a complex with more subsets than MAX_SUBSETS is
+    refused at once."""
     _check_size(len(interiors))
-    return SimplicialComplex(n=n, vertices=(), interiors=tuple(interiors))
+    return SimplicialComplex(n=n, interiors=tuple(interiors))
 
 
 def complex_vertices(algebra: NakayamaAlgebra) -> tuple[Relation, ...]:
@@ -172,10 +165,11 @@ def complex_vertices(algebra: NakayamaAlgebra) -> tuple[Relation, ...]:
 
 def build_complex(algebra: NakayamaAlgebra) -> SimplicialComplex:
     """The complex whose vertices are the length-<=n relations and whose
-    simplices are their non-covering subsets."""
-    vertices = complex_vertices(algebra)
-    cx = complex_from_interiors(algebra.n, [interior(rel, algebra.n) for rel in vertices])
-    return replace(cx, vertices=vertices)
+    simplices are their non-covering subsets; vertex i is the relation
+    complex_vertices(algebra)[i]."""
+    return complex_from_interiors(
+        algebra.n, [interior(rel, algebra.n) for rel in complex_vertices(algebra)]
+    )
 
 
 def euler_characteristic(cx: SimplicialComplex) -> int:

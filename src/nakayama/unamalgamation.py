@@ -25,8 +25,10 @@ from .algebra import (
     ProjDim,
     Relation,
     global_dimension,
+    kupisch_from_relations,
     least_rotation,
     mod1,
+    relations_from_kupisch,
     validate,
 )
 
@@ -57,19 +59,29 @@ def delete_last_arrow(rel: Relation, n: int) -> Relation:
 def eliminate_redundant(relations, n: int) -> tuple[tuple[Relation, ...], tuple[tuple[Relation, Relation], ...]]:
     """Drop every relation that contains another one as a cyclic subword.
 
+    The input is a list of relations on the n-cycle, n >= 2, with starts in
+    1..n and lengths >= 1, which is what `delete_last_arrow` yields; starts
+    and whole words may repeat.  Anything else raises ValueError.
+
     The survivors are exactly the minimal words, so the outcome does not
-    depend on the order of deletion.  Returns (kept, eliminated): every
-    input word but the first copy of each kept word is eliminated, in input
-    order, with its witness, the kept word it contains that is least by
-    (length, start).
+    depend on the order of deletion.  They generate the same ideal as the
+    input, so they are the relations of its Kupisch series.  Returns
+    (kept, eliminated): every input word but the first copy of each kept
+    word is eliminated, in input order, with its witness, the kept word it
+    contains that is least by (length, start).
     """
     rels = [r if isinstance(r, Relation) else Relation(*r) for r in relations]
-    minimal = {r for r in rels if not any(o != r and r.contains(o, n) for o in rels)}
-    kept = set()
+    for r in rels:
+        if not (1 <= r.start <= n and r.length >= 1):
+            raise ValueError(f"relation ({r.start},{r.length}) is not a word on the {n}-cycle")
+    if not rels:
+        return (), ()
+    minimal = relations_from_kupisch(kupisch_from_relations(n, rels))
+    unseen = set(minimal)
     eliminated = []
     for r in rels:
-        if r in minimal and r not in kept:
-            kept.add(r)
+        if r in unseen:
+            unseen.remove(r)
         else:
             # a minimal word contains no other minimal word, so a repeated
             # kept word is its own witness
@@ -77,7 +89,7 @@ def eliminate_redundant(relations, n: int) -> tuple[tuple[Relation, ...], tuple[
                 (o for o in minimal if r.contains(o, n)), key=lambda o: (o.length, o.start)
             )
             eliminated.append((r, witness))
-    return tuple(sorted(minimal)), tuple(eliminated)
+    return minimal, tuple(eliminated)
 
 
 @dataclass(frozen=True)
@@ -103,20 +115,20 @@ class UnamalgamationStep:
 
 
 def unamalgamate(algebra: NakayamaAlgebra, leaf: int) -> UnamalgamationStep:
+    return _unamalgamate(algebra, leaf, resolution.targets(algebra.kupisch))
+
+
+def _unamalgamate(algebra: NakayamaAlgebra, leaf: int, targets) -> UnamalgamationStep:
+    """`unamalgamate`, given the values of Gustafson's function on
+    `algebra`."""
     n = algebra.n
     if not 1 <= leaf <= n:
         raise NotALeafError(f"vertex {leaf} is outside 1..{n}")
     # the leaves are the vertices that no arrow of the quiver targets
-    if leaf in resolution.targets(algebra.kupisch):
+    if leaf in targets:
         raise NotALeafError(f"vertex {leaf} is a node of the resolution quiver, not a leaf")
     if n - 1 < 2:
         raise TooSmallError(f"cannot drop a vertex from a quiver of size {n}")
-    return _drop_leaf(algebra, leaf)
-
-
-def _drop_leaf(algebra: NakayamaAlgebra, leaf: int) -> UnamalgamationStep:
-    """`unamalgamate` for a leaf of an algebra with at least three vertices."""
-    n = algebra.n
     phi = relabel_map(n, leaf)
     reindexed = [Relation(phi[rel.start - 1], rel.length) for rel in algebra.relations]
     raw = tuple(delete_last_arrow(rel, n) for rel in reindexed)
@@ -244,7 +256,8 @@ def check_properties(
     of the relation complex, and a global dimension within two.  `before`
     holds the invariants of `algebra` when the caller has them already;
     the smaller algebra's are looked up in `known` before they are built."""
-    step = unamalgamate(algebra, leaf)
+    targets = resolution.targets(algebra.kupisch) if before is None else before.targets
+    step = _unamalgamate(algebra, leaf, targets)
     if before is None:
         before = invariants(algebra)
     found = look_up(known, step.output)
@@ -314,7 +327,7 @@ def reduce_fully(algebra: NakayamaAlgebra) -> ReductionResult:
         lvs = set(range(1, n + 1)).difference(targets)
         if not lvs or n == 2:
             break
-        step = _drop_leaf(current, min(lvs))
+        step = _unamalgamate(current, min(lvs), targets)
         steps.append(step)
         current = step.output
     if lvs:  # two vertices and a leaf: collapse onto the node

@@ -1,13 +1,85 @@
 """Reference enumerations: the test oracle for the cyclic basis walk and
-the face rule of `nakayama.cyclic`, and for the level-wise relation complex
-in `nakayama.relation_complex`.  The cells come from scanning every subset
-with `itertools.combinations`; the cyclic differential composes adjacent
-gaps and rotates the wrap face back into canonical form."""
+the face rule of `nakayama.cyclic`, for the level-wise relation complex
+in `nakayama.relation_complex`, and for the Kupisch recurrence of
+`nakayama.algebra` with the minimality rule read off it.  The cells come
+from scanning every subset with `itertools.combinations`; the cyclic
+differential composes adjacent gaps and rotates the wrap face back into
+canonical form.  The Kupisch series is a minimum over all relations for
+every vertex, and redundancy is found by testing every pair of relations
+for containment."""
 
 from itertools import combinations
 from typing import NamedTuple
 
+from nakayama.algebra import (
+    MAX_VERTICES,
+    AlgebraError,
+    DuplicateStartError,
+    EmptyRelationSetError,
+    RedundantRelationError,
+    Relation,
+    TooLargeError,
+)
 from nakayama.relation_complex import interior
+
+
+def kupisch_from_relations(n, relations):
+    """c_j: relation (k, l) is completed ((k - j) mod n) + l arrows from j,
+    and P_j ends at the first relation completed, so c_j is the least of
+    these over all relations.  O(n r)."""
+    return tuple(
+        min((rel.start - j) % n + rel.length for rel in relations)
+        for j in range(1, n + 1)
+    )
+
+
+def validate(n, relations):
+    """(sorted relations, Kupisch series) of a valid relation set, or the
+    AlgebraError `nakayama.validate` must raise, found by testing every
+    pair of relations for containment: the first containing pair in sorted
+    order is named."""
+    if n > MAX_VERTICES:
+        raise TooLargeError(f"quiver size {n} is over {MAX_VERTICES}")
+    if n < 2:
+        raise AlgebraError(f"quiver size must be at least 2, got {n}")
+    rels = tuple(sorted(r if isinstance(r, Relation) else Relation(*r) for r in relations))
+    if not rels:
+        raise EmptyRelationSetError("a Nakayama algebra needs at least one relation")
+    for rel in rels:
+        if not 1 <= rel.start <= n:
+            raise AlgebraError(f"relation start {rel.start} outside 1..{n}")
+        if rel.length < 1:
+            raise AlgebraError(f"relation length must be positive, got {rel.length}")
+    starts = [r.start for r in rels]
+    if len(set(starts)) != len(starts):
+        dup = next(s for s in starts if starts.count(s) > 1)
+        raise DuplicateStartError(f"two relations start at vertex {dup}")
+    for a in rels:
+        for b in rels:
+            if a is not b and a.contains(b, n):
+                raise RedundantRelationError(
+                    f"relation ({a.start},{a.length}) contains ({b.start},{b.length})"
+                )
+    return rels, kupisch_from_relations(n, rels)
+
+
+def eliminate_redundant(relations, n):
+    """`nakayama.unamalgamation.eliminate_redundant` by testing every pair
+    of words: a word is minimal iff it contains no other word.  The kept and
+    eliminated words and the witnesses follow the same rule."""
+    rels = [r if isinstance(r, Relation) else Relation(*r) for r in relations]
+    minimal = {r for r in rels if not any(o != r and r.contains(o, n) for o in rels)}
+    kept = set()
+    eliminated = []
+    for r in rels:
+        if r in minimal and r not in kept:
+            kept.add(r)
+        else:
+            witness = min(
+                (o for o in minimal if r.contains(o, n)), key=lambda o: (o.length, o.start)
+            )
+            eliminated.append((r, witness))
+    return tuple(sorted(minimal)), tuple(eliminated)
 
 
 def station_gaps(stations, n):

@@ -31,3 +31,19 @@ def raw_relation_lists(draw, max_n=6):
         for _ in range(count)
     ]
     return n, rels
+
+
+@st.composite
+def relation_lists(draw, max_n=8, words_only=False):
+    """Relation lists on the n-cycle with repeated starts, repeated words,
+    subwords and lengths up to 2n + 2.  Unless `words_only`, they may also
+    be empty, n may be 1, and a start or a length may fall outside 1..n or
+    below 1."""
+    lo = 1 if words_only else 0
+    n = draw(st.integers(2 if words_only else 1, max_n))
+    count = draw(st.integers(lo, 6))
+    rels = [
+        (draw(st.integers(lo, n + 1 - lo)), draw(st.integers(lo, 2 * n + 2)))
+        for _ in range(count)
+    ]
+    return n, rels

@@ -105,7 +105,7 @@ def test_kupisch_round_trip(c):
     algebra = algebra_from_kupisch(c)
     assert algebra.kupisch == c
     assert relations_from_kupisch(c) == algebra.relations
-    assert kupisch_from_relations(algebra) == c
+    assert kupisch_from_relations(algebra.n, algebra.relations) == c
 
 
 def test_syzygy_examples(lambda1, lambda3):

@@ -130,9 +130,15 @@ def test_reduce(l1_file, capsys):
 
 def test_bad_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert main(["analyze", str(path)]) == 1
-    assert "error[bad-json]" in capsys.readouterr().err
+    for content in (
+        b"{not json",
+        b"[" * 100_000 + b"]" * 100_000,  # deeper than the decoder's recursion limit
+        b'\xff\xfe{"kupisch": [1, 1]}',  # a UTF-16 byte order mark, not UTF-8
+    ):
+        path.write_bytes(content)
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[bad-json] ") and err.count("\n") == 1, err
 
 
 def test_bad_schema(tmp_path, capsys):

@@ -93,16 +93,21 @@ def test_verify_lambda3(lambda3):
     assert v.ok
 
 
-def test_verify_computes_gustafsons_function_once(monkeypatch, lambda3):
+def test_verify_computes_gustafsons_function_once(monkeypatch, lambda1, lambda3):
     """`invariants` seeds its record's targets with those of the quiver it
-    builds, so verifying a leafless algebra (no leaf check calls
-    `unamalgamate`) computes Gustafson's function once."""
+    builds, and the leaf checks read them off that record, so verifying an
+    algebra computes Gustafson's function on its series once, plus once in
+    the full reduction that `Bprime` runs on lambda1 (two leaves)."""
     calls = []
     real = resolution.targets
     monkeypatch.setattr(resolution, "targets", lambda kupisch: calls.append(kupisch) or real(kupisch))
     v = verify(lambda3)
     assert v.ok and v.invariants.leaves == ()
     assert calls == [lambda3.kupisch]
+    calls.clear()
+    v = verify(lambda1)
+    assert v.ok and v.invariants.leaves == (1, 2) and v.semisimple
+    assert calls.count(lambda1.kupisch) == 2
 
 
 def test_sweep_small_is_clean():

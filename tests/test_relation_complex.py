@@ -17,6 +17,7 @@ from nakayama.relation_complex import (
     boundary_squares_to_zero,
     build_complex,
     complex_from_interiors,
+    complex_vertices,
     euler_characteristic,
     interior,
     reduced_betti,
@@ -66,7 +67,7 @@ def test_linear_algebra_complex_is_cone():
     cx = build_complex(linear)
     assert reduced_betti(cx) == ()
     assert euler_characteristic(cx) == 1
-    cone_point = cx.vertices.index(Relation(1, 1))
+    cone_point = complex_vertices(linear).index(Relation(1, 1))
     all_simplices = {s for level in cx.simplices for s in level}
     maximal = [s for s in all_simplices
                if not any(set(s) < set(t) for t in all_simplices)]
@@ -136,12 +137,14 @@ def test_verify_squares_the_built_boundary_maps(monkeypatch):
 
 @pytest.mark.parametrize("kupisch", [(1,) * 10, (3, 3, 3, 3, 3, 3, 3, 3, 2, 1), (2, 1, 3, 2, 1, 2, 2, 2, 1)])
 def test_verify_checks_the_cone_factorization(monkeypatch, kupisch):
-    """`verify` enumerates a cone once, and not its L'' as well (the leaf
-    checks enumerate only complexes on n - 1 vertices), and its
-    EulerPoincare self-check compares the counted f-vector with the
-    binomial convolution: a planted C(k+1, a) for C(k, a) makes it fail."""
+    """`verify` enumerates a cone's L'' once, for the f-vector, and the cone
+    once, for the self-checks (the leaf checks enumerate only complexes on
+    n - 1 vertices).  Its EulerPoincare self-check compares the binomial
+    convolution over L'' with the enumerated counts: a planted C(k+1, a)
+    for C(k, a) makes it fail."""
     algebra = algebra_from_kupisch(kupisch)
-    r = len(build_complex(algebra).vertices)
+    r = len(complex_vertices(algebra))
+    k = build_complex(algebra).cone_points
     levels = relation_complex.simplex_levels
     calls = []
     monkeypatch.setattr(
@@ -149,7 +152,7 @@ def test_verify_checks_the_cone_factorization(monkeypatch, kupisch):
         lambda n, interiors: calls.append((n, len(interiors))) or levels(n, interiors),
     )
     assert verify(algebra).checks["EulerPoincare"]
-    assert [call for call in calls if call[0] == algebra.n] == [(algebra.n, r)]
+    assert [call for call in calls if call[0] == algebra.n] == [(algebra.n, r - k), (algebra.n, r)]
     monkeypatch.setattr(relation_complex, "math", SimpleNamespace(comb=lambda k, a: math.comb(k + 1, a)))
     assert not verify(algebra).checks["EulerPoincare"]
 

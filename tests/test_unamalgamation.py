@@ -107,6 +107,14 @@ def test_eliminate_redundant_examples():
     assert eliminated == ((Relation(1, 5), Relation(3, 2)),)
 
 
+def test_eliminate_redundant_contract():
+    """Starts in 1..n and lengths >= 1; a start of 0 is not vertex n."""
+    assert eliminate_redundant([], 4) == ((), ())
+    for rels in ([(0, 2)], [(5, 2)], [(1, 2), (2, 0)]):
+        with pytest.raises(ValueError):
+            eliminate_redundant(rels, 4)
+
+
 def test_eliminate_redundant_duplicates():
     kept, eliminated = eliminate_redundant([(1, 2), (1, 2)], 4)
     assert kept == (Relation(1, 2),)
