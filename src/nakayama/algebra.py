@@ -8,10 +8,17 @@ Length-1 relations kill an arrow, which disconnects the cycle; depending on
 how many arrows die the algebra is cyclic, linear, or a product of linear
 pieces.
 
-An equivalent encoding is the Kupisch series (c_1, ..., c_n) where c_i is
-the composition length of the i-th indecomposable projective P_i; both
-directions of the translation live here, as do syzygies and (global)
-projective dimension of the uniserial modules.
+The Kupisch series (c_1, ..., c_n), where c_i is the composition length of
+the i-th indecomposable projective P_i, determines the algebra, and
+`NakayamaAlgebra` stores nothing else: n is its length, the relations are
+the composition series (i, c_i) with c_i <= c_{i+1}, and the class is read
+off the number of entries c_i = 1.  Each is derived when first read.  The
+record trusts its series, so outside input enters through one of two
+checked constructors: `validate` checks a relation list and computes its
+series, and `algebra_from_kupisch` checks that a tuple is a Kupisch series,
+then that it has at most MAX_VERTICES entries.  Both translations live
+here, as do syzygies and (global) projective dimension of the uniserial
+modules.
 
 The composition series of P_j runs forward from j until it completes a
 relation: either the shortest relation starting at j, or, after the arrow
@@ -33,6 +40,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class AlgebraError(ValueError):
@@ -71,10 +79,11 @@ class TooLargeError(AlgebraError):
 # basis cycles, and its `verify` takes about 2 s (CPython 3.11).
 MAX_SUBSETS = 1 << 16
 # The most quiver vertices any algebra may have; `validate` checks it first,
-# because n-sized tuples and 2^n-sized bounds cost memory before any other
-# guard is reached.  `reduce` does work that grows with n^2: on the linear
+# and `algebra_from_kupisch` right after its linear series check, because
+# n-sized tuples and 2^n-sized bounds cost memory before any other guard is
+# reached.  `reduce` does work that grows with n^2: on the linear
 # algebra with the one relation (1, 1) at n = 1,024, `reduce_fully` takes
-# about 0.6 s and the `reduce` command, writing 1,022 steps, about 1.4 s
+# about 0.25 s and the `reduce` command, writing 1,022 steps, about 0.7 s
 # (CPython 3.11, one core).
 MAX_VERTICES = 1 << 10
 
@@ -83,6 +92,13 @@ class AlgebraClass(enum.Enum):
     CYCLIC = "cyclic"
     LINEAR = "linear"
     PRODUCT_OF_LINEAR = "product-of-linear"
+
+    @classmethod
+    def of(cls, c) -> "AlgebraClass":
+        """The class of the algebra with Kupisch series c, by its number of
+        killed arrows (none, one, more): each entry c_i = 1 is one, the
+        length-1 relation (i, 1)."""
+        return (cls.CYCLIC, cls.LINEAR, cls.PRODUCT_OF_LINEAR)[min(c.count(1), 2)]
 
 
 def mod1(x: int, n: int) -> int:
@@ -117,30 +133,34 @@ class Relation:
 
 @dataclass(frozen=True)
 class NakayamaAlgebra:
-    n: int
-    relations: tuple[Relation, ...]
-    algebra_class: AlgebraClass
+    """The algebra with Kupisch series `kupisch`; every other attribute is
+    derived from it when first read.  The constructor trusts its argument
+    to be a valid series: outside input goes through `validate` or
+    `algebra_from_kupisch`."""
+
     kupisch: tuple[int, ...]
+
+    @cached_property
+    def n(self) -> int:
+        return len(self.kupisch)
+
+    @cached_property
+    def relations(self) -> tuple[Relation, ...]:
+        """The minimal relations.  The composition series of each projective
+        is a relation; P_i gives a minimal one exactly when |P_i| <= |P_{i+1}|."""
+        c, n = self.kupisch, self.n
+        return tuple(Relation(i + 1, c[i]) for i in range(n) if c[i] <= c[(i + 1) % n])
+
+    @cached_property
+    def algebra_class(self) -> AlgebraClass:
+        return AlgebraClass.of(self.kupisch)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "relations": [[r.start, r.length] for r in self.relations]}
 
-    def __str__(self) -> str:
-        rels = ",".join(f"({r.start},{r.length})" for r in self.relations)
-        return f"NakayamaAlgebra(n={self.n}, relations=[{rels}], {self.algebra_class.value})"
-
-
-def classify(relations: tuple[Relation, ...]) -> AlgebraClass:
-    killed_arrows = sum(1 for r in relations if r.length == 1)
-    if killed_arrows == 0:
-        return AlgebraClass.CYCLIC
-    if killed_arrows == 1:
-        return AlgebraClass.LINEAR
-    return AlgebraClass.PRODUCT_OF_LINEAR
-
 
 def validate(n: int, relations) -> NakayamaAlgebra:
-    """Check and normalize raw relation data into a NakayamaAlgebra.
+    """Check raw relation data and return the algebra of its Kupisch series.
 
     Raises TooLargeError for more than MAX_VERTICES vertices,
     EmptyRelationSetError for an empty relation set (the path algebra
@@ -172,7 +192,7 @@ def validate(n: int, relations) -> NakayamaAlgebra:
             raise RedundantRelationError(
                 f"relation ({a.start},{a.length}) contains ({b.start},{b.length})"
             )
-    return NakayamaAlgebra(n=n, relations=rels, algebra_class=classify(rels), kupisch=c)
+    return NakayamaAlgebra(c)
 
 
 def radical_power_algebra(n: int, power: int) -> NakayamaAlgebra:
@@ -208,23 +228,28 @@ def is_valid_kupisch(c) -> bool:
     return all(c[(i + 1) % n] >= c[i] - 1 for i in range(n))
 
 
-def relations_from_kupisch(c) -> tuple[Relation, ...]:
-    """Minimal relations of the algebra with Kupisch series c.
-
-    The composition series of each projective is a relation; P_i gives a
-    minimal one exactly when |P_i| <= |P_{i+1}|.
-    """
+def _checked_kupisch(c) -> tuple[int, ...]:
     c = tuple(c)
     if not is_valid_kupisch(c):
         raise InvalidKupischError(f"not a Kupisch series: {list(c)}")
-    n = len(c)
-    return tuple(
-        Relation(i + 1, c[i]) for i in range(n) if c[i] <= c[(i + 1) % n]
-    )
+    return c
+
+
+def relations_from_kupisch(c) -> tuple[Relation, ...]:
+    """Minimal relations of the algebra with Kupisch series c (see
+    `NakayamaAlgebra.relations`); raises InvalidKupischError for a series
+    that is not valid."""
+    return NakayamaAlgebra(_checked_kupisch(c)).relations
 
 
 def algebra_from_kupisch(c) -> NakayamaAlgebra:
-    return validate(len(c), relations_from_kupisch(c))
+    """The algebra with Kupisch series c.  Raises InvalidKupischError for
+    a series that is not valid, then TooLargeError for more than
+    MAX_VERTICES entries."""
+    c = _checked_kupisch(c)
+    if len(c) > MAX_VERTICES:
+        raise TooLargeError(f"quiver size {len(c)} is over {MAX_VERTICES}")
+    return NakayamaAlgebra(c)
 
 
 def least_rotation(c: tuple[int, ...]) -> tuple[int, ...]:

@@ -46,9 +46,8 @@ from . import cyclic, linalg, relation_complex, unamalgamation
 from .algebra import (
     AlgebraClass,
     NakayamaAlgebra,
-    algebra_from_kupisch,
+    kupisch_from_relations,
     least_rotation,
-    relations_from_kupisch,
 )
 
 THEOREM_CHECKS = ("A", "B", "Bprime", "C", "HCvsBetti", "UnamalgamationProps", "SameWeight")
@@ -107,9 +106,8 @@ def kupisch_series(n: int, c_max: int) -> Iterator[tuple[int, ...]]:
 def enumerate_kupisch(config: SweepConfig) -> Iterator[NakayamaAlgebra]:
     for n in range(config.n_min, config.n_max + 1):
         for c in kupisch_series(n, config.c_max):
-            algebra = algebra_from_kupisch(c)
-            if algebra.algebra_class in config.classes:
-                yield algebra
+            if AlgebraClass.of(c) in config.classes:
+                yield NakayamaAlgebra(c)
 
 
 @dataclass
@@ -217,7 +215,7 @@ def verify(
     if "UnamalgamationProps" in checks:
         results["UnamalgamationProps"] = props_ok
 
-    results["RoundTrip"] = relations_from_kupisch(algebra.kupisch) == algebra.relations
+    results["RoundTrip"] = kupisch_from_relations(algebra.n, algebra.relations) == algebra.kupisch
     if inv.complex_empty:
         euler_ok = chi == 0
     else:

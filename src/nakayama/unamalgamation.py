@@ -27,9 +27,6 @@ from .algebra import (
     global_dimension,
     kupisch_from_relations,
     least_rotation,
-    mod1,
-    relations_from_kupisch,
-    validate,
 )
 
 
@@ -42,8 +39,9 @@ class TooSmallError(AlgebraError):
 
 
 def relabel_map(n: int, leaf: int) -> tuple[int, ...]:
-    """Rotation of 1..n sending the leaf to n (entry i-1 is the new name of i)."""
-    return tuple(mod1(i - leaf + n, n) for i in range(1, n + 1))
+    """Rotation of 1..n sending the leaf, a vertex in 1..n, to n (entry i-1
+    is the new name of i)."""
+    return (*range(n - leaf + 1, n + 1), *range(1, n - leaf + 1))
 
 
 def delete_last_arrow(rel: Relation, n: int) -> Relation:
@@ -76,10 +74,16 @@ def eliminate_redundant(relations, n: int) -> tuple[tuple[Relation, ...], tuple[
             raise ValueError(f"relation ({r.start},{r.length}) is not a word on the {n}-cycle")
     if not rels:
         return (), ()
-    minimal = relations_from_kupisch(kupisch_from_relations(n, rels))
+    minimal = NakayamaAlgebra(kupisch_from_relations(n, rels)).relations
+    return minimal, _witnesses(rels, minimal, n)
+
+
+def _witnesses(words, minimal, n: int) -> tuple[tuple[Relation, Relation], ...]:
+    """The words eliminated in favour of `minimal`, the minimal words of
+    their Kupisch series, with their witnesses (see `eliminate_redundant`)."""
     unseen = set(minimal)
     eliminated = []
-    for r in rels:
+    for r in words:
         if r in unseen:
             unseen.remove(r)
         else:
@@ -89,7 +93,7 @@ def eliminate_redundant(relations, n: int) -> tuple[tuple[Relation, ...], tuple[
                 (o for o in minimal if r.contains(o, n)), key=lambda o: (o.length, o.start)
             )
             eliminated.append((r, witness))
-    return minimal, tuple(eliminated)
+    return tuple(eliminated)
 
 
 @dataclass(frozen=True)
@@ -132,14 +136,16 @@ def _unamalgamate(algebra: NakayamaAlgebra, leaf: int, targets) -> Unamalgamatio
     phi = relabel_map(n, leaf)
     reindexed = [Relation(phi[rel.start - 1], rel.length) for rel in algebra.relations]
     raw = tuple(delete_last_arrow(rel, n) for rel in reindexed)
-    kept, eliminated = eliminate_redundant(raw, n - 1)
+    # the raw words keep `eliminate_redundant`'s contract, so their series
+    # is the output's, and its relations are the kept words
+    output = NakayamaAlgebra(kupisch_from_relations(n - 1, raw))
     return UnamalgamationStep(
         input=algebra,
         leaf=leaf,
         relabel=phi,
         raw_relations=raw,
-        output=validate(n - 1, kept),
-        eliminated=eliminated,
+        output=output,
+        eliminated=_witnesses(raw, output.relations, n - 1),
     )
 
 

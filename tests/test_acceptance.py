@@ -24,7 +24,7 @@ from nakayama.relation_complex import (
 )
 from nakayama.resolution import build, leaves
 from nakayama.unamalgamation import check_properties, unamalgamate
-from nakayama.algebra import relations_from_kupisch
+from nakayama.algebra import kupisch_from_relations
 
 import repr_oracle
 from closed_form_oracle import rad_power_closed_form, rad_power_euler
@@ -131,7 +131,7 @@ def test_criterion_4_structural_invariants():
         for comp in rq.components:
             if sum(algebra.kupisch[v - 1] for v in comp.cycle) % algebra.n != 0:
                 failures.append(("weight integrality", key))
-        if relations_from_kupisch(algebra.kupisch) != algebra.relations:
+        if kupisch_from_relations(algebra.n, algebra.relations) != algebra.kupisch:
             failures.append(("kupisch round-trip", key))
         chi = euler_characteristic(cx)
         betti = reduced_betti(cx)

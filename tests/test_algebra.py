@@ -101,6 +101,13 @@ def test_wrapping_relations_round_trip():
 
 
 @given(kupisch_series())
+def test_class_counts_the_killed_arrows(c):
+    killed = sum(1 for r in relations_from_kupisch(c) if r.length == 1)
+    classes = (AlgebraClass.CYCLIC, AlgebraClass.LINEAR, AlgebraClass.PRODUCT_OF_LINEAR)
+    assert algebra_from_kupisch(c).algebra_class is classes[min(killed, 2)]
+
+
+@given(kupisch_series())
 def test_kupisch_round_trip(c):
     algebra = algebra_from_kupisch(c)
     assert algebra.kupisch == c

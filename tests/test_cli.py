@@ -170,6 +170,7 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, text):
     ("reduce", '{"n": 1025, "relations": [[1, 1]]}'),
     ("gldim", '{"n": 1025, "relations": [[1, 1]]}'),
     ("quiver", '{"n": 1025, "relations": [[1, 1]]}'),
+    ("gldim", json.dumps({"kupisch": [2] * 1025})),
 ])
 def test_too_large_fails_before_enumerating(tmp_path, monkeypatch, capsys, command, text):
     # 2^40 - 1 station subsets (cyclic basis) or relation subsets (complex),
@@ -185,6 +186,17 @@ def test_too_large_fails_before_enumerating(tmp_path, monkeypatch, capsys, comma
     path.write_text(text)
     assert main([command, str(path)]) == 1
     assert "error[too-large]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("series", [[3, 1] + [1] * 1023, [1]])
+def test_invalid_kupisch_is_refused_before_its_size(tmp_path, capsys, series):
+    # a list that is no Kupisch series is refused as such, even when it has
+    # more than algebra.MAX_VERTICES entries
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kupisch": series}))
+    assert main(["gldim", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[invalid-kupisch] ") and err.count("\n") == 1
 
 
 def test_invalid_algebra(tmp_path, capsys):

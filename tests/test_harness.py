@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nakayama import AlgebraClass, algebra_from_kupisch, radical_power_algebra, resolution, unamalgamate, unamalgamation
-from nakayama.algebra import is_valid_kupisch, least_rotation
+from nakayama import (
+    AlgebraClass,
+    algebra_from_kupisch,
+    radical_power_algebra,
+    resolution,
+    unamalgamate,
+    unamalgamation,
+    validate,
+)
+from nakayama.algebra import is_valid_kupisch, least_rotation, mod1
 from nakayama.harness import (
     STRUCTURAL_CHECKS,
     THEOREM_CHECKS,
@@ -276,6 +284,28 @@ def test_sweep_with_missing_smaller_algebras_matches_full_sweep():
     ]
     assert len(part.verdicts) == len(kept) > 100
     assert to_csv(part).splitlines()[1:] == to_csv(TheoremReport(full.config, kept)).splitlines()[1:]
+
+
+def test_sweep_derives_relations_only_for_the_classes_it_verifies():
+    """A row that is not the least rotation of its series gets its class's
+    verdict without deriving its relations.  When a writer reads them, they
+    are those `validate` gives for the class's relations, relabelled."""
+    verdicts = sweep(SweepConfig(n_min=2, n_max=6, c_max=7)).verdicts
+    verified = {}
+    rotated = 0
+    for v in verdicts:
+        algebra = v.invariants.algebra
+        c, n = algebra.kupisch, algebra.n
+        c0 = least_rotation(c)
+        if c == c0:
+            verified[c0] = algebra
+            continue
+        assert "relations" not in vars(algebra), c
+        k = next(k for k in range(n) if c0[k:] + c0[:k] == c)
+        relabelled = [(mod1(r.start - k, n), r.length) for r in verified[c0].relations]
+        assert algebra.to_dict() == validate(n, relabelled).to_dict()
+        rotated += 1
+    assert len(verified) + rotated == len(verdicts) == 2996 and rotated > len(verified)
 
 
 @settings(max_examples=150, deadline=None)

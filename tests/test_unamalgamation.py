@@ -240,7 +240,11 @@ def test_rotate_equals_invariants_of_the_rotated_algebra(c, k):
     rotated = algebra_from_kupisch(c[k:] + c[:k])
     got = invariants(algebra_from_kupisch(c)).rotate(rotated)
     want = invariants(rotated)
+    # an algebra compares by its Kupisch series alone, so the derived
+    # fields are compared too
     assert got == want
+    assert got.algebra.relations == want.algebra.relations
+    assert got.algebra.algebra_class is want.algebra.algebra_class
     assert got.targets == want.targets
     assert got.leaves == want.leaves
 
