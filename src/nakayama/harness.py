@@ -89,18 +89,28 @@ class SweepConfig:
 
 def kupisch_series(n: int, c_max: int) -> Iterator[tuple[int, ...]]:
     """All valid Kupisch series of length n with entries <= c_max, in
-    lexicographic order."""
+    lexicographic order.
 
-    def extend(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            if prefix[0] >= prefix[-1] - 1:
-                yield prefix
+    The sequences with entries in 1..c_max and c_{i+1} >= c_i - 1 are
+    counted off like an odometer: raise the last entry below c_max and
+    reset every entry after it to its least value, max(1, c_{i-1} - 1).
+    Every prefix extends, so this lists them in lexicographic order; the
+    series are those that also wrap, c_1 >= c_n - 1.  A loop rather than
+    recursion, as n may reach MAX_VERTICES."""
+    if c_max < 1:
+        return
+    c = [1] * n
+    while True:
+        if c[0] >= c[-1] - 1:
+            yield tuple(c)
+        i = n - 1
+        while i >= 0 and c[i] == c_max:
+            i -= 1
+        if i < 0:
             return
-        lo = max(1, prefix[-1] - 1) if prefix else 1
-        for v in range(lo, c_max + 1):
-            yield from extend(prefix + (v,))
-
-    yield from extend(())
+        c[i] += 1
+        for j in range(i + 1, n):
+            c[j] = max(1, c[j - 1] - 1)
 
 
 def enumerate_kupisch(config: SweepConfig) -> Iterator[NakayamaAlgebra]:

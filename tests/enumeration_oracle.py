@@ -1,12 +1,15 @@
 """Reference enumerations: the test oracle for the cyclic basis walk and
 the face rule of `nakayama.cyclic`, for the level-wise relation complex
-in `nakayama.relation_complex`, and for the Kupisch recurrence of
-`nakayama.algebra` with the minimality rule read off it.  The cells come
-from scanning every subset with `itertools.combinations`; the cyclic
-differential composes adjacent gaps and rotates the wrap face back into
-canonical form.  The Kupisch series is a minimum over all relations for
-every vertex, and redundancy is found by testing every pair of relations
-for containment."""
+in `nakayama.relation_complex`, for the Kupisch recurrence of
+`nakayama.algebra` with the minimality rule read off it, for its memoized
+global dimension, and for the odometer of `nakayama.harness.kupisch_series`.
+The cells come from scanning every subset with `itertools.combinations`;
+the cyclic differential composes adjacent gaps and rotates the wrap face
+back into canonical form.  The Kupisch series is a minimum over all
+relations for every vertex, and redundancy is found by testing every pair
+of relations for containment.  The global dimension walks the syzygies of
+each simple module afresh, and the series are listed by recursion over
+their prefixes."""
 
 from itertools import combinations
 from typing import NamedTuple
@@ -16,9 +19,12 @@ from nakayama.algebra import (
     AlgebraError,
     DuplicateStartError,
     EmptyRelationSetError,
+    ProjDim,
     RedundantRelationError,
     Relation,
     TooLargeError,
+    UniserialModule,
+    syzygy,
 )
 from nakayama.relation_complex import interior
 
@@ -61,6 +67,41 @@ def validate(n, relations):
                     f"relation ({a.start},{a.length}) contains ({b.start},{b.length})"
                 )
     return rels, kupisch_from_relations(n, rels)
+
+
+def global_dimension(algebra):
+    """The largest projective dimension of a simple module: each simple's
+    syzygies are walked afresh, with a set of the modules seen, until
+    one is zero (its dimension is the number of steps) or one repeats
+    (infinite)."""
+    worst = 0
+    for top in range(1, algebra.n + 1):
+        m, seen = UniserialModule(top, 1), set()
+        while m is not None:
+            if m in seen:
+                return ProjDim(None)
+            seen.add(m)
+            m = syzygy(algebra, m)
+        worst = max(worst, len(seen) - 1)
+    return ProjDim(worst)
+
+
+def kupisch_series(n, c_max):
+    """The Kupisch series of length n with entries <= c_max, by recursion
+    over their prefixes: each entry runs from its least value
+    max(1, c_{i-1} - 1) up to c_max, and a full sequence is kept if it
+    wraps, c_1 >= c_n - 1."""
+
+    def extend(prefix):
+        if len(prefix) == n:
+            if prefix[0] >= prefix[-1] - 1:
+                yield prefix
+            return
+        lo = max(1, prefix[-1] - 1) if prefix else 1
+        for v in range(lo, c_max + 1):
+            yield from extend(prefix + (v,))
+
+    yield from extend(())
 
 
 def eliminate_redundant(relations, n):

@@ -19,9 +19,10 @@ from nakayama import (
     syzygy,
     validate,
 )
-from nakayama.algebra import least_rotation
+from nakayama.algebra import MAX_VERTICES, least_rotation
 from nakayama.harness import SweepConfig, enumerate_kupisch
 
+import enumeration_oracle as oracle
 from strategies import kupisch_series
 
 
@@ -37,6 +38,12 @@ def test_validate_semisimple_is_product_of_linear(semisimple2):
 def test_validate_linear():
     a = validate(3, [(1, 1), (2, 2)])
     assert a.algebra_class is AlgebraClass.LINEAR
+
+
+def test_duplicate_start_names_the_least_repeated_start():
+    rels = [(i, 1) for i in range(1, 1024)] + [(1024, 1)] * 20_000 + [(7, 2)]
+    with pytest.raises(DuplicateStartError, match="^two relations start at vertex 7$"):
+        validate(1024, rels)
 
 
 def test_validate_duplicate_start():
@@ -146,6 +153,28 @@ def test_projective_dimension_walk(lambda1):
     # S_5 resolves through (1,2), S_3, S_4 before hitting the projective P_5
     assert projective_dimension(lambda1, UniserialModule(5, 1)).value == 4
     assert projective_dimension(lambda1, UniserialModule(5, 3)).value == 0
+
+
+def test_global_dimension_matches_the_per_simple_walk():
+    for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=7, c_max=8)):
+        assert global_dimension(algebra) == oracle.global_dimension(algebra), algebra
+
+
+@given(kupisch_series(max_n=40, max_c=8))
+def test_global_dimension_matches_the_walk_on_long_series(c):
+    algebra = algebra_from_kupisch(c)
+    assert global_dimension(algebra) == oracle.global_dimension(algebra)
+
+
+@pytest.mark.parametrize("series, expected", [
+    ((2,) * (MAX_VERTICES - 1) + (1,), "finite (1023)"),
+    ((3,) * (MAX_VERTICES - 2) + (2, 1), "finite (682)"),
+    ((2,) * MAX_VERTICES, "infinite"),
+])
+def test_global_dimension_at_max_vertices(series, expected):
+    # in the first, S_1 resolves through S_2, ..., S_1023 to the projective
+    # S_1024: a recursive memo would overflow the interpreter's stack on it
+    assert str(global_dimension(algebra_from_kupisch(series))) == expected
 
 
 def test_length_one_relation_forces_finite_gldim():

@@ -219,6 +219,15 @@ def test_sweep_bad_bounds_end_in_an_error_line(flags, capsys):
     assert captured.out == ""
 
 
+def test_sweep_near_max_vertices_ends_in_one_error_line(capsys):
+    # the one series (1,) * 1000 is enumerated, then refused by the
+    # relation complex's subset limit
+    assert main(["sweep", "--n-min", "1000", "--n-max", "1000", "--c-max", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[too-large] ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command, flag, extra", [
     ("analyze", "--out", []),
     ("complex", "--out", []),

@@ -30,6 +30,7 @@ from nakayama.harness import (
 )
 from nakayama.resolution import build
 
+import enumeration_oracle
 from strategies import kupisch_series as kupisch_series_strategy
 
 REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference"
@@ -56,6 +57,12 @@ def test_enumeration_matches_naive_filter():
             )
             assert list(kupisch_series(n, c_max)) == naive
             assert all(is_valid_kupisch(c) for c in naive)
+
+
+def test_enumeration_matches_the_recursive_oracle():
+    for n in range(1, 9):
+        for c_max in range(0, 10):
+            assert list(kupisch_series(n, c_max)) == list(enumeration_oracle.kupisch_series(n, c_max))
 
 
 def test_enumeration_monotone_in_c_max():

@@ -1,9 +1,11 @@
 """Interval-arithmetic projective dimensions against the representation-level
-kernel oracle, for every module of every algebra with n <= 4, c_i <= 5."""
+kernel oracle, for every module of every algebra with n <= 4, c_i <= 5, and
+the global dimensions of those algebras likewise."""
 
-from nakayama import UniserialModule, projective_dimension, syzygy
+from nakayama import UniserialModule, global_dimension, projective_dimension, syzygy
 from nakayama.harness import SweepConfig, enumerate_kupisch
 
+import enumeration_oracle
 import repr_oracle
 
 
@@ -43,3 +45,11 @@ def test_projective_dimensions_match_oracle():
                 assert fast.value == slow, (algebra.kupisch, top, length)
                 checked += 1
     assert checked > 1000
+
+
+def test_global_dimensions_match_oracle():
+    for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=4, c_max=5)):
+        simples = [repr_oracle.projective_dimension(algebra, top, 1) for top in range(1, algebra.n + 1)]
+        slow = None if None in simples else max(simples)
+        assert global_dimension(algebra).value == slow, algebra.kupisch
+        assert enumeration_oracle.global_dimension(algebra).value == slow, algebra.kupisch
