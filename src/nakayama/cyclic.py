@@ -27,15 +27,16 @@ c_{w_{j-1}}.  Two facts make this complex a relative simplicial complex:
 
 So the differential is -∂, the boundary of the full simplex Δ on the n
 stations restricted to the cells: the complex is the relative chain
-complex C(Δ, K), where K, the non-cells, is a subcomplex of Δ by Fact 1.
-It is built by `linalg.boundary_maps`, the builder of the relation
-complex's boundaries, and d∘d = 0 follows from ∂∘∂ = 0.
+complex C(Δ, K), where K, the non-cells, is a subcomplex of Δ by Fact 1,
+and d∘d = 0 follows from ∂∘∂ = 0.  Its ranks come from
+`linalg.chain_ranks`, the kernel that ranks the relation complex too,
+which builds from the cells only the columns it does not clear; no other
+code builds the differentials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from . import linalg
@@ -72,32 +73,18 @@ def _walk(algebra: NakayamaAlgebra) -> list[dict[int, tuple[int, ...]]]:
 
 @dataclass(frozen=True)
 class CyclicComplex:
-    """The cells of the degree-n slice by degree, as `_walk` emits them.
-    The bases and the differentials are derived from them when first read."""
+    """The cells of the degree-n slice by degree, as `_walk` emits them."""
 
     n: int
     levels: tuple[dict[int, tuple[int, ...]], ...]
-
-    @cached_property
-    def bases(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """bases[p] lists the p-cells as sorted station tuples, in
-        lexicographic order."""
-        return tuple(tuple(level.values()) for level in self.levels)
 
     @property
     def basis_sizes(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.levels)
 
-    @cached_property
-    def differentials(self) -> tuple[linalg.SparseMap, ...]:
-        """differentials[p] maps degree p to degree p-1, as sparse columns
-        indexed by bases[p]; differentials[0] is the zero map."""
-        zero = [{} for _ in self.levels[0]]
-        return (zero, *linalg.boundary_maps(self.levels, _SIGN, relative=True))
-
 
 def build_cyclic_complex(algebra: NakayamaAlgebra) -> CyclicComplex:
-    """Every cell from one walk; the differentials follow when read."""
+    """Every cell, from one walk."""
     # the walk visits at most 2^n - 1 station subsets; refuse before it starts
     if 2 ** algebra.n - 1 > MAX_SUBSETS:
         raise TooLargeError(f"the cyclic basis would scan 2^{algebra.n} - 1 subsets, over {MAX_SUBSETS}")
@@ -105,8 +92,8 @@ def build_cyclic_complex(algebra: NakayamaAlgebra) -> CyclicComplex:
 
 
 def differential_squares_to_zero(cc: CyclicComplex) -> bool:
-    """d∘d = 0, certified without composing the maps.  The differentials
-    have no source but `linalg.boundary_maps` on the cells, so each is -∂
+    """d∘d = 0, certified without building the maps.  The differentials
+    have no source but linalg's face rule on the cells, so each is -∂
     restricted to the cells, and its square vanishes if
       - the sign rule alternates in j, so that ∂ is the simplicial
         boundary, and
@@ -146,7 +133,8 @@ def hc_dimensions(algebra: NakayamaAlgebra, cc: CyclicComplex | None = None) -> 
     if cc is None:
         cc = build_cyclic_complex(algebra)
     sizes = cc.basis_sizes
-    ranks = linalg.chain_ranks(cc.differentials) + [0]
+    # d_0 is the zero map, and so is the map out of degree n
+    ranks = [0, *linalg.chain_ranks(cc.levels, _SIGN, relative=True), 0]
     return tuple(sizes[p] - ranks[p] - ranks[p + 1] for p in range(cc.n))
 
 

@@ -38,12 +38,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from itertools import groupby
+from itertools import islice
 from multiprocessing import get_context
 from typing import Callable, Iterator
 
 from . import cyclic, linalg, relation_complex, unamalgamation
 from .algebra import (
+    MAX_SUBSETS,
     AlgebraClass,
     NakayamaAlgebra,
     kupisch_from_relations,
@@ -306,11 +307,17 @@ class TheoremReport:
 
 
 def _levels(config: SweepConfig):
-    """The enumerated algebras one level (one n) at a time, each with its
-    least rotation."""
-    for _, group in groupby(enumerate_kupisch(config), key=lambda a: a.n):
-        level = list(group)
-        yield level, [least_rotation(a.kupisch) for a in level]
+    """The enumerated algebras one nonempty level (one n) at a time, each
+    with its least rotation.
+
+    Past MAX_SUBSETS station subsets `verify` refuses every algebra, so
+    such a level is its first algebra alone, the least of its class: its
+    refusal ends the sweep, and nothing more of the level is enumerated."""
+    for n in range(config.n_min, config.n_max + 1):
+        algebras = enumerate_kupisch(replace(config, n_min=n, n_max=n))
+        level = list(islice(algebras, 1) if 2 ** n - 1 > MAX_SUBSETS else algebras)
+        if level:
+            yield level, [least_rotation(a.kupisch) for a in level]
 
 
 def _verify_classes(

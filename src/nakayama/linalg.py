@@ -1,12 +1,18 @@
 """Exact sparse linear algebra over the rationals, for chain complexes.
 
 A linear map is a list of sparse columns: column j is a dict {row: entry}
-holding the nonzero integer entries of the image of basis vector j.  The
-boundary maps of both complexes in this package have entries in {0, ±1} and
-a handful of nonzeros per column, so a column stays small while it is
-reduced.  Every entry is a Python int; there is no floating point anywhere.
+holding the nonzero integer entries of the image of basis vector j, where a
+row is a position in the target's basis or, in `chain_ranks`, a face's
+bitmask.  The boundary maps of both complexes in this package have entries
+in {0, ±1} and a handful of nonzeros per column, so a column stays small
+while it is reduced.  Every entry is a Python int; there is no floating
+point anywhere.
 
-Both complexes are built by `boundary_maps`, from cells given as bitmasks.
+Both complexes hand this module their cells, level by level, as bitmasks.
+`chain_ranks` ranks all their boundary maps in one pass that builds only
+the columns it reads; `boundary_maps` builds the whole maps, for the
+relation complex's d∘d = 0 check.  One helper, `_column`, holds the face
+and sign rule for both.
 """
 
 from __future__ import annotations
@@ -30,35 +36,49 @@ def face_signs(p: int, sign: int) -> list[int]:
     return [-sign if j % 2 else sign for j in range(p + 1)]
 
 
+def _column(
+    bits: int, cell: tuple[int, ...], signs: list[int], lower: dict[int, tuple[int, ...]], relative: bool
+) -> Column:
+    """The boundary of one cell, with rows keyed by the faces' bitmasks: the
+    face and sign rule both builders share.
+
+    Face j of a cell drops its j-th element v, so it is the cell of `lower`
+    under the bitmask with bit v cleared, and its entry is signs[j].  A
+    simplicial complex holds every face of its simplices, so a missing face
+    raises KeyError.  A `relative` complex is C(Δ, K) for the full simplex Δ
+    and a subcomplex K of non-cells: a face in K is zero and is skipped.
+    """
+    col: Column = {}
+    for v, s in zip(cell, signs):
+        face = bits ^ 1 << v
+        if face in lower:
+            col[face] = s
+        elif not relative:
+            raise KeyError(f"face {face:#b} of cell {bits:#b} is not a cell")
+    return col
+
+
 def boundary_maps(
     levels: Sequence[dict[int, tuple[int, ...]]], sign: int, relative: bool = False
 ) -> list[SparseMap]:
     """The boundary maps between consecutive levels of cells: entry p-1 maps
-    level p to level p-1, for p = 1..len(levels)-1.
+    level p to level p-1, for p = 1..len(levels)-1, with rows numbering the
+    (p-1)-cells in the order of their level.
 
     Level p maps each p-cell's bitmask to its sorted tuple of elements,
-    element v having bit 1 << v.  Face j of a cell drops its j-th element
-    v, so its row is the position, in level p-1, of the cell's bitmask
-    with bit v cleared; its entry is face_signs(p, sign)[j].  A simplicial
-    complex holds every face of its simplices, so a missing face raises
-    KeyError.  A `relative` complex is C(Δ, K) for the full simplex Δ and
-    a subcomplex K of non-cells: a face in K is zero and is skipped.
+    element v having bit 1 << v.  A column is `_column` of its cell with
+    the face bitmasks replaced by their positions; its signs are
+    face_signs(p, sign).
     """
     maps = []
     for p in range(1, len(levels)):
-        row_of = {bits: i for i, bits in enumerate(levels[p - 1])}.get
+        lower = levels[p - 1]
+        row_of = {bits: i for i, bits in enumerate(lower)}
         signs = face_signs(p, sign)
-        columns: SparseMap = []
-        for bits, cell in levels[p].items():
-            col: Column = {}
-            for v, s in zip(cell, signs):
-                row = row_of(bits ^ 1 << v)
-                if row is not None:
-                    col[row] = s
-                elif not relative:
-                    raise KeyError(f"face {bits ^ 1 << v:#b} of cell {bits:#b} is not a cell")
-            columns.append(col)
-        maps.append(columns)
+        maps.append([
+            {row_of[face]: s for face, s in _column(bits, cell, signs, lower, relative).items()}
+            for bits, cell in levels[p].items()
+        ])
     return maps
 
 
@@ -112,23 +132,32 @@ def rank(columns: Sequence[Column], pivot_rows: set[int] | None = None) -> int:
     return len(pivots)
 
 
-def chain_ranks(maps: Sequence[Sequence[Column]]) -> list[int]:
-    """Ranks of all maps of a chain complex in one top-down pass.
+def chain_ranks(
+    levels: Sequence[dict[int, tuple[int, ...]]], sign: int, relative: bool = False
+) -> list[int]:
+    """Ranks of the boundary maps of a complex given by its cells, as
+    `boundary_maps` would build them: entry p-1 is the rank of d_p, for
+    p = 1..len(levels)-1.  One top-down pass, with clearing (Chen and
+    Kerber, "Persistent homology computation with a twist", 2011).
 
-    The rows of maps[i+1] index the columns of maps[i], and maps[i] after
-    maps[i+1] must be zero.  Maps are reduced from the top down, with
-    clearing (Chen and Kerber, "Persistent homology computation with a
-    twist", 2011): once maps[i+1] is reduced, a pivot row j of it is the
-    lowest entry of a vector v in its image, and maps[i](v) = 0 writes
-    column j of maps[i] as a combination of the columns before it.  So
-    column j adds nothing to the rank of maps[i] and is skipped.
+    Once d_{p+1} is reduced, a pivot row of it is the lowest entry of a
+    vector v in its image, and d_p(v) = 0 writes that row's column of d_p
+    as a combination of the columns of lower rows.  So that column adds
+    nothing to the rank of d_p, and it is never built.  A column's rows are
+    keyed by its faces' bitmasks, so the pivot rows of d_{p+1} are, as they
+    stand, the bitmasks of the cells of degree p to skip.
     """
-    ranks = [0] * len(maps)
+    ranks = [0] * (len(levels) - 1)
     cleared: set[int] = set()
-    for i in reversed(range(len(maps))):
-        kept = [col for j, col in enumerate(maps[i]) if j not in cleared]
+    for p in reversed(range(1, len(levels))):
+        lower, signs = levels[p - 1], face_signs(p, sign)
+        columns = [
+            _column(bits, cell, signs, lower, relative)
+            for bits, cell in levels[p].items()
+            if bits not in cleared
+        ]
         cleared = set()
-        ranks[i] = rank(kept, cleared)
+        ranks[p - 1] = rank(columns, cleared)
     return ranks
 
 

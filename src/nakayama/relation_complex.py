@@ -20,8 +20,9 @@ it is a cone point.  With k cone points, the complex is the join of the
 (k-1)-simplex with the complex of the other relations, so its f-vector is a
 binomial convolution of that smaller complex's, and, being a cone, it has
 no reduced homology.  Any other nonempty complex has its homology computed
-over the rationals from exact sparse integer boundary maps; reduced Betti
-numbers use the augmented complex.
+over the rationals from exact sparse integer boundary columns, which
+`linalg.chain_ranks` builds from its levels as it reads them; reduced
+Betti numbers use the augmented complex.
 """
 
 from __future__ import annotations
@@ -183,13 +184,14 @@ def reduced_betti(cx: SimplicialComplex) -> tuple[int, ...]:
     building a boundary map.  The empty complex (every relation longer
     than n) also reports (); its one unit of reduced homology sits in
     degree -1 and is exposed via is_empty instead.  Any other complex is
-    ranked from its boundary maps.
+    ranked from its levels by `linalg.chain_ranks`, which builds only the
+    boundary columns it reads.
     """
     if cx.cone_points or cx.is_empty:
         return ()
     f = cx.f_vector
     # rank of the augmentation C_0 -> K is 1 once there is a vertex
-    ranks = [1] + linalg.chain_ranks(cx.boundaries) + [0]
+    ranks = [1, *linalg.chain_ranks(cx._levels, 1), 0]
     betti = [f[p] - ranks[p] - ranks[p + 1] for p in range(len(f))]
     while betti and betti[-1] == 0:
         betti.pop()

@@ -1,5 +1,12 @@
-"""Dense reference linear algebra: the test oracle for the sparse kernel in
-`nakayama.linalg`.  Matrices are lists of rows of Python ints."""
+"""Reference linear algebra: the test oracle for the sparse kernel in
+`nakayama.linalg`.  Dense matrices are lists of rows of Python ints.
+
+`chain_ranks` ranks a complex from its cells and never builds the cyclic
+differentials; here they are built whole, by `linalg.boundary_maps`, for
+the tests that read them, and `chain_ranks_of_maps` is the clearing pass
+over finished maps that the kernel replaced."""
+
+from nakayama import cyclic, linalg
 
 
 def bareiss_rank(mat):
@@ -55,3 +62,29 @@ def reduced_betti(f, maps):
     while betti and betti[-1] == 0:
         betti.pop()
     return tuple(betti)
+
+
+def cyclic_bases(cc):
+    """bases[p] lists the p-cells of a `cyclic.CyclicComplex` as sorted
+    station tuples, in lexicographic order."""
+    return tuple(tuple(level.values()) for level in cc.levels)
+
+
+def cyclic_differentials(cc):
+    """differentials[p] maps degree p to degree p-1, as sparse columns
+    indexed by cyclic_bases(cc)[p]; differentials[0] is the zero map."""
+    zero = [{} for _ in cc.levels[0]]
+    return (zero, *linalg.boundary_maps(cc.levels, cyclic._SIGN, relative=True))
+
+
+def chain_ranks_of_maps(maps):
+    """Ranks of all maps of a chain complex, maps[i+1] followed by maps[i],
+    in one top-down pass with clearing over the finished maps: a pivot row
+    j of the reduced maps[i+1] skips column j of maps[i]."""
+    ranks = [0] * len(maps)
+    cleared = set()
+    for i in reversed(range(len(maps))):
+        kept = [col for j, col in enumerate(maps[i]) if j not in cleared]
+        cleared = set()
+        ranks[i] = linalg.rank(kept, cleared)
+    return ranks

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -226,6 +227,41 @@ def test_sweep_near_max_vertices_ends_in_one_error_line(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error[too-large] ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_sweep_level_past_max_subsets_stops_at_its_first_series(monkeypatch, capsys):
+    """Every algebra on 30 vertices is refused by `verify`, so the level is
+    its first series alone, (1,) * 30, refused by the relation complex's
+    subset limit, instead of all 2^30 sequences in {1, 2}^30."""
+    series = harness.kupisch_series
+    drawn = []
+
+    def counted(n, c_max):
+        for c in series(n, c_max):
+            drawn.append(c)
+            assert len(drawn) <= 10, "the level was enumerated past its first series"
+            yield c
+
+    monkeypatch.setattr(harness, "kupisch_series", counted)
+    start = time.perf_counter()
+    assert main(["sweep", "--n-min", "30", "--n-max", "30", "--c-max", "2"]) == 1
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.err == "error[too-large] <input>: the relation complex would scan 2^30 - 1 subsets, over 65536\n"
+    assert captured.out == ""
+    assert drawn == [(1,) * 30]
+
+
+@pytest.mark.parametrize("flags, code, err, out", [
+    # the first series of the level, (1,) * 17, has 17 relations of length 1
+    (["--c-max", "2"], 1, "error[too-large] <input>: the relation complex would scan 2^17 - 1 subsets, over 65536\n", ""),
+    # (1,) * 17 is the one series and is not cyclic: an empty level passes
+    (["--c-max", "1", "--class", "cyclic", "--format", "csv"], 0, "", ",".join(harness.CSV_COLUMNS) + "\n"),
+])
+def test_sweep_at_17_vertices(capsys, flags, code, err, out):
+    assert main(["sweep", "--n-min", "17", "--n-max", "17", *flags]) == code
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == (err, out)
 
 
 @pytest.mark.parametrize("command, flag, extra", [

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from enumeration_oracle import canonicalize, station_gaps
-from linalg_oracle import bareiss_rank, to_dense
+from linalg_oracle import bareiss_rank, cyclic_bases, cyclic_differentials, to_dense
 from nakayama import AlgebraClass, linalg, radical_power_algebra, validate
 from nakayama.cyclic import (
     CyclicComplex,
@@ -23,7 +23,7 @@ from nakayama.relation_complex import (
 
 
 def test_basis_lambda3(lambda3):
-    bases = build_cyclic_complex(lambda3).bases
+    bases = cyclic_bases(build_cyclic_complex(lambda3))
     cycles = bases[3]
     assert len(cycles) == 1
     assert cycles[0] == (1, 2, 3, 4)
@@ -34,12 +34,12 @@ def test_basis_lambda3(lambda3):
 
 def test_basis_empty_for_linear():
     linear = validate(4, [(1, 1), (2, 2), (3, 2)])
-    assert build_cyclic_complex(linear).bases == ((),) * 4
+    assert cyclic_bases(build_cyclic_complex(linear)) == ((),) * 4
 
 
 def test_basis_empty_degree_zero_lambda1(lambda1):
     # a single station needs an endomorphism of degree n=5, but max c_i = 4
-    assert build_cyclic_complex(lambda1).bases[0] == ()
+    assert cyclic_bases(build_cyclic_complex(lambda1))[0] == ()
 
 
 def test_station_gaps_wrap():
@@ -48,12 +48,13 @@ def test_station_gaps_wrap():
 
 def test_differential_lambda3_is_zero(lambda3):
     cc = build_cyclic_complex(lambda3)
-    assert cc.differentials[3] == [{}]
-    assert to_dense(cc.differentials[3], len(cc.bases[2])) == []  # a 0 x 1 matrix
+    differentials = cyclic_differentials(cc)
+    assert differentials[3] == [{}]
+    assert to_dense(differentials[3], len(cyclic_bases(cc)[2])) == []  # a 0 x 1 matrix
 
 
 def test_differential_zero_degree(lambda3):
-    assert build_cyclic_complex(lambda3).differentials[0] == []
+    assert cyclic_differentials(build_cyclic_complex(lambda3))[0] == []
 
 
 def test_differential_entries_rad3_on_4():
@@ -61,12 +62,13 @@ def test_differential_entries_rad3_on_4():
     # antipodal 1-chains; this pins the sign conventions
     a = radical_power_algebra(4, 3)
     cc = build_cyclic_complex(a)
-    b1, b2 = cc.bases[1], cc.bases[2]
+    b1, b2 = cyclic_bases(cc)[1:3]
     assert b1 == ((1, 3), (2, 4))
     assert b2 == ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
-    d3 = to_dense(cc.differentials[3], len(b2))
+    differentials = cyclic_differentials(cc)
+    d3 = to_dense(differentials[3], len(b2))
     assert [row[0] for row in d3] == [1, -1, 1, -1]
-    d2 = to_dense(cc.differentials[2], len(b1))
+    d2 = to_dense(differentials[2], len(b1))
     assert d2 == [[1, 0, -1, 0], [0, -1, 0, 1]]
 
 
@@ -128,7 +130,7 @@ def test_differential_squares_to_zero_sweep():
     for algebra in algebras:
         cc = build_cyclic_complex(algebra)
         assert differential_squares_to_zero(cc), algebra.kupisch
-        assert linalg.squares_to_zero(cc.differentials), algebra.kupisch
+        assert linalg.squares_to_zero(cyclic_differentials(cc)), algebra.kupisch
     assert len(algebras) == 2996 + 9
 
 
@@ -191,8 +193,9 @@ def test_hc_euler_identities_sweep():
 def test_rank_consistency_on_differentials(lambda2):
     # homology dimensions are bounded by chain dimensions
     cc = build_cyclic_complex(lambda2)
+    bases, differentials = cyclic_bases(cc), cyclic_differentials(cc)
     for p in range(1, cc.n):
-        dense = to_dense(cc.differentials[p], len(cc.bases[p - 1]))
-        assert rank(cc.differentials[p]) == bareiss_rank(dense) <= min(
-            len(cc.bases[p]), len(cc.bases[p - 1])
+        dense = to_dense(differentials[p], len(bases[p - 1]))
+        assert rank(differentials[p]) == bareiss_rank(dense) <= min(
+            len(bases[p]), len(bases[p - 1])
         )

@@ -32,7 +32,7 @@ def test_cyclic_bases_match_subset_scan():
     in order."""
     count = 0
     for algebra in enumerate_kupisch(SMALL):
-        bases = build_cyclic_complex(algebra).bases
+        bases = linalg_oracle.cyclic_bases(build_cyclic_complex(algebra))
         for p in range(algebra.n):
             expected = oracle.basis(algebra, p)
             assert list(bases[p]) == expected, (algebra.kupisch, p)
@@ -48,11 +48,12 @@ def test_cyclic_differentials_match_oracle():
     algebras += [radical_power_algebra(n, n + 1) for n in range(2, 11)]
     for algebra in algebras:
         cc = build_cyclic_complex(algebra)
+        bases, differentials = linalg_oracle.cyclic_bases(cc), linalg_oracle.cyclic_differentials(cc)
         index = {}
         for p in range(algebra.n):
             source = oracle.basis(algebra, p)
-            assert list(cc.bases[p]) == source, (algebra.kupisch, p)
-            assert cc.differentials[p] == oracle.differential(algebra, source, index), (algebra.kupisch, p)
+            assert list(bases[p]) == source, (algebra.kupisch, p)
+            assert differentials[p] == oracle.differential(algebra, source, index), (algebra.kupisch, p)
             index = {stations: i for i, stations in enumerate(source)}
     assert len(algebras) == 2996 + 9
 

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import linalg_oracle
 from linalg_oracle import bareiss_rank, to_dense, to_sparse
-from nakayama.cyclic import build_cyclic_complex
+from nakayama import linalg, radical_power_algebra
+from nakayama.cyclic import _SIGN, build_cyclic_complex
 from nakayama.harness import SweepConfig, enumerate_kupisch
 from nakayama.linalg import boundary_maps, chain_ranks, compose, rank, squares_to_zero
 from nakayama.relation_complex import build_complex
@@ -44,18 +46,66 @@ def _per_map_ranks(maps, rows):
     return [bareiss_rank(to_dense(m, r)) for m, r in zip(maps, rows)]
 
 
-def test_chain_ranks_match_bareiss_on_both_complexes():
-    """Clearing gives the ranks of per-map dense elimination, for every
-    algebra with n <= 5 and c <= 6."""
-    count = 0
-    for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=5, c_max=6)):
-        cc = build_cyclic_complex(algebra)
-        rows = [0] + list(cc.basis_sizes[:-1])
-        assert chain_ranks(cc.differentials) == _per_map_ranks(cc.differentials, rows), algebra
+def _complexes():
+    """Both complexes of every algebra at n <= 6, c <= 7 and of rad^(n+1)
+    for n = 2..10, where every station subset is a cyclic cell: each as its
+    levels, sign, relativity and whole boundary maps."""
+    algebras = list(enumerate_kupisch(SweepConfig(n_min=2, n_max=6, c_max=7)))
+    algebras += [radical_power_algebra(n, n + 1) for n in range(2, 11)]
+    for algebra in algebras:
+        levels = build_cyclic_complex(algebra).levels
+        yield algebra, levels, _SIGN, True, boundary_maps(levels, _SIGN, relative=True)
         cx = build_complex(algebra)
-        assert chain_ranks(cx.boundaries) == _per_map_ranks(cx.boundaries, cx.f_vector), algebra
+        yield algebra, cx._levels, 1, False, cx.boundaries
+
+
+def test_chain_ranks_match_bareiss_on_both_complexes():
+    """Ranking from the cells with clearing gives the ranks of per-map dense
+    elimination, and so does clearing over the finished maps."""
+    count = 0
+    for algebra, levels, sign, relative, maps in _complexes():
+        expected = _per_map_ranks(maps, [len(level) for level in levels])
+        assert chain_ranks(levels, sign, relative) == expected, algebra.kupisch
+        assert linalg_oracle.chain_ranks_of_maps(maps) == expected, algebra.kupisch
         count += 1
-    assert count > 400
+    assert count == 2 * (2996 + 9)
+
+
+def test_chain_ranks_build_only_the_columns_clearing_keeps(monkeypatch):
+    """At degree p the pass builds len(levels[p]) - rank(d_{p+1}) columns:
+    one for each p-cell that is not a pivot row of the reduced d_{p+1}."""
+    built = []
+    ranked = linalg.rank
+
+    def counted(columns, pivot_rows=None):
+        built.append(len(columns))
+        return ranked(columns, pivot_rows)
+
+    monkeypatch.setattr(linalg, "rank", counted)
+    for algebra, levels, sign, relative, maps in _complexes():
+        # ranks[p] is the rank of d_{p+1}, and d_{len(levels)} is zero
+        ranks = _per_map_ranks(maps, [len(level) for level in levels]) + [0]
+        built.clear()
+        chain_ranks(levels, sign, relative)
+        # the pass runs from the top degree down
+        assert built == [len(levels[p]) - ranks[p] for p in reversed(range(1, len(levels)))], algebra.kupisch
+
+
+def test_chain_ranks_clear_by_bitmask_not_by_position(monkeypatch):
+    """rad^4 on the 3-cycle: every station set is a cell.  The reduced d_2
+    has its one pivot at the edge {2, 3}, whose bitmask is the largest, so
+    d_1 skips that edge's column and builds those of {1, 2} and {1, 3}."""
+    levels = build_cyclic_complex(radical_power_algebra(3, 4)).levels
+    built = []
+    column = linalg._column
+
+    def recorded(bits, cell, *args):
+        built.append(cell)
+        return column(bits, cell, *args)
+
+    monkeypatch.setattr(linalg, "_column", recorded)
+    assert chain_ranks(levels, _SIGN, relative=True) == [2, 1]
+    assert built == [(1, 2, 3), (1, 2), (1, 3)]
 
 
 def test_compose_matches_dense_product():
