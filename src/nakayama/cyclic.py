@@ -29,9 +29,9 @@ So the differential is -∂, the boundary of the full simplex Δ on the n
 stations restricted to the cells: the complex is the relative chain
 complex C(Δ, K), where K, the non-cells, is a subcomplex of Δ by Fact 1,
 and d∘d = 0 follows from ∂∘∂ = 0.  Its ranks come from
-`linalg.chain_ranks`, the kernel that ranks the relation complex too,
-which builds from the cells only the columns it does not clear; no other
-code builds the differentials.
+`linalg.chain_ranks`, the kernel that ranks the relative relation complex
+too, which builds from the cells only the columns it does not clear; no
+code builds the whole differentials.
 """
 
 from __future__ import annotations
@@ -100,12 +100,7 @@ def differential_squares_to_zero(cc: CyclicComplex) -> bool:
       - the cells form an up-set, so that the non-cells are a subcomplex K
         of the full simplex Δ and the complex is C(Δ, K) (Fact 1).
     """
-    n = cc.n
-    for p in range(1, n):
-        signs = linalg.face_signs(p, _SIGN)
-        if any(signs[j] == signs[j - 1] for j in range(1, p + 1)):
-            return False
-    return _is_up_set(n, cc.levels)
+    return linalg.signs_alternate(cc.n - 1, _SIGN) and _is_up_set(cc.n, cc.levels)
 
 
 def _is_up_set(n: int, levels: Sequence[dict[int, tuple[int, ...]]]) -> bool:
@@ -134,7 +129,7 @@ def hc_dimensions(algebra: NakayamaAlgebra, cc: CyclicComplex | None = None) -> 
         cc = build_cyclic_complex(algebra)
     sizes = cc.basis_sizes
     # d_0 is the zero map, and so is the map out of degree n
-    ranks = [0, *linalg.chain_ranks(cc.levels, _SIGN, relative=True), 0]
+    ranks = [0, *linalg.chain_ranks(cc.levels, _SIGN), 0]
     return tuple(sizes[p] - ranks[p] - ranks[p + 1] for p in range(cc.n))
 
 

@@ -17,15 +17,19 @@ records named checks:
   UnamalgamationProps  the four leaf-removal properties at every leaf
   SameWeight           all components carry the same weight
 
-Structural self-checks (boundary squares vanish, Euler identities, the
-Kupisch round-trip, leaf/relation counts) always run alongside.
+Structural self-checks always run alongside: d∘d = 0 on both complexes,
+certified from their cells without building a map (`BoundarySquare`,
+`CyclicSquare`), Euler identities, the Kupisch round-trip and leaf/relation
+counts.
 
 Rotating the vertex labels is an isomorphism, so `sweep` runs `verify` once
 per rotation class, on the least rotation of the series, and gives that
 verdict to the rows of the other rotations with their own algebra swapped
 in.  It runs level by level in n, keeping the records of the level below
 for the leaf checks; with several worker processes, each level's classes
-are split between them and every worker gets that table.
+are split between them and every worker gets that table.  A level past
+MAX_SUBSETS, where `verify` refuses every algebra, is its first series
+alone, taken in closed form.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from multiprocessing import get_context
 from typing import Callable, Iterator
 
@@ -312,10 +315,17 @@ def _levels(config: SweepConfig):
 
     Past MAX_SUBSETS station subsets `verify` refuses every algebra, so
     such a level is its first algebra alone, the least of its class: its
-    refusal ends the sweep, and nothing more of the level is enumerated."""
+    refusal ends the sweep.  That algebra is taken in closed form, since
+    the series ahead of it can be exponentially many.  (1,) * n is the
+    least series, a product of linear algebras; a linear series has
+    exactly one entry 1 and a cyclic one none, so theirs are (1, 2, ..., 2)
+    and (2,) * n once c_max >= 2."""
     for n in range(config.n_min, config.n_max + 1):
-        algebras = enumerate_kupisch(replace(config, n_min=n, n_max=n))
-        level = list(islice(algebras, 1) if 2 ** n - 1 > MAX_SUBSETS else algebras)
+        if 2 ** n - 1 > MAX_SUBSETS:
+            least = [(1,) * n] + ([(1,) + (2,) * (n - 1), (2,) * n] if config.c_max >= 2 else [])
+            level = [NakayamaAlgebra(c) for c in least if AlgebraClass.of(c) in config.classes][:1]
+        else:
+            level = list(enumerate_kupisch(replace(config, n_min=n, n_max=n)))
         if level:
             yield level, [least_rotation(a.kupisch) for a in level]
 

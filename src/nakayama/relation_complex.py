@@ -10,19 +10,23 @@ cover all n quiver vertices.  Subsets of non-covering sets are
 non-covering, so the complex is downward closed for free, and it is built
 level by level from its smaller simplices.
 
-A complex keeps only n and the interiors of its vertices.  The simplices,
-the boundary maps and the f-vector are computed the first time they are
-read, so a caller pays only for what it reads, and each has one rule,
-whatever was read before it.
+A complex keeps only n and the interiors of its vertices.  The simplices
+and the f-vector are computed the first time they are read, so a caller
+pays only for what it reads, and each has one rule, whatever was read
+before it.
 
 A relation of length 1 has an empty interior, so it can join any simplex:
 it is a cone point.  With k cone points, the complex is the join of the
 (k-1)-simplex with the complex of the other relations, so its f-vector is a
 binomial convolution of that smaller complex's, and, being a cone, it has
-no reduced homology.  Any other nonempty complex has its homology computed
-over the rationals from exact sparse integer boundary columns, which
-`linalg.chain_ranks` builds from its levels as it reads them; reduced
-Betti numbers use the augmented complex.
+no reduced homology.
+
+The reduced homology of any nonempty complex L is that of a pair: the star
+st v of a vertex v is a cone, so H̃_p(L) = H_p(L, st v).  The cells of the
+pair are the simplices σ with σ + v not in L, an up-set of L, and
+`linalg.chain_ranks` ranks them as a relative complex over the rationals,
+the way it ranks the cyclic complex C(Δ, K).  Taking v with the smallest
+interior leaves the fewest cells, and none when v is a cone point.
 """
 
 from __future__ import annotations
@@ -61,13 +65,6 @@ class SimplicialComplex:
         """simplices[p] lists the p-simplices as sorted vertex-index tuples,
         in lexicographic order."""
         return tuple(tuple(level.values()) for level in self._levels)
-
-    @cached_property
-    def boundaries(self) -> tuple[linalg.SparseMap, ...]:
-        """boundaries[p-1] is the p-th boundary map, as sparse columns
-        indexed by the p-simplices with rows numbering the (p-1)-simplices;
-        face j of a simplex enters with sign (-1)^j."""
-        return tuple(linalg.boundary_maps(self._levels, 1))
 
     @property
     def cone_points(self) -> int:
@@ -178,28 +175,45 @@ def euler_characteristic(cx: SimplicialComplex) -> int:
 
 
 def reduced_betti(cx: SimplicialComplex) -> tuple[int, ...]:
-    """Reduced rational Betti numbers, trailing zeros stripped.
+    """Reduced rational Betti numbers, trailing zeros stripped: the
+    dimensions of H_p(L, st v) for the vertex v with the smallest interior.
 
-    Contractible complexes therefore report (), and a cone does so without
-    building a boundary map.  The empty complex (every relation longer
-    than n) also reports (); its one unit of reduced homology sits in
-    degree -1 and is exposed via is_empty instead.  Any other complex is
-    ranked from its levels by `linalg.chain_ranks`, which builds only the
-    boundary columns it reads.
+    A cone point has an empty interior, so when there is one st v is all of
+    L, and a cone reports () without being enumerated.  The empty complex
+    (every relation longer than n) also reports (); its one unit of reduced
+    homology sits in degree -1 and is exposed via is_empty instead.
+    Otherwise a p-simplex σ is a cell of the pair iff v is not in σ and
+    σ + v is not a (p+1)-simplex.
     """
-    if cx.cone_points or cx.is_empty:
+    sizes = [len(vertices) for vertices in cx.interiors]
+    if not sizes or not min(sizes):
         return ()
-    f = cx.f_vector
-    # rank of the augmentation C_0 -> K is 1 once there is a vertex
-    ranks = [1, *linalg.chain_ranks(cx._levels, 1), 0]
-    betti = [f[p] - ranks[p] - ranks[p + 1] for p in range(len(f))]
+    v = sizes.index(min(sizes))
+    levels = cx._levels
+    cells = [
+        {bits: s for bits, s in level.items() if not bits >> v & 1 and bits | 1 << v not in above}
+        for level, above in zip(levels, [*levels[1:], {}])
+    ]
+    ranks = [0, *linalg.chain_ranks(cells, 1), 0]
+    betti = [len(cells[p]) - ranks[p] - ranks[p + 1] for p in range(len(cells))]
     while betti and betti[-1] == 0:
         betti.pop()
     return tuple(betti)
 
 
 def boundary_squares_to_zero(cx: SimplicialComplex) -> bool:
-    return linalg.squares_to_zero(cx.boundaries)
+    """d∘d = 0 on L and on each pair (L, st v), certified without building
+    a map: the sign rule alternates, and L is down-closed, every facet of a
+    simplex being a simplex of the level below.  Then ∂ is the simplicial
+    boundary of a simplicial complex, and st v, down-closed as L is, is a
+    subcomplex."""
+    levels = cx._levels
+    return linalg.signs_alternate(len(levels) - 1, 1) and all(
+        bits ^ 1 << v in lower
+        for lower, level in zip(levels, levels[1:])
+        for bits, simplex in level.items()
+        for v in simplex
+    )
 
 
 def report(cx: SimplicialComplex) -> dict:

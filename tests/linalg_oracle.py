@@ -1,12 +1,17 @@
 """Reference linear algebra: the test oracle for the sparse kernel in
 `nakayama.linalg`.  Dense matrices are lists of rows of Python ints.
 
-`chain_ranks` ranks a complex from its cells and never builds the cyclic
-differentials; here they are built whole, by `linalg.boundary_maps`, for
-the tests that read them, and `chain_ranks_of_maps` is the clearing pass
-over finished maps that the kernel replaced."""
+`chain_ranks` ranks a complex from its cells and never builds a whole
+boundary map, and `BoundarySquare` and `CyclicSquare` certify d∘d = 0
+without one.  Here the maps are built whole, with their own face and sign
+rule, by `boundary_maps`, for the tests that read them: their sparse
+composite checks d∘d = 0, Bareiss elimination ranks them, and
+`chain_ranks_of_maps` is the clearing pass over finished maps that the
+kernel replaced."""
 
 from nakayama import cyclic, linalg
+
+SparseMap = list[dict[int, int]]
 
 
 def bareiss_rank(mat):
@@ -74,7 +79,7 @@ def cyclic_differentials(cc):
     """differentials[p] maps degree p to degree p-1, as sparse columns
     indexed by cyclic_bases(cc)[p]; differentials[0] is the zero map."""
     zero = [{} for _ in cc.levels[0]]
-    return (zero, *linalg.boundary_maps(cc.levels, cyclic._SIGN, relative=True))
+    return (zero, *boundary_maps(cc.levels, cyclic._SIGN, relative=True))
 
 
 def chain_ranks_of_maps(maps):
@@ -88,3 +93,54 @@ def chain_ranks_of_maps(maps):
         cleared = set()
         ranks[i] = linalg.rank(kept, cleared)
     return ranks
+
+
+def boundary_maps(levels, sign, relative=False):
+    """The boundary maps between consecutive levels of cells: entry p-1 maps
+    level p to level p-1, for p = 1..len(levels)-1, with rows numbering the
+    (p-1)-cells in the order of their level.
+
+    Level p maps each p-cell's bitmask to its sorted tuple of elements,
+    element v having bit 1 << v.  Face j of a cell drops its j-th element
+    and enters with sign * (-1)^j.  A simplicial complex holds every face
+    of its simplices, so a missing face raises KeyError; in a `relative`
+    complex that face lies in the subcomplex and is zero."""
+    maps = []
+    for p in range(1, len(levels)):
+        row_of = {bits: i for i, bits in enumerate(levels[p - 1])}
+        columns = []
+        for bits, cell in levels[p].items():
+            column = {}
+            for j, v in enumerate(cell):
+                face = bits ^ 1 << v
+                if face in row_of:
+                    column[row_of[face]] = sign * (-1) ** j
+                elif not relative:
+                    raise KeyError(f"face {face:#b} of cell {bits:#b} is not a cell")
+            columns.append(column)
+        maps.append(columns)
+    return maps
+
+
+def compose(outer, inner) -> SparseMap:
+    """Columns of the composite `outer` after `inner`, zero entries dropped.
+
+    The rows of `inner` index the columns of `outer`; a row outside them is
+    a shape mismatch and raises ValueError."""
+    width = len(outer)
+    out = []
+    for col in inner:
+        acc = {}
+        for k, y in col.items():
+            if not 0 <= k < width:
+                raise ValueError(f"row {k} of the inner map is not one of the {width} outer columns")
+            for row, x in outer[k].items():
+                acc[row] = acc.get(row, 0) + x * y
+        out.append({row: v for row, v in acc.items() if v})
+    return out
+
+
+def squares_to_zero(maps) -> bool:
+    """Is maps[i] after maps[i+1] zero for every i?  Checked column by
+    column on the sparse form."""
+    return all(not any(compose(maps[i], maps[i + 1])) for i in range(len(maps) - 1))

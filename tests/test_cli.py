@@ -232,7 +232,8 @@ def test_sweep_near_max_vertices_ends_in_one_error_line(capsys):
 def test_sweep_level_past_max_subsets_stops_at_its_first_series(monkeypatch, capsys):
     """Every algebra on 30 vertices is refused by `verify`, so the level is
     its first series alone, (1,) * 30, refused by the relation complex's
-    subset limit, instead of all 2^30 sequences in {1, 2}^30."""
+    subset limit, instead of all 2^30 sequences in {1, 2}^30.  That series
+    is taken in closed form: none is drawn from the walk."""
     series = harness.kupisch_series
     drawn = []
 
@@ -249,7 +250,29 @@ def test_sweep_level_past_max_subsets_stops_at_its_first_series(monkeypatch, cap
     captured = capsys.readouterr()
     assert captured.err == "error[too-large] <input>: the relation complex would scan 2^30 - 1 subsets, over 65536\n"
     assert captured.out == ""
-    assert drawn == [(1,) * 30]
+    assert drawn == []
+
+
+@pytest.mark.parametrize("cls, relations", [("cyclic", 30), ("linear", 29)])
+def test_class_filtered_sweep_level_past_max_subsets_ends_at_once(monkeypatch, capsys, cls, relations):
+    """The first cyclic series on 30 vertices, (2,) * 30, follows the 2^29
+    series that start with 1, and the first linear one, (1, 2, ..., 2),
+    the 2^28 that start (1, 1); the level is refused at that series
+    without walking the ones ahead of it.  (1, 2, ..., 2) has 29
+    relations, as the path of length 2 at 30 contains the relation (1, 1)."""
+
+    def walked(n, c_max):
+        raise AssertionError("the series ahead of the level's first member were walked")
+
+    monkeypatch.setattr(harness, "kupisch_series", walked)
+    start = time.perf_counter()
+    assert main(["sweep", "--n-min", "30", "--n-max", "30", "--c-max", "2", "--class", cls]) == 1
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error[too-large] <input>: the relation complex would scan 2^{relations} - 1 subsets, over 65536\n"
+    )
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flags, code, err, out", [

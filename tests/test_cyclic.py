@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from enumeration_oracle import canonicalize, station_gaps
+import linalg_oracle
 from linalg_oracle import bareiss_rank, cyclic_bases, cyclic_differentials, to_dense
 from nakayama import AlgebraClass, linalg, radical_power_algebra, validate
 from nakayama.cyclic import (
@@ -130,7 +131,7 @@ def test_differential_squares_to_zero_sweep():
     for algebra in algebras:
         cc = build_cyclic_complex(algebra)
         assert differential_squares_to_zero(cc), algebra.kupisch
-        assert linalg.squares_to_zero(cyclic_differentials(cc)), algebra.kupisch
+        assert linalg_oracle.squares_to_zero(cyclic_differentials(cc)), algebra.kupisch
     assert len(algebras) == 2996 + 9
 
 

@@ -1,5 +1,5 @@
 import json
-from itertools import product
+from itertools import combinations, islice, product
 from pathlib import Path
 
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nakayama import (
     AlgebraClass,
     algebra_from_kupisch,
+    harness,
     radical_power_algebra,
     resolution,
     unamalgamate,
@@ -69,6 +70,24 @@ def test_enumeration_monotone_in_c_max():
     counts = [len(list(kupisch_series(4, c_max))) for c_max in range(1, 7)]
     assert counts == sorted(counts)
     assert all(a < b for a, b in zip(counts, counts[1:]))
+
+
+def test_a_level_past_max_subsets_is_its_least_series_in_closed_form(monkeypatch):
+    """With every level past the limit, each is one algebra, taken in
+    closed form: the first the walk would enumerate, for n = 2..9,
+    c_max = 1..4 and every nonempty set of classes."""
+    configs = [
+        SweepConfig(n_min=n, n_max=n, c_max=c_max, classes=frozenset(classes))
+        for n in range(2, 10)
+        for c_max in range(1, 5)
+        for size in range(1, 4)
+        for classes in combinations(AlgebraClass, size)
+    ]
+    walked = [[a.kupisch for a in islice(enumerate_kupisch(config), 1)] for config in configs]
+    monkeypatch.setattr(harness, "MAX_SUBSETS", 1)
+    monkeypatch.setattr(harness, "kupisch_series", None)  # not walked at all
+    for config, first in zip(configs, walked):
+        assert [a.kupisch for level, _ in harness._levels(config) for a in level] == first, config
 
 
 def test_config_validation():

@@ -5,11 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import linalg_oracle
-from linalg_oracle import bareiss_rank, to_dense, to_sparse
+from linalg_oracle import bareiss_rank, boundary_maps, compose, squares_to_zero, to_dense, to_sparse
 from nakayama import linalg, radical_power_algebra
 from nakayama.cyclic import _SIGN, build_cyclic_complex
 from nakayama.harness import SweepConfig, enumerate_kupisch
-from nakayama.linalg import boundary_maps, chain_ranks, compose, rank, squares_to_zero
+from nakayama.linalg import chain_ranks, rank
 from nakayama.relation_complex import build_complex
 
 
@@ -49,23 +49,23 @@ def _per_map_ranks(maps, rows):
 def _complexes():
     """Both complexes of every algebra at n <= 6, c <= 7 and of rad^(n+1)
     for n = 2..10, where every station subset is a cyclic cell: each as its
-    levels, sign, relativity and whole boundary maps."""
+    levels, sign and whole boundary maps."""
     algebras = list(enumerate_kupisch(SweepConfig(n_min=2, n_max=6, c_max=7)))
     algebras += [radical_power_algebra(n, n + 1) for n in range(2, 11)]
     for algebra in algebras:
         levels = build_cyclic_complex(algebra).levels
-        yield algebra, levels, _SIGN, True, boundary_maps(levels, _SIGN, relative=True)
+        yield algebra, levels, _SIGN, boundary_maps(levels, _SIGN, relative=True)
         cx = build_complex(algebra)
-        yield algebra, cx._levels, 1, False, cx.boundaries
+        yield algebra, cx._levels, 1, boundary_maps(cx._levels, 1)
 
 
 def test_chain_ranks_match_bareiss_on_both_complexes():
     """Ranking from the cells with clearing gives the ranks of per-map dense
     elimination, and so does clearing over the finished maps."""
     count = 0
-    for algebra, levels, sign, relative, maps in _complexes():
+    for algebra, levels, sign, maps in _complexes():
         expected = _per_map_ranks(maps, [len(level) for level in levels])
-        assert chain_ranks(levels, sign, relative) == expected, algebra.kupisch
+        assert chain_ranks(levels, sign) == expected, algebra.kupisch
         assert linalg_oracle.chain_ranks_of_maps(maps) == expected, algebra.kupisch
         count += 1
     assert count == 2 * (2996 + 9)
@@ -82,11 +82,11 @@ def test_chain_ranks_build_only_the_columns_clearing_keeps(monkeypatch):
         return ranked(columns, pivot_rows)
 
     monkeypatch.setattr(linalg, "rank", counted)
-    for algebra, levels, sign, relative, maps in _complexes():
+    for algebra, levels, sign, maps in _complexes():
         # ranks[p] is the rank of d_{p+1}, and d_{len(levels)} is zero
         ranks = _per_map_ranks(maps, [len(level) for level in levels]) + [0]
         built.clear()
-        chain_ranks(levels, sign, relative)
+        chain_ranks(levels, sign)
         # the pass runs from the top degree down
         assert built == [len(levels[p]) - ranks[p] for p in reversed(range(1, len(levels)))], algebra.kupisch
 
@@ -104,7 +104,7 @@ def test_chain_ranks_clear_by_bitmask_not_by_position(monkeypatch):
         return column(bits, cell, *args)
 
     monkeypatch.setattr(linalg, "_column", recorded)
-    assert chain_ranks(levels, _SIGN, relative=True) == [2, 1]
+    assert chain_ranks(levels, _SIGN) == [2, 1]
     assert built == [(1, 2, 3), (1, 2), (1, 3)]
 
 
@@ -133,12 +133,15 @@ def test_squares_to_zero_detects_a_nonzero_composite():
 
 def test_boundary_maps_skip_a_missing_face_only_when_relative():
     """Vertex 1 is missing from level 0: the edge {0, 1} of a simplicial
-    complex then lacks a face, which raises, while in a relative complex
-    that face lies in the subcomplex and is zero."""
+    complex then lacks a face, which the oracle's maps refuse, while in a
+    relative complex that face lies in the subcomplex and is zero.  The
+    kernel's complexes are all relative, so it skips the face too."""
     levels = [{0b01: (0,)}, {0b11: (0, 1)}]
     with pytest.raises(KeyError):
         boundary_maps(levels, 1)
     assert boundary_maps(levels, 1, relative=True) == [[{0: -1}]]
     assert boundary_maps(levels, -1, relative=True) == [[{0: 1}]]
+    assert linalg._column(0b11, (0, 1), linalg.face_signs(1, 1), levels[0]) == {0b01: -1}
+    assert chain_ranks(levels, 1) == [1]
     whole = [{0b01: (0,), 0b10: (1,)}, {0b11: (0, 1)}]
     assert boundary_maps(whole, 1) == [[{1: 1, 0: -1}]]

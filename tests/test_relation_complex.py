@@ -3,13 +3,14 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle
 from closed_form_oracle import rad_power_euler
 from enumeration_oracle import is_simplex
 from linalg_oracle import bareiss_rank
+from strategies import cyclic_kupisch_series
 from nakayama import Relation, algebra_from_kupisch, linalg, radical_power_algebra, relation_complex, validate
 from nakayama.harness import SweepConfig, enumerate_kupisch, verify
 from nakayama.relation_complex import (
@@ -85,7 +86,8 @@ def test_cone_factorization_matches_enumeration_over_sweep():
         enumerated = build_complex(algebra)
         f = tuple(len(level) for level in enumerated.simplices)
         assert cx.f_vector == f, algebra.kupisch
-        assert reduced_betti(cx) == linalg_oracle.reduced_betti(f, enumerated.boundaries), algebra.kupisch
+        maps = linalg_oracle.boundary_maps(enumerated._levels, 1)
+        assert reduced_betti(cx) == linalg_oracle.reduced_betti(f, maps), algebra.kupisch
         cones += cx.cone_points > 0
         others += cx.cone_points == 0
     assert cones + others == 12600 and cones and others
@@ -103,7 +105,6 @@ def test_cones_build_no_simplices_and_no_boundary_maps(monkeypatch, kupisch):
         raise AssertionError("the complex was enumerated or its boundaries built or ranked")
 
     monkeypatch.setattr(linalg, "chain_ranks", unread)
-    monkeypatch.setattr(linalg, "boundary_maps", unread)
     # the simplices and the f-vector of a complex without cone points are
     # read off its enumerated levels
     monkeypatch.setattr(SimplicialComplex, "_levels", property(unread))
@@ -116,22 +117,72 @@ def test_cones_build_no_simplices_and_no_boundary_maps(monkeypatch, kupisch):
         assert check_properties(algebra, leaf).all_ok
 
 
-def test_verify_squares_the_built_boundary_maps(monkeypatch):
-    """`verify` still builds a cone's boundary maps for BoundarySquare: a
-    planted wrong face sign makes it fail."""
-    algebra = algebra_from_kupisch((1,) * 10)
+@settings(max_examples=60, deadline=None)
+@given(cyclic_kupisch_series(min_n=2, max_n=11, max_c=12))
+def test_reduced_betti_matches_the_augmented_complex(kupisch):
+    """With no length-1 relation there is no cone point, and the pair
+    (L, st v) is ranked: its Betti numbers are those of the augmented
+    complex of L, each map ranked by Bareiss elimination, past the
+    sweep's bounds."""
+    cx = build_complex(algebra_from_kupisch(kupisch))
+    assert cx.cone_points == 0
+    f = tuple(len(level) for level in cx._levels)
+    assert reduced_betti(cx) == linalg_oracle.reduced_betti(f, linalg_oracle.boundary_maps(cx._levels, 1))
+
+
+def test_reduced_betti_ranks_the_cells_of_the_pair(monkeypatch):
+    """rad^2 = 0 on the 4-cycle: L is the boundary of the tetrahedron, every
+    interior is one vertex, and v is vertex 0.  Every simplex but the
+    triangle opposite v, together with v, spans a simplex, so that
+    triangle is the pair's one cell, and it carries the 2-sphere's class."""
+    ranked = []
+    chain_ranks = linalg.chain_ranks
+    monkeypatch.setattr(linalg, "chain_ranks", lambda cells, sign: ranked.append(cells) or chain_ranks(cells, sign))
+    assert reduced_betti(build_complex(algebra_from_kupisch((2, 2, 2, 2)))) == (0, 0, 1)
+    assert ranked == [[{}, {}, {0b1110: (1, 2, 3)}]]
+
+
+# a cone and a 2-sphere
+CERTIFIED = [(2, 1, 3, 2, 1, 2, 2, 2, 1), (2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("kupisch", CERTIFIED)
+def test_boundary_square_needs_alternating_signs(monkeypatch, kupisch):
+    """A planted sign flip on the relation complex's edges fails the
+    certificate, in `verify` too."""
+    algebra = algebra_from_kupisch(kupisch)
     assert verify(algebra).checks["BoundarySquare"]
-    built = linalg.boundary_maps
+    signs = linalg.face_signs
 
-    def planted(levels, sign, relative=False):
-        maps = built(levels, sign, relative)
-        if not relative:  # the relation complex's maps, not the cyclic ones
-            column = maps[1][0]
-            row = next(iter(column))
-            column[row] = -column[row]
-        return maps
+    def flipped(p, sign):
+        out = signs(p, sign)
+        if (p, sign) == (1, 1):
+            out[1] = -out[1]
+        return out
 
-    monkeypatch.setattr(linalg, "boundary_maps", planted)
+    monkeypatch.setattr(linalg, "face_signs", flipped)
+    assert not boundary_squares_to_zero(build_complex(algebra))
+    assert not verify(algebra).checks["BoundarySquare"]
+
+
+@pytest.mark.parametrize("kupisch", CERTIFIED)
+def test_boundary_square_needs_every_facet(monkeypatch, kupisch):
+    """A planted missing facet, the first facet of the first top simplex,
+    fails the certificate, in `verify` too.  The kernel would skip that
+    face as zero, so only the certificate sees it."""
+    algebra = algebra_from_kupisch(kupisch)
+    r = len(complex_vertices(algebra))
+    levels_of = relation_complex.simplex_levels
+
+    def planted(n, interiors):
+        levels = levels_of(n, interiors)
+        if (n, len(interiors)) == (algebra.n, r):  # L itself, not L'' of a cone
+            bits, simplex = next(iter(levels[-1].items()))
+            del levels[-2][bits ^ 1 << simplex[0]]
+        return levels
+
+    monkeypatch.setattr(relation_complex, "simplex_levels", planted)
+    assert not boundary_squares_to_zero(build_complex(algebra))
     assert not verify(algebra).checks["BoundarySquare"]
 
 
@@ -192,9 +243,12 @@ def test_rad_power_euler_matches_build():
 
 
 def test_boundary_squares_and_euler_poincare_over_sweep():
-    for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=5, c_max=5)):
+    """The certificate holds, and so does the composite it stands for, on
+    every algebra at n <= 6, c <= 7."""
+    for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=6, c_max=7)):
         cx = build_complex(algebra)
         assert boundary_squares_to_zero(cx)
+        assert linalg_oracle.squares_to_zero(linalg_oracle.boundary_maps(cx._levels, 1)), algebra.kupisch
         chi = euler_characteristic(cx)
         betti = reduced_betti(cx)
         if cx.is_empty:
