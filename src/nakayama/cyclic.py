@@ -28,10 +28,44 @@ c_{w_{j-1}}.  Two facts make this complex a relative simplicial complex:
 So the differential is -∂, the boundary of the full simplex Δ on the n
 stations restricted to the cells: the complex is the relative chain
 complex C(Δ, K), where K, the non-cells, is a subcomplex of Δ by Fact 1,
-and d∘d = 0 follows from ∂∘∂ = 0.  Its ranks come from
-`linalg.chain_ranks`, the kernel that ranks the relative relation complex
-too, which builds from the cells only the columns it does not clear; no
-code builds the whole differentials.
+and d∘d = 0 follows from ∂∘∂ = 0.
+
+The homology is read off the critical cells of one element matching
+(discrete Morse theory: R. Forman, "Morse theory for cell complexes", Adv.
+Math. 134, 1998; element matchings as in J. Jonsson, "Simplicial Complexes
+of Graphs", LNM 1928, 2008).  Each cell W without station 1 is paired with
+W + {1}, a cell by Fact 1, and a matching on one element is acyclic.  The
+critical cells are {1}, when it is a cell, and the cells W containing 1
+whose W \\ {1} is not a cell.  No face of a critical cell W is matched:
+the face W \\ {1} is no cell, and for v != 1 the face W \\ {v} contains 1
+and W \\ {v, 1} lies in W \\ {1}, so it is no cell either, because the
+non-cells are down-closed (Fact 1); W \\ {v} is critical or no cell.  A
+gradient path would leave a critical cell through a matched face, so there
+are none, and the Morse complex is the differential restricted to the
+critical cells.  `linalg.chain_ranks`, the kernel that ranks the relative
+relation complex too, ranks it unchanged.
+
+Two sequences do not decrease, because c_{i+1} >= c_i - 1: y + c_y, the
+first station the path from y does not reach, and wrap_bound[w] =
+c_w - n + w, the least first station a cell ending at w cannot have (its
+wrap gap n - w + w_0 is below c_w iff w_0 < wrap_bound[w]).
+  - The critical cells come from a walk that starts at station 1 only.  A
+    tuple (1, w_1, ..., w_p) whose gaps all carry a path is a cell iff
+    1 < wrap_bound[w_p], and its W \\ {1} is no cell iff
+    w_1 >= wrap_bound[w_p].  Its stations increase, so in a critical cell
+    every station x from w_1 on has wrap_bound[x] <= wrap_bound[w_p] <= w_1,
+    and the walk steps to no other station.
+  - The number of cells of each degree, `basis_sizes`, is counted by a
+    dynamic program over (least station, last station, count) that lists
+    no cell: the stations that step to x form an interval.
+
+`CyclicSquare` certifies d∘d = 0 and the matching on the series itself:
+the face signs alternate, and for every station w and every x in its arc
+I_w at distance d < n, c_x >= c_w - d, the inequality the proof of Fact 1
+uses.  That is at most n comparisons per station, and its d = 1 case gives
+both sequences above.  A check of Fact 1 on the cells would need every
+cell, which nothing here lists any more: on rad^(n+1), n = 8..10, walking
+them all and checking would take longer than the rest of `verify`.
 """
 
 from __future__ import annotations
@@ -46,49 +80,92 @@ from .algebra import MAX_SUBSETS, NakayamaAlgebra, TooLargeError
 _SIGN = -1
 
 
-def _walk(algebra: NakayamaAlgebra) -> list[dict[int, tuple[int, ...]]]:
-    """Every cell, by degree: level p maps each p-cell's station bitmask
-    (bit w for station w) to its station tuple.
+def _wrap_bounds(c: Sequence[int]) -> list[int]:
+    """wrap_bound[w] = c_w - n + w for w = 1..n, with an unused entry 0."""
+    n = len(c)
+    return [0] + [c[w - 1] - n + w for w in range(1, n + 1)]
 
-    The walk extends station tuples one station at a time, from the last
-    station w only to a w' <= min(n, w + c_w - 1), one the path from w
-    reaches before it dies.  So it visits the tuples whose gaps all carry
-    a path, save perhaps the wrap gap n - w_p + w_0, and a tuple is a cell
-    when that gap carries one too: when w_0 < c_{w_p} - n + w_p.  Extending
-    a level in lexicographic order, in order, lists the next one in
-    lexicographic order.
+
+def _critical_cells(c: Sequence[int]) -> list[dict[int, tuple[int, ...]]]:
+    """The critical cells by degree: level p maps each critical p-cell's
+    station bitmask (bit w for station w) to its station tuple.
+
+    The walk extends tuples from station 1 one station at a time, from the
+    last station w only to an x <= min(n, w + c_w - 1) that the path from w
+    reaches and with wrap_bound[x] <= w_1.  Extending a level in
+    lexicographic order, in order, lists the next one in lexicographic
+    order.
     """
-    n, c = algebra.n, algebra.kupisch
-    steps = [()] + [
-        tuple((x, 1 << x) for x in range(w + 1, min(n, w + c[w - 1] - 1) + 1)) for w in range(1, n + 1)
-    ]
-    wrap_bound = [0] + [c[w - 1] - n + w for w in range(1, n + 1)]
-    levels = []
-    walked = [((w,), 1 << w) for w in range(1, n + 1)]
-    for _ in range(n):
-        levels.append({bits: tup for tup, bits in walked if tup[0] < wrap_bound[tup[-1]]})
-        walked = [(tup + (x,), bits | bit) for tup, bits in walked for x, bit in steps[tup[-1]]]
+    n, wrap_bound = len(c), _wrap_bounds(c)
+    # the stations the path from w reaches are w + 1, ..., ends[w] - 1
+    ends = [0] + [min(n, w + c[w - 1] - 1) + 1 for w in range(1, n + 1)]
+    levels = [{2: (1,)} if 1 < wrap_bound[1] else {}]
+    walked = [((1, x), 2 | 1 << x) for x in range(2, ends[1]) if wrap_bound[x] <= x]
+    for _ in range(1, n):
+        levels.append({bits: tup for tup, bits in walked if 1 < wrap_bound[tup[-1]]})
+        walked = [
+            (tup + (x,), bits | 1 << x)
+            for tup, bits in walked
+            for x in range(tup[-1] + 1, ends[tup[-1]])
+            if wrap_bound[x] <= tup[1]
+        ]
     return levels
+
+
+def _cell_counts(c: Sequence[int]) -> tuple[int, ...]:
+    """The number of p-cells for p = 0..n-1, counted without listing one.
+
+    The stations y < x whose path reaches x (x - y < c_y) are those from
+    reach[x] on, because y + c_y does not decrease.  For each least station
+    s, upto[x] sums t^k over the tuples from s with short inner gaps, k
+    stations and last station at most x.  A polynomial is one integer, the
+    coefficient of t^k in bits n*k to n*k + n - 1: no count reaches 2^n, the
+    number of station sets, so adding, subtracting and multiplying by t
+    (a shift by n bits) act on each coefficient alone.
+    """
+    n, wrap_bound = len(c), _wrap_bounds(c)
+    reach = [0] * (n + 1)
+    y = 1
+    for x in range(1, n + 1):
+        while y < x and y + c[y - 1] <= x:
+            y += 1
+        reach[x] = y
+    cells = 0
+    for s in range(1, n + 1):
+        upto = [0] * (n + 1)
+        upto[s] = 1 << n
+        if s < wrap_bound[s]:
+            cells += upto[s]
+        for x in range(s + 1, n + 1):
+            ending = (upto[x - 1] - upto[max(s, reach[x]) - 1]) << n
+            upto[x] = upto[x - 1] + ending
+            if s < wrap_bound[x]:
+                cells += ending
+    mask = (1 << n) - 1
+    return tuple(cells >> n * k & mask for k in range(1, n + 1))
 
 
 @dataclass(frozen=True)
 class CyclicComplex:
-    """The cells of the degree-n slice by degree, as `_walk` emits them."""
+    """The degree-n slice as its series, its critical cells by degree and
+    the number of all its cells by degree."""
 
-    n: int
-    levels: tuple[dict[int, tuple[int, ...]], ...]
+    kupisch: tuple[int, ...]
+    critical: tuple[dict[int, tuple[int, ...]], ...]
+    basis_sizes: tuple[int, ...]
 
     @property
-    def basis_sizes(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.levels)
+    def n(self) -> int:
+        return len(self.kupisch)
 
 
 def build_cyclic_complex(algebra: NakayamaAlgebra) -> CyclicComplex:
-    """Every cell, from one walk."""
-    # the walk visits at most 2^n - 1 station subsets; refuse before it starts
+    """The critical cells from one walk, and the cell counts."""
+    # the cells are among the 2^n - 1 station subsets; refuse before the walk starts
     if 2 ** algebra.n - 1 > MAX_SUBSETS:
         raise TooLargeError(f"the cyclic basis would scan 2^{algebra.n} - 1 subsets, over {MAX_SUBSETS}")
-    return CyclicComplex(n=algebra.n, levels=tuple(_walk(algebra)))
+    c = algebra.kupisch
+    return CyclicComplex(kupisch=c, critical=tuple(_critical_cells(c)), basis_sizes=_cell_counts(c))
 
 
 def differential_squares_to_zero(cc: CyclicComplex) -> bool:
@@ -98,39 +175,29 @@ def differential_squares_to_zero(cc: CyclicComplex) -> bool:
       - the sign rule alternates in j, so that ∂ is the simplicial
         boundary, and
       - the cells form an up-set, so that the non-cells are a subcomplex K
-        of the full simplex Δ and the complex is C(Δ, K) (Fact 1).
+        of the full simplex Δ and the complex is C(Δ, K).  Fact 1 rests on
+        c_x >= c_w - d for each x in the arc I_w at distance d, checked
+        here for d < n; the matching rests on it too.
     """
-    return linalg.signs_alternate(cc.n - 1, _SIGN) and _is_up_set(cc.n, cc.levels)
+    return linalg.signs_alternate(cc.n - 1, _SIGN) and _arcs_hold(cc.kupisch)
 
 
-def _is_up_set(n: int, levels: Sequence[dict[int, tuple[int, ...]]]) -> bool:
-    """Is every superset of a cell a cell?  It is iff, for each station w,
-    each cell W without w has W + {w} a cell.  One byte per station bitmask
-    marks the cells (n <= 16 under MAX_SUBSETS); read as one integer,
-    shifting it right by 2^w bytes lines up the byte of W + {w} with the
-    byte of W, for every W at once."""
-    size = 2 << n  # the bitmasks use bits 1..n
-    marks = bytearray(size)
-    for level in levels:
-        for bits in level:
-            marks[bits] = 1
-    cells = int.from_bytes(marks, "little")
-    for w in range(1, n + 1):
-        step = 1 << w
-        without_w = int.from_bytes((b"\1" * step + b"\0" * step) * (size // (2 * step)), "little")
-        if cells & without_w & ~(cells >> 8 * step):
-            return False
-    return True
+def _arcs_hold(c: Sequence[int]) -> bool:
+    """Is c_x >= c_w - d for every station w and every x in I_w at
+    distance d < n?"""
+    n = len(c)
+    return all(c[(w + d) % n] >= c[w] - d for w in range(n) for d in range(1, min(c[w], n)))
 
 
 def hc_dimensions(algebra: NakayamaAlgebra, cc: CyclicComplex | None = None) -> tuple[int, ...]:
-    """dim HC_p of the degree-n slice for p = 0..n-1, over the rationals."""
+    """dim HC_p of the degree-n slice for p = 0..n-1, over the rationals,
+    from the critical cells."""
     if cc is None:
         cc = build_cyclic_complex(algebra)
-    sizes = cc.basis_sizes
+    critical = cc.critical
     # d_0 is the zero map, and so is the map out of degree n
-    ranks = [0, *linalg.chain_ranks(cc.levels, _SIGN), 0]
-    return tuple(sizes[p] - ranks[p] - ranks[p + 1] for p in range(cc.n))
+    ranks = [0, *linalg.chain_ranks(critical, _SIGN), 0]
+    return tuple(len(critical[p]) - ranks[p] - ranks[p + 1] for p in range(cc.n))
 
 
 def hc_euler(dims: Sequence[int]) -> int:

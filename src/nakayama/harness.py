@@ -18,9 +18,12 @@ records named checks:
   SameWeight           all components carry the same weight
 
 Structural self-checks always run alongside: d∘d = 0 on both complexes,
-certified from their cells without building a map (`BoundarySquare`,
-`CyclicSquare`), Euler identities, the Kupisch round-trip and leaf/relation
-counts.
+certified without building a map (`BoundarySquare` from the cells,
+`CyclicSquare` from the Kupisch series), Euler identities, the Kupisch
+round-trip and leaf/relation counts.  `HCEulerIdentity` compares two
+independent computations of the cyclic side with 1 - χ(L): the HC Euler
+characteristic, ranked from the critical cells, and the alternating sum
+of the cell counts, which list no cell.
 
 Rotating the vertex labels is an isomorphism, so `sweep` runs `verify` once
 per rotation class, on the least rotation of the series, and gives that

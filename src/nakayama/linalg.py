@@ -9,7 +9,8 @@ there is no floating point anywhere.
 
 Both complexes are relative: each hands this module its cells, level by
 level, as bitmasks, and a face that is not a cell lies in the subcomplex
-and is zero.  `chain_ranks` ranks all their boundary maps in one pass that
+and is zero.  The cyclic complex hands over only its critical cells,
+which span a subcomplex with the same homology.  `chain_ranks` ranks all their boundary maps in one pass that
 builds only the columns it reads.  One helper, `_column`, holds the face
 rule, `face_signs` the sign rule, and `signs_alternate` is the part of
 both d∘d = 0 certificates that rests on that sign rule.

@@ -7,7 +7,13 @@ without one.  Here the maps are built whole, with their own face and sign
 rule, by `boundary_maps`, for the tests that read them: their sparse
 composite checks d∘d = 0, Bareiss elimination ranks them, and
 `chain_ranks_of_maps` is the clearing pass over finished maps that the
-kernel replaced."""
+kernel replaced.
+
+`nakayama.cyclic` lists only the critical cells of its Morse matching and
+counts the rest.  `cyclic_cells` walks every cell, as the package did
+before, and `is_up_set` checks Fact 1 on them, so that the critical cells,
+the counts and the HC read off them can be compared with the whole
+complex."""
 
 from nakayama import cyclic, linalg
 
@@ -69,17 +75,79 @@ def reduced_betti(f, maps):
     return tuple(betti)
 
 
-def cyclic_bases(cc):
-    """bases[p] lists the p-cells of a `cyclic.CyclicComplex` as sorted
-    station tuples, in lexicographic order."""
-    return tuple(tuple(level.values()) for level in cc.levels)
+def cyclic_cells(algebra):
+    """Every cell of the cyclic complex, by degree: level p maps each
+    p-cell's station bitmask (bit w for station w) to its station tuple.
+
+    The walk extends station tuples one station at a time, from the last
+    station w only to a w' <= min(n, w + c_w - 1), one the path from w
+    reaches before it dies.  So it visits the tuples whose gaps all carry
+    a path, save perhaps the wrap gap n - w_p + w_0, and a tuple is a cell
+    when that gap carries one too: when w_0 < c_{w_p} - n + w_p.  Extending
+    a level in lexicographic order, in order, lists the next one in
+    lexicographic order.
+    """
+    n, c = algebra.n, algebra.kupisch
+    steps = [()] + [
+        tuple((x, 1 << x) for x in range(w + 1, min(n, w + c[w - 1] - 1) + 1)) for w in range(1, n + 1)
+    ]
+    wrap_bound = [0] + [c[w - 1] - n + w for w in range(1, n + 1)]
+    levels = []
+    walked = [((w,), 1 << w) for w in range(1, n + 1)]
+    for _ in range(n):
+        levels.append({bits: tup for tup, bits in walked if tup[0] < wrap_bound[tup[-1]]})
+        walked = [(tup + (x,), bits | bit) for tup, bits in walked for x, bit in steps[tup[-1]]]
+    return levels
 
 
-def cyclic_differentials(cc):
+def is_up_set(n, levels):
+    """Is every superset of a cell a cell?  It is iff, for each station w,
+    each cell W without w has W + {w} a cell.  One byte per station bitmask
+    marks the cells; read as one integer, shifting it right by 2^w bytes
+    lines up the byte of W + {w} with the byte of W, for every W at once."""
+    size = 2 << n  # the bitmasks use bits 1..n
+    marks = bytearray(size)
+    for level in levels:
+        for bits in level:
+            marks[bits] = 1
+    cells = int.from_bytes(marks, "little")
+    for w in range(1, n + 1):
+        step = 1 << w
+        without_w = int.from_bytes((b"\1" * step + b"\0" * step) * (size // (2 * step)), "little")
+        if cells & without_w & ~(cells >> 8 * step):
+            return False
+    return True
+
+
+def critical_by_definition(levels):
+    """The critical cells of the matching W <-> W + {1}, filtered from
+    every cell: {1}, if it is a cell, and each cell W containing 1 whose
+    W \\ {1} is not a cell."""
+    return [
+        {bits: cell for bits, cell in level.items() if bits & 2 and (bits == 2 or bits ^ 2 not in levels[p - 1])}
+        for p, level in enumerate(levels)
+    ]
+
+
+def cyclic_hc(levels, ranks):
+    """dim HC_p for p = 0..len(levels)-1, from cell levels and the ranks of
+    d_1, ..., d_{len(levels)-1}."""
+    ranks = [0, *ranks, 0]
+    return [len(levels[p]) - ranks[p] - ranks[p + 1] for p in range(len(levels))]
+
+
+def cyclic_bases(algebra):
+    """bases[p] lists the p-cells of the cyclic complex of `algebra` as
+    sorted station tuples, in lexicographic order."""
+    return tuple(tuple(level.values()) for level in cyclic_cells(algebra))
+
+
+def cyclic_differentials(algebra):
     """differentials[p] maps degree p to degree p-1, as sparse columns
-    indexed by cyclic_bases(cc)[p]; differentials[0] is the zero map."""
-    zero = [{} for _ in cc.levels[0]]
-    return (zero, *boundary_maps(cc.levels, cyclic._SIGN, relative=True))
+    indexed by cyclic_bases(algebra)[p]; differentials[0] is the zero map."""
+    levels = cyclic_cells(algebra)
+    zero = [{} for _ in levels[0]]
+    return (zero, *boundary_maps(levels, cyclic._SIGN, relative=True))
 
 
 def chain_ranks_of_maps(maps):

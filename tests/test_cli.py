@@ -181,7 +181,8 @@ def test_too_large_fails_before_enumerating(tmp_path, monkeypatch, capsys, comma
     def no_enumeration(*args):
         raise AssertionError("subset enumeration started")
 
-    monkeypatch.setattr(cyclic, "_walk", no_enumeration)
+    monkeypatch.setattr(cyclic, "_critical_cells", no_enumeration)
+    monkeypatch.setattr(cyclic, "_cell_counts", no_enumeration)
     monkeypatch.setattr(relation_complex, "_extend", no_enumeration)
     path = tmp_path / "big.json"
     path.write_text(text)

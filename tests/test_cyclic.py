@@ -4,10 +4,9 @@ from hypothesis import strategies as st
 
 from enumeration_oracle import canonicalize, station_gaps
 import linalg_oracle
-from linalg_oracle import bareiss_rank, cyclic_bases, cyclic_differentials, to_dense
-from nakayama import AlgebraClass, linalg, radical_power_algebra, validate
+from linalg_oracle import bareiss_rank, cyclic_bases, cyclic_cells, cyclic_differentials, is_up_set, to_dense
+from nakayama import AlgebraClass, NakayamaAlgebra, linalg, radical_power_algebra, validate
 from nakayama.cyclic import (
-    CyclicComplex,
     build_cyclic_complex,
     differential_squares_to_zero,
     hc_dimensions,
@@ -24,7 +23,7 @@ from nakayama.relation_complex import (
 
 
 def test_basis_lambda3(lambda3):
-    bases = cyclic_bases(build_cyclic_complex(lambda3))
+    bases = cyclic_bases(lambda3)
     cycles = bases[3]
     assert len(cycles) == 1
     assert cycles[0] == (1, 2, 3, 4)
@@ -35,12 +34,12 @@ def test_basis_lambda3(lambda3):
 
 def test_basis_empty_for_linear():
     linear = validate(4, [(1, 1), (2, 2), (3, 2)])
-    assert cyclic_bases(build_cyclic_complex(linear)) == ((),) * 4
+    assert cyclic_bases(linear) == ((),) * 4
 
 
 def test_basis_empty_degree_zero_lambda1(lambda1):
     # a single station needs an endomorphism of degree n=5, but max c_i = 4
-    assert cyclic_bases(build_cyclic_complex(lambda1))[0] == ()
+    assert cyclic_bases(lambda1)[0] == ()
 
 
 def test_station_gaps_wrap():
@@ -48,25 +47,23 @@ def test_station_gaps_wrap():
 
 
 def test_differential_lambda3_is_zero(lambda3):
-    cc = build_cyclic_complex(lambda3)
-    differentials = cyclic_differentials(cc)
+    differentials = cyclic_differentials(lambda3)
     assert differentials[3] == [{}]
-    assert to_dense(differentials[3], len(cyclic_bases(cc)[2])) == []  # a 0 x 1 matrix
+    assert to_dense(differentials[3], len(cyclic_bases(lambda3)[2])) == []  # a 0 x 1 matrix
 
 
 def test_differential_zero_degree(lambda3):
-    assert cyclic_differentials(build_cyclic_complex(lambda3))[0] == []
+    assert cyclic_differentials(lambda3)[0] == []
 
 
 def test_differential_entries_rad3_on_4():
     # rad^3 on the 4-cycle: one top chain, faces alternate between the two
     # antipodal 1-chains; this pins the sign conventions
     a = radical_power_algebra(4, 3)
-    cc = build_cyclic_complex(a)
-    b1, b2 = cyclic_bases(cc)[1:3]
+    b1, b2 = cyclic_bases(a)[1:3]
     assert b1 == ((1, 3), (2, 4))
     assert b2 == ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
-    differentials = cyclic_differentials(cc)
+    differentials = cyclic_differentials(a)
     d3 = to_dense(differentials[3], len(b2))
     assert [row[0] for row in d3] == [1, -1, 1, -1]
     d2 = to_dense(differentials[2], len(b1))
@@ -124,28 +121,39 @@ def test_report_schema(lambda2):
 
 
 def test_differential_squares_to_zero_sweep():
-    """The certificate holds, and so does the composite it stands for, on
-    every algebra at n <= 6, c <= 7 and on rad^(n+1) for n = 2..10."""
+    """The certificate holds, and so do the up-set it stands for and the
+    composite d∘d, on every algebra at n <= 6, c <= 7 and on rad^(n+1) for
+    n = 2..10."""
     algebras = list(enumerate_kupisch(SweepConfig(n_min=2, n_max=6, c_max=7)))
     algebras += [radical_power_algebra(n, n + 1) for n in range(2, 11)]
     for algebra in algebras:
-        cc = build_cyclic_complex(algebra)
-        assert differential_squares_to_zero(cc), algebra.kupisch
-        assert linalg_oracle.squares_to_zero(cyclic_differentials(cc)), algebra.kupisch
+        assert differential_squares_to_zero(build_cyclic_complex(algebra)), algebra.kupisch
+        assert is_up_set(algebra.n, cyclic_cells(algebra)), algebra.kupisch
+        assert linalg_oracle.squares_to_zero(cyclic_differentials(algebra)), algebra.kupisch
     assert len(algebras) == 2996 + 9
 
 
 @pytest.mark.parametrize("dropped", [(1, 2), (2, 4), (1, 2, 3, 4)])
-def test_differential_squares_to_zero_needs_an_up_set(dropped):
+def test_up_set_check_catches_a_dropped_cell(dropped):
     """On rad^5 of the 4-cycle every station set is a cell; without one of
     them, the cells are no up-set (a subset of the dropped cell is still a
-    cell), and the certificate fails."""
-    levels = build_cyclic_complex(radical_power_algebra(4, 5)).levels
+    cell), and the oracle's up-set check fails."""
+    levels = cyclic_cells(radical_power_algebra(4, 5))
     bits = sum(1 << w for w in dropped)
     assert levels[len(dropped) - 1][bits] == dropped
-    planted = tuple({b: cell for b, cell in level.items() if b != bits} for level in levels)
-    assert differential_squares_to_zero(CyclicComplex(n=4, levels=levels))
-    assert not differential_squares_to_zero(CyclicComplex(n=4, levels=planted))
+    planted = [{b: cell for b, cell in level.items() if b != bits} for level in levels]
+    assert is_up_set(4, levels)
+    assert not is_up_set(4, planted)
+
+
+@pytest.mark.parametrize("series", [(4, 2, 3, 3), (3, 3, 3, 5), (5, 2, 5), (6, 6, 3, 4, 5, 6)])
+def test_differential_squares_to_zero_needs_the_kupisch_inequality(series):
+    """A series with some c_{i+1} < c_i - 1 (cyclically), wrapped by the
+    trusted constructor, fails the certificate, and its cells are no
+    up-set."""
+    algebra = NakayamaAlgebra(series)
+    assert not differential_squares_to_zero(build_cyclic_complex(algebra))
+    assert not is_up_set(algebra.n, cyclic_cells(algebra))
 
 
 def test_differential_squares_to_zero_needs_alternating_signs(monkeypatch):
@@ -193,9 +201,8 @@ def test_hc_euler_identities_sweep():
 
 def test_rank_consistency_on_differentials(lambda2):
     # homology dimensions are bounded by chain dimensions
-    cc = build_cyclic_complex(lambda2)
-    bases, differentials = cyclic_bases(cc), cyclic_differentials(cc)
-    for p in range(1, cc.n):
+    bases, differentials = cyclic_bases(lambda2), cyclic_differentials(lambda2)
+    for p in range(1, lambda2.n):
         dense = to_dense(differentials[p], len(bases[p - 1]))
         assert rank(differentials[p]) == bareiss_rank(dense) <= min(
             len(bases[p]), len(bases[p - 1])

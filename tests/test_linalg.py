@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import linalg_oracle
 from linalg_oracle import bareiss_rank, boundary_maps, compose, squares_to_zero, to_dense, to_sparse
 from nakayama import linalg, radical_power_algebra
-from nakayama.cyclic import _SIGN, build_cyclic_complex
+from nakayama.cyclic import _SIGN
 from nakayama.harness import SweepConfig, enumerate_kupisch
 from nakayama.linalg import chain_ranks, rank
 from nakayama.relation_complex import build_complex
@@ -53,7 +53,7 @@ def _complexes():
     algebras = list(enumerate_kupisch(SweepConfig(n_min=2, n_max=6, c_max=7)))
     algebras += [radical_power_algebra(n, n + 1) for n in range(2, 11)]
     for algebra in algebras:
-        levels = build_cyclic_complex(algebra).levels
+        levels = linalg_oracle.cyclic_cells(algebra)
         yield algebra, levels, _SIGN, boundary_maps(levels, _SIGN, relative=True)
         cx = build_complex(algebra)
         yield algebra, cx._levels, 1, boundary_maps(cx._levels, 1)
@@ -95,7 +95,7 @@ def test_chain_ranks_clear_by_bitmask_not_by_position(monkeypatch):
     """rad^4 on the 3-cycle: every station set is a cell.  The reduced d_2
     has its one pivot at the edge {2, 3}, whose bitmask is the largest, so
     d_1 skips that edge's column and builds those of {1, 2} and {1, 3}."""
-    levels = build_cyclic_complex(radical_power_algebra(3, 4)).levels
+    levels = linalg_oracle.cyclic_cells(radical_power_algebra(3, 4))
     built = []
     column = linalg._column
 
