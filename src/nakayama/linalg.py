@@ -124,11 +124,15 @@ def chain_ranks(levels: Sequence[dict[int, tuple[int, ...]]], sign: int) -> list
     as a combination of the columns of lower rows.  So that column adds
     nothing to the rank of d_p, and it is never built.  A column's rows are
     keyed by its faces' bitmasks, so the pivot rows of d_{p+1} are, as they
-    stand, the bitmasks of the cells of degree p to skip.
+    stand, the bitmasks of the cells of degree p to skip.  A degree with
+    no cell has rank 0 and no column, so it is skipped.
     """
     ranks = [0] * (len(levels) - 1)
     cleared: set[int] = set()
     for p in reversed(range(1, len(levels))):
+        if not levels[p]:
+            cleared = set()
+            continue
         lower, signs = levels[p - 1], face_signs(p, sign)
         columns = [
             _column(bits, cell, signs, lower)

@@ -37,14 +37,17 @@ from functools import cached_property
 from typing import Sequence
 
 from . import linalg
-from .algebra import MAX_SUBSETS, NakayamaAlgebra, Relation, TooLargeError, mod1
+from .algebra import MAX_SUBSETS, NakayamaAlgebra, Relation, TooLargeError
 
 
 def interior(rel: Relation, n: int) -> frozenset[int]:
     """Internal vertices of a relation of length <= n."""
     if rel.length > n:
         raise ValueError(f"relation of length {rel.length} has no interior on Q_{n}")
-    return frozenset(mod1(rel.start + t, n) for t in range(1, rel.length))
+    start, end = rel.start + 1, rel.start + rel.length  # before reduction mod n
+    if end <= n + 1:
+        return frozenset(range(start, end))
+    return frozenset(range(start, n + 1)).union(range(1, end - n))
 
 
 @dataclass(frozen=True)

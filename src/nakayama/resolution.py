@@ -46,49 +46,71 @@ def targets(kupisch: tuple[int, ...]) -> tuple[int, ...]:
     return tuple((i + c) % n + 1 for i, c in enumerate(kupisch))
 
 
-def build(algebra: NakayamaAlgebra) -> ResolutionQuiver:
-    """The resolution quiver, from one walk along f per unlabelled vertex.
+def _walk(kupisch: tuple[int, ...], f: tuple[int, ...]) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """One walk along f from each vertex that no earlier walk reached.
 
-    The walk from vertex i runs until it meets a vertex already labelled
-    with a component, or closes a cycle on its own path; either way every
-    vertex on the path joins that component.  Vertices are started in
-    increasing order, so a component is first reached from its least
-    vertex, and the components come out ordered by their least vertex.
+    Walks start in increasing order and run until they meet a vertex
+    reached before.  A walk that meets its own path has closed a cycle,
+    and its start is the least vertex of a new component; any other walk
+    joins the component of the vertex it met.  Returns (walk, least,
+    cycles): walk[v] is the start of the walk that reached v, least[i] is
+    the least vertex of the component of the walk from i, and cycles holds,
+    per component in the order of their least vertices, a vertex on its
+    cycle and its weight, the sum of c over the cycle divided by n.
     """
-    n = algebra.n
+    n = len(kupisch)
+    walk = [0] * (n + 1)
+    least = [0] * (n + 1)
+    cycles = []
+    for i in range(1, n + 1):
+        if walk[i]:
+            continue
+        v = i
+        while not walk[v]:
+            walk[v] = i
+            v = f[v - 1]
+        if walk[v] != i:
+            least[i] = least[walk[v]]
+            continue
+        least[i] = i
+        total, u = kupisch[v - 1], f[v - 1]
+        while u != v:
+            total += kupisch[u - 1]
+            u = f[u - 1]
+        if total % n:
+            raise AssertionError(
+                f"the cycle through {v} has projective length sum {total}, not divisible by n={n}"
+            )
+        cycles.append((v, total // n))
+    return walk, least, cycles
+
+
+def weights(kupisch: tuple[int, ...], f: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """The weights of the components, ordered by least vertex, from one walk
+    along f (`targets(kupisch)` unless given) that builds no component."""
+    return tuple(w for _, w in _walk(kupisch, targets(kupisch) if f is None else f)[2])
+
+
+def build(algebra: NakayamaAlgebra) -> ResolutionQuiver:
+    """The resolution quiver: its components, ordered by least vertex, with
+    their vertices and cycles, read off the walk of `weights`."""
     c = algebra.kupisch
     f = targets(c)
-    label = [-1] * (n + 1)  # component index of each vertex, -1 while unvisited
-    members: list[list[int]] = []
-    cycles: list[tuple[tuple[int, ...], int]] = []  # (cycle, weight) per component
-    for i in range(1, n + 1):
-        new = len(members)
-        path = []
-        v = i
-        while label[v] < 0:
-            label[v] = new
-            path.append(v)
-            v = f[v - 1]
-        if label[v] == new:  # the walk closed a cycle on its own path
-            cycle = path[path.index(v):]
-            start = cycle.index(min(cycle))
-            cycle = tuple(cycle[start:] + cycle[:start])
-            total = sum(c[u - 1] for u in cycle)
-            if total % n != 0:
-                raise AssertionError(
-                    f"cycle {cycle} has projective length sum {total}, not divisible by n={n}"
-                )
-            cycles.append((cycle, total // n))
-            members.append(path)
-        else:
-            for u in path:
-                label[u] = label[v]
-            members[label[v]].extend(path)
-    components = tuple(
-        Component(vertices=frozenset(vertices), cycle=cycle, weight=weight)
-        for vertices, (cycle, weight) in zip(members, cycles)
-    )
-    return ResolutionQuiver(n=n, f=f, components=components)
+    walk, least, cycles = _walk(c, f)
+    members: dict[int, list[int]] = {}
+    for v in range(1, algebra.n + 1):
+        # a component's least vertex comes first, so the keys are in order
+        members.setdefault(least[walk[v]], []).append(v)
+    components = []
+    for vertices, (v, weight) in zip(members.values(), cycles):
+        cycle = [v]
+        while f[cycle[-1] - 1] != v:
+            cycle.append(f[cycle[-1] - 1])
+        start = cycle.index(min(cycle))
+        components.append(
+            Component(vertices=frozenset(vertices), cycle=tuple(cycle[start:] + cycle[:start]), weight=weight)
+        )
+    return ResolutionQuiver(n=algebra.n, f=f, components=tuple(components))
 
 
 def leaves(rq: ResolutionQuiver) -> frozenset[int]:

@@ -11,6 +11,17 @@ The construction preserves the resolution quiver (minus the leaf), the
 common component weight, the reduced homology of the relation complex, and
 changes the global dimension by at most two.  `check_properties` verifies
 all four facts on one step; `reduce_fully` iterates to a leafless algebra.
+
+A leaf check reads, on each side, only what it compares: the quiver's
+targets, off the Kupisch series; the sorted weights, from one walk along
+Gustafson's function that builds no component; the reduced Betti numbers,
+for which the relation complex is built, so one past MAX_SUBSETS is
+refused, and a cone is not enumerated; whether the complex is empty, which
+it is iff no relation has length <= n; and gldim.  It computes no f-vector.
+A side whose `Invariants` the caller holds (`verify`'s record of the
+input, or a sweep's table entry for the output's rotation class) is read
+off that record as it is: none of these fields but the targets depends on
+the labels, so the entry is not rotated.
 """
 
 from __future__ import annotations
@@ -81,11 +92,11 @@ def eliminate_redundant(relations, n: int) -> tuple[tuple[Relation, ...], tuple[
 def _witnesses(words, minimal, n: int) -> tuple[tuple[Relation, Relation], ...]:
     """The words eliminated in favour of `minimal`, the minimal words of
     their Kupisch series, with their witnesses (see `eliminate_redundant`)."""
-    unseen = set(minimal)
+    unseen = {o.start: o.length for o in minimal}  # minimal words have distinct starts
     eliminated = []
     for r in words:
-        if r in unseen:
-            unseen.remove(r)
+        if unseen.get(r.start) == r.length:
+            del unseen[r.start]
         else:
             # a minimal word contains no other minimal word, so a repeated
             # kept word is its own witness
@@ -103,7 +114,13 @@ class UnamalgamationStep:
     relabel: tuple[int, ...]
     raw_relations: tuple[Relation, ...]  # index-parallel to input.relations
     output: NakayamaAlgebra
-    eliminated: tuple[tuple[Relation, Relation], ...]
+
+    @cached_property
+    def eliminated(self) -> tuple[tuple[Relation, Relation], ...]:
+        """The raw words that are not the output's relations, each with its
+        witness (see `eliminate_redundant`); derived when first read, which
+        only `to_dict` does."""
+        return _witnesses(self.raw_relations, self.output.relations, self.output.n)
 
     def to_dict(self) -> dict:
         return {
@@ -145,7 +162,6 @@ def _unamalgamate(algebra: NakayamaAlgebra, leaf: int, targets) -> Unamalgamatio
         relabel=phi,
         raw_relations=raw,
         output=output,
-        eliminated=_witnesses(raw, output.relations, n - 1),
     )
 
 
@@ -155,7 +171,8 @@ class Invariants:
     a sweep keeps one per algebra: the resolution quiver's weights, the
     relation complex's f-vector and reduced Betti numbers, and gldim.  The
     quiver's targets are read off the algebra's Kupisch series when first
-    read, unless `invariants` seeded them from the quiver it built."""
+    read, unless `invariants` seeded them with the ones it computed for
+    the weights."""
 
     algebra: NakayamaAlgebra
     weights: tuple[int, ...]
@@ -187,7 +204,7 @@ class Invariants:
         are read off the rotated quiver."""
         weights = self.weights
         if len(set(weights)) > 1:
-            weights = resolution.build(algebra).weights
+            weights = resolution.weights(algebra.kupisch)
         return replace(self, algebra=algebra, weights=weights)
 
 
@@ -198,12 +215,9 @@ Table = dict[tuple[int, ...], tuple[Invariants, bool | None]]
 
 
 def look_up(known: Table | None, algebra: NakayamaAlgebra) -> tuple[Invariants, bool | None] | None:
-    """The entry of `algebra`, its invariants rotated out of the entry for
-    its rotation class, or None when `known` has no entry."""
-    if not known:
-        return None
-    entry = known.get(least_rotation(algebra.kupisch))
-    return None if entry is None else (entry[0].rotate(algebra), entry[1])
+    """The entry for the rotation class of `algebra` as it is, its record
+    under the least rotation, or None when `known` has no entry."""
+    return known.get(least_rotation(algebra.kupisch)) if known else None
 
 
 def invariants(
@@ -213,18 +227,34 @@ def invariants(
     unless the caller has it already."""
     if cx is None:
         cx = relation_complex.build_complex(algebra)
-    quiver = resolution.build(algebra)
+    f = resolution.targets(algebra.kupisch)
     inv = Invariants(
         algebra=algebra,
-        weights=quiver.weights,
+        weights=resolution.weights(algebra.kupisch, f),
         f_vector=cx.f_vector,
         betti=relation_complex.reduced_betti(cx),
         gldim=global_dimension(algebra),
     )
-    # seed the cached `targets` with the quiver's; a rotated record, a new
-    # instance, derives its own
-    inv.__dict__["targets"] = quiver.f
+    # seed the cached `targets`; a rotated record, a new instance, derives
+    # its own
+    inv.__dict__["targets"] = f
     return inv
+
+
+def _compared(algebra: NakayamaAlgebra, f: tuple[int, ...], inv: Invariants | None) -> tuple:
+    """What a leaf check compares of one side, none of it changed by a
+    rotation of the labels: the sorted weights, the reduced Betti numbers,
+    whether the relation complex is empty, and gldim.  Read off `inv` when
+    the caller has the record; otherwise computed without an f-vector, f
+    being Gustafson's function on `algebra`.  The relation complex is built
+    all the same, so one past MAX_SUBSETS is refused."""
+    if inv is not None:
+        return sorted(inv.weights), inv.betti, inv.complex_empty, inv.gldim
+    cx = relation_complex.build_complex(algebra)
+    weights = sorted(resolution.weights(algebra.kupisch, f))
+    # the vertices are the relations of length <= n, none of whose interiors
+    # covers the cycle, so the complex is empty iff it has no vertex
+    return weights, relation_complex.reduced_betti(cx), not cx.interiors, global_dimension(algebra)
 
 
 @dataclass(frozen=True)
@@ -261,25 +291,23 @@ def check_properties(
     resolution quiver (minus the leaf), the weight, the reduced Betti numbers
     of the relation complex, and a global dimension within two.  `before`
     holds the invariants of `algebra` when the caller has them already;
-    the smaller algebra's are looked up in `known` before they are built."""
-    targets = resolution.targets(algebra.kupisch) if before is None else before.targets
-    step = _unamalgamate(algebra, leaf, targets)
-    if before is None:
-        before = invariants(algebra)
+    the smaller algebra's entry is looked up in `known`, under its least
+    rotation, before its fields are computed.  Only fields that no rotation
+    changes are read off that entry (see `_compared`); the output's targets
+    are read off its Kupisch series."""
+    f_before = resolution.targets(algebra.kupisch) if before is None else before.targets
+    step = _unamalgamate(algebra, leaf, f_before)
+    f_after = resolution.targets(step.output.kupisch)
     found = look_up(known, step.output)
-    after = found[0] if found else invariants(step.output)
+    w_before, betti_before, empty_before, g_in = _compared(algebra, f_before, before)
+    w_after, betti_after, empty_after, g_out = _compared(step.output, f_after, found[0] if found else None)
 
     phi = step.relabel
-    f_before, f_after = before.targets, after.targets
     quiver_match = all(
         f_after[phi[i - 1] - 1] == phi[f_before[i - 1] - 1]
         for i in range(1, algebra.n + 1)
         if i != leaf
     )
-    weight_match = sorted(before.weights) == sorted(after.weights)
-    betti_match = (before.betti, before.complex_empty) == (after.betti, after.complex_empty)
-
-    g_in, g_out = before.gldim, after.gldim
     if g_in.is_finite != g_out.is_finite:
         gldim_sandwich = False
     elif g_in.is_finite:
@@ -289,8 +317,8 @@ def check_properties(
     return PropertyReport(
         step=step,
         quiver_match=quiver_match,
-        weight_match=weight_match,
-        betti_match=betti_match,
+        weight_match=w_before == w_after,
+        betti_match=(betti_before, empty_before) == (betti_after, empty_after),
         gldim_sandwich=gldim_sandwich,
     )
 

@@ -172,12 +172,15 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, text):
     ("gldim", '{"n": 1025, "relations": [[1, 1]]}'),
     ("quiver", '{"n": 1025, "relations": [[1, 1]]}'),
     ("gldim", json.dumps({"kupisch": [2] * 1025})),
+    ("unamalgamate --leaf 3", json.dumps({"kupisch": [1] + [2] * 19})),
 ])
 def test_too_large_fails_before_enumerating(tmp_path, monkeypatch, capsys, command, text):
     # 2^40 - 1 station subsets (cyclic basis) or relation subsets (complex),
     # 2^17 - 1 relation subsets of a cone, whose f-vector needs no
     # enumeration but whose build is refused all the same, or 2^10 + 1
-    # vertices, one over algebra.MAX_VERTICES
+    # vertices, one over algebra.MAX_VERTICES.  The leaf check at 3, the one
+    # leaf of a cone with 19 relations, builds its relation complex, so it
+    # is refused too.
     def no_enumeration(*args):
         raise AssertionError("subset enumeration started")
 
@@ -186,8 +189,12 @@ def test_too_large_fails_before_enumerating(tmp_path, monkeypatch, capsys, comma
     monkeypatch.setattr(relation_complex, "_extend", no_enumeration)
     path = tmp_path / "big.json"
     path.write_text(text)
-    assert main([command, str(path)]) == 1
-    assert "error[too-large]" in capsys.readouterr().err
+    command, *flags = command.split()
+    assert main([command, str(path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[too-large] ") and err.count("\n") == 1
+    if command == "unamalgamate":
+        assert "2^19 - 1 subsets" in err
 
 
 @pytest.mark.parametrize("series", [[3, 1] + [1] * 1023, [1]])

@@ -7,6 +7,7 @@ import linalg_oracle
 from linalg_oracle import bareiss_rank, cyclic_bases, cyclic_cells, cyclic_differentials, is_up_set, to_dense
 from nakayama import AlgebraClass, NakayamaAlgebra, linalg, radical_power_algebra, validate
 from nakayama.cyclic import (
+    _SIGN,
     build_cyclic_complex,
     differential_squares_to_zero,
     hc_dimensions,
@@ -207,3 +208,26 @@ def test_rank_consistency_on_differentials(lambda2):
         assert rank(differentials[p]) == bareiss_rank(dense) <= min(
             len(bases[p]), len(bases[p - 1])
         )
+
+
+def test_hc_of_rad_power_ranks_no_empty_degree(monkeypatch):
+    """rad^(n+1) has one critical cell, {1}, so every degree above 0 is
+    empty: `chain_ranks` skips them all and makes no `rank` call, and HC is
+    the all-cell HC, ranked map by map."""
+    expected = {}
+    for n in range(3, 11):
+        levels = cyclic_cells(radical_power_algebra(n, n + 1))
+        maps = linalg_oracle.boundary_maps(levels, _SIGN, relative=True)
+        ranks = [bareiss_rank(to_dense(m, len(levels[p]))) for p, m in enumerate(maps)]
+        expected[n] = tuple(linalg_oracle.cyclic_hc(levels, ranks))
+    calls = []
+    ranked = linalg.rank
+
+    def counted(*args):
+        calls.append(args)
+        return ranked(*args)
+
+    monkeypatch.setattr(linalg, "rank", counted)
+    for n in range(3, 11):
+        assert hc_dimensions(radical_power_algebra(n, n + 1)) == expected[n] == (1,) + (0,) * (n - 1)
+    assert calls == []

@@ -218,6 +218,20 @@ def test_empty_complex():
     assert report(cx)["empty"] is True
 
 
+def test_emptiness_by_relation_lengths_over_sweep():
+    """The complex is empty iff no relation has length <= n, that is iff
+    it has no vertex, as the leaf checks read it: on every algebra at
+    n <= 7, c <= 8."""
+    count = empty = 0
+    for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=7, c_max=8)):
+        cx = build_complex(algebra)
+        by_lengths = all(rel.length > algebra.n for rel in algebra.relations)
+        assert by_lengths == (not cx.interiors) == cx.is_empty, algebra.kupisch
+        count += 1
+        empty += by_lengths
+    assert count == 12600 and empty > 0
+
+
 def test_report_schema(lambda2):
     rep = report(build_complex(lambda2))
     assert rep == {

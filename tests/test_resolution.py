@@ -1,12 +1,16 @@
+from hypothesis import given, settings
+
 from closed_form_oracle import rad_power_closed_form
-from nakayama import radical_power_algebra, validate
+from nakayama import NakayamaAlgebra, radical_power_algebra, validate
 from nakayama.harness import SweepConfig, enumerate_kupisch
 from nakayama.resolution import (
     build,
     leaves,
     targets,
     to_dot,
+    weights,
 )
+from strategies import kupisch_series
 
 
 def test_gustafson_examples(lambda1, lambda2):
@@ -130,6 +134,28 @@ def test_build_matches_brute_force_oracle():
         assert got == expected, algebra.kupisch
         count += 1
     assert count == 2996
+
+
+def test_weights_walk_matches_build_and_oracle():
+    """The weights of the lean walk are the quiver's and the brute-force
+    oracle's, in the same order (by least vertex), for every algebra at
+    n <= 8, c <= 9."""
+    count = 0
+    for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=8, c_max=9)):
+        expected = tuple(w for _, _, w in _quiver_oracle(algebra)[1])
+        got = weights(algebra.kupisch)
+        assert got == weights(algebra.kupisch, targets(algebra.kupisch)), algebra.kupisch
+        assert got == build(algebra).weights == expected, algebra.kupisch
+        count += 1
+    assert count == 52969
+
+
+@settings(max_examples=150, deadline=None)
+@given(kupisch_series(min_n=2, max_n=40, max_c=45))
+def test_weights_walk_matches_oracle_on_long_series(c):
+    algebra = NakayamaAlgebra(c)
+    expected = tuple(w for _, _, w in _quiver_oracle(algebra)[1])
+    assert weights(c) == build(algebra).weights == expected
 
 
 def test_dot_output(lambda1):
