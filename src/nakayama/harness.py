@@ -14,7 +14,10 @@ records named checks:
           ending in a semisimple algebra
   C       Euler characteristic equals the number of weight-one components
   HCvsBetti            dim HC_p equals the (p-1)-st reduced Betti number
-  UnamalgamationProps  the four leaf-removal properties at every leaf
+  UnamalgamationProps  the four leaf-removal properties at every leaf, and
+                       the raw image words' relation complex equal to the
+                       input's, certified from interior bitmasks without
+                       listing a simplex (`raw_complex_matches`)
   SameWeight           all components carry the same weight
 
 Structural self-checks always run alongside: d∘d = 0 on both complexes,
@@ -139,7 +142,9 @@ class AlgebraVerdict:
     def rotate(self, algebra: NakayamaAlgebra) -> "AlgebraVerdict":
         """The verdict of `algebra`, a rotation of this algebra (see
         `Invariants.rotate`); all else is shared."""
-        return replace(self, invariants=self.invariants.rotate(algebra))
+        return AlgebraVerdict(
+            self.invariants.rotate(algebra), self.hc_dims, self.basis_sizes, self.checks, self.semisimple
+        )
 
     @property
     def hc_euler(self) -> int:
@@ -262,18 +267,62 @@ def _reduces_to_semisimple(
 def raw_complex_matches(
     step: unamalgamation.UnamalgamationStep, cx: relation_complex.SimplicialComplex
 ) -> bool:
-    """The complex built from the raw (possibly redundant) image relations
-    must be simplex-for-simplex `cx`, the relation complex of the input,
-    under the index bijection between old and new relations."""
-    n = step.input.n
+    """Is the complex built from the raw (possibly redundant) image relations
+    simplex for simplex `cx`, the relation complex of the input, under the
+    index bijection between old and new relations?  Certified in O(r)
+    integer operations, without listing a simplex of either complex (the
+    enumerating rule is kept as a test oracle).
+
+    Relabel by the rotation that sends the leaf to n, as the step does.
+    A vertex v is interior to a word iff x_{v-1} x_v is a subword of it.
+    Deleting x_n merges x_{n-1} x_n and x_n x_1 into x_{n-1} x_1 and leaves
+    every other pair of adjacent letters alone.  So vertex n leaves each
+    interior, and vertex 1 stays interior iff x_n x_1 was a subword: such
+    an x_n was either preceded by x_{n-1} or was the first letter, which
+    gets x_{n-1} prepended.  Each raw interior is thus the old one without
+    vertex n.  A set of vertices is then a simplex of the raw complex iff
+    its old interiors miss some vertex other than n, and a simplex of L iff
+    they miss some vertex, so the two complexes differ exactly on the sets
+    whose interiors cover every vertex but n.  Such a set exists iff the
+    union of all the interiors that avoid n is every vertex but n: that
+    union's vertices are one such set, and any such set lies among them.
+
+    So this checks, reading the interiors off `cx`:
+      1. the same relations, by index, are vertices of both complexes, and
+         `cx` lies on the input's n-cycle;
+      2. each raw interior is the interior of its vertex of `cx`,
+         relabelled, without vertex n;
+      3. the interiors of `cx` that avoid the leaf do not cover every other
+         vertex.
+    1 and 2 hold on every unamalgamation step: 2 by the fact above, and 1
+    since a relation is a vertex on both sides or on neither unless it has
+    length n and starts at the leaf, which would make the leaf its own
+    target.
+    Given 1 and 2, 3 holds iff the complexes match.  A step whose raw words
+    break 1 or 2 is refused, whatever its complex.
+    """
+    n, leaf = step.input.n, step.leaf
     old_idx = [i for i, r in enumerate(step.input.relations) if r.length <= n]
     new_idx = [i for i, r in enumerate(step.raw_relations) if r.length <= n - 1]
-    if old_idx != new_idx:
+    masks = cx.masks
+    if old_idx != new_idx or cx.n != n or len(masks) != len(new_idx):
         return False
-    levels = relation_complex.simplex_levels(
-        n - 1, [relation_complex.interior(step.raw_relations[i], n - 1) for i in new_idx]
-    )
-    return cx.simplices == tuple(tuple(level.values()) for level in levels)
+    # the rotation sends bit b to b + shift mod n; `low` clears vertex n
+    m, shift = n - 1, n - leaf
+    low = (1 << m) - 1
+    raw = step.raw_relations
+    for i, mask in zip(new_idx, masks):
+        word = raw[i]
+        # bits start..start+length-2 are the interior before reduction mod m
+        arc = ((1 << word.length - 1) - 1) << word.start
+        if (arc | arc >> m) & low != (mask << shift | mask >> n - shift) & low:
+            return False
+    leaf_bit = 1 << leaf - 1
+    union = 0
+    for mask in masks:
+        if not mask & leaf_bit:
+            union |= mask
+    return union != ((1 << n) - 1) ^ leaf_bit
 
 
 @dataclass

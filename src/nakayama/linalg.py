@@ -18,8 +18,9 @@ both d∘d = 0 certificates that rests on that sign rule.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd
-from typing import Sequence
+from typing import Callable, Sequence
 
 Column = dict[int, int]
 
@@ -39,9 +40,16 @@ def face_signs(p: int, sign: int) -> list[int]:
 def signs_alternate(top: int, sign: int) -> bool:
     """Does face_signs(p, sign) alternate in j for every p = 1..top?  Then
     the boundary is the simplicial one, whose square is zero on any
-    down-closed family of simplices."""
+    down-closed family of simplices.  The answer depends only on the rule
+    `face_signs` and on (top, sign), so it is kept per rule, top and sign,
+    and a sweep checks each once; MAX_SUBSETS bounds top, so few are kept."""
+    return _signs_alternate(face_signs, top, sign)
+
+
+@cache
+def _signs_alternate(rule: Callable[[int, int], list[int]], top: int, sign: int) -> bool:
     for p in range(1, top + 1):
-        signs = face_signs(p, sign)
+        signs = rule(p, sign)
         if any(signs[j] != -signs[j - 1] for j in range(1, p + 1)):
             return False
     return True

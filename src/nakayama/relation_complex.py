@@ -10,10 +10,10 @@ cover all n quiver vertices.  Subsets of non-covering sets are
 non-covering, so the complex is downward closed for free, and it is built
 level by level from its smaller simplices.
 
-A complex keeps only n and the interiors of its vertices.  The simplices
-and the f-vector are computed the first time they are read, so a caller
-pays only for what it reads, and each has one rule, whatever was read
-before it.
+A complex keeps only n and the interiors of its vertices.  Their bitmasks,
+the simplices and the f-vector are computed the first time they are read,
+so a caller pays only for what it reads, and each has one rule, whatever
+was read before it.
 
 A relation of length 1 has an empty interior, so it can join any simplex:
 it is a cone point.  With k cone points, the complex is the join of the
@@ -60,8 +60,13 @@ class SimplicialComplex:
     interiors: tuple[frozenset[int], ...]
 
     @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """The interiors as bitmasks: bit v-1 stands for vertex v."""
+        return tuple(sum(1 << v - 1 for v in vertices) for vertices in self.interiors)
+
+    @cached_property
     def _levels(self) -> list[dict[int, tuple[int, ...]]]:
-        return simplex_levels(self.n, self.interiors)
+        return simplex_levels(self.n, self.masks)
 
     @cached_property
     def simplices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -82,7 +87,7 @@ class SimplicialComplex:
         k = self.cone_points
         if not k:
             return tuple(len(level) for level in self._levels)
-        rest = [len(level) for level in simplex_levels(self.n, [v for v in self.interiors if v])]
+        rest = [len(level) for level in simplex_levels(self.n, [m for m in self.masks if m])]
         return _join_f_vector(k, rest)
 
     @property
@@ -117,13 +122,13 @@ def _check_size(r: int) -> None:
         raise TooLargeError(f"the relation complex would scan 2^{r} - 1 subsets, over {MAX_SUBSETS}")
 
 
-def simplex_levels(n: int, interiors: Sequence[frozenset[int]]) -> list[dict[int, tuple[int, ...]]]:
-    """The non-covering subsets of `interiors`, by dimension: level p maps
-    each p-simplex's vertex bitmask to its sorted vertex tuple, in
-    lexicographic order.  The list ends at the complex's top dimension."""
-    _check_size(len(interiors))
+def simplex_levels(n: int, masks: Sequence[int]) -> list[dict[int, tuple[int, ...]]]:
+    """The non-covering subsets of the interiors with bitmasks `masks` (see
+    `SimplicialComplex.masks`), by dimension: level p maps each p-simplex's
+    vertex bitmask to its sorted vertex tuple, in lexicographic order.  The
+    list ends at the complex's top dimension."""
+    _check_size(len(masks))
     full = (1 << n) - 1
-    masks = [sum(1 << (v - 1) for v in vertices) for vertices in interiors]
     level = [((i,), 1 << i, mask) for i, mask in enumerate(masks) if mask != full]
     levels = []
     while level:
@@ -133,7 +138,7 @@ def simplex_levels(n: int, interiors: Sequence[frozenset[int]]) -> list[dict[int
 
 
 def _extend(
-    level: list[tuple[tuple[int, ...], int, int]], masks: list[int], full: int
+    level: list[tuple[tuple[int, ...], int, int]], masks: Sequence[int], full: int
 ) -> list[tuple[tuple[int, ...], int, int]]:
     """The (p+1)-simplices, as (vertices, vertex bitmask, union of interiors),
     from the p-simplices in lexicographic order.

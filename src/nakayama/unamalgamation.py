@@ -26,7 +26,7 @@ the labels, so the entry is not rotated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg, relation_complex, resolution
@@ -205,7 +205,7 @@ class Invariants:
         weights = self.weights
         if len(set(weights)) > 1:
             weights = resolution.weights(algebra.kupisch)
-        return replace(self, algebra=algebra, weights=weights)
+        return Invariants(algebra, weights, self.f_vector, self.betti, self.gldim)
 
 
 # What a sweep keeps of each algebra it has verified, under the least rotation

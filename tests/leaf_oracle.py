@@ -1,8 +1,13 @@
-"""The leaf check of `unamalgamation.check_properties` by its first rule,
-kept as an oracle: full `invariants` on both sides, f-vector and all, and a
-table entry rotated onto the step's output by `Invariants.rotate`."""
+"""The leaf checks by their first rules, kept as oracles.
+
+`check_properties` is `unamalgamation.check_properties` with full
+`invariants` on both sides, f-vector and all, and a table entry rotated
+onto the step's output by `Invariants.rotate`.  `raw_complex_matches` is
+`harness.raw_complex_matches` by enumeration: it lists every simplex of the
+raw image words' complex and compares them with the given complex's."""
 
 from nakayama.algebra import least_rotation
+from nakayama.relation_complex import complex_from_interiors, interior, simplex_levels
 from nakayama.unamalgamation import PropertyReport, invariants, unamalgamate
 
 
@@ -46,3 +51,17 @@ def check_properties(algebra, leaf, before=None, known=None):
         betti_match=betti_match,
         gldim_sandwich=gldim_sandwich,
     )
+
+
+def raw_complex_matches(step, cx):
+    """The complex built from the raw (possibly redundant) image relations
+    must be simplex-for-simplex `cx`, the relation complex of the input,
+    under the index bijection between old and new relations."""
+    n = step.input.n
+    old_idx = [i for i, r in enumerate(step.input.relations) if r.length <= n]
+    new_idx = [i for i, r in enumerate(step.raw_relations) if r.length <= n - 1]
+    if old_idx != new_idx:
+        return False
+    interiors = [interior(step.raw_relations[i], n - 1) for i in new_idx]
+    levels = simplex_levels(n - 1, complex_from_interiors(n - 1, interiors).masks)
+    return cx.simplices == tuple(tuple(level.values()) for level in levels)

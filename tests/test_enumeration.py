@@ -67,7 +67,7 @@ def test_relation_complexes_match_subset_scan():
         cx = build_complex(algebra)
         assert cx.simplices == expected.simplices, algebra.kupisch
         assert tuple(linalg_oracle.boundary_maps(cx._levels, 1)) == expected.boundaries, algebra.kupisch
-        assert _simplices(simplex_levels(n, interiors)) == expected.simplices
+        assert _simplices(simplex_levels(n, cx.masks)) == expected.simplices
 
 
 @st.composite
@@ -97,7 +97,7 @@ def test_raw_interior_families_match_subset_scan(case):
     cx = complex_from_interiors(n, interiors)
     assert cx.simplices == expected.simplices
     assert tuple(linalg_oracle.boundary_maps(cx._levels, 1)) == expected.boundaries
-    assert _simplices(simplex_levels(n, interiors)) == expected.simplices
+    assert _simplices(simplex_levels(n, cx.masks)) == expected.simplices
     # the f-vector and Betti numbers of a complex not yet enumerated, read
     # off its cone points where there are any
     unread = complex_from_interiors(n, interiors)

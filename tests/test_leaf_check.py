@@ -1,18 +1,23 @@
 """`unamalgamation.check_properties` computes, on each side of a step, only
 the fields it compares, and reads a table entry without rotating it; it
 agrees with the oracle in `leaf_oracle`, which builds every invariant on
-both sides and rotates the entry."""
+both sides and rotates the entry.  `harness.raw_complex_matches`
+certifies the raw relation complex from interior bitmasks; it agrees with
+the enumerating oracle in `leaf_oracle` on every step, and says True only
+when that oracle does."""
 
 import functools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
 import leaf_oracle
-from nakayama import algebra_from_kupisch
+from strategies import kupisch_series
+from nakayama import Relation, algebra_from_kupisch, relation_complex, validate
 from nakayama.algebra import least_rotation
-from nakayama.harness import SweepConfig, enumerate_kupisch, sweep, verify
-from nakayama.relation_complex import SimplicialComplex
+from nakayama.harness import SweepConfig, enumerate_kupisch, raw_complex_matches, sweep, verify
+from nakayama.relation_complex import SimplicialComplex, build_complex, complex_from_interiors
 from nakayama.resolution import targets
 from nakayama.unamalgamation import Invariants, check_properties, invariants, unamalgamate
 
@@ -100,3 +105,116 @@ def test_weights_compare_as_multisets():
     planted = replace(invariants(algebra), weights=(2, 1))
     assert check_properties(algebra, leaf, planted, {key: (entry, None)}).weight_match
     assert not check_properties(algebra, leaf, planted, {key: (real, None)}).weight_match
+
+
+def test_raw_complex_certificate_matches_the_oracle():
+    """At every leaf of every algebra at n <= 6, c <= 7."""
+    steps = 0
+    for algebra in enumerate_kupisch(SweepConfig(n_min=3, n_max=6, c_max=7)):
+        cx = build_complex(algebra)
+        for leaf in _leaves(algebra):
+            step = unamalgamate(algebra, leaf)
+            assert raw_complex_matches(step, cx) == leaf_oracle.raw_complex_matches(step, cx), (
+                algebra.kupisch, leaf
+            )
+            steps += 1
+    assert steps == 7128
+
+
+@settings(max_examples=200, deadline=None)
+@given(kupisch_series(min_n=3, max_n=10, max_c=11))
+def test_raw_complex_certificate_matches_the_oracle_up_to_n10(c):
+    algebra = algebra_from_kupisch(c)
+    cx = build_complex(algebra)
+    for leaf in _leaves(algebra):
+        step = unamalgamate(algebra, leaf)
+        assert raw_complex_matches(step, cx) == leaf_oracle.raw_complex_matches(step, cx), leaf
+
+
+def _with_raw_word(step, k, word):
+    raw = list(step.raw_relations)
+    raw[k] = word
+    return replace(step, raw_relations=tuple(raw))
+
+
+def test_raw_complex_certificate_implies_the_oracle_on_perturbed_steps():
+    """At every leaf of every algebra at n <= 5, c <= 6, each raw word in
+    turn is replaced by every word (start, length) with start in 1..n-1 and
+    length in 1..n+1: a True from the certificate is a True from the
+    enumeration.  Both answers occur."""
+    answers = set()
+    for algebra in enumerate_kupisch(SweepConfig(n_min=3, n_max=5, c_max=6)):
+        cx = build_complex(algebra)
+        m = algebra.n - 1
+        for leaf in _leaves(algebra):
+            step = unamalgamate(algebra, leaf)
+            for k in range(len(step.raw_relations)):
+                for start in range(1, m + 1):
+                    for length in range(1, m + 3):
+                        perturbed = _with_raw_word(step, k, Relation(start, length))
+                        got = raw_complex_matches(perturbed, cx)
+                        want = leaf_oracle.raw_complex_matches(perturbed, cx)
+                        assert want or not got, (algebra.kupisch, leaf, k, start, length)
+                        answers.add((got, want))
+    assert answers == {(True, True), (False, True), (False, False)}
+
+
+def _lambda2_leaf5():
+    """lambda2 = validate(5, [(1, 3), (2, 4), (4, 3), (5, 3)]) at its leaf 5,
+    which needs no relabelling.  The old interiors are {2, 3}, {3, 4, 5},
+    {5, 1} and {1, 2}; the raw words (1, 3), (2, 3), (4, 2), (4, 3) on the
+    4-cycle have the interiors {2, 3}, {3, 4}, {1} and {1, 2}."""
+    algebra = validate(5, [(1, 3), (2, 4), (4, 3), (5, 3)])
+    return unamalgamate(algebra, 5), build_complex(algebra)
+
+
+def test_raw_complex_certificate_refuses_an_index_mismatch():
+    """(4, 5) is longer than the 4-cycle, so relation 2 is a vertex of L
+    but not of the raw complex."""
+    step, cx = _lambda2_leaf5()
+    assert raw_complex_matches(step, cx)
+    step = _with_raw_word(step, 2, Relation(4, 5))
+    assert not raw_complex_matches(step, cx)
+    assert not leaf_oracle.raw_complex_matches(step, cx)
+
+
+def test_raw_complex_certificate_refuses_an_interior_mismatch():
+    """(3, 2) has the interior {4}, where {5, 1} without vertex 5 is {1}."""
+    step, cx = _lambda2_leaf5()
+    step = _with_raw_word(step, 2, Relation(3, 2))
+    assert not raw_complex_matches(step, cx)
+    assert not leaf_oracle.raw_complex_matches(step, cx)
+
+
+def test_raw_complex_certificate_refuses_a_simplex_covering_all_but_the_leaf():
+    """The interiors of lambda2's complex with vertex 5 taken out: each raw
+    interior is still its vertex's without vertex 5, but now no interior
+    holds the leaf and together they cover 1..4.  So all four vertices span
+    a simplex of this complex (no set covers vertex 5) but not of the raw
+    complex, whose interiors cover the 4-cycle."""
+    step, cx = _lambda2_leaf5()
+    planted = complex_from_interiors(5, [vertices - {5} for vertices in cx.interiors])
+    assert [len(level) for level in planted.simplices] == [4, 6, 4, 1]
+    assert not raw_complex_matches(step, planted)
+    assert not leaf_oracle.raw_complex_matches(step, planted)
+
+
+def test_verify_lists_no_raw_complex_and_no_simplex_tuple(monkeypatch):
+    """With the table of the level below, which answers for each step's
+    output, `verify` enumerates only complexes on its own n-cycle, none on
+    the (n-1)-cycle of a step's raw words, and never builds `simplices`:
+    on every class at n = 6, c <= 6."""
+    tables = _tables(5, 6)
+
+    def unread(self):
+        raise AssertionError("verify read the simplex tuples")
+
+    levels, cycles = relation_complex.simplex_levels, set()
+    monkeypatch.setattr(SimplicialComplex, "simplices", property(unread))
+    monkeypatch.setattr(
+        relation_complex, "simplex_levels", lambda n, masks: cycles.add(n) or levels(n, masks)
+    )
+    for algebra in enumerate_kupisch(SweepConfig(n_min=6, n_max=6, c_max=6)):
+        if algebra.kupisch == least_rotation(algebra.kupisch):
+            assert verify(algebra, known=tables[5]).ok, algebra.kupisch
+    assert cycles == {6}

@@ -147,3 +147,20 @@ def test_boundary_maps_skip_a_missing_face_only_when_relative():
     assert chain_ranks(levels, 1) == [1]
     whole = [{0b01: (0,), 0b10: (1,)}, {0b11: (0, 1)}]
     assert boundary_maps(whole, 1) == [[{1: 1, 0: -1}]]
+
+
+def test_signs_alternate_checks_each_rule_once(monkeypatch):
+    """The first call for a rule, top and sign reads face_signs(p, sign) for
+    every p = 1..top; a repeat reads nothing.  A different rule, such as
+    the flipped ones of the certificate tests, is checked afresh."""
+    signs, calls = linalg.face_signs, []
+
+    def counted(p, sign):
+        calls.append((p, sign))
+        return signs(p, sign)
+
+    monkeypatch.setattr(linalg, "face_signs", counted)
+    assert linalg.signs_alternate(7, _SIGN)
+    assert calls == [(p, _SIGN) for p in range(1, 8)]
+    assert linalg.signs_alternate(7, _SIGN)
+    assert len(calls) == 7
