@@ -23,7 +23,7 @@ from .algebra import (
     syzygy,
     validate,
 )
-from .cyclic import build_cyclic_complex, hc_dimensions, hc_euler
+from .cyclic import basis_sizes, differential_squares_to_zero, hc_dimensions, hc_euler
 from .harness import SweepConfig, enumerate_kupisch, sweep, verify
 from .relation_complex import (
     build_complex,

@@ -67,9 +67,10 @@ def load_algebra(path: str) -> NakayamaAlgebra:
             data = json.load(fh)
     except OSError as exc:
         raise InputError("bad-file", str(exc)) from exc
-    except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
-        # nesting deeper than the decoder's recursion limit, or bytes that
-        # are not UTF-8, are malformed JSON too
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, bytes that are not UTF-8 and an
+        # integer past the interpreter's digit limit; nesting deeper than the
+        # decoder's recursion limit is malformed JSON too
         raise InputError("bad-json", str(exc)) from exc
     return algebra_from_dict(data)
 

@@ -8,9 +8,10 @@ exactly once.  The gap from station w_t to the next station is the length
 of the connecting path, and the chain is nonzero iff every such path
 survives in the algebra: the gap is below c_{w_t}.  Equivalently, the
 station set W meets the arc I_w = {w+1, ..., w+c_w-1} (mod n) of every
-w in W.  The relation at i has interior I_i, and those interiors are the
-vertices of the relation complex, so both sides of HCvsBetti are read off
-one family of cyclic arcs.
+w in W.  The relation at i has interior I_i (`relation_complex.interior`,
+one bitmask per arc), and those interiors are the vertices of the relation
+complex, so both sides of HCvsBetti are read off one family of cyclic
+arcs.
 
 Because the stations are distinct, the rotation action of Z_{p+1} (with
 sign (-1)^p on the generator) is free, so the quotient complex has one
@@ -59,6 +60,12 @@ wrap gap n - w + w_0 is below c_w iff w_0 < wrap_bound[w]).
     dynamic program over (least station, last station, count) that lists
     no cell: the stations that step to x form an interval.
 
+Nothing here keeps a record of the complex: `hc_dimensions` walks the
+critical cells and ranks them, `basis_sizes` counts the cells, and
+`differential_squares_to_zero` checks the series, each reading the
+algebra afresh.  The first two refuse an n with 2^n - 1 > MAX_SUBSETS
+before the walk or the count starts.
+
 `CyclicSquare` certifies d∘d = 0 and the matching on the series itself:
 the face signs alternate, and for every station w and every x in its arc
 I_w at distance d < n, c_x >= c_w - d, the inequality the proof of Fact 1
@@ -70,7 +77,6 @@ them all and checking would take longer than the rest of `verify`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
@@ -145,33 +151,16 @@ def _cell_counts(c: Sequence[int]) -> tuple[int, ...]:
     return tuple(cells >> n * k & mask for k in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class CyclicComplex:
-    """The degree-n slice as its series, its critical cells by degree and
-    the number of all its cells by degree."""
-
-    kupisch: tuple[int, ...]
-    critical: tuple[dict[int, tuple[int, ...]], ...]
-    basis_sizes: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.kupisch)
+def _check_size(n: int) -> None:
+    # the cells are among the 2^n - 1 station subsets; refuse before a walk or count starts
+    if 2 ** n - 1 > MAX_SUBSETS:
+        raise TooLargeError(f"the cyclic basis would scan 2^{n} - 1 subsets, over {MAX_SUBSETS}")
 
 
-def build_cyclic_complex(algebra: NakayamaAlgebra) -> CyclicComplex:
-    """The critical cells from one walk, and the cell counts."""
-    # the cells are among the 2^n - 1 station subsets; refuse before the walk starts
-    if 2 ** algebra.n - 1 > MAX_SUBSETS:
-        raise TooLargeError(f"the cyclic basis would scan 2^{algebra.n} - 1 subsets, over {MAX_SUBSETS}")
-    c = algebra.kupisch
-    return CyclicComplex(kupisch=c, critical=tuple(_critical_cells(c)), basis_sizes=_cell_counts(c))
-
-
-def differential_squares_to_zero(cc: CyclicComplex) -> bool:
-    """d∘d = 0, certified without building the maps.  The differentials
-    have no source but linalg's face rule on the cells, so each is -∂
-    restricted to the cells, and its square vanishes if
+def differential_squares_to_zero(algebra: NakayamaAlgebra) -> bool:
+    """d∘d = 0, certified on the series without building the maps.  The
+    differentials have no source but linalg's face rule on the cells, so
+    each is -∂ restricted to the cells, and its square vanishes if
       - the sign rule alternates in j, so that ∂ is the simplicial
         boundary, and
       - the cells form an up-set, so that the non-cells are a subcomplex K
@@ -179,7 +168,7 @@ def differential_squares_to_zero(cc: CyclicComplex) -> bool:
         c_x >= c_w - d for each x in the arc I_w at distance d, checked
         here for d < n; the matching rests on it too.
     """
-    return linalg.signs_alternate(cc.n - 1, _SIGN) and _arcs_hold(cc.kupisch)
+    return linalg.signs_alternate(algebra.n - 1, _SIGN) and _arcs_hold(algebra.kupisch)
 
 
 def _arcs_hold(c: Sequence[int]) -> bool:
@@ -189,15 +178,21 @@ def _arcs_hold(c: Sequence[int]) -> bool:
     return all(c[(w + d) % n] >= c[w] - d for w in range(n) for d in range(1, min(c[w], n)))
 
 
-def hc_dimensions(algebra: NakayamaAlgebra, cc: CyclicComplex | None = None) -> tuple[int, ...]:
+def hc_dimensions(algebra: NakayamaAlgebra) -> tuple[int, ...]:
     """dim HC_p of the degree-n slice for p = 0..n-1, over the rationals,
-    from the critical cells."""
-    if cc is None:
-        cc = build_cyclic_complex(algebra)
-    critical = cc.critical
+    from the critical cells of one walk."""
+    _check_size(algebra.n)
+    critical = _critical_cells(algebra.kupisch)
     # d_0 is the zero map, and so is the map out of degree n
     ranks = [0, *linalg.chain_ranks(critical, _SIGN), 0]
-    return tuple(len(critical[p]) - ranks[p] - ranks[p + 1] for p in range(cc.n))
+    return tuple(len(critical[p]) - ranks[p] - ranks[p + 1] for p in range(algebra.n))
+
+
+def basis_sizes(algebra: NakayamaAlgebra) -> tuple[int, ...]:
+    """The number of cells of each degree p = 0..n-1, counted without
+    listing one."""
+    _check_size(algebra.n)
+    return _cell_counts(algebra.kupisch)
 
 
 def hc_euler(dims: Sequence[int]) -> int:
@@ -206,10 +201,9 @@ def hc_euler(dims: Sequence[int]) -> int:
 
 
 def report(algebra: NakayamaAlgebra) -> dict:
-    cc = build_cyclic_complex(algebra)
-    dims = hc_dimensions(algebra, cc)
+    dims = hc_dimensions(algebra)
     return {
         "hc_dims": list(dims),
         "hc_euler": hc_euler(dims),
-        "basis_sizes": list(cc.basis_sizes),
+        "basis_sizes": list(basis_sizes(algebra)),
     }

@@ -190,13 +190,10 @@ def verify(
     verified before; the leaf checks and `Bprime` look the smaller algebras
     up there instead of rebuilding and reducing them."""
     cx = relation_complex.build_complex(algebra)
-    cc = cyclic.build_cyclic_complex(algebra)
+    # before the invariants, so that a cyclic complex past MAX_SUBSETS is refused at once
+    hc_dims = cyclic.hc_dimensions(algebra)
     inv = unamalgamation.invariants(algebra, cx)
-    verdict = AlgebraVerdict(
-        invariants=inv,
-        hc_dims=cyclic.hc_dimensions(algebra, cc),
-        basis_sizes=cc.basis_sizes,
-    )
+    verdict = AlgebraVerdict(invariants=inv, hc_dims=hc_dims, basis_sizes=cyclic.basis_sizes(algebra))
     results = verdict.checks
     weights, chi, betti, lvs = inv.weights, inv.chi, inv.betti, inv.leaves
     finite = inv.gldim.is_finite
@@ -244,8 +241,8 @@ def verify(
         euler_ok = chi == 1 + linalg.alternating_sum(betti)
     results["EulerPoincare"] = euler_ok and relation_complex.cone_factorization_holds(cx)
     results["BoundarySquare"] = relation_complex.boundary_squares_to_zero(cx)
-    results["CyclicSquare"] = cyclic.differential_squares_to_zero(cc)
-    results["HCEulerIdentity"] = verdict.hc_euler == 1 - chi == linalg.alternating_sum(cc.basis_sizes)
+    results["CyclicSquare"] = cyclic.differential_squares_to_zero(algebra)
+    results["HCEulerIdentity"] = verdict.hc_euler == 1 - chi == linalg.alternating_sum(verdict.basis_sizes)
     results["NodesEqualRelations"] = algebra.n - len(lvs) == len(algebra.relations)
     return verdict
 
@@ -308,14 +305,10 @@ def raw_complex_matches(
     if old_idx != new_idx or cx.n != n or len(masks) != len(new_idx):
         return False
     # the rotation sends bit b to b + shift mod n; `low` clears vertex n
-    m, shift = n - 1, n - leaf
-    low = (1 << m) - 1
+    shift, low = n - leaf, (1 << n - 1) - 1
     raw = step.raw_relations
     for i, mask in zip(new_idx, masks):
-        word = raw[i]
-        # bits start..start+length-2 are the interior before reduction mod m
-        arc = ((1 << word.length - 1) - 1) << word.start
-        if (arc | arc >> m) & low != (mask << shift | mask >> n - shift) & low:
+        if relation_complex.interior(raw[i], n - 1) != (mask << shift | mask >> n - shift) & low:
             return False
     leaf_bit = 1 << leaf - 1
     union = 0

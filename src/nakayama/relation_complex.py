@@ -10,10 +10,11 @@ cover all n quiver vertices.  Subsets of non-covering sets are
 non-covering, so the complex is downward closed for free, and it is built
 level by level from its smaller simplices.
 
-A complex keeps only n and the interiors of its vertices.  Their bitmasks,
-the simplices and the f-vector are computed the first time they are read,
-so a caller pays only for what it reads, and each has one rule, whatever
-was read before it.
+An interior is an int bitmask, bit v-1 standing for vertex v, and a
+complex keeps only n and the interiors of its vertices.  The simplices and
+the f-vector are computed the first time they are read, so a caller pays
+only for what it reads, and each has one rule, whatever was read before
+it.
 
 A relation of length 1 has an empty interior, so it can join any simplex:
 it is a cone point.  With k cone points, the complex is the join of the
@@ -40,29 +41,23 @@ from . import linalg
 from .algebra import MAX_SUBSETS, NakayamaAlgebra, Relation, TooLargeError
 
 
-def interior(rel: Relation, n: int) -> frozenset[int]:
-    """Internal vertices of a relation of length <= n."""
+def interior(rel: Relation, n: int) -> int:
+    """The internal vertices of a relation of length <= n, as a bitmask."""
     if rel.length > n:
         raise ValueError(f"relation of length {rel.length} has no interior on Q_{n}")
-    start, end = rel.start + 1, rel.start + rel.length  # before reduction mod n
-    if end <= n + 1:
-        return frozenset(range(start, end))
-    return frozenset(range(start, n + 1)).union(range(1, end - n))
+    # bits start..start+length-2 are the interior before reduction mod n
+    arc = ((1 << rel.length - 1) - 1) << rel.start
+    return (arc | arc >> n) & (1 << n) - 1
 
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """The non-covering subsets of `interiors` on the n-cycle; vertex i has
-    interior interiors[i].  The other members are computed when first
-    read."""
+    """The non-covering subsets of the interiors `masks` on the n-cycle;
+    vertex i has the interior masks[i].  The other members are computed
+    when first read."""
 
     n: int
-    interiors: tuple[frozenset[int], ...]
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """The interiors as bitmasks: bit v-1 stands for vertex v."""
-        return tuple(sum(1 << v - 1 for v in vertices) for vertices in self.interiors)
+    masks: tuple[int, ...]
 
     @cached_property
     def _levels(self) -> list[dict[int, tuple[int, ...]]]:
@@ -77,7 +72,7 @@ class SimplicialComplex:
     @property
     def cone_points(self) -> int:
         """The number of vertices with an empty interior."""
-        return sum(1 for vertices in self.interiors if not vertices)
+        return sum(1 for mask in self.masks if not mask)
 
     @cached_property
     def f_vector(self) -> tuple[int, ...]:
@@ -123,10 +118,10 @@ def _check_size(r: int) -> None:
 
 
 def simplex_levels(n: int, masks: Sequence[int]) -> list[dict[int, tuple[int, ...]]]:
-    """The non-covering subsets of the interiors with bitmasks `masks` (see
-    `SimplicialComplex.masks`), by dimension: level p maps each p-simplex's
-    vertex bitmask to its sorted vertex tuple, in lexicographic order.  The
-    list ends at the complex's top dimension."""
+    """The non-covering subsets of the interiors `masks`, by dimension:
+    level p maps each p-simplex's vertex bitmask to its sorted vertex tuple,
+    in lexicographic order.  The list ends at the complex's top
+    dimension."""
     _check_size(len(masks))
     full = (1 << n) - 1
     level = [((i,), 1 << i, mask) for i, mask in enumerate(masks) if mask != full]
@@ -157,12 +152,12 @@ def _extend(
     return out
 
 
-def complex_from_interiors(n: int, interiors: Sequence[frozenset[int]]) -> SimplicialComplex:
-    """The non-covering-subsets complex of bare interiors.  Nothing is
-    enumerated here, but a complex with more subsets than MAX_SUBSETS is
+def complex_from_interiors(n: int, masks: Sequence[int]) -> SimplicialComplex:
+    """The non-covering-subsets complex of bare interior bitmasks.  Nothing
+    is enumerated here, but a complex with more subsets than MAX_SUBSETS is
     refused at once."""
-    _check_size(len(interiors))
-    return SimplicialComplex(n=n, interiors=tuple(interiors))
+    _check_size(len(masks))
+    return SimplicialComplex(n=n, masks=tuple(masks))
 
 
 def complex_vertices(algebra: NakayamaAlgebra) -> tuple[Relation, ...]:
@@ -193,7 +188,7 @@ def reduced_betti(cx: SimplicialComplex) -> tuple[int, ...]:
     Otherwise a p-simplex σ is a cell of the pair iff v is not in σ and
     σ + v is not a (p+1)-simplex.
     """
-    sizes = [len(vertices) for vertices in cx.interiors]
+    sizes = [mask.bit_count() for mask in cx.masks]
     if not sizes or not min(sizes):
         return ()
     v = sizes.index(min(sizes))
@@ -236,7 +231,7 @@ def report(cx: SimplicialComplex) -> dict:
 def to_off(cx: SimplicialComplex) -> str:
     """OFF-style text dump: vertices on the unit circle, then one line per
     simplex of dimension >= 1 (count followed by vertex indices)."""
-    nv = len(cx.interiors)
+    nv = len(cx.masks)
     faces = [s for p in range(1, len(cx.simplices)) for s in cx.simplices[p]]
     lines = ["OFF", f"{nv} {len(faces)} 0"]
     for i in range(nv):

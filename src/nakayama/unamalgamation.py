@@ -254,7 +254,7 @@ def _compared(algebra: NakayamaAlgebra, f: tuple[int, ...], inv: Invariants | No
     weights = sorted(resolution.weights(algebra.kupisch, f))
     # the vertices are the relations of length <= n, none of whose interiors
     # covers the cycle, so the complex is empty iff it has no vertex
-    return weights, relation_complex.reduced_betti(cx), not cx.interiors, global_dimension(algebra)
+    return weights, relation_complex.reduced_betti(cx), not cx.masks, global_dimension(algebra)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,16 @@
 the face rule of `nakayama.cyclic`, for the level-wise relation complex
 in `nakayama.relation_complex`, for the Kupisch recurrence of
 `nakayama.algebra` with the minimality rule read off it, for its memoized
-global dimension, and for the odometer of `nakayama.harness.kupisch_series`.
+global dimension, for the odometer of `nakayama.harness.kupisch_series`,
+and for the shift-and-fold arc rule of `nakayama.relation_complex.interior`.
 The cells come from scanning every subset with `itertools.combinations`;
 the cyclic differential composes adjacent gaps and rotates the wrap face
 back into canonical form.  The Kupisch series is a minimum over all
 relations for every vertex, and redundancy is found by testing every pair
-of relations for containment.  The global dimension walks the syzygies of
-each simple module afresh, and the series are listed by recursion over
-their prefixes."""
+of relations for containment.  An interior is listed vertex by vertex, and
+the subset scans of the relation complex read the interiors so listed.
+The global dimension walks the syzygies of each simple module afresh, and
+the series are listed by recursion over their prefixes."""
 
 from itertools import combinations
 from typing import NamedTuple
@@ -26,7 +28,6 @@ from nakayama.algebra import (
     UniserialModule,
     syzygy,
 )
-from nakayama.relation_complex import interior
 
 
 def kupisch_from_relations(n, relations):
@@ -187,6 +188,17 @@ def differential(algebra, source, index):
             col[index[canonical]] = -rot_sign if p % 2 else rot_sign
         columns.append(col)
     return columns
+
+
+def interior(rel, n):
+    """The internal vertices start+1, ..., start+length-1 of a relation,
+    each reduced mod n into 1..n."""
+    return frozenset((rel.start + t - 1) % n + 1 for t in range(1, rel.length))
+
+
+def to_mask(vertices):
+    """A vertex set as an interior bitmask: bit v-1 stands for vertex v."""
+    return sum(1 << v - 1 for v in vertices)
 
 
 def is_simplex(algebra, rels):

@@ -7,7 +7,7 @@ onto the step's output by `Invariants.rotate`.  `raw_complex_matches` is
 raw image words' complex and compares them with the given complex's."""
 
 from nakayama.algebra import least_rotation
-from nakayama.relation_complex import complex_from_interiors, interior, simplex_levels
+from nakayama.relation_complex import interior, simplex_levels
 from nakayama.unamalgamation import PropertyReport, invariants, unamalgamate
 
 
@@ -62,6 +62,5 @@ def raw_complex_matches(step, cx):
     new_idx = [i for i, r in enumerate(step.raw_relations) if r.length <= n - 1]
     if old_idx != new_idx:
         return False
-    interiors = [interior(step.raw_relations[i], n - 1) for i in new_idx]
-    levels = simplex_levels(n - 1, complex_from_interiors(n - 1, interiors).masks)
+    levels = simplex_levels(n - 1, [interior(step.raw_relations[i], n - 1) for i in new_idx])
     return cx.simplices == tuple(tuple(level.values()) for level in levels)

@@ -13,7 +13,7 @@ from nakayama import (
     radical_power_algebra,
     validate,
 )
-from nakayama.cyclic import build_cyclic_complex, differential_squares_to_zero, hc_euler
+from nakayama.cyclic import differential_squares_to_zero, hc_euler
 from nakayama.cyclic import hc_dimensions
 from nakayama.harness import SweepConfig, enumerate_kupisch, sweep
 from nakayama.relation_complex import (
@@ -125,7 +125,7 @@ def test_criterion_4_structural_invariants():
         cx = build_complex(algebra)
         if not boundary_squares_to_zero(cx):
             failures.append(("dd", key))
-        if not differential_squares_to_zero(build_cyclic_complex(algebra)):
+        if not differential_squares_to_zero(algebra):
             failures.append(("bb", key))
         rq = build(algebra)
         for comp in rq.components:

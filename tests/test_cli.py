@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nakayama import cyclic, harness, relation_complex, validate
+from nakayama import TooLargeError, cyclic, harness, radical_power_algebra, relation_complex, validate
 from nakayama.cli import algebra_from_dict, main
 
 
@@ -142,6 +143,21 @@ def test_bad_json(tmp_path, capsys):
         assert err.startswith("error[bad-json] ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("template", ['{{"kupisch": [{}, 2]}}', '{{"n": {}, "relations": [[1, 1]]}}'])
+def test_integer_past_the_digit_limit_is_bad_json(tmp_path, capsys, template):
+    """An integer literal one digit longer than the interpreter converts
+    ends in one bad-json line, not a traceback from the decoder."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    path = tmp_path / "digits.json"
+    path.write_text(template.format("1" * (limit + 1)))
+    assert main(["gldim", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[bad-json] ") and captured.err.count("\n") == 1, captured.err
+
+
 def test_bad_schema(tmp_path, capsys):
     path = tmp_path / "schema.json"
     path.write_text('{"n": 5, "relations": [[2,2]], "kupisch": [1,1]}')
@@ -195,6 +211,20 @@ def test_too_large_fails_before_enumerating(tmp_path, monkeypatch, capsys, comma
     assert err.startswith("error[too-large] ") and err.count("\n") == 1
     if command == "unamalgamate":
         assert "2^19 - 1 subsets" in err
+
+
+@pytest.mark.parametrize("entry", [cyclic.hc_dimensions, cyclic.basis_sizes])
+def test_cyclic_entry_points_refuse_before_enumerating(monkeypatch, entry):
+    # rad^18 on the 17-cycle has 2^17 - 1 station subsets, one power of two
+    # over MAX_SUBSETS: each public entry point refuses before its walk or
+    # its count starts
+    def no_enumeration(*args):
+        raise AssertionError("subset enumeration started")
+
+    monkeypatch.setattr(cyclic, "_critical_cells", no_enumeration)
+    monkeypatch.setattr(cyclic, "_cell_counts", no_enumeration)
+    with pytest.raises(TooLargeError, match=r"^the cyclic basis would scan 2\^17 - 1 subsets, over "):
+        entry(radical_power_algebra(17, 18))
 
 
 @pytest.mark.parametrize("series", [[3, 1] + [1] * 1023, [1]])

@@ -11,7 +11,7 @@ import linalg_oracle as oracle
 from linalg_oracle import bareiss_rank, boundary_maps, to_dense
 from nakayama import NakayamaAlgebra, radical_power_algebra
 from nakayama.algebra import least_rotation
-from nakayama.cyclic import _SIGN, build_cyclic_complex, differential_squares_to_zero, hc_dimensions
+from nakayama.cyclic import _SIGN, _critical_cells, basis_sizes, differential_squares_to_zero, hc_dimensions
 from nakayama.harness import SweepConfig, enumerate_kupisch
 from nakayama.linalg import chain_ranks
 from strategies import kupisch_series
@@ -32,16 +32,16 @@ def _in_order(levels):
 def _check_against_all_cells(algebra, bareiss):
     """The critical cells, the HC and the counts of `algebra` against its
     cells; HC also against Bareiss ranks of the whole maps if `bareiss`."""
-    cc = build_cyclic_complex(algebra)
     levels = oracle.cyclic_cells(algebra)
-    assert _in_order(cc.critical) == _in_order(oracle.critical_by_definition(levels)), algebra.kupisch
+    critical = _critical_cells(algebra.kupisch)
+    assert _in_order(critical) == _in_order(oracle.critical_by_definition(levels)), algebra.kupisch
     expected = oracle.cyclic_hc(levels, chain_ranks(levels, _SIGN))
-    assert list(hc_dimensions(algebra, cc)) == expected, algebra.kupisch
+    assert list(hc_dimensions(algebra)) == expected, algebra.kupisch
     if bareiss:
         maps = boundary_maps(levels, _SIGN, relative=True)
         ranks = [bareiss_rank(to_dense(m, len(levels[p]))) for p, m in enumerate(maps)]
         assert oracle.cyclic_hc(levels, ranks) == expected, algebra.kupisch
-    assert cc.basis_sizes == tuple(len(level) for level in levels), algebra.kupisch
+    assert basis_sizes(algebra) == tuple(len(level) for level in levels), algebra.kupisch
 
 
 def test_critical_cells_and_hc_match_all_cells_sweep():
@@ -57,14 +57,14 @@ def test_critical_cells_and_hc_match_all_cells_radical_powers():
     hundreds of rows and columns and only the kernel ranks them."""
     for algebra in _radical_powers(16):
         _check_against_all_cells(algebra, bareiss=algebra.n <= 10)
-        assert [len(level) for level in build_cyclic_complex(algebra).critical] == [1] + [0] * (algebra.n - 1)
+        assert [len(level) for level in _critical_cells(algebra.kupisch)] == [1] + [0] * (algebra.n - 1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(kupisch_series(min_n=2, max_n=12, max_c=14))
 def test_critical_cells_and_hc_match_all_cells_random(series):
     algebra = NakayamaAlgebra(series)
-    assert differential_squares_to_zero(build_cyclic_complex(algebra))
+    assert differential_squares_to_zero(algebra)
     _check_against_all_cells(algebra, bareiss=algebra.n <= 7)
 
 
@@ -79,7 +79,7 @@ def test_counts_match_the_walk():
     assert len(classes) == 7165
     for algebra in classes + _radical_powers(16):
         sizes = tuple(len(level) for level in oracle.cyclic_cells(algebra))
-        assert build_cyclic_complex(algebra).basis_sizes == sizes, algebra.kupisch
+        assert basis_sizes(algebra) == sizes, algebra.kupisch
 
 
 def test_no_face_of_a_critical_cell_is_matched():

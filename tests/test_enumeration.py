@@ -1,15 +1,17 @@
 """The pruned enumerations (the whole cyclic walk of `linalg_oracle`, which
 the package's critical-cell walk is checked against, and the level-wise
-relation complex) against the subset scans of `enumeration_oracle`, and
-the cyclic differentials of the bitmask builder against the oracle's
-gap-and-rotation differential."""
+relation complex) against the subset scans of `enumeration_oracle`, the
+cyclic differentials of the bitmask builder against the oracle's
+gap-and-rotation differential, and the interior bitmasks against the
+oracle's vertex-by-vertex arcs."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumeration_oracle as oracle
 import linalg_oracle
-from nakayama import radical_power_algebra
+from nakayama import Relation, radical_power_algebra
 from nakayama.harness import SweepConfig, enumerate_kupisch
 from nakayama.relation_complex import (
     build_complex,
@@ -57,14 +59,28 @@ def test_cyclic_differentials_match_oracle():
     assert len(algebras) == 2996 + 9
 
 
+def test_interior_matches_the_vertex_rule():
+    """The shift-and-fold bitmask of every arc on every n-cycle, n <= 12,
+    is the oracle's vertex-by-vertex set; a relation one longer than the
+    cycle has no interior."""
+    for n in range(1, 13):
+        for start in range(1, n + 1):
+            for length in range(1, n + 1):
+                rel = Relation(start, length)
+                assert interior(rel, n) == oracle.to_mask(oracle.interior(rel, n)), (n, start, length)
+            with pytest.raises(ValueError):
+                interior(Relation(start, n + 1), n)
+
+
 def test_relation_complexes_match_subset_scan():
     """Simplices per dimension in order and boundaries column for column,
     for every algebra at n <= 6, c <= 7."""
     for algebra in enumerate_kupisch(SMALL):
         n = algebra.n
-        interiors = [interior(rel, n) for rel in complex_vertices(algebra)]
+        interiors = [oracle.interior(rel, n) for rel in complex_vertices(algebra)]
         expected = oracle.complex_from_interiors(n, interiors)
         cx = build_complex(algebra)
+        assert cx.masks == tuple(map(oracle.to_mask, interiors)), algebra.kupisch
         assert cx.simplices == expected.simplices, algebra.kupisch
         assert tuple(linalg_oracle.boundary_maps(cx._levels, 1)) == expected.boundaries, algebra.kupisch
         assert _simplices(simplex_levels(n, cx.masks)) == expected.simplices
@@ -93,14 +109,15 @@ def interior_families(draw):
 @given(interior_families())
 def test_raw_interior_families_match_subset_scan(case):
     n, interiors = case
+    masks = [oracle.to_mask(vertices) for vertices in interiors]
     expected = oracle.complex_from_interiors(n, interiors)
-    cx = complex_from_interiors(n, interiors)
+    cx = complex_from_interiors(n, masks)
     assert cx.simplices == expected.simplices
     assert tuple(linalg_oracle.boundary_maps(cx._levels, 1)) == expected.boundaries
     assert _simplices(simplex_levels(n, cx.masks)) == expected.simplices
     # the f-vector and Betti numbers of a complex not yet enumerated, read
     # off its cone points where there are any
-    unread = complex_from_interiors(n, interiors)
+    unread = complex_from_interiors(n, masks)
     f = tuple(len(level) for level in expected.simplices)
     assert unread.f_vector == f
     assert reduced_betti(unread) == linalg_oracle.reduced_betti(f, expected.boundaries)

@@ -193,7 +193,7 @@ def test_raw_complex_certificate_refuses_a_simplex_covering_all_but_the_leaf():
     a simplex of this complex (no set covers vertex 5) but not of the raw
     complex, whose interiors cover the 4-cycle."""
     step, cx = _lambda2_leaf5()
-    planted = complex_from_interiors(5, [vertices - {5} for vertices in cx.interiors])
+    planted = complex_from_interiors(5, [mask & ~(1 << 4) for mask in cx.masks])
     assert [len(level) for level in planted.simplices] == [4, 6, 4, 1]
     assert not raw_complex_matches(step, planted)
     assert not leaf_oracle.raw_complex_matches(step, planted)

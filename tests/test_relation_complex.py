@@ -30,9 +30,9 @@ from nakayama.unamalgamation import check_properties, invariants
 
 
 def test_interior():
-    assert interior(Relation(5, 3), 5) == {1, 2}
-    assert interior(Relation(2, 4), 5) == {3, 4, 5}
-    assert interior(Relation(1, 1), 5) == frozenset()
+    assert interior(Relation(5, 3), 5) == 0b00011  # {1, 2}
+    assert interior(Relation(2, 4), 5) == 0b11100  # {3, 4, 5}
+    assert interior(Relation(1, 1), 5) == 0
     with pytest.raises(ValueError):
         interior(Relation(1, 6), 5)
 
@@ -174,9 +174,9 @@ def test_boundary_square_needs_every_facet(monkeypatch, kupisch):
     r = len(complex_vertices(algebra))
     levels_of = relation_complex.simplex_levels
 
-    def planted(n, interiors):
-        levels = levels_of(n, interiors)
-        if (n, len(interiors)) == (algebra.n, r):  # L itself, not L'' of a cone
+    def planted(n, masks):
+        levels = levels_of(n, masks)
+        if (n, len(masks)) == (algebra.n, r):  # L itself, not L'' of a cone
             bits, simplex = next(iter(levels[-1].items()))
             del levels[-2][bits ^ 1 << simplex[0]]
         return levels
@@ -200,7 +200,7 @@ def test_verify_checks_the_cone_factorization(monkeypatch, kupisch):
     calls = []
     monkeypatch.setattr(
         relation_complex, "simplex_levels",
-        lambda n, interiors: calls.append((n, len(interiors))) or levels(n, interiors),
+        lambda n, masks: calls.append((n, len(masks))) or levels(n, masks),
     )
     assert verify(algebra).checks["EulerPoincare"]
     assert [call for call in calls if call[0] == algebra.n] == [(algebra.n, r - k), (algebra.n, r)]
@@ -226,7 +226,7 @@ def test_emptiness_by_relation_lengths_over_sweep():
     for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=7, c_max=8)):
         cx = build_complex(algebra)
         by_lengths = all(rel.length > algebra.n for rel in algebra.relations)
-        assert by_lengths == (not cx.interiors) == cx.is_empty, algebra.kupisch
+        assert by_lengths == (not cx.masks) == cx.is_empty, algebra.kupisch
         count += 1
         empty += by_lengths
     assert count == 12600 and empty > 0
@@ -292,7 +292,7 @@ def test_to_off(lambda2):
 def test_to_off_counts_the_vertices_of_bare_interiors():
     """A complex built from bare interiors has no Relation vertices, but its
     faces name vertices 0..2, so it needs one coordinate line for each."""
-    off = to_off(complex_from_interiors(4, [{2}, {3}, {1}]))
+    off = to_off(complex_from_interiors(4, [0b0010, 0b0100, 0b0001]))  # {2}, {3}, {1}
     assert off.splitlines()[1] == "3 4 0"
     assert off == to_off(build_complex(validate(4, [(1, 2), (2, 2), (4, 2)])))
 
