@@ -36,7 +36,6 @@ from .unamalgamation import (
     NotALeafError,
     TooSmallError,
     check_properties,
-    eliminate_redundant,
     reduce_fully,
     unamalgamate,
 )

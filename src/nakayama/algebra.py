@@ -84,7 +84,7 @@ MAX_SUBSETS = 1 << 16
 # n-sized tuples and 2^n-sized bounds cost memory before any other guard is
 # reached.  `reduce` does work that grows with n^2: on the linear
 # algebra with the one relation (1, 1) at n = 1,024, `reduce_fully` takes
-# about 0.35 s and the `reduce` command, writing 1,022 steps, about 1.0 s.
+# 0.2-0.3 s and the `reduce` command, writing 1,022 steps, 0.65-0.85 s.
 # `global_dimension` visits each of the at most sum(c) syzygy states once:
 # at n = 1,024 it takes about 1.2 ms on the series (2, ..., 2, 1), whose S_1
 # has projective dimension 1,023, and 1.5 ms on (3, ..., 3, 2, 1) (CPython
@@ -219,8 +219,8 @@ def kupisch_from_relations(n: int, relations) -> tuple[int, ...]:
         c[rel.start - 1] = min(c[rel.start - 1], rel.length)
     carry = math.inf  # c_{j+1}, the entry the pass set last
     for j in 2 * [*reversed(range(n))]:
-        # min(c[j], carry + 1), written without a call: at large n this loop
-        # is the largest single cost of `reduce`
+        # min(c[j], carry + 1), written without a call, which would cost
+        # more than the comparison in this loop over 2n entries
         carry = c[j] = c[j] if c[j] <= carry else carry + 1
     return tuple(c)
 

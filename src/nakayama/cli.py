@@ -2,8 +2,9 @@
 
 Every subcommand reads the same JSON algebra format: either
 {"n": 5, "relations": [[2,2],[3,2],[5,3]]} or {"kupisch": [3,2,2,4,3]}
-(exactly one of the two forms).  Exit codes: 0 success, 1 bad input,
-2 a named check failed (a mathematical counterexample).
+(exactly one of the two forms).  Exit codes: 0 success, 1 bad input or
+a command line that does not parse, 2 a named check failed (a
+mathematical counterexample).
 """
 
 from __future__ import annotations
@@ -28,6 +29,15 @@ class InputError(Exception):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """A command line argparse refuses is bad input, not a failed check:
+    one error line and exit 1, where argparse would exit 2.  The subcommand
+    parsers are made of this class too."""
+
+    def error(self, message):
+        raise InputError("bad-args", message)
 
 
 def _is_int(x) -> bool:
@@ -215,7 +225,7 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nakayama",
         description="Resolution quivers, relation complexes, and cyclic homology of Nakayama algebras.",
     )
@@ -274,9 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, AlgebraError) as exc:
         target = getattr(args, "file", "<input>")

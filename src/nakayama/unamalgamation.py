@@ -1,11 +1,22 @@
 """Unamalgamation: removing a leaf of the resolution quiver.
 
-If vertex j is a leaf of the resolution quiver, the endomorphism algebra of
-the sum of the other projectives is again a Nakayama algebra, on a cycle
-with one vertex fewer.  Combinatorially (after rotating labels so the leaf
-is n): delete every occurrence of the letter x_n from each relation word,
-and prepend x_{n-1} to a relation that started at n.  The resulting list
-can be redundant; dropping the redundant words gives the new algebra.
+If vertex j is a leaf of the resolution quiver, the step's output is
+End(P) for P the sum of the projectives P_i, i != j: the algebra eAe with
+e = 1 - e_j, again a Nakayama algebra, on a cycle with one vertex fewer.
+Rotate the labels so that the leaf is n, and let c be the rotated series.
+The projective of eAe at k < n is eP_k, the uniserial module P_k without
+its copies of S_n.  P_k has the factors S_k, ..., S_{k+c_k-1}, indices mod
+n, so those copies are the multiples of n in k..k+c_k-1, and
+
+    c'_k = c_k - (k + c_k - 1) // n,    k = 1, ..., n - 1,
+
+is the output's Kupisch series, read off the input's with n integer
+operations.  In words: delete every occurrence of the letter x_n from each
+relation word, and prepend x_{n-1} to a word that started at n
+(`delete_last_arrow`, by the same count).  The resulting raw words can be
+redundant; their minimal words are the relations of c'.  A step keeps the
+raw words, one per input relation, for `harness.raw_complex_matches` and
+its JSON; the output does not read them.
 
 The construction preserves the resolution quiver (minus the leaf), the
 common component weight, the reduced homology of the relation complex, and
@@ -36,7 +47,6 @@ from .algebra import (
     ProjDim,
     Relation,
     global_dimension,
-    kupisch_from_relations,
     least_rotation,
 )
 
@@ -57,41 +67,19 @@ def relabel_map(n: int, leaf: int) -> tuple[int, ...]:
 
 def delete_last_arrow(rel: Relation, n: int) -> Relation:
     """Image of one relation word under deleting all occurrences of x_n,
-    prepending x_{n-1} when the word starts at n; lives on the (n-1)-cycle."""
-    first = (n - rel.start) % n
-    occurrences = 0 if first >= rel.length else (rel.length - 1 - first) // n + 1
+    prepending x_{n-1} when the word starts at n; lives on the (n-1)-cycle.
+    The word passes x_n once per multiple of n in start..start+length-1."""
+    length = rel.length - (rel.start + rel.length - 1) // n
     if rel.start == n:
-        return Relation(n - 1, rel.length - occurrences + 1)
-    return Relation(rel.start, rel.length - occurrences)
-
-
-def eliminate_redundant(relations, n: int) -> tuple[tuple[Relation, ...], tuple[tuple[Relation, Relation], ...]]:
-    """Drop every relation that contains another one as a cyclic subword.
-
-    The input is a list of relations on the n-cycle, n >= 2, with starts in
-    1..n and lengths >= 1, which is what `delete_last_arrow` yields; starts
-    and whole words may repeat.  Anything else raises ValueError.
-
-    The survivors are exactly the minimal words, so the outcome does not
-    depend on the order of deletion.  They generate the same ideal as the
-    input, so they are the relations of its Kupisch series.  Returns
-    (kept, eliminated): every input word but the first copy of each kept
-    word is eliminated, in input order, with its witness, the kept word it
-    contains that is least by (length, start).
-    """
-    rels = [r if isinstance(r, Relation) else Relation(*r) for r in relations]
-    for r in rels:
-        if not (1 <= r.start <= n and r.length >= 1):
-            raise ValueError(f"relation ({r.start},{r.length}) is not a word on the {n}-cycle")
-    if not rels:
-        return (), ()
-    minimal = NakayamaAlgebra(kupisch_from_relations(n, rels)).relations
-    return minimal, _witnesses(rels, minimal, n)
+        return Relation(n - 1, length + 1)
+    return Relation(rel.start, length)
 
 
 def _witnesses(words, minimal, n: int) -> tuple[tuple[Relation, Relation], ...]:
     """The words eliminated in favour of `minimal`, the minimal words of
-    their Kupisch series, with their witnesses (see `eliminate_redundant`)."""
+    their Kupisch series on the n-cycle: in input order, every word but the
+    first copy of each minimal word, with its witness, the minimal word it
+    contains that is least by (length, start)."""
     unseen = {o.start: o.length for o in minimal}  # minimal words have distinct starts
     eliminated = []
     for r in words:
@@ -118,7 +106,7 @@ class UnamalgamationStep:
     @cached_property
     def eliminated(self) -> tuple[tuple[Relation, Relation], ...]:
         """The raw words that are not the output's relations, each with its
-        witness (see `eliminate_redundant`); derived when first read, which
+        witness (see `_witnesses`); derived when first read, which
         only `to_dict` does."""
         return _witnesses(self.raw_relations, self.output.relations, self.output.n)
 
@@ -151,11 +139,11 @@ def _unamalgamate(algebra: NakayamaAlgebra, leaf: int, targets) -> Unamalgamatio
     if n - 1 < 2:
         raise TooSmallError(f"cannot drop a vertex from a quiver of size {n}")
     phi = relabel_map(n, leaf)
-    reindexed = [Relation(phi[rel.start - 1], rel.length) for rel in algebra.relations]
-    raw = tuple(delete_last_arrow(rel, n) for rel in reindexed)
-    # the raw words keep `eliminate_redundant`'s contract, so their series
-    # is the output's, and its relations are the kept words
-    output = NakayamaAlgebra(kupisch_from_relations(n - 1, raw))
+    raw = tuple(delete_last_arrow(Relation(phi[r.start - 1], r.length), n) for r in algebra.relations)
+    # the series rotated so that the leaf is n; drop its copies of S_n from
+    # each other projective (see the module docstring)
+    c = algebra.kupisch[leaf:] + algebra.kupisch[:leaf]
+    output = NakayamaAlgebra(tuple(ck - (k + ck - 1) // n for k, ck in enumerate(c[:-1], 1)))
     return UnamalgamationStep(
         input=algebra,
         leaf=leaf,

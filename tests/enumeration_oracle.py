@@ -106,7 +106,7 @@ def kupisch_series(n, c_max):
 
 
 def eliminate_redundant(relations, n):
-    """`nakayama.unamalgamation.eliminate_redundant` by testing every pair
+    """`leaf_oracle.eliminate_redundant` by testing every pair
     of words: a word is minimal iff it contains no other word.  The kept and
     eliminated words and the witnesses follow the same rule."""
     rels = [r if isinstance(r, Relation) else Relation(*r) for r in relations]

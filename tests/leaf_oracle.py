@@ -1,14 +1,68 @@
-"""The leaf checks by their first rules, kept as oracles.
+"""The leaf steps and checks by their first rules, kept as oracles.
 
+`word_path` is a step's output series by the word path: relabel each
+relation, delete x_n from it with `delete_last_arrow`, and take the series
+of the words.  `eliminate_redundant` gives the minimal words of any such
+list, and `delete_letters` deletes x_n from one word letter by letter.
 `check_properties` is `unamalgamation.check_properties` with full
 `invariants` on both sides, f-vector and all, and a table entry rotated
 onto the step's output by `Invariants.rotate`.  `raw_complex_matches` is
 `harness.raw_complex_matches` by enumeration: it lists every simplex of the
 raw image words' complex and compares them with the given complex's."""
 
-from nakayama.algebra import least_rotation
+from nakayama.algebra import NakayamaAlgebra, Relation, kupisch_from_relations, least_rotation, mod1
 from nakayama.relation_complex import interior, simplex_levels
-from nakayama.unamalgamation import PropertyReport, invariants, unamalgamate
+from nakayama.unamalgamation import (
+    PropertyReport,
+    _witnesses,
+    delete_last_arrow,
+    invariants,
+    relabel_map,
+    unamalgamate,
+)
+
+
+def delete_letters(rel, n):
+    """`delete_last_arrow` letter by letter: walk the word, drop each x_n,
+    and prepend x_{n-1} when the word starts at n."""
+    letters = [a for a in (mod1(rel.start + t, n) for t in range(rel.length)) if a != n]
+    if rel.start == n:
+        letters.insert(0, n - 1)
+    return Relation(letters[0], len(letters))
+
+
+def word_path(algebra, leaf):
+    """The Kupisch series of the output of the step at `leaf`, from the
+    relation words: relabel so that the leaf is n, apply
+    `delete_last_arrow`, and take the series of the words."""
+    n = algebra.n
+    phi = relabel_map(n, leaf)
+    words = [delete_last_arrow(Relation(phi[r.start - 1], r.length), n) for r in algebra.relations]
+    return kupisch_from_relations(n - 1, words)
+
+
+def eliminate_redundant(relations, n):
+    """Drop every relation that contains another one as a cyclic subword.
+
+    The input is a list of relations on the n-cycle, n >= 2, with starts in
+    1..n and lengths >= 1, which is what `delete_last_arrow` yields; starts
+    and whole words may repeat.  Anything else raises ValueError.
+
+    The survivors are exactly the minimal words, so the outcome does not
+    depend on the order of deletion.  They generate the same ideal as the
+    input, so they are the relations of its Kupisch series.  Returns
+    (kept, eliminated): every input word but the first copy of each kept
+    word is eliminated, in input order, with its witness, the kept word it
+    contains that is least by (length, start).
+    """
+    rels = [r if isinstance(r, Relation) else Relation(*r) for r in relations]
+    for r in rels:
+        if not (1 <= r.start <= n and r.length >= 1):
+            raise ValueError(f"relation ({r.start},{r.length}) is not a word on the {n}-cycle")
+    if not rels:
+        return (), ()
+    minimal = NakayamaAlgebra(kupisch_from_relations(n, rels)).relations
+    return minimal, _witnesses(rels, minimal, n)
 
 
 def look_up(known, algebra):

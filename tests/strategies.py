@@ -16,6 +16,20 @@ def kupisch_series(draw, min_n=2, max_n=6, min_c=1, max_c=6):
     return tuple(c)
 
 
+@st.composite
+def wrapping_kupisch_series(draw, min_n=3, max_n=40):
+    """A valid Kupisch series with entries up to 3n, so that its relation
+    words wrap round the cycle up to three times.  Its largest entry is
+    drawn first and bounds the rest, which keeps the cyclic constraint
+    without an `assume`; then the series is rotated."""
+    n = draw(st.integers(min_n, max_n))
+    c = [draw(st.integers(1, 3 * n))]
+    for _ in range(n - 1):
+        c.append(draw(st.integers(max(1, c[-1] - 1), c[0])))
+    k = draw(st.integers(0, n - 1))
+    return tuple(c[k:] + c[:k])
+
+
 def cyclic_kupisch_series(min_n=2, max_n=6, max_c=6):
     return kupisch_series(min_n=min_n, max_n=max_n, min_c=2, max_c=max_c)
 

@@ -250,6 +250,34 @@ def test_missing_file(capsys):
     assert "error[bad-file]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["sweep"], "required: --n-max"),
+        (["unamalgamate", "algebra.json", "--leaf", "x"], "invalid int value: 'x'"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        ([], "required: command"),
+    ],
+)
+def test_unparsable_command_line_ends_in_a_bad_args_line(argv, reason, capsys):
+    """A command line that does not parse is bad input, exit 1, not the
+    exit 2 of a failed check; the file is not read."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error[bad-args] <input>: ") and captured.err.count("\n") == 1
+    assert reason in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_still_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: nakayama") and captured.err == ""
+
+
 @pytest.mark.parametrize("flags", [["--n-max", "3", "--n-min", "1"], ["--n-max", "3", "--c-max", "0"]])
 def test_sweep_bad_bounds_end_in_an_error_line(flags, capsys):
     assert main(["sweep"] + flags) == 1

@@ -10,8 +10,9 @@ import enumeration_oracle as oracle
 from nakayama import AlgebraError, Relation, kupisch_from_relations, validate
 from nakayama.harness import SweepConfig, enumerate_kupisch
 from nakayama.resolution import targets
-from nakayama.unamalgamation import eliminate_redundant, unamalgamate
+from nakayama.unamalgamation import unamalgamate
 
+from leaf_oracle import eliminate_redundant
 from strategies import relation_lists
 
 

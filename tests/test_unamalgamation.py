@@ -7,23 +7,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nakayama
-from nakayama import NotALeafError, ProjDim, Relation, TooSmallError, algebra_from_kupisch, global_dimension
+from nakayama import (
+    NotALeafError,
+    ProjDim,
+    Relation,
+    TooSmallError,
+    algebra_from_kupisch,
+    global_dimension,
+    kupisch_from_relations,
+)
 from nakayama.algebra import least_rotation
 from nakayama.harness import SweepConfig, enumerate_kupisch, raw_complex_matches
 from nakayama.relation_complex import build_complex, euler_characteristic
-from nakayama.resolution import build, leaves
+from nakayama.resolution import build, leaves, targets
 from nakayama.unamalgamation import (
     Invariants,
     check_properties,
     delete_last_arrow,
-    eliminate_redundant,
     invariants,
     reduce_fully,
     relabel_map,
     unamalgamate,
 )
 
-from strategies import kupisch_series, raw_relation_lists
+from leaf_oracle import delete_letters, eliminate_redundant, word_path
+from strategies import kupisch_series, raw_relation_lists, wrapping_kupisch_series
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's request and digest code)
@@ -44,6 +52,16 @@ def test_delete_last_arrow_cases():
     assert delete_last_arrow(Relation(1, 3), 5) == Relation(1, 3)
     # a double-wrapping word starting at n loses both copies of x_n
     assert delete_last_arrow(Relation(3, 4), 3) == Relation(2, 3)
+
+
+def test_delete_last_arrow_matches_the_letter_rule():
+    """The count of x_n by floor division agrees with walking the word, at
+    every start and every length up to three turns round the cycle."""
+    for n in range(2, 11):
+        for start in range(1, n + 1):
+            for length in range(1, 3 * n + 1):
+                rel = Relation(start, length)
+                assert delete_last_arrow(rel, n) == delete_letters(rel, n), (n, rel)
 
 
 def test_unamalgamate_lambda2(lambda2):
@@ -292,6 +310,19 @@ def test_output_kupisch_counts_the_surviving_composition_factors():
                     assert step.output.kupisch[step.relabel[i - 1] - 1] == expected, (c, leaf, i)
             steps += 1
     assert steps == 7128
+
+
+@settings(max_examples=200, deadline=None)
+@given(wrapping_kupisch_series())
+def test_output_series_matches_the_word_path(c):
+    """The output's series, read off the input's, is the series of the raw
+    words, on series whose words wrap round the cycle several times."""
+    algebra = algebra_from_kupisch(c)
+    n = algebra.n
+    for leaf in sorted(set(range(1, n + 1)).difference(targets(c))):
+        step = unamalgamate(algebra, leaf)
+        assert step.output.kupisch == word_path(algebra, leaf), (c, leaf)
+        assert step.output.kupisch == kupisch_from_relations(n - 1, step.raw_relations), (c, leaf)
 
 
 def test_euler_and_weight_one_count_invariant_under_steps():
