@@ -79,10 +79,11 @@ class TooLargeError(AlgebraError):
 # basis cycles; its `verify` counts them without listing one and ranks its one
 # critical cell, {1}, in about 0.4 ms (CPython 3.11.7, one core).
 MAX_SUBSETS = 1 << 16
-# The most quiver vertices any algebra may have; `validate` checks it first,
-# and `algebra_from_kupisch` right after its linear series check, because
-# n-sized tuples and 2^n-sized bounds cost memory before any other guard is
-# reached.  `reduce` does work that grows with n^2: on the linear
+# The most quiver vertices any algebra may have; `check_vertices` refuses
+# more, called first by `validate`, by `algebra_from_kupisch` right after its
+# linear series check, and by a sweep before it builds a level's series,
+# because n-sized tuples and 2^n-sized bounds cost memory before any other
+# guard is reached.  `reduce` does work that grows with n^2: on the linear
 # algebra with the one relation (1, 1) at n = 1,024, `reduce_fully` takes
 # 0.2-0.3 s and the `reduce` command, writing 1,022 steps, 0.65-0.85 s.
 # `global_dimension` visits each of the at most sum(c) syzygy states once:
@@ -163,6 +164,12 @@ class NakayamaAlgebra:
         return {"n": self.n, "relations": [[r.start, r.length] for r in self.relations]}
 
 
+def check_vertices(n: int) -> None:
+    """Raises TooLargeError for more than MAX_VERTICES vertices."""
+    if n > MAX_VERTICES:
+        raise TooLargeError(f"quiver size {n} is over {MAX_VERTICES}")
+
+
 def validate(n: int, relations) -> NakayamaAlgebra:
     """Check raw relation data and return the algebra of its Kupisch series.
 
@@ -173,8 +180,7 @@ def validate(n: int, relations) -> NakayamaAlgebra:
     relation is a cyclic subword of another; the error names the first
     such pair in sorted order.
     """
-    if n > MAX_VERTICES:
-        raise TooLargeError(f"quiver size {n} is over {MAX_VERTICES}")
+    check_vertices(n)
     if n < 2:
         raise AlgebraError(f"quiver size must be at least 2, got {n}")
     rels = tuple(sorted(r if isinstance(r, Relation) else Relation(*r) for r in relations))
@@ -251,8 +257,7 @@ def algebra_from_kupisch(c) -> NakayamaAlgebra:
     a series that is not valid, then TooLargeError for more than
     MAX_VERTICES entries."""
     c = _checked_kupisch(c)
-    if len(c) > MAX_VERTICES:
-        raise TooLargeError(f"quiver size {len(c)} is over {MAX_VERTICES}")
+    check_vertices(len(c))
     return NakayamaAlgebra(c)
 
 

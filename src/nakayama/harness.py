@@ -35,7 +35,7 @@ in.  It runs level by level in n, keeping the records of the level below
 for the leaf checks; with several worker processes, each level's classes
 are split between them and every worker gets that table.  A level past
 MAX_SUBSETS, where `verify` refuses every algebra, is its first series
-alone, taken in closed form.
+alone, taken in closed form, and the sweep stops at the first such level.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .algebra import (
     MAX_SUBSETS,
     AlgebraClass,
     NakayamaAlgebra,
+    check_vertices,
     kupisch_from_relations,
     least_rotation,
 )
@@ -359,20 +360,31 @@ def _levels(config: SweepConfig):
     with its least rotation.
 
     Past MAX_SUBSETS station subsets `verify` refuses every algebra, so
-    such a level is its first algebra alone, the least of its class: its
-    refusal ends the sweep.  That algebra is taken in closed form, since
-    the series ahead of it can be exponentially many.  (1,) * n is the
-    least series, a product of linear algebras; a linear series has
-    exactly one entry 1 and a cyclic one none, so theirs are (1, 2, ..., 2)
-    and (2,) * n once c_max >= 2."""
+    the first level past it is its first algebra alone, the least of the
+    requested classes, and the walk ends there: that algebra's refusal ends
+    the sweep, and when the level has none, no later level has one either.
+    That algebra is taken in closed form, since the series ahead of it can
+    be exponentially many.  (1,) * n is the least series, a product of
+    linear algebras; a linear series has exactly one entry 1 and a cyclic
+    one none, so theirs are (1, 2, ..., 2) and (2,) * n once c_max >= 2.
+    None of these classes depends on n, so each is read off n = 3, and a
+    level past MAX_VERTICES that is not empty is refused by
+    `check_vertices`, as `validate` refuses it, before its series is
+    built."""
     for n in range(config.n_min, config.n_max + 1):
-        if 2 ** n - 1 > MAX_SUBSETS:
-            least = [(1,) * n] + ([(1,) + (2,) * (n - 1), (2,) * n] if config.c_max >= 2 else [])
-            level = [NakayamaAlgebra(c) for c in least if AlgebraClass.of(c) in config.classes][:1]
-        else:
+        if 2 ** n - 1 <= MAX_SUBSETS:
             level = list(enumerate_kupisch(replace(config, n_min=n, n_max=n)))
+        else:
+            # the least series of each class, (c_1, c_2, ..., c_2) as (c_1, c_2), least first
+            least = [(1, 1)] + ([(1, 2), (2, 2)] if config.c_max >= 2 else [])
+            first = [(h, t) for h, t in least if AlgebraClass.of((h, t, t)) in config.classes][:1]
+            if first:
+                check_vertices(n)
+            level = [NakayamaAlgebra((h,) + (t,) * (n - 1)) for h, t in first]
         if level:
             yield level, [least_rotation(a.kupisch) for a in level]
+        if 2 ** n - 1 > MAX_SUBSETS:
+            return
 
 
 def _verify_classes(

@@ -11,12 +11,15 @@ n, so those copies are the multiples of n in k..k+c_k-1, and
     c'_k = c_k - (k + c_k - 1) // n,    k = 1, ..., n - 1,
 
 is the output's Kupisch series, read off the input's with n integer
-operations.  In words: delete every occurrence of the letter x_n from each
-relation word, and prepend x_{n-1} to a word that started at n
-(`delete_last_arrow`, by the same count).  The resulting raw words can be
-redundant; their minimal words are the relations of c'.  A step keeps the
-raw words, one per input relation, for `harness.raw_complex_matches` and
-its JSON; the output does not read them.
+operations.  The step's raw words, one per input relation, are the
+relation words with every letter x_n erased, read off c' too.  The
+relation at k < n is the path (k, c_k), whose letters x_n are those same
+copies, so its raw word is (k, c'_k).  The relation at n, if there is one,
+loses its first letter and (c_n - 1) // n more, and gets x_{n-1} prepended
+so that it stays a path: its raw word is (n - 1, c_n - (c_n - 1) // n).
+The raw words can be redundant; their minimal words are the relations of
+c'.  A step keeps them, in input-relation order, for
+`harness.raw_complex_matches` and its JSON; the output does not read them.
 
 The construction preserves the resolution quiver (minus the leaf), the
 common component weight, the reduced homology of the relation complex, and
@@ -65,16 +68,6 @@ def relabel_map(n: int, leaf: int) -> tuple[int, ...]:
     return (*range(n - leaf + 1, n + 1), *range(1, n - leaf + 1))
 
 
-def delete_last_arrow(rel: Relation, n: int) -> Relation:
-    """Image of one relation word under deleting all occurrences of x_n,
-    prepending x_{n-1} when the word starts at n; lives on the (n-1)-cycle.
-    The word passes x_n once per multiple of n in start..start+length-1."""
-    length = rel.length - (rel.start + rel.length - 1) // n
-    if rel.start == n:
-        return Relation(n - 1, length + 1)
-    return Relation(rel.start, length)
-
-
 def _witnesses(words, minimal, n: int) -> tuple[tuple[Relation, Relation], ...]:
     """The words eliminated in favour of `minimal`, the minimal words of
     their Kupisch series on the n-cycle: in input order, every word but the
@@ -99,9 +92,14 @@ def _witnesses(words, minimal, n: int) -> tuple[tuple[Relation, Relation], ...]:
 class UnamalgamationStep:
     input: NakayamaAlgebra
     leaf: int
-    relabel: tuple[int, ...]
     raw_relations: tuple[Relation, ...]  # index-parallel to input.relations
     output: NakayamaAlgebra
+
+    @property
+    def relabel(self) -> tuple[int, ...]:
+        """The rotation of the labels that sends the leaf to n (see
+        `relabel_map`)."""
+        return relabel_map(self.input.n, self.leaf)
 
     @cached_property
     def eliminated(self) -> tuple[tuple[Relation, Relation], ...]:
@@ -138,19 +136,16 @@ def _unamalgamate(algebra: NakayamaAlgebra, leaf: int, targets) -> Unamalgamatio
         raise NotALeafError(f"vertex {leaf} is a node of the resolution quiver, not a leaf")
     if n - 1 < 2:
         raise TooSmallError(f"cannot drop a vertex from a quiver of size {n}")
-    phi = relabel_map(n, leaf)
-    raw = tuple(delete_last_arrow(Relation(phi[r.start - 1], r.length), n) for r in algebra.relations)
     # the series rotated so that the leaf is n; drop its copies of S_n from
-    # each other projective (see the module docstring)
+    # each other projective, and read each relation's raw word off the
+    # result at its relabelled start k (see the module docstring)
     c = algebra.kupisch[leaf:] + algebra.kupisch[:leaf]
-    output = NakayamaAlgebra(tuple(ck - (k + ck - 1) // n for k, ck in enumerate(c[:-1], 1)))
-    return UnamalgamationStep(
-        input=algebra,
-        leaf=leaf,
-        relabel=phi,
-        raw_relations=raw,
-        output=output,
+    out = tuple(ck - (k + ck - 1) // n for k, ck in enumerate(c[:-1], 1))
+    raw = tuple(
+        Relation(k, out[k - 1]) if k < n else Relation(n - 1, c[-1] - (c[-1] - 1) // n)
+        for k in ((r.start - leaf - 1) % n + 1 for r in algebra.relations)
     )
+    return UnamalgamationStep(input=algebra, leaf=leaf, raw_relations=raw, output=NakayamaAlgebra(out))
 
 
 @dataclass(frozen=True)
@@ -296,12 +291,10 @@ def check_properties(
         for i in range(1, algebra.n + 1)
         if i != leaf
     )
-    if g_in.is_finite != g_out.is_finite:
-        gldim_sandwich = False
-    elif g_in.is_finite:
-        gldim_sandwich = g_out.value <= g_in.value <= g_out.value + 2
-    else:
-        gldim_sandwich = True
+    # both finite and within two of each other, or both infinite
+    gldim_sandwich = g_in.is_finite == g_out.is_finite and (
+        not g_in.is_finite or g_out.value <= g_in.value <= g_out.value + 2
+    )
     return PropertyReport(
         step=step,
         quiver_match=quiver_match,

@@ -1,9 +1,11 @@
 """The leaf steps and checks by their first rules, kept as oracles.
 
-`word_path` is a step's output series by the word path: relabel each
-relation, delete x_n from it with `delete_last_arrow`, and take the series
-of the words.  `eliminate_redundant` gives the minimal words of any such
-list, and `delete_letters` deletes x_n from one word letter by letter.
+`word_path` is a step's raw words and output series by the word path:
+relabel each relation, delete x_n from it with `delete_last_arrow`, and
+take the series of the words.  `delete_last_arrow` counts the letters x_n
+by floor division, `delete_letters` deletes them from one word letter by
+letter, and `eliminate_redundant` gives the minimal words of any list of
+such words.
 `check_properties` is `unamalgamation.check_properties` with full
 `invariants` on both sides, f-vector and all, and a table entry rotated
 onto the step's output by `Invariants.rotate`.  `raw_complex_matches` is
@@ -12,14 +14,17 @@ raw image words' complex and compares them with the given complex's."""
 
 from nakayama.algebra import NakayamaAlgebra, Relation, kupisch_from_relations, least_rotation, mod1
 from nakayama.relation_complex import interior, simplex_levels
-from nakayama.unamalgamation import (
-    PropertyReport,
-    _witnesses,
-    delete_last_arrow,
-    invariants,
-    relabel_map,
-    unamalgamate,
-)
+from nakayama.unamalgamation import PropertyReport, _witnesses, invariants, relabel_map, unamalgamate
+
+
+def delete_last_arrow(rel, n):
+    """Image of one relation word under deleting all occurrences of x_n,
+    prepending x_{n-1} when the word starts at n; lives on the (n-1)-cycle.
+    The word passes x_n once per multiple of n in start..start+length-1."""
+    length = rel.length - (rel.start + rel.length - 1) // n
+    if rel.start == n:
+        return Relation(n - 1, length + 1)
+    return Relation(rel.start, length)
 
 
 def delete_letters(rel, n):
@@ -32,13 +37,14 @@ def delete_letters(rel, n):
 
 
 def word_path(algebra, leaf):
-    """The Kupisch series of the output of the step at `leaf`, from the
-    relation words: relabel so that the leaf is n, apply
-    `delete_last_arrow`, and take the series of the words."""
+    """The raw words of the step at `leaf`, in input-relation order, and
+    the Kupisch series of its output, from the relation words: relabel so
+    that the leaf is n, apply `delete_last_arrow`, and take the series of
+    the words."""
     n = algebra.n
     phi = relabel_map(n, leaf)
-    words = [delete_last_arrow(Relation(phi[r.start - 1], r.length), n) for r in algebra.relations]
-    return kupisch_from_relations(n - 1, words)
+    words = tuple(delete_last_arrow(Relation(phi[r.start - 1], r.length), n) for r in algebra.relations)
+    return words, kupisch_from_relations(n - 1, words)
 
 
 def eliminate_redundant(relations, n):

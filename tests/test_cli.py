@@ -353,6 +353,23 @@ def test_sweep_at_17_vertices(capsys, flags, code, err, out):
     assert (captured.err, captured.out) == (err, out)
 
 
+@pytest.mark.parametrize("flags, code, err, out", [
+    # the first level past MAX_SUBSETS, n = 17, holds no cyclic series, so
+    # no later level holds one
+    (["--n-max", "1000000", "--c-max", "1", "--class", "cyclic", "--format", "csv"], 0, "",
+     ",".join(harness.CSV_COLUMNS) + "\n"),
+    # (1,) * 100000 is refused by its size before it is built
+    (["--n-min", "100000", "--n-max", "100000", "--c-max", "1"], 1,
+     "error[too-large] <input>: quiver size 100000 is over 1024\n", ""),
+])
+def test_sweep_far_past_the_limits_ends_at_once(capsys, flags, code, err, out):
+    start = time.perf_counter()
+    assert main(["sweep", *flags]) == code
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == (err, out)
+
+
 @pytest.mark.parametrize("command, flag, extra", [
     ("analyze", "--out", []),
     ("complex", "--out", []),

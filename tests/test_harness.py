@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from itertools import combinations, islice, product
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from nakayama import (
     AlgebraClass,
+    TooLargeError,
     algebra_from_kupisch,
     harness,
     radical_power_algebra,
@@ -88,6 +90,36 @@ def test_a_level_past_max_subsets_is_its_least_series_in_closed_form(monkeypatch
     monkeypatch.setattr(harness, "kupisch_series", None)  # not walked at all
     for config, first in zip(configs, walked):
         assert [a.kupisch for level, _ in harness._levels(config) for a in level] == first, config
+
+
+def test_levels_stop_at_the_first_level_past_max_subsets(monkeypatch):
+    """The class of each closed-form least series does not depend on n, so
+    the first level past MAX_SUBSETS ends the walk: `verify` refuses its
+    one algebra, or, when it has none, no later level has one either.
+    n_max is far beyond what a walk of every level could reach; the
+    classified series stand in for the levels examined."""
+    config = SweepConfig(n_min=17, n_max=10**18, c_max=1)
+    assert [[a.kupisch for a in level] for level, _ in islice(harness._levels(config), 2)] == [[(1,) * 17]]
+    classify = AlgebraClass.of
+    examined = []
+
+    def counted(c):
+        examined.append(c)
+        assert len(examined) <= 3, "levels past the first one past MAX_SUBSETS were examined"
+        return classify(c)
+
+    monkeypatch.setattr(AlgebraClass, "of", staticmethod(counted))
+    assert list(harness._levels(replace(config, classes=frozenset({AlgebraClass.CYCLIC})))) == []
+    assert examined == [(1, 1, 1)]
+
+
+def test_a_level_past_max_vertices_is_refused_before_its_series_is_built():
+    """A level past MAX_VERTICES that holds an algebra of the requested
+    classes is refused with `validate`'s text; an empty one is no refusal."""
+    config = SweepConfig(n_min=2000, n_max=2000, c_max=1)
+    with pytest.raises(TooLargeError, match=r"^quiver size 2000 is over 1024$"):
+        next(harness._levels(config))
+    assert list(harness._levels(replace(config, classes=frozenset({AlgebraClass.CYCLIC})))) == []
 
 
 def test_config_validation():

@@ -23,14 +23,13 @@ from nakayama.resolution import build, leaves, targets
 from nakayama.unamalgamation import (
     Invariants,
     check_properties,
-    delete_last_arrow,
     invariants,
     reduce_fully,
     relabel_map,
     unamalgamate,
 )
 
-from leaf_oracle import delete_letters, eliminate_redundant, word_path
+from leaf_oracle import delete_last_arrow, delete_letters, eliminate_redundant, word_path
 from strategies import kupisch_series, raw_relation_lists, wrapping_kupisch_series
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
@@ -297,7 +296,8 @@ def test_output_kupisch_counts_the_surviving_composition_factors():
     """The output of a step is the endomorphism algebra of the projectives
     other than P_leaf, so for i != leaf its projective at phi(i) has one
     composition factor per factor S_{i+t} (t < c_i) of P_i off the leaf.
-    Checked at every leaf of every algebra at n <= 6, c <= 7."""
+    Its raw words are those of the word path.  Checked at every leaf of
+    every algebra at n <= 6, c <= 7."""
     steps = 0
     for algebra in enumerate_kupisch(SweepConfig(n_min=3, n_max=6, c_max=7)):
         n, c = algebra.n, algebra.kupisch
@@ -308,6 +308,7 @@ def test_output_kupisch_counts_the_surviving_composition_factors():
                 if i != leaf:
                     expected = sum(1 for t in range(c[i - 1]) if (i + t - leaf) % n)
                     assert step.output.kupisch[step.relabel[i - 1] - 1] == expected, (c, leaf, i)
+            assert step.raw_relations == word_path(algebra, leaf)[0], (c, leaf)
             steps += 1
     assert steps == 7128
 
@@ -315,13 +316,16 @@ def test_output_kupisch_counts_the_surviving_composition_factors():
 @settings(max_examples=200, deadline=None)
 @given(wrapping_kupisch_series())
 def test_output_series_matches_the_word_path(c):
-    """The output's series, read off the input's, is the series of the raw
-    words, on series whose words wrap round the cycle several times."""
+    """The output's series and the raw words, both read off the input's
+    series, are those of the word path, on series whose words wrap round
+    the cycle several times."""
     algebra = algebra_from_kupisch(c)
     n = algebra.n
     for leaf in sorted(set(range(1, n + 1)).difference(targets(c))):
         step = unamalgamate(algebra, leaf)
-        assert step.output.kupisch == word_path(algebra, leaf), (c, leaf)
+        words, series = word_path(algebra, leaf)
+        assert step.output.kupisch == series, (c, leaf)
+        assert step.raw_relations == words, (c, leaf)
         assert step.output.kupisch == kupisch_from_relations(n - 1, step.raw_relations), (c, leaf)
 
 
