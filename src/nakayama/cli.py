@@ -209,19 +209,20 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise InputError("bad-config", str(exc)) from exc
     report = harness.sweep(config, workers=harness.default_workers())
+    counterexamples = report.counterexamples
     if args.out:
         _emit(harness.to_csv(report), args.out + ".csv")
         _emit(harness.to_json(report), args.out + ".json")
         sys.stdout.write(
             f"checked {len(report.verdicts)} algebras, "
-            f"{len(report.counterexamples)} counterexamples; "
+            f"{len(counterexamples)} counterexamples; "
             f"wrote {args.out}.csv and {args.out}.json\n"
         )
     elif args.format == "csv":
         sys.stdout.write(harness.to_csv(report))
     else:
         sys.stdout.write(harness.to_json(report))
-    return 0 if report.ok else 2
+    return 2 if counterexamples else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,26 +28,28 @@ independent computations of the cyclic side with 1 - χ(L): the HC Euler
 characteristic, ranked from the critical cells, and the alternating sum
 of the cell counts, which list no cell.
 
-Rotating the vertex labels is an isomorphism, so `sweep` runs `verify` once
-per rotation class, on the least rotation of the series, and gives that
-verdict to the rows of the other rotations with their own algebra swapped
-in.  It runs level by level in n, keeping the records of the level below
-for the leaf checks; with several worker processes, each level's classes
-are split between them and every worker gets that table.  A level past
+Rotating the vertex labels is an isomorphism, so the sweep's rows are
+worked per rotation class.  Each level (one n) walks the series once and
+classifies each class once, at its least rotation, which is the first of
+its series to appear; every other row finds its class in one lookup.
+`sweep` runs `verify` once per class, on the least rotation, and gives
+that verdict to the rows of the other rotations with their own algebra
+swapped in, and `to_csv` formats the columns after the series once per
+distinct verdict.  The sweep keeps the records of the level below for the
+leaf checks; with several worker processes, each level's classes are
+split between them and every worker gets that table.  A level past
 MAX_SUBSETS, where `verify` refuses every algebra, is its first series
 alone, taken in closed form, and the sweep stops at the first such level.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Callable, Iterator
 
@@ -58,7 +60,6 @@ from .algebra import (
     NakayamaAlgebra,
     check_vertices,
     kupisch_from_relations,
-    least_rotation,
 )
 
 THEOREM_CHECKS = ("A", "B", "Bprime", "C", "HCvsBetti", "UnamalgamationProps", "SameWeight")
@@ -255,11 +256,15 @@ def _reduces_to_semisimple(
 ) -> bool:
     """`reduce_fully(algebra).semisimple`.  After its first step, at the
     least leaf, the reduction goes on as the reduction of the step's output,
-    so the output's entry in `known` answers when it holds the answer."""
-    found = first_step and unamalgamation.look_up(known, first_step.output)
+    n = 2 collapse included, so it goes on from `first_step` when there is
+    one: the output's entry in `known` answers when it holds the answer,
+    and else the output is reduced."""
+    if first_step is None:
+        return unamalgamation.reduce_fully(algebra).semisimple
+    found = unamalgamation.look_up(known, first_step.output)
     if found and found[1] is not None:
         return found[1]
-    return unamalgamation.reduce_fully(algebra).semisimple
+    return unamalgamation.reduce_fully(first_step.output).semisimple
 
 
 def raw_complex_matches(
@@ -340,6 +345,7 @@ class TheoremReport:
         return out
 
     def to_dict(self) -> dict:
+        counterexamples = self.counterexamples
         return {
             "config": self.config.to_dict(),
             "algebra_count": len(self.verdicts),
@@ -349,15 +355,22 @@ class TheoremReport:
             ],
             "counterexamples": [
                 {"algebra": v.invariants.algebra.to_dict(), "failed": v.failed}
-                for v in self.counterexamples
+                for v in counterexamples
             ],
-            "ok": self.ok,
+            "ok": not counterexamples,
         }
 
 
 def _levels(config: SweepConfig):
     """The enumerated algebras one nonempty level (one n) at a time, each
-    with its least rotation.
+    with its class key, the least rotation of its series.
+
+    A level walks `kupisch_series` once.  The series come in lexicographic
+    order, so the first series of a rotation class to appear is its least
+    rotation.  There the class is classified, once, and each of its other
+    rotations is mapped to it, or to None when the class is filtered out.
+    Every later series of the class takes its key from that map and leaves
+    it, so the map holds only the rotations still to come.
 
     Past MAX_SUBSETS station subsets `verify` refuses every algebra, so
     the first level past it is its first algebra alone, the least of the
@@ -373,7 +386,19 @@ def _levels(config: SweepConfig):
     built."""
     for n in range(config.n_min, config.n_max + 1):
         if 2 ** n - 1 <= MAX_SUBSETS:
-            level = list(enumerate_kupisch(replace(config, n_min=n, n_max=n)))
+            level, keys = [], []
+            key_of: dict[tuple[int, ...], tuple[int, ...] | None] = {}
+            for c in kupisch_series(n, config.c_max):
+                if c in key_of:
+                    c0 = key_of.pop(c)
+                else:
+                    c0 = c if AlgebraClass.of(c) in config.classes else None
+                    for k in range(1, n):
+                        key_of[c[k:] + c[:k]] = c0
+                    key_of.pop(c, None)  # a periodic c is one of its own rotations
+                if c0 is not None:
+                    level.append(NakayamaAlgebra(c))
+                    keys.append(c0)
         else:
             # the least series of each class, (c_1, c_2, ..., c_2) as (c_1, c_2), least first
             least = [(1, 1)] + ([(1, 2), (2, 2)] if config.c_max >= 2 else [])
@@ -381,8 +406,10 @@ def _levels(config: SweepConfig):
             if first:
                 check_vertices(n)
             level = [NakayamaAlgebra((h,) + (t,) * (n - 1)) for h, t in first]
+            # the least series of its class is the least of its rotations
+            keys = [a.kupisch for a in level]
         if level:
-            yield level, [least_rotation(a.kupisch) for a in level]
+            yield level, keys
         if 2 ** n - 1 > MAX_SUBSETS:
             return
 
@@ -418,19 +445,20 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
     order regardless of worker count.
 
     Only the least rotation of each Kupisch series is verified: the other
-    rows of its rotation class get its verdict, with their algebra swapped
-    in.  The levels (one n each) run in order, and each level's classes are
-    verified with the table of the level below, where the leaf checks find
-    the smaller algebras.  On `workers` processes, each level's classes are
+    rows of its rotation class find it by the class key `_levels` gives
+    them and get its verdict, with their algebra swapped in (see
+    `AlgebraVerdict.rotate`).  The levels (one n each) run in order, and
+    each level's classes are verified with the table of the level below,
+    where the leaf checks find the smaller algebras.  On `workers` processes, each level's classes are
     split between them, and the next level is enumerated while they work."""
     verdicts: list[AlgebraVerdict] = []
     known: unamalgamation.Table = {}
     levels = _levels(config)
     spawn = get_context("spawn")
     with (ProcessPoolExecutor(workers, mp_context=spawn) if workers > 1 else nullcontext()) as pool:
-        level, least = next(levels, ([], []))
+        level, keys = next(levels, ([], []))
         while level:
-            classes = [a for a, c0 in zip(level, least) if a.kupisch == c0]
+            classes = [a for a, c0 in zip(level, keys) if a.kupisch == c0]
             collect = _start_level(pool, workers, classes, config.checks, known)
             upcoming = next(levels, ([], []))
             by_class = {a.kupisch: v for a, v in zip(classes, collect())}
@@ -438,10 +466,10 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
             # row finds its class verified
             verdicts.extend(
                 by_class[c0] if a.kupisch == c0 else by_class[c0].rotate(a)
-                for a, c0 in zip(level, least)
+                for a, c0 in zip(level, keys)
             )
             known = {c0: (v.invariants, v.semisimple) for c0, v in by_class.items()}
-            level, least = upcoming
+            level, keys = upcoming
     return TheoremReport(config=config, verdicts=verdicts)
 
 
@@ -464,26 +492,44 @@ CSV_COLUMNS = (
 
 
 def to_csv(report: TheoremReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    """One row per verdict under the CSV_COLUMNS header.
+
+    Every column after `kupisch` depends only on gldim, the weights, the
+    f-vector (through chi), the reduced Betti numbers, `hc_dims` and the
+    checks, which the rows of a rotation class share but for the order of
+    several distinct weights.  So that text is formatted once for each
+    distinct set of those values, keyed by the values themselves, and each
+    row is `n,kupisch,` followed by it.  No field needs CSV quoting: each
+    is a number, numbers joined by spaces or `|`, or check names."""
+    tails: dict[tuple, str] = {}
+    lines = [",".join(CSV_COLUMNS)]
     for v in report.verdicts:
         inv = v.invariants
-        weights = inv.weights
-        writer.writerow(
-            [
-                inv.algebra.n,
-                " ".join(str(c) for c in inv.algebra.kupisch),
-                "inf" if not inv.gldim.is_finite else str(inv.gldim.value),
-                len(weights),
-                str(weights[0]) if len(set(weights)) == 1 else "|".join(str(w) for w in weights),
-                inv.chi,
-                " ".join(str(b) for b in inv.betti),
-                " ".join(str(d) for d in v.hc_dims),
-                "ok" if v.ok else ";".join(v.failed),
-            ]
+        key = (inv.gldim.value, inv.weights, inv.f_vector, inv.betti, v.hc_dims, tuple(v.checks.items()))
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = _csv_tail(v)
+        c = inv.algebra.kupisch
+        lines.append(f"{len(c)},{' '.join(map(str, c))},{tail}")
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _csv_tail(v: AlgebraVerdict) -> str:
+    """The CSV columns of `v` after `kupisch`, joined."""
+    inv = v.invariants
+    weights = inv.weights
+    return ",".join(
+        (
+            "inf" if not inv.gldim.is_finite else str(inv.gldim.value),
+            str(len(weights)),
+            str(weights[0]) if len(set(weights)) == 1 else "|".join(map(str, weights)),
+            str(inv.chi),
+            " ".join(map(str, inv.betti)),
+            " ".join(map(str, v.hc_dims)),
+            "ok" if v.ok else ";".join(v.failed),
         )
-    return buf.getvalue()
+    )
 
 
 def to_json(report: TheoremReport) -> str:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from dataclasses import replace
 from itertools import combinations, islice, product
@@ -122,6 +124,32 @@ def test_a_level_past_max_vertices_is_refused_before_its_series_is_built():
     assert list(harness._levels(replace(config, classes=frozenset({AlgebraClass.CYCLIC})))) == []
 
 
+CLASS_SETS = [frozenset(s) for size in range(1, 4) for s in combinations(AlgebraClass, size)]
+CLASS_SET_IDS = ["+".join(sorted(c.value for c in s)) for s in CLASS_SETS]
+
+
+@pytest.mark.parametrize("classes", CLASS_SETS, ids=CLASS_SET_IDS)
+def test_level_keys_are_the_least_rotations(monkeypatch, classes):
+    """A level's rows are the enumerated algebras of the requested classes,
+    and the class key each row reads off the level's map is the least
+    rotation of its series, at n <= 7, c <= 8.  Each rotation class is
+    classified once, requested or not."""
+    config = SweepConfig(n_min=2, n_max=7, c_max=8, classes=classes)
+    classify = AlgebraClass.of
+    classified = []
+    monkeypatch.setattr(AlgebraClass, "of", staticmethod(lambda c: classified.append(c) or classify(c)))
+    rows, keys = [], []
+    for level, level_keys in harness._levels(config):
+        assert len(level) == len(level_keys)
+        rows += [a.kupisch for a in level]
+        keys += level_keys
+    monkeypatch.undo()
+    assert rows == [a.kupisch for a in enumerate_kupisch(config)]
+    assert keys == [least_rotation(c) for c in rows]
+    every = [c for n in range(2, 8) for c in kupisch_series(n, 8)]
+    assert classified == [c for c in every if least_rotation(c) == c]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(n_min=1, n_max=3)
@@ -162,8 +190,9 @@ def test_verify_lambda3(lambda3):
 def test_verify_computes_gustafsons_function_once(monkeypatch, lambda1, lambda3):
     """`invariants` seeds its record's targets with those of the quiver it
     builds, and the leaf checks read them off that record, so verifying an
-    algebra computes Gustafson's function on its series once, plus once in
-    the full reduction that `Bprime` runs on lambda1 (two leaves)."""
+    algebra computes Gustafson's function on its series once.  The full
+    reduction that `Bprime` runs on lambda1 (two leaves) goes on from the
+    leaf check's step at the least leaf, so it does not compute it again."""
     calls = []
     real = resolution.targets
     monkeypatch.setattr(resolution, "targets", lambda kupisch: calls.append(kupisch) or real(kupisch))
@@ -173,7 +202,7 @@ def test_verify_computes_gustafsons_function_once(monkeypatch, lambda1, lambda3)
     calls.clear()
     v = verify(lambda1)
     assert v.ok and v.invariants.leaves == (1, 2) and v.semisimple
-    assert calls.count(lambda1.kupisch) == 2
+    assert calls.count(lambda1.kupisch) == 1
 
 
 def test_sweep_small_is_clean():
@@ -328,6 +357,33 @@ def test_bprime_reads_the_entry_at_the_least_leaf():
     assert checked == 1090
 
 
+def test_bprime_without_a_table_goes_on_from_the_first_step(monkeypatch):
+    """Without a table, Bprime reduces the output of the leaf check's step
+    at the least leaf, not the algebra again, and its answer is
+    `reduce_fully(algebra).semisimple`: checked on every finite-gldim,
+    acyclic algebra at n <= 6, c <= 7.  An algebra with no such step (two
+    vertices, or no leaf) is reduced itself."""
+    real = unamalgamation.reduce_fully
+    reduced = []
+    monkeypatch.setattr(unamalgamation, "reduce_fully", lambda a: reduced.append(a.kupisch) or real(a))
+    checked = from_step = 0
+    for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=6, c_max=7)):
+        reduced.clear()
+        verdict = verify(algebra)
+        inv = verdict.invariants
+        if not inv.gldim.is_finite or any(inv.betti) or inv.complex_empty:
+            assert verdict.semisimple is None and reduced == [], algebra.kupisch
+            continue
+        assert verdict.semisimple == real(algebra).semisimple, algebra.kupisch
+        if algebra.n >= 3 and inv.leaves:
+            assert reduced == [unamalgamate(algebra, inv.leaves[0]).output.kupisch], algebra.kupisch
+            from_step += 1
+        else:
+            assert reduced == [algebra.kupisch]
+        checked += 1
+    assert (checked, from_step) == (1655, 1646)
+
+
 def test_sweep_with_missing_smaller_algebras_matches_full_sweep():
     """With n_min = 3 and only cyclic algebras, the smaller algebras at n = 3
     and the non-cyclic ones are never verified, so lookups miss among the
@@ -342,6 +398,64 @@ def test_sweep_with_missing_smaller_algebras_matches_full_sweep():
     ]
     assert len(part.verdicts) == len(kept) > 100
     assert to_csv(part).splitlines()[1:] == to_csv(TheoremReport(full.config, kept)).splitlines()[1:]
+
+
+@pytest.fixture(scope="module")
+def all_classes_sweep():
+    return sweep(SweepConfig(n_min=2, n_max=6, c_max=7))
+
+
+@pytest.mark.parametrize("classes", CLASS_SETS, ids=CLASS_SET_IDS)
+def test_class_filtered_sweep_keeps_the_rows_of_its_classes(all_classes_sweep, classes):
+    """A sweep of some classes prints the CSV rows, and counts the JSON
+    totals, of those classes in the sweep of all classes, n <= 6, c <= 7."""
+    full = all_classes_sweep
+    part = sweep(replace(full.config, classes=classes))
+    kept = [v for v in full.verdicts if v.invariants.algebra.algebra_class in classes]
+    assert len(part.verdicts) == len(kept) > 0
+    assert to_csv(part).splitlines()[1:] == to_csv(TheoremReport(full.config, kept)).splitlines()[1:]
+    names = {c.value for c in classes}
+    totals = json.loads(to_json(full))["totals"]
+    assert json.loads(to_json(part))["totals"] == [t for t in totals if t["class"] in names]
+
+
+def _csv_row(v):
+    """The CSV row of one verdict, formatted field by field with `csv`."""
+    inv = v.invariants
+    weights = inv.weights
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(
+        [
+            inv.algebra.n,
+            " ".join(str(c) for c in inv.algebra.kupisch),
+            "inf" if not inv.gldim.is_finite else str(inv.gldim.value),
+            len(weights),
+            str(weights[0]) if len(set(weights)) == 1 else "|".join(str(w) for w in weights),
+            inv.chi,
+            " ".join(str(b) for b in inv.betti),
+            " ".join(str(d) for d in v.hc_dims),
+            "ok" if v.ok else ";".join(v.failed),
+        ]
+    )
+    return buf.getvalue().rstrip("\n")
+
+
+def test_csv_rows_keep_their_own_weight_order():
+    """`to_csv` formats the columns after the series once per distinct set
+    of values, and the order of the weights is one of those values.  By
+    SameWeight no real sweep has two verdicts that differ only there, so
+    they are planted: each row prints its own weights."""
+    v = verify(algebra_from_kupisch((3, 3, 4, 3)))
+
+    def planted(weights):
+        return harness.AlgebraVerdict(
+            replace(v.invariants, weights=weights), v.hc_dims, v.basis_sizes, v.checks, v.semisimple
+        )
+
+    verdicts = [planted(w) for w in [(1, 2), (2, 1), (1, 2), (2, 1, 2), (2, 2, 1)]]
+    rows = to_csv(TheoremReport(SweepConfig(), verdicts)).splitlines()[1:]
+    assert rows == [_csv_row(p) for p in verdicts]
+    assert [row.split(",")[4] for row in rows] == ["1|2", "2|1", "1|2", "2|1|2", "2|2|1"]
 
 
 def test_sweep_derives_relations_only_for_the_classes_it_verifies():
