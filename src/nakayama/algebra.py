@@ -261,16 +261,6 @@ def algebra_from_kupisch(c) -> NakayamaAlgebra:
     return NakayamaAlgebra(c)
 
 
-def least_rotation(c: tuple[int, ...]) -> tuple[int, ...]:
-    """The lexicographically least rotation of a Kupisch series.
-
-    Shifting the vertex labels is an isomorphism of the algebras, so the
-    least rotation names the rotation class of c."""
-    n = len(c)
-    twice = c + c
-    return min(twice[j:j + n] for j in range(n))
-
-
 @dataclass(frozen=True)
 class UniserialModule:
     """Uniserial module with composition series S_top, S_{top+1}, ..., mod n."""

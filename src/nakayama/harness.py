@@ -36,10 +36,12 @@ its series to appear; every other row finds its class in one lookup.
 that verdict to the rows of the other rotations with their own algebra
 swapped in, and `to_csv` formats the columns after the series once per
 distinct verdict.  The sweep keeps the records of the level below for the
-leaf checks; with several worker processes, each level's classes are
-split between them and every worker gets that table.  A level past
-MAX_SUBSETS, where `verify` refuses every algebra, is its first series
-alone, taken in closed form, and the sweep stops at the first such level.
+leaf checks, keyed by every series of their classes, so that a step's
+output finds its record in one probe by its own series; with several
+worker processes, each level's classes are split between them and every
+worker gets that table.  A level past MAX_SUBSETS, where `verify` refuses
+every algebra, is its first series alone, taken in closed form, and the
+sweep stops at the first such level.
 """
 
 from __future__ import annotations
@@ -310,11 +312,16 @@ def raw_complex_matches(
     masks = cx.masks
     if old_idx != new_idx or cx.n != n or len(masks) != len(new_idx):
         return False
-    # the rotation sends bit b to b + shift mod n; `low` clears vertex n
-    shift, low = n - leaf, (1 << n - 1) - 1
+    # the rotation sends bit b to b + shift mod n; `low` clears vertex n.
+    # Each raw interior is `relation_complex.interior` on the (n-1)-cycle,
+    # written out: the arc of bits start..start+length-2, folded mod n-1
+    m = n - 1
+    shift, low = n - leaf, (1 << m) - 1
     raw = step.raw_relations
     for i, mask in zip(new_idx, masks):
-        if relation_complex.interior(raw[i], n - 1) != (mask << shift | mask >> n - shift) & low:
+        r = raw[i]
+        arc = ((1 << r.length - 1) - 1) << r.start
+        if (arc | arc >> m) & low != (mask << shift | mask >> n - shift) & low:
             return False
     leaf_bit = 1 << leaf - 1
     union = 0
@@ -340,7 +347,9 @@ class TheoremReport:
     def totals(self) -> dict[tuple[int, str], int]:
         out: dict[tuple[int, str], int] = {}
         for v in self.verdicts:
-            key = (v.invariants.algebra.n, v.invariants.algebra.algebra_class.value)
+            # read off the series: a rotated row's algebra has nothing cached
+            c = v.invariants.algebra.kupisch
+            key = (len(c), AlgebraClass.of(c).value)
             out[key] = out.get(key, 0) + 1
         return out
 
@@ -449,8 +458,10 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
     them and get its verdict, with their algebra swapped in (see
     `AlgebraVerdict.rotate`).  The levels (one n each) run in order, and
     each level's classes are verified with the table of the level below,
-    where the leaf checks find the smaller algebras.  On `workers` processes, each level's classes are
-    split between them, and the next level is enumerated while they work."""
+    where the leaf checks find the smaller algebras by their series: each
+    row of a class is a key, and the rows of one class share its record.
+    On `workers` processes, each level's classes are split between them,
+    and the next level is enumerated while they work."""
     verdicts: list[AlgebraVerdict] = []
     known: unamalgamation.Table = {}
     levels = _levels(config)
@@ -468,7 +479,8 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
                 by_class[c0] if a.kupisch == c0 else by_class[c0].rotate(a)
                 for a, c0 in zip(level, keys)
             )
-            known = {c0: (v.invariants, v.semisimple) for c0, v in by_class.items()}
+            records = {c0: (v.invariants, v.semisimple) for c0, v in by_class.items()}
+            known = {a.kupisch: records[c0] for a, c0 in zip(level, keys)}
             level, keys = upcoming
     return TheoremReport(config=config, verdicts=verdicts)
 

@@ -10,6 +10,11 @@ cover all n quiver vertices.  Subsets of non-covering sets are
 non-covering, so the complex is downward closed for free, and it is built
 level by level from its smaller simplices.
 
+The vertices are read straight off the Kupisch series: the relation at i
+is (i, c_i), present iff c_i <= c_{i+1}, and a vertex iff also c_i <= n,
+so `build_complex` takes each interior from its start and length through
+the one arc rule, `interior`, and builds no `Relation`.
+
 An interior is an int bitmask, bit v-1 standing for vertex v, and a
 complex keeps only n and the interiors of its vertices.  The simplices and
 the f-vector are computed the first time they are read, so a caller pays
@@ -38,15 +43,16 @@ from functools import cached_property
 from typing import Sequence
 
 from . import linalg
-from .algebra import MAX_SUBSETS, NakayamaAlgebra, Relation, TooLargeError
+from .algebra import MAX_SUBSETS, NakayamaAlgebra, TooLargeError
 
 
-def interior(rel: Relation, n: int) -> int:
-    """The internal vertices of a relation of length <= n, as a bitmask."""
-    if rel.length > n:
-        raise ValueError(f"relation of length {rel.length} has no interior on Q_{n}")
+def interior(start: int, length: int, n: int) -> int:
+    """The internal vertices of the path of `length` <= n arrows from
+    `start`, as a bitmask: the arc {start+1, ..., start+length-1} mod n."""
+    if length > n:
+        raise ValueError(f"relation of length {length} has no interior on Q_{n}")
     # bits start..start+length-2 are the interior before reduction mod n
-    arc = ((1 << rel.length - 1) - 1) << rel.start
+    arc = ((1 << length - 1) - 1) << start
     return (arc | arc >> n) & (1 << n) - 1
 
 
@@ -160,17 +166,19 @@ def complex_from_interiors(n: int, masks: Sequence[int]) -> SimplicialComplex:
     return SimplicialComplex(n=n, masks=tuple(masks))
 
 
-def complex_vertices(algebra: NakayamaAlgebra) -> tuple[Relation, ...]:
-    return tuple(rel for rel in algebra.relations if rel.length <= algebra.n)
-
-
 def build_complex(algebra: NakayamaAlgebra) -> SimplicialComplex:
     """The complex whose vertices are the length-<=n relations and whose
-    simplices are their non-covering subsets; vertex i is the relation
-    complex_vertices(algebra)[i]."""
-    return complex_from_interiors(
-        algebra.n, [interior(rel, algebra.n) for rel in complex_vertices(algebra)]
-    )
+    simplices are their non-covering subsets; vertex i is the i-th such
+    relation in `algebra.relations`.  The relations are read off the
+    series, (i, c_i) for each c_i <= c_{i+1}, and none is built."""
+    c = algebra.kupisch
+    n = len(c)
+    masks = [
+        interior(i, ci, n)
+        for i, (ci, after) in enumerate(zip(c, c[1:] + c[:1]), 1)
+        if ci <= after and ci <= n
+    ]
+    return complex_from_interiors(n, masks)
 
 
 def euler_characteristic(cx: SimplicialComplex) -> int:

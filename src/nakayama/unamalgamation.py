@@ -21,6 +21,14 @@ The raw words can be redundant; their minimal words are the relations of
 c'.  A step keeps them, in input-relation order, for
 `harness.raw_complex_matches` and its JSON; the output does not read them.
 
+`reduce_fully` walks the series alone: at each step it reads the leaves
+off Gustafson's targets, takes the least, and applies the rule above.  It
+keeps the chain of (series, leaf) pairs, and its steps, with their raw
+words, are derived from that chain when first read (`to_dict` reads
+them), each step's output being the next series of the chain.  So
+`reduce_fully(...).semisimple`, all that `verify`'s Bprime reads, builds
+no step and no word.
+
 The construction preserves the resolution quiver (minus the leaf), the
 common component weight, the reduced homology of the relation complex, and
 changes the global dimension by at most two.  `check_properties` verifies
@@ -33,9 +41,11 @@ for which the relation complex is built, so one past MAX_SUBSETS is
 refused, and a cone is not enumerated; whether the complex is empty, which
 it is iff no relation has length <= n; and gldim.  It computes no f-vector.
 A side whose `Invariants` the caller holds (`verify`'s record of the
-input, or a sweep's table entry for the output's rotation class) is read
-off that record as it is: none of these fields but the targets depends on
-the labels, so the entry is not rotated.
+input, or a sweep's table entry for the output's series) is read off that
+record as it is: none of these fields but the targets depends on the
+labels, so an entry, the record of the least rotation of its class, is
+not rotated.  The quiver match compares the output's targets with the
+input's, rotated so that the leaf is n and relabelled the same way.
 """
 
 from __future__ import annotations
@@ -50,7 +60,6 @@ from .algebra import (
     ProjDim,
     Relation,
     global_dimension,
-    least_rotation,
 )
 
 
@@ -136,16 +145,27 @@ def _unamalgamate(algebra: NakayamaAlgebra, leaf: int, targets) -> Unamalgamatio
         raise NotALeafError(f"vertex {leaf} is a node of the resolution quiver, not a leaf")
     if n - 1 < 2:
         raise TooSmallError(f"cannot drop a vertex from a quiver of size {n}")
-    # the series rotated so that the leaf is n; drop its copies of S_n from
-    # each other projective, and read each relation's raw word off the
-    # result at its relabelled start k (see the module docstring)
-    c = algebra.kupisch[leaf:] + algebra.kupisch[:leaf]
-    out = tuple(ck - (k + ck - 1) // n for k, ck in enumerate(c[:-1], 1))
+    return _step(algebra, leaf, NakayamaAlgebra(_output_series(algebra.kupisch, leaf)))
+
+
+def _output_series(c: tuple[int, ...], leaf: int) -> tuple[int, ...]:
+    """The Kupisch series of the step's output: c rotated so that the leaf
+    is n, without its copies of S_n (see the module docstring)."""
+    n = len(c)
+    rotated = c[leaf:] + c[:leaf]
+    return tuple(ck - (k + ck - 1) // n for k, ck in enumerate(rotated[:-1], 1))
+
+
+def _step(algebra: NakayamaAlgebra, leaf: int, output: NakayamaAlgebra) -> UnamalgamationStep:
+    """The step at `leaf` whose output the caller has: each relation's raw
+    word is read off the output series at its relabelled start k, and the
+    one at the leaf off c_leaf (see the module docstring)."""
+    n, out, c_leaf = algebra.n, output.kupisch, algebra.kupisch[leaf - 1]
     raw = tuple(
-        Relation(k, out[k - 1]) if k < n else Relation(n - 1, c[-1] - (c[-1] - 1) // n)
+        Relation(k, out[k - 1]) if k < n else Relation(n - 1, c_leaf - (c_leaf - 1) // n)
         for k in ((r.start - leaf - 1) % n + 1 for r in algebra.relations)
     )
-    return UnamalgamationStep(input=algebra, leaf=leaf, raw_relations=raw, output=NakayamaAlgebra(out))
+    return UnamalgamationStep(input=algebra, leaf=leaf, raw_relations=raw, output=output)
 
 
 @dataclass(frozen=True)
@@ -191,16 +211,18 @@ class Invariants:
         return Invariants(algebra, weights, self.f_vector, self.betti, self.gldim)
 
 
-# What a sweep keeps of each algebra it has verified, under the least rotation
-# of its Kupisch series: the invariants, and `reduce_fully(...).semisimple`
-# when the verification computed it (None otherwise).
+# What a sweep keeps of each rotation class it has verified: the invariants
+# of its least rotation, and `reduce_fully(...).semisimple` when the
+# verification computed it (None otherwise).  It is keyed by every enumerated
+# Kupisch series of the class, and the rows of one class share one record.
 Table = dict[tuple[int, ...], tuple[Invariants, bool | None]]
 
 
 def look_up(known: Table | None, algebra: NakayamaAlgebra) -> tuple[Invariants, bool | None] | None:
-    """The entry for the rotation class of `algebra` as it is, its record
-    under the least rotation, or None when `known` has no entry."""
-    return known.get(least_rotation(algebra.kupisch)) if known else None
+    """The entry for `algebra`, one probe by its Kupisch series: the record
+    of its rotation class as it is, under the least rotation's labels, or
+    None when `known` has no entry."""
+    return known.get(algebra.kupisch) if known else None
 
 
 def invariants(
@@ -274,10 +296,10 @@ def check_properties(
     resolution quiver (minus the leaf), the weight, the reduced Betti numbers
     of the relation complex, and a global dimension within two.  `before`
     holds the invariants of `algebra` when the caller has them already;
-    the smaller algebra's entry is looked up in `known`, under its least
-    rotation, before its fields are computed.  Only fields that no rotation
-    changes are read off that entry (see `_compared`); the output's targets
-    are read off its Kupisch series."""
+    the smaller algebra's entry is looked up in `known` by its series
+    before its fields are computed.  Only fields that no rotation changes
+    are read off that entry (see `_compared`); the output's targets are
+    read off its Kupisch series."""
     f_before = resolution.targets(algebra.kupisch) if before is None else before.targets
     step = _unamalgamate(algebra, leaf, f_before)
     f_after = resolution.targets(step.output.kupisch)
@@ -285,12 +307,11 @@ def check_properties(
     w_before, betti_before, empty_before, g_in = _compared(algebra, f_before, before)
     w_after, betti_after, empty_after, g_out = _compared(step.output, f_after, found[0] if found else None)
 
-    phi = step.relabel
-    quiver_match = all(
-        f_after[phi[i - 1] - 1] == phi[f_before[i - 1] - 1]
-        for i in range(1, algebra.n + 1)
-        if i != leaf
-    )
+    # the output's vertex k is the input's leaf + k, mod n, and a target t
+    # is relabelled to t - leaf, mod n, as `relabel_map` does
+    n = algebra.n
+    rotated = f_before[leaf:] + f_before[:leaf - 1]
+    quiver_match = f_after == tuple((t - leaf - 1) % n + 1 for t in rotated)
     # both finite and within two of each other, or both infinite
     gldim_sandwich = g_in.is_finite == g_out.is_finite and (
         not g_in.is_finite or g_out.value <= g_in.value <= g_out.value + 2
@@ -306,27 +327,46 @@ def check_properties(
 
 @dataclass(frozen=True)
 class ReductionResult:
+    """A full reduction: the (series, leaf) pair of each step, in order,
+    and `last`, the algebra it stops at, leafless or a two-vertex algebra
+    with a leaf."""
+
     initial: NakayamaAlgebra
-    steps: tuple[UnamalgamationStep, ...]
-    terminal: NakayamaAlgebra | None
+    chain: tuple[tuple[tuple[int, ...], int], ...]
+    last: NakayamaAlgebra
     terminal_kupisch: tuple[int, ...]
+
+    @property
+    def terminal(self) -> NakayamaAlgebra | None:
+        """`last`, or None when it collapsed to one vertex."""
+        return None if len(self.terminal_kupisch) == 1 else self.last
+
+    @cached_property
+    def steps(self) -> tuple[UnamalgamationStep, ...]:
+        """The steps, derived from the chain when first read: each step's
+        input is the output of the one before, and its output is the
+        algebra of the next series, or `last`."""
+        algebras = [self.initial, *(NakayamaAlgebra(c) for c, _ in self.chain[1:]), self.last]
+        return tuple(_step(a, leaf, out) for a, (_, leaf), out in zip(algebras, self.chain, algebras[1:]))
 
     @property
     def semisimple(self) -> bool:
         return all(c == 1 for c in self.terminal_kupisch)
 
     def to_dict(self) -> dict:
+        terminal = self.terminal
         return {
             "initial": self.initial.to_dict(),
             "steps": [step.to_dict() for step in self.steps],
-            "terminal": None if self.terminal is None else self.terminal.to_dict(),
+            "terminal": None if terminal is None else terminal.to_dict(),
             "terminal_kupisch": list(self.terminal_kupisch),
             "semisimple": self.semisimple,
         }
 
 
 def reduce_fully(algebra: NakayamaAlgebra) -> ReductionResult:
-    """Remove the minimal leaf until the resolution quiver is leafless.
+    """Remove the minimal leaf until the resolution quiver is leafless,
+    on the Kupisch series alone (see the module docstring).
 
     A two-vertex algebra with a leaf cannot stay inside the n >= 2 data
     model: dropping the leaf leaves a single projective P_v whose
@@ -334,25 +374,24 @@ def reduce_fully(algebra: NakayamaAlgebra) -> ReductionResult:
     have the even lengths below c_v).  That last collapse is recorded via
     terminal_kupisch of length one, with terminal = None.
     """
-    current = algebra
-    steps: list[UnamalgamationStep] = []
+    c, chain = algebra.kupisch, []
     while True:
-        n = current.n
-        targets = set(resolution.targets(current.kupisch))
+        n = len(c)
+        targets = set(resolution.targets(c))
         lvs = set(range(1, n + 1)).difference(targets)
         if not lvs or n == 2:
             break
-        step = _unamalgamate(current, min(lvs), targets)
-        steps.append(step)
-        current = step.output
+        leaf = min(lvs)
+        chain.append((c, leaf))
+        c = _output_series(c, leaf)
     if lvs:  # two vertices and a leaf: collapse onto the node
         (node,) = targets
-        terminal, terminal_kupisch = None, ((current.kupisch[node - 1] + 1) // 2,)
+        terminal_kupisch = ((c[node - 1] + 1) // 2,)
     else:
-        terminal, terminal_kupisch = current, current.kupisch
+        terminal_kupisch = c
     return ReductionResult(
         initial=algebra,
-        steps=tuple(steps),
-        terminal=terminal,
+        chain=tuple(chain),
+        last=NakayamaAlgebra(c) if chain else algebra,
         terminal_kupisch=terminal_kupisch,
     )

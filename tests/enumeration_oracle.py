@@ -2,8 +2,10 @@
 the face rule of `nakayama.cyclic`, for the level-wise relation complex
 in `nakayama.relation_complex`, for the Kupisch recurrence of
 `nakayama.algebra` with the minimality rule read off it, for its memoized
-global dimension, for the odometer of `nakayama.harness.kupisch_series`,
-and for the shift-and-fold arc rule of `nakayama.relation_complex.interior`.
+global dimension, for the odometer of `nakayama.harness.kupisch_series`
+and the rotation-class keys of the sweep, and for the shift-and-fold arc
+rule of `nakayama.relation_complex.interior` and the relation complex's
+vertices, which `build_complex` reads off the Kupisch series.
 The cells come from scanning every subset with `itertools.combinations`;
 the cyclic differential composes adjacent gaps and rotates the wrap face
 back into canonical form.  The Kupisch series is a minimum over all
@@ -188,6 +190,27 @@ def differential(algebra, source, index):
             col[index[canonical]] = -rot_sign if p % 2 else rot_sign
         columns.append(col)
     return columns
+
+
+def least_rotation(c):
+    """The lexicographically least rotation of a Kupisch series.
+
+    Shifting the vertex labels is an isomorphism of the algebras, so the
+    least rotation names the rotation class of c."""
+    n = len(c)
+    twice = c + c
+    return min(twice[j:j + n] for j in range(n))
+
+
+def rotations(c):
+    """Every rotation of a Kupisch series, each once."""
+    return {c[k:] + c[:k] for k in range(len(c))}
+
+
+def complex_vertices(algebra):
+    """The vertices of the relation complex, relation by relation: the
+    relations of length <= n, in order."""
+    return tuple(rel for rel in algebra.relations if rel.length <= algebra.n)
 
 
 def interior(rel, n):

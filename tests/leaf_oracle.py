@@ -5,15 +5,18 @@ relabel each relation, delete x_n from it with `delete_last_arrow`, and
 take the series of the words.  `delete_last_arrow` counts the letters x_n
 by floor division, `delete_letters` deletes them from one word letter by
 letter, and `eliminate_redundant` gives the minimal words of any list of
-such words.
+such words.  `reduction_dict` is `reduce_fully(...).to_dict()` by the word
+path, with the leaves read off the resolution quiver at every step.
 `check_properties` is `unamalgamation.check_properties` with full
 `invariants` on both sides, f-vector and all, and a table entry rotated
 onto the step's output by `Invariants.rotate`.  `raw_complex_matches` is
 `harness.raw_complex_matches` by enumeration: it lists every simplex of the
 raw image words' complex and compares them with the given complex's."""
 
-from nakayama.algebra import NakayamaAlgebra, Relation, kupisch_from_relations, least_rotation, mod1
+from enumeration_oracle import least_rotation
+from nakayama.algebra import NakayamaAlgebra, Relation, kupisch_from_relations, mod1
 from nakayama.relation_complex import interior, simplex_levels
+from nakayama.resolution import build, leaves
 from nakayama.unamalgamation import PropertyReport, _witnesses, invariants, relabel_map, unamalgamate
 
 
@@ -71,6 +74,43 @@ def eliminate_redundant(relations, n):
     return minimal, _witnesses(rels, minimal, n)
 
 
+def reduction_dict(algebra):
+    """The JSON of the full reduction of `algebra`, each step at the least
+    leaf by the word path, until no leaf is left or two vertices are: then
+    a leaf collapses the algebra onto its node v, K[x]/(x^ceil(c_v/2))."""
+    current, steps = algebra, []
+    while True:
+        n, lvs = current.n, leaves(build(current))
+        if not lvs or n == 2:
+            break
+        leaf = min(lvs)
+        words, series = word_path(current, leaf)
+        output = NakayamaAlgebra(series)
+        steps.append({
+            "leaf": leaf,
+            "relabel": list(relabel_map(n, leaf)),
+            "raw_relations": [[r.start, r.length] for r in words],
+            "output": output.to_dict(),
+            "eliminated": [
+                {"relation": [z.start, z.length], "witness": [w.start, w.length]}
+                for z, w in eliminate_redundant(words, n - 1)[1]
+            ],
+        })
+        current = output
+    if lvs:
+        (node,) = set(build(current).f)
+        terminal, terminal_kupisch = None, [(current.kupisch[node - 1] + 1) // 2]
+    else:
+        terminal, terminal_kupisch = current.to_dict(), list(current.kupisch)
+    return {
+        "initial": algebra.to_dict(),
+        "steps": steps,
+        "terminal": terminal,
+        "terminal_kupisch": terminal_kupisch,
+        "semisimple": all(c == 1 for c in terminal_kupisch),
+    }
+
+
 def look_up(known, algebra):
     """The entry of `algebra`, its invariants rotated out of the entry for
     its rotation class, or None when `known` has no entry."""
@@ -122,5 +162,6 @@ def raw_complex_matches(step, cx):
     new_idx = [i for i, r in enumerate(step.raw_relations) if r.length <= n - 1]
     if old_idx != new_idx:
         return False
-    levels = simplex_levels(n - 1, [interior(step.raw_relations[i], n - 1) for i in new_idx])
+    raw = [step.raw_relations[i] for i in new_idx]
+    levels = simplex_levels(n - 1, [interior(r.start, r.length, n - 1) for r in raw])
     return cx.simplices == tuple(tuple(level.values()) for level in levels)

@@ -13,11 +13,19 @@ kernel replaced.
 counts the rest.  `cyclic_cells` walks every cell, as the package did
 before, and `is_up_set` checks Fact 1 on them, so that the critical cells,
 the counts and the HC read off them can be compared with the whole
-complex."""
+complex.  `arcs_hold` is the inequality behind Fact 1 checked at every
+distance, where `CyclicSquare` compares neighbours only."""
 
 from nakayama import cyclic, linalg
 
 SparseMap = list[dict[int, int]]
+
+
+def arcs_hold(c):
+    """Is c_x >= c_w - d for every station w and every x in I_w at
+    distance d < n?  Every distance is compared."""
+    n = len(c)
+    return all(c[(w + d) % n] >= c[w] - d for w in range(n) for d in range(1, min(c[w], n)))
 
 
 def bareiss_rank(mat):

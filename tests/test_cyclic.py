@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from linalg_oracle import bareiss_rank, cyclic_bases, cyclic_cells, cyclic_diffe
 from nakayama import AlgebraClass, NakayamaAlgebra, linalg, radical_power_algebra, validate
 from nakayama.cyclic import (
     _SIGN,
+    _arcs_hold,
     basis_sizes,
     differential_squares_to_zero,
     hc_dimensions,
@@ -155,6 +158,20 @@ def test_differential_squares_to_zero_needs_the_kupisch_inequality(series):
     algebra = NakayamaAlgebra(series)
     assert not differential_squares_to_zero(algebra)
     assert not is_up_set(algebra.n, cyclic_cells(algebra))
+
+
+def test_neighbour_inequalities_give_every_distance():
+    """`CyclicSquare` compares each c_{w+1} with c_w - 1 only, n
+    comparisons; the oracle compares every distance d < n.  They agree on
+    every tuple in [1..7]^n, n <= 5, valid or not, and both answers
+    occur."""
+    answers = set()
+    for n in range(1, 6):
+        for c in product(range(1, 8), repeat=n):
+            got = _arcs_hold(c)
+            assert got == linalg_oracle.arcs_hold(c), c
+            answers.add(got)
+    assert answers == {False, True}
 
 
 def test_differential_squares_to_zero_needs_alternating_signs(monkeypatch):

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 import linalg_oracle as oracle
 from linalg_oracle import bareiss_rank, boundary_maps, to_dense
 from nakayama import NakayamaAlgebra, radical_power_algebra
-from nakayama.algebra import least_rotation
 from nakayama.cyclic import _SIGN, _critical_cells, basis_sizes, differential_squares_to_zero, hc_dimensions
 from nakayama.harness import SweepConfig, enumerate_kupisch
 from nakayama.linalg import chain_ranks
+from enumeration_oracle import least_rotation
 from strategies import kupisch_series
 
 SWEEP = SweepConfig(n_min=2, n_max=7, c_max=8)  # 12,600 algebras

@@ -2,8 +2,9 @@
 the package's critical-cell walk is checked against, and the level-wise
 relation complex) against the subset scans of `enumeration_oracle`, the
 cyclic differentials of the bitmask builder against the oracle's
-gap-and-rotation differential, and the interior bitmasks against the
-oracle's vertex-by-vertex arcs."""
+gap-and-rotation differential, the interior bitmasks against the
+oracle's vertex-by-vertex arcs, and the interiors `build_complex` reads
+off the Kupisch series against those of the relations."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,16 +12,16 @@ from hypothesis import strategies as st
 
 import enumeration_oracle as oracle
 import linalg_oracle
-from nakayama import Relation, radical_power_algebra
-from nakayama.harness import SweepConfig, enumerate_kupisch
+from nakayama import NakayamaAlgebra, Relation, radical_power_algebra, relation_complex
+from nakayama.harness import SweepConfig, enumerate_kupisch, kupisch_series
 from nakayama.relation_complex import (
     build_complex,
     complex_from_interiors,
-    complex_vertices,
     interior,
     reduced_betti,
     simplex_levels,
 )
+from strategies import wrapping_kupisch_series
 
 SMALL = SweepConfig(n_min=2, n_max=6, c_max=7)
 
@@ -67,9 +68,41 @@ def test_interior_matches_the_vertex_rule():
         for start in range(1, n + 1):
             for length in range(1, n + 1):
                 rel = Relation(start, length)
-                assert interior(rel, n) == oracle.to_mask(oracle.interior(rel, n)), (n, start, length)
+                assert interior(start, length, n) == oracle.to_mask(oracle.interior(rel, n)), (n, start, length)
             with pytest.raises(ValueError):
-                interior(Relation(start, n + 1), n)
+                interior(start, n + 1, n)
+
+
+def _series_masks(algebra):
+    """The interiors `build_complex` reads off the series, taken before
+    the size guard, which refuses more than 16 vertices."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relation_complex, "complex_from_interiors", lambda n, masks: tuple(masks))
+        return build_complex(algebra)
+
+
+def _relation_masks(algebra):
+    """The interiors relation by relation: `interior` of each vertex in
+    `complex_vertices`."""
+    return tuple(interior(r.start, r.length, algebra.n) for r in oracle.complex_vertices(algebra))
+
+
+def test_series_read_interiors_match_the_relations():
+    """On every series with n <= 8, c <= n + 1."""
+    count = 0
+    for n in range(2, 9):
+        for c in kupisch_series(n, n + 1):
+            algebra = NakayamaAlgebra(c)
+            assert _series_masks(algebra) == _relation_masks(algebra), c
+            count += 1
+    assert count == 49743
+
+
+@settings(max_examples=200, deadline=None)
+@given(wrapping_kupisch_series(min_n=2))
+def test_series_read_interiors_match_the_relations_up_to_n40(c):
+    algebra = NakayamaAlgebra(c)
+    assert _series_masks(algebra) == _relation_masks(algebra)
 
 
 def test_relation_complexes_match_subset_scan():
@@ -77,7 +110,7 @@ def test_relation_complexes_match_subset_scan():
     for every algebra at n <= 6, c <= 7."""
     for algebra in enumerate_kupisch(SMALL):
         n = algebra.n
-        interiors = [oracle.interior(rel, n) for rel in complex_vertices(algebra)]
+        interiors = [oracle.interior(rel, n) for rel in oracle.complex_vertices(algebra)]
         expected = oracle.complex_from_interiors(n, interiors)
         cx = build_complex(algebra)
         assert cx.masks == tuple(map(oracle.to_mask, interiors)), algebra.kupisch

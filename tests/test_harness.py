@@ -20,7 +20,7 @@ from nakayama import (
     unamalgamation,
     validate,
 )
-from nakayama.algebra import is_valid_kupisch, least_rotation, mod1
+from nakayama.algebra import is_valid_kupisch, mod1
 from nakayama.harness import (
     STRUCTURAL_CHECKS,
     THEOREM_CHECKS,
@@ -36,6 +36,7 @@ from nakayama.harness import (
 from nakayama.resolution import build
 
 import enumeration_oracle
+from enumeration_oracle import least_rotation, rotations
 from strategies import kupisch_series as kupisch_series_strategy
 
 REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference"
@@ -336,10 +337,11 @@ def test_class_sweep_matches_exhaustive_oracle(exhaustive, workers):
 def test_bprime_reads_the_entry_at_the_least_leaf():
     """Given a table, Bprime takes `reduce_fully(...).semisimple` from the
     entry for the output of the step at the least leaf.  The tables here
-    are planted: that entry alone says False (or alone True), so the
-    verdict shows which entry was read.  Runs over every finite-gldim,
-    acyclic algebra at n <= 6, c <= 7 whose least leaf's output is in a
-    rotation class of its own among its leaves' outputs."""
+    are planted, each entry under every rotation of its class: that entry
+    alone says False (or alone True), so the verdict shows which entry was
+    read.  Runs over every finite-gldim, acyclic algebra at n <= 6, c <= 7
+    whose least leaf's output is in a rotation class of its own among its
+    leaves' outputs."""
     checked = 0
     for algebra in enumerate_kupisch(SweepConfig(n_min=3, n_max=6, c_max=7)):
         inv = unamalgamation.invariants(algebra)
@@ -350,7 +352,11 @@ def test_bprime_reads_the_entry_at_the_least_leaf():
             continue
         records = {c0: unamalgamation.invariants(algebra_from_kupisch(c0)) for c0 in classes}
         for planted in (False, True):
-            known = {c0: (records[c0], planted if c0 == classes[0] else not planted) for c0 in classes}
+            known = {
+                c: (records[c0], planted if c0 == classes[0] else not planted)
+                for c0 in classes
+                for c in rotations(c0)
+            }
             verdict = verify(algebra, known=known)
             assert verdict.semisimple is planted and verdict.checks["Bprime"] is planted, algebra.kupisch
         checked += 1

@@ -4,7 +4,8 @@ agrees with the oracle in `leaf_oracle`, which builds every invariant on
 both sides and rotates the entry.  `harness.raw_complex_matches`
 certifies the raw relation complex from interior bitmasks; it agrees with
 the enumerating oracle in `leaf_oracle` on every step, and says True only
-when that oracle does."""
+when that oracle does.  A sweep's leaf checks find the level below's
+record by one probe with the output's own series."""
 
 import functools
 from dataclasses import replace
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 
 import leaf_oracle
+from enumeration_oracle import least_rotation, rotations
 from strategies import kupisch_series
-from nakayama import Relation, algebra_from_kupisch, relation_complex, validate
-from nakayama.algebra import least_rotation
+import nakayama
+from nakayama import Relation, algebra_from_kupisch, harness, relation_complex, unamalgamation, validate
 from nakayama.harness import SweepConfig, enumerate_kupisch, raw_complex_matches, sweep, verify
 from nakayama.relation_complex import SimplicialComplex, build_complex, complex_from_interiors
 from nakayama.resolution import targets
@@ -27,13 +29,19 @@ def _leaves(algebra):
 
 
 def _tables(n_max, c_max):
-    """The table a sweep to (n_max, c_max) keeps of each level, by n: each
-    class's record under its least rotation, and its `semisimple`."""
+    """The table a sweep to (n_max, c_max) keeps of each level, by n: every
+    series of a class keys the record of its least rotation, and its
+    `semisimple`, one entry shared by the class."""
+    verdicts = sweep(SweepConfig(n_min=2, n_max=n_max, c_max=c_max)).verdicts
+    records = {}
+    for v in verdicts:
+        c = v.invariants.algebra.kupisch
+        if c == least_rotation(c):
+            records[c] = (v.invariants, v.semisimple)
     tables = {}
-    for v in sweep(SweepConfig(n_min=2, n_max=n_max, c_max=c_max)).verdicts:
-        a = v.invariants.algebra
-        if a.kupisch == least_rotation(a.kupisch):
-            tables.setdefault(a.n, {})[a.kupisch] = (v.invariants, v.semisimple)
+    for v in verdicts:
+        c = v.invariants.algebra.kupisch
+        tables.setdefault(len(c), {})[c] = records[least_rotation(c)]
     return tables
 
 
@@ -92,10 +100,31 @@ def test_table_entries_are_read_as_they_are(monkeypatch):
             assert verify(algebra, known=tables[5]).ok, algebra.kupisch
 
 
+def test_sweep_leaf_checks_probe_the_table_by_series(monkeypatch):
+    """In a sweep at n <= 7, c <= 8, each leaf check finds its output's
+    record by one probe with the output's own series: no least rotation is
+    taken, and the only relation complexes built are those of the classes
+    verified, once each, so no output whose class was verified is computed
+    from scratch."""
+    def unread(c):
+        raise AssertionError("a least rotation was taken")
+
+    for module in (nakayama.algebra, unamalgamation, harness):
+        monkeypatch.setattr(module, "least_rotation", unread, raising=False)
+    built, build = [], relation_complex.build_complex
+    monkeypatch.setattr(relation_complex, "build_complex", lambda a: built.append(a.kupisch) or build(a))
+    checked, check = [], unamalgamation.check_properties
+    monkeypatch.setattr(unamalgamation, "check_properties", lambda *args: checked.append(args) or check(*args))
+    rows = [v.invariants.algebra.kupisch for v in sweep(SweepConfig(n_min=2, n_max=7, c_max=8)).verdicts]
+    assert built == [c for c in rows if c == least_rotation(c)]
+    assert len(checked) == 5556
+
+
 def test_weights_compare_as_multisets():
     """The weight check compares the sorted weights of both sides.  Only a
     counterexample to SameWeight has weights that differ, so these records
-    are planted: the input's lists (2, 1), the output's entry (1, 2)."""
+    are planted: the input's lists (2, 1), the output's entry (1, 2), under
+    every rotation of the output's class."""
     algebra = algebra_from_kupisch((3, 2, 2, 2, 2))
     leaf = _leaves(algebra)[0]
     output = unamalgamate(algebra, leaf).output
@@ -103,8 +132,8 @@ def test_weights_compare_as_multisets():
     real = invariants(algebra_from_kupisch(key))
     entry = replace(real, weights=(1, 2))
     planted = replace(invariants(algebra), weights=(2, 1))
-    assert check_properties(algebra, leaf, planted, {key: (entry, None)}).weight_match
-    assert not check_properties(algebra, leaf, planted, {key: (real, None)}).weight_match
+    assert check_properties(algebra, leaf, planted, {c: (entry, None) for c in rotations(key)}).weight_match
+    assert not check_properties(algebra, leaf, planted, {c: (real, None) for c in rotations(key)}).weight_match
 
 
 def test_raw_complex_certificate_matches_the_oracle():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import linalg_oracle
 from closed_form_oracle import rad_power_euler
-from enumeration_oracle import is_simplex
+from enumeration_oracle import complex_vertices, is_simplex
 from linalg_oracle import bareiss_rank
 from strategies import cyclic_kupisch_series
 from nakayama import Relation, algebra_from_kupisch, linalg, radical_power_algebra, relation_complex, validate
@@ -18,7 +18,6 @@ from nakayama.relation_complex import (
     boundary_squares_to_zero,
     build_complex,
     complex_from_interiors,
-    complex_vertices,
     euler_characteristic,
     interior,
     reduced_betti,
@@ -30,11 +29,11 @@ from nakayama.unamalgamation import check_properties, invariants
 
 
 def test_interior():
-    assert interior(Relation(5, 3), 5) == 0b00011  # {1, 2}
-    assert interior(Relation(2, 4), 5) == 0b11100  # {3, 4, 5}
-    assert interior(Relation(1, 1), 5) == 0
+    assert interior(5, 3, 5) == 0b00011  # {1, 2}
+    assert interior(2, 4, 5) == 0b11100  # {3, 4, 5}
+    assert interior(1, 1, 5) == 0
     with pytest.raises(ValueError):
-        interior(Relation(1, 6), 5)
+        interior(1, 6, 5)
 
 
 def test_is_simplex_lambda2(lambda2):

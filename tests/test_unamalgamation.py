@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import nakayama
 from nakayama import (
+    NakayamaAlgebra,
     NotALeafError,
     ProjDim,
     Relation,
@@ -16,7 +17,6 @@ from nakayama import (
     global_dimension,
     kupisch_from_relations,
 )
-from nakayama.algebra import least_rotation
 from nakayama.harness import SweepConfig, enumerate_kupisch, raw_complex_matches
 from nakayama.relation_complex import build_complex, euler_characteristic
 from nakayama.resolution import build, leaves, targets
@@ -29,7 +29,8 @@ from nakayama.unamalgamation import (
     unamalgamate,
 )
 
-from leaf_oracle import delete_last_arrow, delete_letters, eliminate_redundant, word_path
+from enumeration_oracle import least_rotation
+from leaf_oracle import delete_last_arrow, delete_letters, eliminate_redundant, reduction_dict, word_path
 from strategies import kupisch_series, raw_relation_lists, wrapping_kupisch_series
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
@@ -245,6 +246,35 @@ def test_reduction_goes_on_from_the_step_at_the_least_leaf():
         assert whole.semisimple == reduce_fully(canonical).semisimple, algebra.kupisch
         checked += 1
     assert checked == 1646
+
+
+ALL_TO_7 = SweepConfig(n_min=2, n_max=7, c_max=8)
+
+
+def test_semisimple_builds_no_step_and_no_word(monkeypatch):
+    """`reduce_fully(a).semisimple`, all that Bprime reads, walks the
+    Kupisch series alone: no `UnamalgamationStep` and no `Relation` is
+    built, on every algebra at n <= 7, c <= 8."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("reduce_fully built a step or a word")
+
+    series = [a.kupisch for a in enumerate_kupisch(ALL_TO_7)]
+    monkeypatch.setattr(nakayama.unamalgamation, "UnamalgamationStep", unbuilt)
+    monkeypatch.setattr(nakayama.unamalgamation, "Relation", unbuilt)
+    monkeypatch.setattr(nakayama.algebra, "Relation", unbuilt)
+    semisimple = sum(reduce_fully(NakayamaAlgebra(c)).semisimple for c in series)
+    assert (len(series), semisimple) == (12600, 6735)
+
+
+def test_reduction_json_is_the_word_paths():
+    """The steps `reduce_fully` derives from its chain of series, raw words
+    and eliminated words included, print as the word path's reduction, on
+    every algebra at n <= 7, c <= 8.  Reading them twice gives the same
+    steps, and they are built only once."""
+    for algebra in enumerate_kupisch(ALL_TO_7):
+        result = reduce_fully(algebra)
+        assert result.to_dict() == reduction_dict(algebra), algebra.kupisch
+        assert result.steps is result.steps
 
 
 @settings(max_examples=300, deadline=None)
