@@ -105,8 +105,7 @@ def _seq(values) -> str:
 
 
 def _analyze_text(verdict: harness.AlgebraVerdict) -> str:
-    inv = verdict.invariants
-    a = inv.algebra
+    a = verdict.algebra
     lines = [
         f"algebra: n={a.n} class={a.algebra_class.value} "
         + "relations=" + " ".join(f"({r.start},{r.length})" for r in a.relations),
@@ -114,24 +113,24 @@ def _analyze_text(verdict: harness.AlgebraVerdict) -> str:
     ]
     rq = resolution.build(a)
     lines.append("arrows: " + " ".join(f"{i}->{rq.target(i)}" for i in range(1, a.n + 1)))
-    lines.append(f"components: {len(inv.weights)}")
+    lines.append(f"components: {len(verdict.weights)}")
     for comp in rq.components:
         cyc = "->".join(str(v) for v in comp.cycle)
         lines.append(f"component {min(comp.vertices)}: cycle {cyc} weight {comp.weight}")
-    weights = set(inv.weights)
+    weights = set(verdict.weights)
     lines.append(
         "weight: "
-        + (str(inv.weights[0]) if len(weights) == 1 else " ".join(map(str, inv.weights)))
+        + (str(verdict.weights[0]) if len(weights) == 1 else " ".join(map(str, verdict.weights)))
     )
-    lines.append("leaves: " + _seq(inv.leaves))
-    lines.append("f_vector: " + _seq(inv.f_vector))
-    if inv.complex_empty:
+    lines.append("leaves: " + _seq(verdict.leaves))
+    lines.append("f_vector: " + _seq(verdict.f_vector))
+    if verdict.complex_empty:
         lines.append("relation complex: empty (every relation longer than n)")
-    lines.append(f"euler: {inv.chi}")
-    lines.append("reduced_betti: " + _seq(inv.betti))
+    lines.append(f"euler: {verdict.chi}")
+    lines.append("reduced_betti: " + _seq(verdict.betti))
     lines.append("hc_dims: " + _seq(verdict.hc_dims))
     lines.append(f"hc_euler: {verdict.hc_euler}")
-    lines.append(f"gldim: {inv.gldim}")
+    lines.append(f"gldim: {verdict.gldim}")
     lines.append(
         "checks: "
         + " ".join(f"{name}={'pass' if ok else 'FAIL'}" for name, ok in verdict.checks.items())

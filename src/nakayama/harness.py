@@ -35,8 +35,10 @@ its series to appear; every other row finds its class in one lookup.
 `sweep` runs `verify` once per class, on the least rotation, and gives
 that verdict to the rows of the other rotations with their own algebra
 swapped in, and `to_csv` formats the columns after the series once per
-distinct verdict.  The sweep keeps the records of the level below for the
-leaf checks, keyed by every series of their classes, so that a step's
+distinct verdict.  A verdict is the one record kept per algebra: the
+invariants, the checks, and what Bprime's reduction found.  The sweep
+keeps the verdicts of the level below for the leaf checks and Bprime,
+each class's verdict keyed by every series of the class, so that a step's
 output finds its record in one probe by its own series; with several
 worker processes, each level's classes are split between them and every
 worker gets that table.  A level past MAX_SUBSETS, where `verify` refuses
@@ -52,15 +54,18 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import cached_property
 from multiprocessing import get_context
 from typing import Callable, Iterator
 
-from . import cyclic, linalg, relation_complex, unamalgamation
+from . import cyclic, linalg, relation_complex, resolution, unamalgamation
 from .algebra import (
     MAX_SUBSETS,
     AlgebraClass,
     NakayamaAlgebra,
+    ProjDim,
     check_vertices,
+    global_dimension,
     kupisch_from_relations,
 )
 
@@ -136,19 +141,40 @@ def enumerate_kupisch(config: SweepConfig) -> Iterator[NakayamaAlgebra]:
 
 @dataclass
 class AlgebraVerdict:
-    invariants: unamalgamation.Invariants
+    """What `verify` finds on one algebra, the one record kept per algebra:
+    the resolution quiver's weights, the relation complex's f-vector and
+    reduced Betti numbers, gldim, the cyclic homology dimensions and basis
+    sizes, the named checks, and `reduce_fully(algebra).semisimple` when
+    the Bprime check computed it (None otherwise).  The quiver's targets
+    are read off the algebra's Kupisch series when first read, unless
+    `verify` seeded them with the ones it computed for the weights."""
+
+    algebra: NakayamaAlgebra
+    weights: tuple[int, ...]
+    f_vector: tuple[int, ...]
+    betti: tuple[int, ...]
+    gldim: ProjDim
     hc_dims: tuple[int, ...]
     basis_sizes: tuple[int, ...]
     checks: dict[str, bool] = field(default_factory=dict)
-    # reduce_fully(algebra).semisimple, when the Bprime check computed it
     semisimple: bool | None = None
 
-    def rotate(self, algebra: NakayamaAlgebra) -> "AlgebraVerdict":
-        """The verdict of `algebra`, a rotation of this algebra (see
-        `Invariants.rotate`); all else is shared."""
-        return AlgebraVerdict(
-            self.invariants.rotate(algebra), self.hc_dims, self.basis_sizes, self.checks, self.semisimple
-        )
+    @cached_property
+    def targets(self) -> tuple[int, ...]:
+        """Entry i-1 is the target of the arrow at i."""
+        return resolution.targets(self.algebra.kupisch)
+
+    @property
+    def leaves(self) -> tuple[int, ...]:
+        return tuple(sorted(set(range(1, self.algebra.n + 1)).difference(self.targets)))
+
+    @property
+    def chi(self) -> int:
+        return linalg.alternating_sum(self.f_vector)
+
+    @property
+    def complex_empty(self) -> bool:
+        return not self.f_vector
 
     @property
     def hc_euler(self) -> int:
@@ -162,20 +188,34 @@ class AlgebraVerdict:
     def ok(self) -> bool:
         return not self.failed
 
+    def rotate(self, algebra: NakayamaAlgebra) -> "AlgebraVerdict":
+        """The verdict of `algebra`, a rotation of this algebra: only the
+        labels differ, so all else is shared.  The weights are listed by
+        least vertex, so several distinct weights, which only a
+        counterexample to SameWeight has, are read off the rotated quiver;
+        the targets, a new instance's, are derived from `algebra`."""
+        weights = self.weights
+        if len(set(weights)) > 1:
+            weights = resolution.weights(algebra.kupisch)
+        return AlgebraVerdict(
+            algebra, weights, self.f_vector, self.betti, self.gldim,
+            self.hc_dims, self.basis_sizes, self.checks, self.semisimple,
+        )
+
     def to_dict(self) -> dict:
-        inv = self.invariants
+        algebra = self.algebra
         return {
-            "algebra": inv.algebra.to_dict(),
-            "kupisch": list(inv.algebra.kupisch),
-            "class": inv.algebra.algebra_class.value,
-            "gldim": inv.gldim.value,
-            "components": len(inv.weights),
-            "weights": list(inv.weights),
-            "leaves": list(inv.leaves),
-            "chi": inv.chi,
-            "f_vector": list(inv.f_vector),
-            "reduced_betti": list(inv.betti),
-            "complex_empty": inv.complex_empty,
+            "algebra": algebra.to_dict(),
+            "kupisch": list(algebra.kupisch),
+            "class": algebra.algebra_class.value,
+            "gldim": self.gldim.value,
+            "components": len(self.weights),
+            "weights": list(self.weights),
+            "leaves": list(self.leaves),
+            "chi": self.chi,
+            "f_vector": list(self.f_vector),
+            "reduced_betti": list(self.betti),
+            "complex_empty": self.complex_empty,
             "hc_dims": list(self.hc_dims),
             "hc_euler": self.hc_euler,
             "basis_sizes": list(self.basis_sizes),
@@ -183,10 +223,16 @@ class AlgebraVerdict:
         }
 
 
+# What a sweep keeps of the level below: every enumerated Kupisch series of
+# a verified rotation class maps to that class's verdict, the verdict of its
+# least rotation, so the rows of one class share one record.
+Table = dict[tuple[int, ...], AlgebraVerdict]
+
+
 def verify(
     algebra: NakayamaAlgebra,
     checks: tuple[str, ...] = THEOREM_CHECKS,
-    known: unamalgamation.Table | None = None,
+    known: Table | None = None,
 ) -> AlgebraVerdict:
     """Compute every invariant of one algebra and test the requested named
     checks plus all structural self-checks.  Failures become entries in the
@@ -194,13 +240,23 @@ def verify(
     verified before; the leaf checks and `Bprime` look the smaller algebras
     up there instead of rebuilding and reducing them."""
     cx = relation_complex.build_complex(algebra)
-    # before the invariants, so that a cyclic complex past MAX_SUBSETS is refused at once
+    # before the other invariants, so that a cyclic complex past MAX_SUBSETS is refused at once
     hc_dims = cyclic.hc_dimensions(algebra)
-    inv = unamalgamation.invariants(algebra, cx)
-    verdict = AlgebraVerdict(invariants=inv, hc_dims=hc_dims, basis_sizes=cyclic.basis_sizes(algebra))
+    f = resolution.targets(algebra.kupisch)
+    verdict = AlgebraVerdict(
+        algebra=algebra,
+        weights=resolution.weights(algebra.kupisch, f),
+        f_vector=cx.f_vector,
+        betti=relation_complex.reduced_betti(cx),
+        gldim=global_dimension(algebra),
+        hc_dims=hc_dims,
+        basis_sizes=cyclic.basis_sizes(algebra),
+    )
+    # seed the cached `targets`; a rotated verdict, a new instance, derives its own
+    verdict.__dict__["targets"] = f
     results = verdict.checks
-    weights, chi, betti, lvs = inv.weights, inv.chi, inv.betti, inv.leaves
-    finite = inv.gldim.is_finite
+    weights, chi, betti, lvs = verdict.weights, verdict.chi, verdict.betti, verdict.leaves
+    finite = verdict.gldim.is_finite
 
     # the leaf checks run first, so that Bprime can go on from the step at
     # the least leaf, which is the first step of the full reduction
@@ -209,7 +265,7 @@ def verify(
         props_ok = True
         if algebra.n >= 3:
             for leaf in lvs:
-                report = unamalgamation.check_properties(algebra, leaf, inv, known)
+                report = unamalgamation.check_properties(algebra, leaf, verdict, known)
                 props_ok = props_ok and report.all_ok and raw_complex_matches(report.step, cx)
                 first_step = first_step or report.step
 
@@ -223,13 +279,13 @@ def verify(
     if "SameWeight" in checks:
         results["SameWeight"] = len(set(weights)) == 1
     if "HCvsBetti" in checks:
-        expected = [1 if inv.complex_empty else 0] + [
+        expected = [1 if verdict.complex_empty else 0] + [
             betti[p - 1] if p - 1 < len(betti) else 0 for p in range(1, algebra.n)
         ]
         results["HCvsBetti"] = list(verdict.hc_dims) == expected
     if "Bprime" in checks:
         if finite:
-            acyclic = not any(betti) and not inv.complex_empty
+            acyclic = not any(betti) and not verdict.complex_empty
             if acyclic:
                 verdict.semisimple = _reduces_to_semisimple(algebra, first_step, known)
             results["Bprime"] = acyclic and verdict.semisimple
@@ -239,7 +295,7 @@ def verify(
         results["UnamalgamationProps"] = props_ok
 
     results["RoundTrip"] = kupisch_from_relations(algebra.n, algebra.relations) == algebra.kupisch
-    if inv.complex_empty:
+    if verdict.complex_empty:
         euler_ok = chi == 0
     else:
         euler_ok = chi == 1 + linalg.alternating_sum(betti)
@@ -254,7 +310,7 @@ def verify(
 def _reduces_to_semisimple(
     algebra: NakayamaAlgebra,
     first_step: unamalgamation.UnamalgamationStep | None,
-    known: unamalgamation.Table | None,
+    known: Table | None,
 ) -> bool:
     """`reduce_fully(algebra).semisimple`.  After its first step, at the
     least leaf, the reduction goes on as the reduction of the step's output,
@@ -263,9 +319,9 @@ def _reduces_to_semisimple(
     and else the output is reduced."""
     if first_step is None:
         return unamalgamation.reduce_fully(algebra).semisimple
-    found = unamalgamation.look_up(known, first_step.output)
-    if found and found[1] is not None:
-        return found[1]
+    found = known.get(first_step.output.kupisch) if known else None
+    if found is not None and found.semisimple is not None:
+        return found.semisimple
     return unamalgamation.reduce_fully(first_step.output).semisimple
 
 
@@ -348,7 +404,7 @@ class TheoremReport:
         out: dict[tuple[int, str], int] = {}
         for v in self.verdicts:
             # read off the series: a rotated row's algebra has nothing cached
-            c = v.invariants.algebra.kupisch
+            c = v.algebra.kupisch
             key = (len(c), AlgebraClass.of(c).value)
             out[key] = out.get(key, 0) + 1
         return out
@@ -363,7 +419,7 @@ class TheoremReport:
                 for (n, cls), count in sorted(self.totals().items())
             ],
             "counterexamples": [
-                {"algebra": v.invariants.algebra.to_dict(), "failed": v.failed}
+                {"algebra": v.algebra.to_dict(), "failed": v.failed}
                 for v in counterexamples
             ],
             "ok": not counterexamples,
@@ -424,7 +480,7 @@ def _levels(config: SweepConfig):
 
 
 def _verify_classes(
-    algebras: list[NakayamaAlgebra], checks: tuple[str, ...], known: unamalgamation.Table
+    algebras: list[NakayamaAlgebra], checks: tuple[str, ...], known: Table
 ) -> list[AlgebraVerdict]:
     return [verify(algebra, checks, known) for algebra in algebras]
 
@@ -459,11 +515,11 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
     `AlgebraVerdict.rotate`).  The levels (one n each) run in order, and
     each level's classes are verified with the table of the level below,
     where the leaf checks find the smaller algebras by their series: each
-    row of a class is a key, and the rows of one class share its record.
+    row of a class is a key, and the rows of one class share its verdict.
     On `workers` processes, each level's classes are split between them,
     and the next level is enumerated while they work."""
     verdicts: list[AlgebraVerdict] = []
-    known: unamalgamation.Table = {}
+    known: Table = {}
     levels = _levels(config)
     spawn = get_context("spawn")
     with (ProcessPoolExecutor(workers, mp_context=spawn) if workers > 1 else nullcontext()) as pool:
@@ -479,8 +535,7 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
                 by_class[c0] if a.kupisch == c0 else by_class[c0].rotate(a)
                 for a, c0 in zip(level, keys)
             )
-            records = {c0: (v.invariants, v.semisimple) for c0, v in by_class.items()}
-            known = {a.kupisch: records[c0] for a, c0 in zip(level, keys)}
+            known = {a.kupisch: by_class[c0] for a, c0 in zip(level, keys)}
             level, keys = upcoming
     return TheoremReport(config=config, verdicts=verdicts)
 
@@ -516,12 +571,11 @@ def to_csv(report: TheoremReport) -> str:
     tails: dict[tuple, str] = {}
     lines = [",".join(CSV_COLUMNS)]
     for v in report.verdicts:
-        inv = v.invariants
-        key = (inv.gldim.value, inv.weights, inv.f_vector, inv.betti, v.hc_dims, tuple(v.checks.items()))
+        key = (v.gldim.value, v.weights, v.f_vector, v.betti, v.hc_dims, tuple(v.checks.items()))
         tail = tails.get(key)
         if tail is None:
             tail = tails[key] = _csv_tail(v)
-        c = inv.algebra.kupisch
+        c = v.algebra.kupisch
         lines.append(f"{len(c)},{' '.join(map(str, c))},{tail}")
     lines.append("")
     return "\n".join(lines)
@@ -529,15 +583,14 @@ def to_csv(report: TheoremReport) -> str:
 
 def _csv_tail(v: AlgebraVerdict) -> str:
     """The CSV columns of `v` after `kupisch`, joined."""
-    inv = v.invariants
-    weights = inv.weights
+    weights = v.weights
     return ",".join(
         (
-            "inf" if not inv.gldim.is_finite else str(inv.gldim.value),
+            "inf" if not v.gldim.is_finite else str(v.gldim.value),
             str(len(weights)),
             str(weights[0]) if len(set(weights)) == 1 else "|".join(map(str, weights)),
-            str(inv.chi),
-            " ".join(map(str, inv.betti)),
+            str(v.chi),
+            " ".join(map(str, v.betti)),
             " ".join(map(str, v.hc_dims)),
             "ok" if v.ok else ";".join(v.failed),
         )

@@ -243,7 +243,7 @@ def to_off(cx: SimplicialComplex) -> str:
     faces = [s for p in range(1, len(cx.simplices)) for s in cx.simplices[p]]
     lines = ["OFF", f"{nv} {len(faces)} 0"]
     for i in range(nv):
-        angle = 2 * math.pi * i / nv if nv else 0.0
+        angle = 2 * math.pi * i / nv
         lines.append(f"{math.cos(angle):.6f} {math.sin(angle):.6f} 0.000000")
     for s in faces:
         lines.append(" ".join([str(len(s))] + [str(i) for i in s]))

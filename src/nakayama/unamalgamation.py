@@ -40,27 +40,25 @@ Gustafson's function that builds no component; the reduced Betti numbers,
 for which the relation complex is built, so one past MAX_SUBSETS is
 refused, and a cone is not enumerated; whether the complex is empty, which
 it is iff no relation has length <= n; and gldim.  It computes no f-vector.
-A side whose `Invariants` the caller holds (`verify`'s record of the
-input, or a sweep's table entry for the output's series) is read off that
-record as it is: none of these fields but the targets depends on the
-labels, so an entry, the record of the least rotation of its class, is
-not rotated.  The quiver match compares the output's targets with the
-input's, rotated so that the leaf is n and relabelled the same way.
+A side whose record the caller holds (`verify`'s verdict of the input, or
+a sweep's table entry for the output's series, the verdict of the least
+rotation of its class) is read off that record as it is: none of these
+fields but the targets depends on the labels, so an entry is not rotated.
+The quiver match compares the output's targets with the input's, rotated
+so that the leaf is n and relabelled the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from . import linalg, relation_complex, resolution
-from .algebra import (
-    AlgebraError,
-    NakayamaAlgebra,
-    ProjDim,
-    Relation,
-    global_dimension,
-)
+from . import relation_complex, resolution
+from .algebra import AlgebraError, NakayamaAlgebra, Relation, global_dimension
+
+if TYPE_CHECKING:
+    from .harness import AlgebraVerdict, Table
 
 
 class NotALeafError(AlgebraError):
@@ -168,93 +166,15 @@ def _step(algebra: NakayamaAlgebra, leaf: int, output: NakayamaAlgebra) -> Unama
     return UnamalgamationStep(input=algebra, leaf=leaf, raw_relations=raw, output=output)
 
 
-@dataclass(frozen=True)
-class Invariants:
-    """What both finiteness criteria read off one algebra, kept small because
-    a sweep keeps one per algebra: the resolution quiver's weights, the
-    relation complex's f-vector and reduced Betti numbers, and gldim.  The
-    quiver's targets are read off the algebra's Kupisch series when first
-    read, unless `invariants` seeded them with the ones it computed for
-    the weights."""
-
-    algebra: NakayamaAlgebra
-    weights: tuple[int, ...]
-    f_vector: tuple[int, ...]
-    betti: tuple[int, ...]
-    gldim: ProjDim
-
-    @cached_property
-    def targets(self) -> tuple[int, ...]:
-        """Entry i-1 is the target of the arrow at i."""
-        return resolution.targets(self.algebra.kupisch)
-
-    @property
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(sorted(set(range(1, self.algebra.n + 1)).difference(self.targets)))
-
-    @property
-    def chi(self) -> int:
-        return linalg.alternating_sum(self.f_vector)
-
-    @property
-    def complex_empty(self) -> bool:
-        return not self.f_vector
-
-    def rotate(self, algebra: NakayamaAlgebra) -> "Invariants":
-        """The invariants of `algebra`, a rotation of this algebra: only the
-        labels differ.  The weights are listed by least vertex, so several
-        distinct weights, which only a counterexample to SameWeight has,
-        are read off the rotated quiver."""
-        weights = self.weights
-        if len(set(weights)) > 1:
-            weights = resolution.weights(algebra.kupisch)
-        return Invariants(algebra, weights, self.f_vector, self.betti, self.gldim)
-
-
-# What a sweep keeps of each rotation class it has verified: the invariants
-# of its least rotation, and `reduce_fully(...).semisimple` when the
-# verification computed it (None otherwise).  It is keyed by every enumerated
-# Kupisch series of the class, and the rows of one class share one record.
-Table = dict[tuple[int, ...], tuple[Invariants, bool | None]]
-
-
-def look_up(known: Table | None, algebra: NakayamaAlgebra) -> tuple[Invariants, bool | None] | None:
-    """The entry for `algebra`, one probe by its Kupisch series: the record
-    of its rotation class as it is, under the least rotation's labels, or
-    None when `known` has no entry."""
-    return known.get(algebra.kupisch) if known else None
-
-
-def invariants(
-    algebra: NakayamaAlgebra, cx: relation_complex.SimplicialComplex | None = None
-) -> Invariants:
-    """The invariants of `algebra`; `cx`, its relation complex, is built
-    unless the caller has it already."""
-    if cx is None:
-        cx = relation_complex.build_complex(algebra)
-    f = resolution.targets(algebra.kupisch)
-    inv = Invariants(
-        algebra=algebra,
-        weights=resolution.weights(algebra.kupisch, f),
-        f_vector=cx.f_vector,
-        betti=relation_complex.reduced_betti(cx),
-        gldim=global_dimension(algebra),
-    )
-    # seed the cached `targets`; a rotated record, a new instance, derives
-    # its own
-    inv.__dict__["targets"] = f
-    return inv
-
-
-def _compared(algebra: NakayamaAlgebra, f: tuple[int, ...], inv: Invariants | None) -> tuple:
+def _compared(algebra: NakayamaAlgebra, f: tuple[int, ...], record: AlgebraVerdict | None) -> tuple:
     """What a leaf check compares of one side, none of it changed by a
     rotation of the labels: the sorted weights, the reduced Betti numbers,
-    whether the relation complex is empty, and gldim.  Read off `inv` when
-    the caller has the record; otherwise computed without an f-vector, f
+    whether the relation complex is empty, and gldim.  Read off `record`
+    when the caller has one; otherwise computed without an f-vector, f
     being Gustafson's function on `algebra`.  The relation complex is built
     all the same, so one past MAX_SUBSETS is refused."""
-    if inv is not None:
-        return sorted(inv.weights), inv.betti, inv.complex_empty, inv.gldim
+    if record is not None:
+        return sorted(record.weights), record.betti, record.complex_empty, record.gldim
     cx = relation_complex.build_complex(algebra)
     weights = sorted(resolution.weights(algebra.kupisch, f))
     # the vertices are the relations of length <= n, none of whose interiors
@@ -289,23 +209,25 @@ class PropertyReport:
 def check_properties(
     algebra: NakayamaAlgebra,
     leaf: int,
-    before: Invariants | None = None,
+    before: AlgebraVerdict | None = None,
     known: Table | None = None,
 ) -> PropertyReport:
     """Verify, on one unamalgamation step, that the smaller algebra keeps the
     resolution quiver (minus the leaf), the weight, the reduced Betti numbers
     of the relation complex, and a global dimension within two.  `before`
-    holds the invariants of `algebra` when the caller has them already;
-    the smaller algebra's entry is looked up in `known` by its series
-    before its fields are computed.  Only fields that no rotation changes
-    are read off that entry (see `_compared`); the output's targets are
-    read off its Kupisch series."""
+    is the record of `algebra` when the caller has one, and `known` maps
+    Kupisch series to the records of algebras verified before; the smaller
+    algebra's record is looked up there by its series before its fields are
+    computed.  A record is read for `.weights`, `.betti`, `.complex_empty`
+    and `.gldim`, none of which a rotation changes (see `_compared`), and
+    `before` for `.targets` too; the output's targets are read off its
+    Kupisch series."""
     f_before = resolution.targets(algebra.kupisch) if before is None else before.targets
     step = _unamalgamate(algebra, leaf, f_before)
     f_after = resolution.targets(step.output.kupisch)
-    found = look_up(known, step.output)
+    found = known.get(step.output.kupisch) if known else None
     w_before, betti_before, empty_before, g_in = _compared(algebra, f_before, before)
-    w_after, betti_after, empty_after, g_out = _compared(step.output, f_after, found[0] if found else None)
+    w_after, betti_after, empty_after, g_out = _compared(step.output, f_after, found)
 
     # the output's vertex k is the input's leaf + k, mod n, and a target t
     # is relabelled to t - leaf, mod n, as `relabel_map` does

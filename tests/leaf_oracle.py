@@ -7,17 +7,19 @@ by floor division, `delete_letters` deletes them from one word letter by
 letter, and `eliminate_redundant` gives the minimal words of any list of
 such words.  `reduction_dict` is `reduce_fully(...).to_dict()` by the word
 path, with the leaves read off the resolution quiver at every step.
-`check_properties` is `unamalgamation.check_properties` with full
-`invariants` on both sides, f-vector and all, and a table entry rotated
-onto the step's output by `Invariants.rotate`.  `raw_complex_matches` is
+`check_properties` is `unamalgamation.check_properties` with a full
+`record` on both sides, listed f-vector and all, built here and not by
+`verify`, whose leaf checks it is the oracle of, and a table entry rotated
+onto the step's output by `AlgebraVerdict.rotate`.  `raw_complex_matches` is
 `harness.raw_complex_matches` by enumeration: it lists every simplex of the
 raw image words' complex and compares them with the given complex's."""
 
 from enumeration_oracle import least_rotation
-from nakayama.algebra import NakayamaAlgebra, Relation, kupisch_from_relations, mod1
-from nakayama.relation_complex import interior, simplex_levels
+from nakayama.algebra import NakayamaAlgebra, Relation, global_dimension, kupisch_from_relations, mod1
+from nakayama.harness import AlgebraVerdict
+from nakayama.relation_complex import build_complex, interior, reduced_betti, simplex_levels
 from nakayama.resolution import build, leaves
-from nakayama.unamalgamation import PropertyReport, _witnesses, invariants, relabel_map, unamalgamate
+from nakayama.unamalgamation import PropertyReport, _witnesses, relabel_map, unamalgamate
 
 
 def delete_last_arrow(rel, n):
@@ -111,21 +113,33 @@ def reduction_dict(algebra):
     }
 
 
+def record(algebra):
+    """The record of `algebra` from the quiver and the complex themselves:
+    the targets and weights of `resolution.build`, the f-vector listed off
+    the simplices of `build_complex`, its `reduced_betti`, and
+    `global_dimension`.  No leaf check reads the cyclic fields, so they are
+    left empty."""
+    rq, cx = build(algebra), build_complex(algebra)
+    f_vector = tuple(len(level) for level in cx.simplices)
+    rec = AlgebraVerdict(algebra, rq.weights, f_vector, reduced_betti(cx), global_dimension(algebra), (), ())
+    rec.__dict__["targets"] = rq.f
+    return rec
+
+
 def look_up(known, algebra):
-    """The entry of `algebra`, its invariants rotated out of the entry for
-    its rotation class, or None when `known` has no entry."""
+    """The record of `algebra`, rotated out of the entry for its rotation
+    class, or None when `known` has no entry."""
     if not known:
         return None
     entry = known.get(least_rotation(algebra.kupisch))
-    return None if entry is None else (entry[0].rotate(algebra), entry[1])
+    return None if entry is None else entry.rotate(algebra)
 
 
 def check_properties(algebra, leaf, before=None, known=None):
     step = unamalgamate(algebra, leaf)
     if before is None:
-        before = invariants(algebra)
-    found = look_up(known, step.output)
-    after = found[0] if found else invariants(step.output)
+        before = record(algebra)
+    after = look_up(known, step.output) or record(step.output)
 
     phi = step.relabel
     f_before, f_after = before.targets, after.targets

@@ -111,7 +111,7 @@ def test_criterion_3_theorem_sweep():
     t0 = time.perf_counter()
     report = sweep(SweepConfig(n_min=2, n_max=5, c_max=7))
     failures = [
-        (v.invariants.algebra.kupisch, v.failed) for v in report.counterexamples
+        (v.algebra.kupisch, v.failed) for v in report.counterexamples
     ]
     count = len(report.verdicts)
     _finish(3, f"theorem sweep over {count} algebras (n<=5, c<=7, all classes)", failures, t0)

@@ -65,6 +65,109 @@ def test_analyze_json_round_trips(l1_file, capsys):
     assert data["checks"]["A"] is True
 
 
+ALL_PASS = (
+    "checks: A=pass B=pass C=pass SameWeight=pass HCvsBetti=pass Bprime=pass UnamalgamationProps=pass"
+    " RoundTrip=pass EulerPoincare=pass BoundarySquare=pass CyclicSquare=pass HCEulerIdentity=pass"
+    " NodesEqualRelations=pass\n"
+)
+ALL_TRUE = dict.fromkeys(harness.THEOREM_CHECKS + harness.STRUCTURAL_CHECKS, True)
+
+# analyze's text and JSON for lambda1, lambda2, (2,2,2,2) and (4,4,3,3,3), a
+# rotation of lambda2, recorded before the verdict became one flat record
+ANALYZE_PINS = {
+    '{"n": 5, "relations": [[2, 2], [3, 2], [5, 3]]}': (
+        "algebra: n=5 class=cyclic relations=(2,2) (3,2) (5,3)\n"
+        "kupisch: 3 2 2 4 3\n"
+        "arrows: 1->4 2->4 3->5 4->3 5->3\n"
+        "components: 1\n"
+        "component 1: cycle 3->5 weight 1\n"
+        "weight: 1\n"
+        "leaves: 1 2\n"
+        "f_vector: 3 3 1\n"
+        "euler: 1\n"
+        "reduced_betti: -\n"
+        "hc_dims: 0 0 0 0 0\n"
+        "hc_euler: 0\n"
+        "gldim: finite (4)\n" + ALL_PASS,
+        {"algebra": {"n": 5, "relations": [[2, 2], [3, 2], [5, 3]]}, "basis_sizes": [0, 0, 2, 3, 1],
+         "checks": ALL_TRUE, "chi": 1, "class": "cyclic", "complex_empty": False, "components": 1,
+         "f_vector": [3, 3, 1], "gldim": 4, "hc_dims": [0, 0, 0, 0, 0], "hc_euler": 0,
+         "kupisch": [3, 2, 2, 4, 3], "leaves": [1, 2], "reduced_betti": [], "weights": [1]},
+    ),
+    '{"n": 5, "relations": [[1, 3], [2, 4], [4, 3], [5, 3]]}': (
+        "algebra: n=5 class=cyclic relations=(1,3) (2,4) (4,3) (5,3)\n"
+        "kupisch: 3 4 4 3 3\n"
+        "arrows: 1->4 2->1 3->2 4->2 5->3\n"
+        "components: 1\n"
+        "component 1: cycle 1->4->2 weight 2\n"
+        "weight: 2\n"
+        "leaves: 5\n"
+        "f_vector: 4 5 1\n"
+        "euler: 0\n"
+        "reduced_betti: 0 1\n"
+        "hc_dims: 0 0 1 0 0\n"
+        "hc_euler: 1\n"
+        "gldim: infinite\n" + ALL_PASS,
+        {"algebra": {"n": 5, "relations": [[1, 3], [2, 4], [4, 3], [5, 3]]}, "basis_sizes": [0, 2, 7, 5, 1],
+         "checks": ALL_TRUE, "chi": 0, "class": "cyclic", "complex_empty": False, "components": 1,
+         "f_vector": [4, 5, 1], "gldim": None, "hc_dims": [0, 0, 1, 0, 0], "hc_euler": 1,
+         "kupisch": [3, 4, 4, 3, 3], "leaves": [5], "reduced_betti": [0, 1], "weights": [2]},
+    ),
+    '{"kupisch": [2, 2, 2, 2]}': (
+        "algebra: n=4 class=cyclic relations=(1,2) (2,2) (3,2) (4,2)\n"
+        "kupisch: 2 2 2 2\n"
+        "arrows: 1->3 2->4 3->1 4->2\n"
+        "components: 2\n"
+        "component 1: cycle 1->3 weight 1\n"
+        "component 2: cycle 2->4 weight 1\n"
+        "weight: 1\n"
+        "leaves: -\n"
+        "f_vector: 4 6 4\n"
+        "euler: 2\n"
+        "reduced_betti: 0 0 1\n"
+        "hc_dims: 0 0 0 1\n"
+        "hc_euler: -1\n"
+        "gldim: infinite\n" + ALL_PASS,
+        {"algebra": {"n": 4, "relations": [[1, 2], [2, 2], [3, 2], [4, 2]]}, "basis_sizes": [0, 0, 0, 1],
+         "checks": ALL_TRUE, "chi": 2, "class": "cyclic", "complex_empty": False, "components": 2,
+         "f_vector": [4, 6, 4], "gldim": None, "hc_dims": [0, 0, 0, 1], "hc_euler": -1,
+         "kupisch": [2, 2, 2, 2], "leaves": [], "reduced_betti": [0, 0, 1], "weights": [1, 1]},
+    ),
+    '{"kupisch": [4, 4, 3, 3, 3]}': (
+        "algebra: n=5 class=cyclic relations=(1,4) (3,3) (4,3) (5,3)\n"
+        "kupisch: 4 4 3 3 3\n"
+        "arrows: 1->5 2->1 3->1 4->2 5->3\n"
+        "components: 1\n"
+        "component 1: cycle 1->5->3 weight 2\n"
+        "weight: 2\n"
+        "leaves: 4\n"
+        "f_vector: 4 5 1\n"
+        "euler: 0\n"
+        "reduced_betti: 0 1\n"
+        "hc_dims: 0 0 1 0 0\n"
+        "hc_euler: 1\n"
+        "gldim: infinite\n" + ALL_PASS,
+        {"algebra": {"n": 5, "relations": [[1, 4], [3, 3], [4, 3], [5, 3]]}, "basis_sizes": [0, 2, 7, 5, 1],
+         "checks": ALL_TRUE, "chi": 0, "class": "cyclic", "complex_empty": False, "components": 1,
+         "f_vector": [4, 5, 1], "gldim": None, "hc_dims": [0, 0, 1, 0, 0], "hc_euler": 1,
+         "kupisch": [4, 4, 3, 3, 3], "leaves": [4], "reduced_betti": [0, 1], "weights": [2]},
+    ),
+}
+
+
+@pytest.mark.parametrize("text", list(ANALYZE_PINS))
+def test_analyze_output_is_pinned(text, tmp_path, capsys):
+    """`analyze`, text and `--format json`: stdout byte for byte, nothing
+    on stderr, exit 0."""
+    path = tmp_path / "algebra.json"
+    path.write_text(text)
+    want_text, want_json = ANALYZE_PINS[text]
+    assert main(["analyze", str(path)]) == 0
+    assert capsys.readouterr() == (want_text, "")
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    assert capsys.readouterr() == (json.dumps(want_json, indent=2, sort_keys=True) + "\n", "")
+
+
 def test_kupisch_input_form(l3_file, capsys):
     assert main(["analyze", l3_file]) == 0
     out = capsys.readouterr().out

@@ -36,6 +36,7 @@ from nakayama.harness import (
 from nakayama.resolution import build
 
 import enumeration_oracle
+import leaf_oracle
 from enumeration_oracle import least_rotation, rotations
 from strategies import kupisch_series as kupisch_series_strategy
 
@@ -160,37 +161,34 @@ def test_config_validation():
 
 def test_verify_lambda1(lambda1):
     v = verify(lambda1)
-    inv = v.invariants
-    assert inv.gldim.value == 4
-    assert len(inv.weights) == 1 and inv.weights == (1,)
-    assert inv.chi == 1
+    assert v.gldim.value == 4
+    assert len(v.weights) == 1 and v.weights == (1,)
+    assert v.chi == 1
     assert v.ok
     assert set(THEOREM_CHECKS) | set(STRUCTURAL_CHECKS) == set(v.checks)
 
 
 def test_verify_lambda2(lambda2):
     v = verify(lambda2)
-    inv = v.invariants
-    assert not inv.gldim.is_finite
-    assert inv.weights == (2,) and inv.chi == 0
+    assert not v.gldim.is_finite
+    assert v.weights == (2,) and v.chi == 0
     assert v.hc_euler == 1
     assert v.ok
 
 
 def test_verify_lambda3(lambda3):
     v = verify(lambda3)
-    inv = v.invariants
-    assert not inv.gldim.is_finite
-    assert len(inv.weights) == 2 and inv.weights == (1, 1)
-    assert inv.chi == 2
+    assert not v.gldim.is_finite
+    assert len(v.weights) == 2 and v.weights == (1, 1)
+    assert v.chi == 2
     # both sides of check A are false: two components, infinite dimension
     assert v.checks["A"] and v.checks["C"]
     assert v.ok
 
 
 def test_verify_computes_gustafsons_function_once(monkeypatch, lambda1, lambda3):
-    """`invariants` seeds its record's targets with those of the quiver it
-    builds, and the leaf checks read them off that record, so verifying an
+    """`verify` seeds its verdict's targets with those it computes for the
+    weights, and the leaf checks read them off that record, so verifying an
     algebra computes Gustafson's function on its series once.  The full
     reduction that `Bprime` runs on lambda1 (two leaves) goes on from the
     leaf check's step at the least leaf, so it does not compute it again."""
@@ -198,11 +196,11 @@ def test_verify_computes_gustafsons_function_once(monkeypatch, lambda1, lambda3)
     real = resolution.targets
     monkeypatch.setattr(resolution, "targets", lambda kupisch: calls.append(kupisch) or real(kupisch))
     v = verify(lambda3)
-    assert v.ok and v.invariants.leaves == ()
+    assert v.ok and v.leaves == ()
     assert calls == [lambda3.kupisch]
     calls.clear()
     v = verify(lambda1)
-    assert v.ok and v.invariants.leaves == (1, 2) and v.semisimple
+    assert v.ok and v.leaves == (1, 2) and v.semisimple
     assert calls.count(lambda1.kupisch) == 1
 
 
@@ -219,7 +217,7 @@ def test_sweep_small_is_clean():
 def test_sweep_single_algebra():
     report = sweep(SweepConfig(n_min=4, n_max=4, c_max=2, classes=frozenset({AlgebraClass.CYCLIC})))
     assert len(report.verdicts) == 1
-    assert report.verdicts[0].invariants.algebra.kupisch == (2, 2, 2, 2)
+    assert report.verdicts[0].algebra.kupisch == (2, 2, 2, 2)
     assert report.ok
 
 
@@ -281,29 +279,30 @@ def test_subset_limit_admits_rad12_on_11_vertices():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_verdicts_match_verify_without_table(workers):
-    """The table of invariants a sweep keeps changes no verdict: each one
+    """The table of verdicts a sweep keeps changes no verdict: each one
     equals a `verify` that builds every smaller algebra afresh."""
     report = sweep(SweepConfig(n_min=2, n_max=5, c_max=6), workers=workers)
     assert len(report.verdicts) > 400
     for v in report.verdicts:
-        assert v.to_dict() == verify(v.invariants.algebra).to_dict(), v.invariants.algebra.kupisch
+        assert v.to_dict() == verify(v.algebra).to_dict(), v.algebra.kupisch
 
 
 def test_sweep_builds_invariants_once_per_rotation_class(monkeypatch):
-    """A full sweep builds `invariants` once per rotation class, for its
-    least rotation, and never for a leaf: every smaller algebra of a leaf
-    check is found in the table of the level below."""
+    """A full sweep computes the invariants of a verdict, counted by its
+    weights, once per rotation class, for its least rotation, and never
+    for a leaf: every smaller algebra of a leaf check is found in the table
+    of the level below, and a rotated row shares its class's weights."""
     built = []
-    real = unamalgamation.invariants
+    real = resolution.weights
 
-    def counting(algebra, cx=None):
-        built.append(algebra.kupisch)
-        return real(algebra, cx)
+    def counting(kupisch, f=None):
+        built.append(kupisch)
+        return real(kupisch, f)
 
-    monkeypatch.setattr(unamalgamation, "invariants", counting)
+    monkeypatch.setattr(resolution, "weights", counting)
     report = sweep(SweepConfig(n_min=2, n_max=5, c_max=6), workers=1)
-    rows = [v.invariants.algebra.kupisch for v in report.verdicts]
-    assert any(v.invariants.leaves for v in report.verdicts if v.invariants.algebra.n >= 3)
+    rows = [v.algebra.kupisch for v in report.verdicts]
+    assert any(v.leaves for v in report.verdicts if v.algebra.n >= 3)
     assert built == [c for c in rows if least_rotation(c) == c]
     assert len(built) < len(rows) / 3
 
@@ -344,16 +343,16 @@ def test_bprime_reads_the_entry_at_the_least_leaf():
     leaves' outputs."""
     checked = 0
     for algebra in enumerate_kupisch(SweepConfig(n_min=3, n_max=6, c_max=7)):
-        inv = unamalgamation.invariants(algebra)
-        if not inv.gldim.is_finite or any(inv.betti) or inv.complex_empty:
+        rec = leaf_oracle.record(algebra)
+        if not rec.gldim.is_finite or any(rec.betti) or rec.complex_empty:
             continue
-        classes = [least_rotation(unamalgamate(algebra, leaf).output.kupisch) for leaf in inv.leaves]
+        classes = [least_rotation(unamalgamate(algebra, leaf).output.kupisch) for leaf in rec.leaves]
         if not classes or classes[0] in classes[1:]:
             continue
-        records = {c0: unamalgamation.invariants(algebra_from_kupisch(c0)) for c0 in classes}
+        records = {c0: leaf_oracle.record(algebra_from_kupisch(c0)) for c0 in classes}
         for planted in (False, True):
             known = {
-                c: (records[c0], planted if c0 == classes[0] else not planted)
+                c: replace(records[c0], semisimple=planted if c0 == classes[0] else not planted)
                 for c0 in classes
                 for c in rotations(c0)
             }
@@ -376,13 +375,12 @@ def test_bprime_without_a_table_goes_on_from_the_first_step(monkeypatch):
     for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=6, c_max=7)):
         reduced.clear()
         verdict = verify(algebra)
-        inv = verdict.invariants
-        if not inv.gldim.is_finite or any(inv.betti) or inv.complex_empty:
+        if not verdict.gldim.is_finite or any(verdict.betti) or verdict.complex_empty:
             assert verdict.semisimple is None and reduced == [], algebra.kupisch
             continue
         assert verdict.semisimple == real(algebra).semisimple, algebra.kupisch
-        if algebra.n >= 3 and inv.leaves:
-            assert reduced == [unamalgamate(algebra, inv.leaves[0]).output.kupisch], algebra.kupisch
+        if algebra.n >= 3 and verdict.leaves:
+            assert reduced == [unamalgamate(algebra, verdict.leaves[0]).output.kupisch], algebra.kupisch
             from_step += 1
         else:
             assert reduced == [algebra.kupisch]
@@ -400,7 +398,7 @@ def test_sweep_with_missing_smaller_algebras_matches_full_sweep():
     full = sweep(SweepConfig(n_min=2, n_max=5, c_max=6))
     kept = [
         v for v in full.verdicts
-        if v.invariants.algebra.n >= 3 and v.invariants.algebra.algebra_class in only_cyclic
+        if v.algebra.n >= 3 and v.algebra.algebra_class in only_cyclic
     ]
     assert len(part.verdicts) == len(kept) > 100
     assert to_csv(part).splitlines()[1:] == to_csv(TheoremReport(full.config, kept)).splitlines()[1:]
@@ -417,7 +415,7 @@ def test_class_filtered_sweep_keeps_the_rows_of_its_classes(all_classes_sweep, c
     totals, of those classes in the sweep of all classes, n <= 6, c <= 7."""
     full = all_classes_sweep
     part = sweep(replace(full.config, classes=classes))
-    kept = [v for v in full.verdicts if v.invariants.algebra.algebra_class in classes]
+    kept = [v for v in full.verdicts if v.algebra.algebra_class in classes]
     assert len(part.verdicts) == len(kept) > 0
     assert to_csv(part).splitlines()[1:] == to_csv(TheoremReport(full.config, kept)).splitlines()[1:]
     names = {c.value for c in classes}
@@ -427,18 +425,17 @@ def test_class_filtered_sweep_keeps_the_rows_of_its_classes(all_classes_sweep, c
 
 def _csv_row(v):
     """The CSV row of one verdict, formatted field by field with `csv`."""
-    inv = v.invariants
-    weights = inv.weights
+    weights = v.weights
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(
         [
-            inv.algebra.n,
-            " ".join(str(c) for c in inv.algebra.kupisch),
-            "inf" if not inv.gldim.is_finite else str(inv.gldim.value),
+            v.algebra.n,
+            " ".join(str(c) for c in v.algebra.kupisch),
+            "inf" if not v.gldim.is_finite else str(v.gldim.value),
             len(weights),
             str(weights[0]) if len(set(weights)) == 1 else "|".join(str(w) for w in weights),
-            inv.chi,
-            " ".join(str(b) for b in inv.betti),
+            v.chi,
+            " ".join(str(b) for b in v.betti),
             " ".join(str(d) for d in v.hc_dims),
             "ok" if v.ok else ";".join(v.failed),
         ]
@@ -454,9 +451,7 @@ def test_csv_rows_keep_their_own_weight_order():
     v = verify(algebra_from_kupisch((3, 3, 4, 3)))
 
     def planted(weights):
-        return harness.AlgebraVerdict(
-            replace(v.invariants, weights=weights), v.hc_dims, v.basis_sizes, v.checks, v.semisimple
-        )
+        return replace(v, weights=weights)
 
     verdicts = [planted(w) for w in [(1, 2), (2, 1), (1, 2), (2, 1, 2), (2, 2, 1)]]
     rows = to_csv(TheoremReport(SweepConfig(), verdicts)).splitlines()[1:]
@@ -472,7 +467,7 @@ def test_sweep_derives_relations_only_for_the_classes_it_verifies():
     verified = {}
     rotated = 0
     for v in verdicts:
-        algebra = v.invariants.algebra
+        algebra = v.algebra
         c, n = algebra.kupisch, algebra.n
         c0 = least_rotation(c)
         if c == c0:
@@ -486,6 +481,31 @@ def test_sweep_derives_relations_only_for_the_classes_it_verifies():
     assert len(verified) + rotated == len(verdicts) == 2996 and rotated > len(verified)
 
 
+def test_rotated_rows_share_their_class_verdict():
+    """In a serial sweep at n <= 6, c <= 7, a row that is not the least
+    rotation of its series holds its class verdict's f-vector, Betti
+    numbers, cyclic dimensions, basis sizes and checks, the same objects,
+    not copies.  Its algebra is its own series, and its targets and leaves
+    are those of `verify` on that row."""
+    config = SweepConfig(n_min=2, n_max=6, c_max=7)
+    verdicts = sweep(config, workers=1).verdicts
+    by_class = {c: v for v in verdicts if (c := v.algebra.kupisch) == least_rotation(c)}
+    rotated = 0
+    for v, algebra in zip(verdicts, enumerate_kupisch(config), strict=True):
+        assert v.algebra.kupisch == algebra.kupisch
+        c0 = least_rotation(algebra.kupisch)
+        if algebra.kupisch == c0:
+            continue
+        shared = by_class[c0]
+        assert v is not shared
+        for name in ("f_vector", "betti", "hc_dims", "basis_sizes", "checks"):
+            assert getattr(v, name) is getattr(shared, name), (algebra.kupisch, name)
+        own = verify(algebra)
+        assert (v.targets, v.leaves) == (own.targets, own.leaves), algebra.kupisch
+        rotated += 1
+    assert rotated == len(verdicts) - len(by_class) == 2404
+
+
 @settings(max_examples=150, deadline=None)
 @given(kupisch_series_strategy(max_n=6, max_c=6), st.integers(1, 5))
 def test_rotation_leaves_every_invariant_and_check_unchanged(c, k):
@@ -494,12 +514,11 @@ def test_rotation_leaves_every_invariant_and_check_unchanged(c, k):
     k %= len(c)
     a = verify(algebra_from_kupisch(c))
     b = verify(algebra_from_kupisch(c[k:] + c[:k]))
-    ia, ib = a.invariants, b.invariants
-    assert ia.gldim == ib.gldim
-    assert sorted(ia.weights) == sorted(ib.weights)
-    assert ia.f_vector == ib.f_vector
-    assert ia.betti == ib.betti
-    assert len(ia.leaves) == len(ib.leaves)
+    assert a.gldim == b.gldim
+    assert sorted(a.weights) == sorted(b.weights)
+    assert a.f_vector == b.f_vector
+    assert a.betti == b.betti
+    assert len(a.leaves) == len(b.leaves)
     assert a.hc_dims == b.hc_dims
     assert a.basis_sizes == b.basis_sizes
     assert a.checks == b.checks

@@ -18,10 +18,17 @@ from enumeration_oracle import least_rotation, rotations
 from strategies import kupisch_series
 import nakayama
 from nakayama import Relation, algebra_from_kupisch, harness, relation_complex, unamalgamation, validate
-from nakayama.harness import SweepConfig, enumerate_kupisch, raw_complex_matches, sweep, verify
+from nakayama.harness import (
+    AlgebraVerdict,
+    SweepConfig,
+    enumerate_kupisch,
+    raw_complex_matches,
+    sweep,
+    verify,
+)
 from nakayama.relation_complex import SimplicialComplex, build_complex, complex_from_interiors
 from nakayama.resolution import targets
-from nakayama.unamalgamation import Invariants, check_properties, invariants, unamalgamate
+from nakayama.unamalgamation import check_properties, unamalgamate
 
 
 def _leaves(algebra):
@@ -30,17 +37,17 @@ def _leaves(algebra):
 
 def _tables(n_max, c_max):
     """The table a sweep to (n_max, c_max) keeps of each level, by n: every
-    series of a class keys the record of its least rotation, and its
-    `semisimple`, one entry shared by the class."""
+    series of a class keys the verdict of its least rotation, one entry
+    shared by the class."""
     verdicts = sweep(SweepConfig(n_min=2, n_max=n_max, c_max=c_max)).verdicts
     records = {}
     for v in verdicts:
-        c = v.invariants.algebra.kupisch
+        c = v.algebra.kupisch
         if c == least_rotation(c):
-            records[c] = (v.invariants, v.semisimple)
+            records[c] = v
     tables = {}
     for v in verdicts:
-        c = v.invariants.algebra.kupisch
+        c = v.algebra.kupisch
         tables.setdefault(len(c), {})[c] = records[least_rotation(c)]
     return tables
 
@@ -56,7 +63,7 @@ def test_check_properties_matches_the_oracle(monkeypatch, with_table):
     the level below that the sweep builds.  The input side is computed by
     the leaf check itself; the oracle is given the input's full record, and
     builds each output's once."""
-    monkeypatch.setattr(leaf_oracle, "invariants", functools.cache(invariants))
+    monkeypatch.setattr(leaf_oracle, "record", functools.cache(leaf_oracle.record))
     tables = _tables(6, 8) if with_table else {}
     steps = 0
     for algebra in enumerate_kupisch(SweepConfig(n_min=3, n_max=7, c_max=8)):
@@ -64,7 +71,7 @@ def test_check_properties_matches_the_oracle(monkeypatch, with_table):
         if not lvs:
             continue
         known = tables.get(algebra.n - 1)
-        before = invariants(algebra)
+        before = leaf_oracle.record(algebra)
         for leaf in lvs:
             got = check_properties(algebra, leaf, known=known)
             want = leaf_oracle.check_properties(algebra, leaf, before, known)
@@ -94,7 +101,7 @@ def test_table_entries_are_read_as_they_are(monkeypatch):
     def unread(self, algebra):
         raise AssertionError("a table entry was rotated")
 
-    monkeypatch.setattr(Invariants, "rotate", unread)
+    monkeypatch.setattr(AlgebraVerdict, "rotate", unread)
     for algebra in enumerate_kupisch(SweepConfig(n_min=6, n_max=6, c_max=6)):
         if algebra.kupisch == least_rotation(algebra.kupisch):
             assert verify(algebra, known=tables[5]).ok, algebra.kupisch
@@ -115,7 +122,7 @@ def test_sweep_leaf_checks_probe_the_table_by_series(monkeypatch):
     monkeypatch.setattr(relation_complex, "build_complex", lambda a: built.append(a.kupisch) or build(a))
     checked, check = [], unamalgamation.check_properties
     monkeypatch.setattr(unamalgamation, "check_properties", lambda *args: checked.append(args) or check(*args))
-    rows = [v.invariants.algebra.kupisch for v in sweep(SweepConfig(n_min=2, n_max=7, c_max=8)).verdicts]
+    rows = [v.algebra.kupisch for v in sweep(SweepConfig(n_min=2, n_max=7, c_max=8)).verdicts]
     assert built == [c for c in rows if c == least_rotation(c)]
     assert len(checked) == 5556
 
@@ -129,11 +136,11 @@ def test_weights_compare_as_multisets():
     leaf = _leaves(algebra)[0]
     output = unamalgamate(algebra, leaf).output
     key = least_rotation(output.kupisch)
-    real = invariants(algebra_from_kupisch(key))
+    real = verify(algebra_from_kupisch(key))
     entry = replace(real, weights=(1, 2))
-    planted = replace(invariants(algebra), weights=(2, 1))
-    assert check_properties(algebra, leaf, planted, {c: (entry, None) for c in rotations(key)}).weight_match
-    assert not check_properties(algebra, leaf, planted, {c: (real, None) for c in rotations(key)}).weight_match
+    planted = replace(verify(algebra), weights=(2, 1))
+    assert check_properties(algebra, leaf, planted, {c: entry for c in rotations(key)}).weight_match
+    assert not check_properties(algebra, leaf, planted, {c: real for c in rotations(key)}).weight_match
 
 
 def test_raw_complex_certificate_matches_the_oracle():

@@ -17,13 +17,11 @@ from nakayama import (
     global_dimension,
     kupisch_from_relations,
 )
-from nakayama.harness import SweepConfig, enumerate_kupisch, raw_complex_matches
+from nakayama.harness import AlgebraVerdict, SweepConfig, enumerate_kupisch, raw_complex_matches, verify
 from nakayama.relation_complex import build_complex, euler_characteristic
 from nakayama.resolution import build, leaves, targets
 from nakayama.unamalgamation import (
-    Invariants,
     check_properties,
-    invariants,
     reduce_fully,
     relabel_map,
     unamalgamate,
@@ -280,13 +278,14 @@ def test_reduction_json_is_the_word_paths():
 @settings(max_examples=300, deadline=None)
 @given(kupisch_series(max_n=8, max_c=9), st.integers(0, 7))
 def test_rotate_equals_invariants_of_the_rotated_algebra(c, k):
-    """`Invariants.rotate` turns the record of an algebra into the record
-    of its rotation, field for field, the targets and leaves included: the
-    rotated record does not keep the targets seeded into the original."""
+    """`AlgebraVerdict.rotate` turns the verdict of an algebra into the
+    verdict of its rotation, field for field, the targets and leaves
+    included: the rotated record does not keep the targets seeded into the
+    original."""
     k %= len(c)
     rotated = algebra_from_kupisch(c[k:] + c[:k])
-    got = invariants(algebra_from_kupisch(c)).rotate(rotated)
-    want = invariants(rotated)
+    got = verify(algebra_from_kupisch(c)).rotate(rotated)
+    want = verify(rotated)
     # an algebra compares by its Kupisch series alone, so the derived
     # fields are compared too
     assert got == want
@@ -302,8 +301,9 @@ def test_rotate_reads_several_weights_off_the_rotated_quiver():
     algebra of its series.  Rotating it must read the weights off the
     rotated algebra's quiver, which has one component of weight 1, and not
     carry the planted ones along."""
-    record = Invariants(
-        algebra_from_kupisch((3, 2, 2, 4, 3)), weights=(1, 2), f_vector=(), betti=(), gldim=ProjDim(None)
+    record = AlgebraVerdict(
+        algebra_from_kupisch((3, 2, 2, 4, 3)), weights=(1, 2), f_vector=(), betti=(), gldim=ProjDim(None),
+        hc_dims=(), basis_sizes=(),
     )
     rotated = algebra_from_kupisch((2, 2, 4, 3, 3))
     assert build(rotated).weights == (1,)
