@@ -111,7 +111,7 @@ def _analyze_text(verdict: harness.AlgebraVerdict) -> str:
         + "relations=" + " ".join(f"({r.start},{r.length})" for r in a.relations),
         "kupisch: " + " ".join(str(c) for c in a.kupisch),
     ]
-    rq = resolution.build(a)
+    rq = resolution.build(a, verdict.targets)
     lines.append("arrows: " + " ".join(f"{i}->{rq.target(i)}" for i in range(1, a.n + 1)))
     lines.append(f"components: {len(verdict.weights)}")
     for comp in rq.components:

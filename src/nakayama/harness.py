@@ -110,24 +110,30 @@ def kupisch_series(n: int, c_max: int) -> Iterator[tuple[int, ...]]:
     """All valid Kupisch series of length n with entries <= c_max, in
     lexicographic order.
 
-    The sequences with entries in 1..c_max and c_{i+1} >= c_i - 1 are
-    counted off like an odometer: raise the last entry below c_max and
-    reset every entry after it to its least value, max(1, c_{i-1} - 1).
-    Every prefix extends, so this lists them in lexicographic order; the
-    series are those that also wrap, c_1 >= c_n - 1.  A loop rather than
-    recursion, as n may reach MAX_VERTICES."""
+    A series has entries in 1..c_max, c_{j+1} >= c_j - 1, and wraps,
+    c_1 >= c_n - 1.  Stepping down by at most one from c_j reaches
+    c_n <= c_1 + 1, so c_j <= c_1 + 1 + n - j for every j >= 2; and under
+    that bound every prefix extends to a series, by stepping down by one.
+    So the series are counted off like an odometer: raise the last entry
+    below its bound (c_max for c_1, min(c_max, c_1 + 1 + n - j) for c_j)
+    and reset every entry after it to its least value, max(1, c_{j-1} - 1).
+    Every tuple this reaches is a series, in lexicographic order, and none
+    is tested.  A loop rather than recursion, as n may reach MAX_VERTICES."""
     if c_max < 1:
         return
     c = [1] * n
+    # the bounds, 0-based: c[0] <= c_max and c[k] <= min(c_max, c[0] + n - k)
+    top = [c_max] + [min(c_max, c[0] + n - k) for k in range(1, n)]
     while True:
-        if c[0] >= c[-1] - 1:
-            yield tuple(c)
+        yield tuple(c)
         i = n - 1
-        while i >= 0 and c[i] == c_max:
+        while i >= 0 and c[i] == top[i]:
             i -= 1
         if i < 0:
             return
         c[i] += 1
+        if i == 0:
+            top[1:] = [min(c_max, c[0] + n - k) for k in range(1, n)]
         for j in range(i + 1, n):
             c[j] = max(1, c[j - 1] - 1)
 
@@ -258,16 +264,22 @@ def verify(
     weights, chi, betti, lvs = verdict.weights, verdict.chi, verdict.betti, verdict.leaves
     finite = verdict.gldim.is_finite
 
-    # the leaf checks run first, so that Bprime can go on from the step at
-    # the least leaf, which is the first step of the full reduction
-    first_step = None
+    # the leaf checks run first, so that Bprime can go on from the output of
+    # the step at the least leaf, the first step of the full reduction.
+    # They run on the series, through the core of `check_properties`, and
+    # build no step.
+    first_out = None
     if "UnamalgamationProps" in checks:
         props_ok = True
-        if algebra.n >= 3:
+        if algebra.n >= 3 and lvs:
+            c = algebra.kupisch
+            before = unamalgamation._compared(c, f, verdict)
             for leaf in lvs:
-                report = unamalgamation.check_properties(algebra, leaf, verdict, known)
-                props_ok = props_ok and report.all_ok and raw_complex_matches(report.step, cx)
-                first_step = first_step or report.step
+                out, *flags = unamalgamation._leaf_check(c, f, leaf, before, known)
+                props_ok = props_ok and all(flags) and raw_complex_matches(
+                    c, leaf, unamalgamation.raw_words(c, leaf, out), cx
+                )
+                first_out = first_out or out
 
     weight_one = sum(1 for w in weights if w == 1)
     if "A" in checks:
@@ -287,7 +299,7 @@ def verify(
         if finite:
             acyclic = not any(betti) and not verdict.complex_empty
             if acyclic:
-                verdict.semisimple = _reduces_to_semisimple(algebra, first_step, known)
+                verdict.semisimple = _reduces_to_semisimple(algebra, first_out, known)
             results["Bprime"] = acyclic and verdict.semisimple
         else:
             results["Bprime"] = any(betti) or chi != 1
@@ -308,31 +320,36 @@ def verify(
 
 
 def _reduces_to_semisimple(
-    algebra: NakayamaAlgebra,
-    first_step: unamalgamation.UnamalgamationStep | None,
-    known: Table | None,
+    algebra: NakayamaAlgebra, first_out: tuple[int, ...] | None, known: Table | None
 ) -> bool:
     """`reduce_fully(algebra).semisimple`.  After its first step, at the
     least leaf, the reduction goes on as the reduction of the step's output,
-    n = 2 collapse included, so it goes on from `first_step` when there is
-    one: the output's entry in `known` answers when it holds the answer,
-    and else the output is reduced."""
-    if first_step is None:
+    n = 2 collapse included, so it goes on from `first_out`, that output's
+    Kupisch series, when there is one: the entry for it in `known` answers
+    when it holds the answer, and else the output is reduced.  No step is
+    built."""
+    if first_out is None:
         return unamalgamation.reduce_fully(algebra).semisimple
-    found = known.get(first_step.output.kupisch) if known else None
+    found = known.get(first_out) if known else None
     if found is not None and found.semisimple is not None:
         return found.semisimple
-    return unamalgamation.reduce_fully(first_step.output).semisimple
+    return unamalgamation.reduce_fully(NakayamaAlgebra(first_out)).semisimple
 
 
 def raw_complex_matches(
-    step: unamalgamation.UnamalgamationStep, cx: relation_complex.SimplicialComplex
+    c: tuple[int, ...],
+    leaf: int,
+    raw: tuple[tuple[int, int], ...],
+    cx: relation_complex.SimplicialComplex,
 ) -> bool:
     """Is the complex built from the raw (possibly redundant) image relations
-    simplex for simplex `cx`, the relation complex of the input, under the
-    index bijection between old and new relations?  Certified in O(r)
-    integer operations, without listing a simplex of either complex (the
-    enumerating rule is kept as a test oracle).
+    `raw`, the (start, length) pairs of the step at `leaf` of the algebra
+    with Kupisch series c, simplex for simplex `cx`, the relation complex of
+    the input, under the index bijection between old and new relations?
+    Certified in O(r) integer operations, without listing a simplex of
+    either complex (the enumerating rule is kept as a test oracle).  The
+    input's relations are read off c, as `build_complex` reads them: the
+    relation at i is present iff c_i <= c_{i+1}, with length c_i.
 
     Relabel by the rotation that sends the leaf to n, as the step does.
     A vertex v is interior to a word iff x_{v-1} x_v is a subword of it.
@@ -359,12 +376,13 @@ def raw_complex_matches(
     since a relation is a vertex on both sides or on neither unless it has
     length n and starts at the leaf, which would make the leaf its own
     target.
-    Given 1 and 2, 3 holds iff the complexes match.  A step whose raw words
-    break 1 or 2 is refused, whatever its complex.
+    Given 1 and 2, 3 holds iff the complexes match.  Raw words that break
+    1 or 2 are refused, whatever the complex.
     """
-    n, leaf = step.input.n, step.leaf
-    old_idx = [i for i, r in enumerate(step.input.relations) if r.length <= n]
-    new_idx = [i for i, r in enumerate(step.raw_relations) if r.length <= n - 1]
+    n = len(c)
+    lengths = [ci for ci, after in zip(c, c[1:] + c[:1]) if ci <= after]
+    old_idx = [i for i, length in enumerate(lengths) if length <= n]
+    new_idx = [i for i, (_, length) in enumerate(raw) if length <= n - 1]
     masks = cx.masks
     if old_idx != new_idx or cx.n != n or len(masks) != len(new_idx):
         return False
@@ -373,10 +391,9 @@ def raw_complex_matches(
     # written out: the arc of bits start..start+length-2, folded mod n-1
     m = n - 1
     shift, low = n - leaf, (1 << m) - 1
-    raw = step.raw_relations
     for i, mask in zip(new_idx, masks):
-        r = raw[i]
-        arc = ((1 << r.length - 1) - 1) << r.start
+        start, length = raw[i]
+        arc = ((1 << length - 1) - 1) << start
         if (arc | arc >> m) & low != (mask << shift | mask >> n - shift) & low:
             return False
     leaf_bit = 1 << leaf - 1

@@ -91,11 +91,13 @@ def weights(kupisch: tuple[int, ...], f: tuple[int, ...] | None = None) -> tuple
     return tuple(w for _, w in _walk(kupisch, targets(kupisch) if f is None else f)[2])
 
 
-def build(algebra: NakayamaAlgebra) -> ResolutionQuiver:
+def build(algebra: NakayamaAlgebra, f: tuple[int, ...] | None = None) -> ResolutionQuiver:
     """The resolution quiver: its components, ordered by least vertex, with
-    their vertices and cycles, read off the walk of `weights`."""
+    their vertices and cycles, read off the walk of `weights` along f
+    (`targets(algebra.kupisch)` unless given)."""
     c = algebra.kupisch
-    f = targets(c)
+    if f is None:
+        f = targets(c)
     walk, least, cycles = _walk(c, f)
     members: dict[int, list[int]] = {}
     for v in range(1, algebra.n + 1):

@@ -18,8 +18,10 @@ copies, so its raw word is (k, c'_k).  The relation at n, if there is one,
 loses its first letter and (c_n - 1) // n more, and gets x_{n-1} prepended
 so that it stays a path: its raw word is (n - 1, c_n - (c_n - 1) // n).
 The raw words can be redundant; their minimal words are the relations of
-c'.  A step keeps them, in input-relation order, for
-`harness.raw_complex_matches` and its JSON; the output does not read them.
+c'.  `raw_words` reads them off (c, leaf, c') as (start, length) int
+pairs, in input-relation order, and builds no `Relation`; a step keeps
+them for its JSON, and `harness.raw_complex_matches` takes them.  The
+output does not read them.
 
 `reduce_fully` walks the series alone: at each step it reads the leaves
 off Gustafson's targets, takes the least, and applies the rule above.  It
@@ -46,6 +48,19 @@ rotation of its class) is read off that record as it is: none of these
 fields but the targets depends on the labels, so an entry is not rotated.
 The quiver match compares the output's targets with the input's, rotated
 so that the leaf is n and relabelled the same way.
+
+The check runs in one core, `_leaf_check`, on Kupisch tuples and ints: it
+takes the input's series and targets, the leaf, the input's compared
+fields, which a caller reads once for all the leaves of an algebra, and
+the table, and returns the output's series and the four flags.  When the
+table holds the output, it builds no algebra, step, report or word.
+`verify` calls the core at each leaf, and goes on to `raw_words` and
+`harness.raw_complex_matches`, so a sweep's leaf stage builds no step at
+all; `check_properties` is the core plus a `PropertyReport` whose step is
+built when first read, which only its JSON does.  Replayed with the
+serial `n<=8,c<=9` sweep's table, its 23,840 leaf checks take about
+0.26 s, against 0.38 s when each check built its step (CPython 3.11, one
+core).
 """
 
 from __future__ import annotations
@@ -55,7 +70,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import relation_complex, resolution
-from .algebra import AlgebraError, NakayamaAlgebra, Relation, global_dimension
+from .algebra import AlgebraError, NakayamaAlgebra, global_dimension
 
 if TYPE_CHECKING:
     from .harness import AlgebraVerdict, Table
@@ -75,23 +90,24 @@ def relabel_map(n: int, leaf: int) -> tuple[int, ...]:
     return (*range(n - leaf + 1, n + 1), *range(1, n - leaf + 1))
 
 
-def _witnesses(words, minimal, n: int) -> tuple[tuple[Relation, Relation], ...]:
+def _witnesses(words, minimal, n: int) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
     """The words eliminated in favour of `minimal`, the minimal words of
-    their Kupisch series on the n-cycle: in input order, every word but the
-    first copy of each minimal word, with its witness, the minimal word it
-    contains that is least by (length, start)."""
-    unseen = {o.start: o.length for o in minimal}  # minimal words have distinct starts
+    their Kupisch series on the n-cycle, all as (start, length) pairs: in
+    input order, every word but the first copy of each minimal word, with
+    its witness, the minimal word it contains that is least by (length,
+    start).  (s, l) contains (t, k) iff k <= l and (t - s) mod n <= l - k."""
+    unseen = dict(minimal)  # minimal words have distinct starts
     eliminated = []
-    for r in words:
-        if unseen.get(r.start) == r.length:
-            del unseen[r.start]
+    for s, l in words:
+        if unseen.get(s) == l:
+            del unseen[s]
         else:
             # a minimal word contains no other minimal word, so a repeated
             # kept word is its own witness
             witness = min(
-                (o for o in minimal if r.contains(o, n)), key=lambda o: (o.length, o.start)
+                ((t, k) for t, k in minimal if k <= l and (t - s) % n <= l - k), key=lambda o: (o[1], o[0])
             )
-            eliminated.append((r, witness))
+            eliminated.append(((s, l), witness))
     return tuple(eliminated)
 
 
@@ -99,7 +115,7 @@ def _witnesses(words, minimal, n: int) -> tuple[tuple[Relation, Relation], ...]:
 class UnamalgamationStep:
     input: NakayamaAlgebra
     leaf: int
-    raw_relations: tuple[Relation, ...]  # index-parallel to input.relations
+    raw_relations: tuple[tuple[int, int], ...]  # (start, length), index-parallel to input.relations
     output: NakayamaAlgebra
 
     @property
@@ -109,33 +125,31 @@ class UnamalgamationStep:
         return relabel_map(self.input.n, self.leaf)
 
     @cached_property
-    def eliminated(self) -> tuple[tuple[Relation, Relation], ...]:
+    def eliminated(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
         """The raw words that are not the output's relations, each with its
         witness (see `_witnesses`); derived when first read, which
         only `to_dict` does."""
-        return _witnesses(self.raw_relations, self.output.relations, self.output.n)
+        minimal = [(r.start, r.length) for r in self.output.relations]
+        return _witnesses(self.raw_relations, minimal, self.output.n)
 
     def to_dict(self) -> dict:
         return {
             "leaf": self.leaf,
             "relabel": list(self.relabel),
-            "raw_relations": [[r.start, r.length] for r in self.raw_relations],
+            "raw_relations": [list(r) for r in self.raw_relations],
             "output": self.output.to_dict(),
-            "eliminated": [
-                {"relation": [z.start, z.length], "witness": [w.start, w.length]}
-                for z, w in self.eliminated
-            ],
+            "eliminated": [{"relation": list(z), "witness": list(w)} for z, w in self.eliminated],
         }
 
 
 def unamalgamate(algebra: NakayamaAlgebra, leaf: int) -> UnamalgamationStep:
-    return _unamalgamate(algebra, leaf, resolution.targets(algebra.kupisch))
+    _check_leaf(algebra.n, leaf, resolution.targets(algebra.kupisch))
+    return _step(algebra, leaf, NakayamaAlgebra(_output_series(algebra.kupisch, leaf)))
 
 
-def _unamalgamate(algebra: NakayamaAlgebra, leaf: int, targets) -> UnamalgamationStep:
-    """`unamalgamate`, given the values of Gustafson's function on
-    `algebra`."""
-    n = algebra.n
+def _check_leaf(n: int, leaf: int, targets) -> None:
+    """Refuse a vertex that is not a leaf, given the values of Gustafson's
+    function, and a quiver too small to lose one."""
     if not 1 <= leaf <= n:
         raise NotALeafError(f"vertex {leaf} is outside 1..{n}")
     # the leaves are the vertices that no arrow of the quiver targets
@@ -143,52 +157,97 @@ def _unamalgamate(algebra: NakayamaAlgebra, leaf: int, targets) -> Unamalgamatio
         raise NotALeafError(f"vertex {leaf} is a node of the resolution quiver, not a leaf")
     if n - 1 < 2:
         raise TooSmallError(f"cannot drop a vertex from a quiver of size {n}")
-    return _step(algebra, leaf, NakayamaAlgebra(_output_series(algebra.kupisch, leaf)))
 
 
 def _output_series(c: tuple[int, ...], leaf: int) -> tuple[int, ...]:
     """The Kupisch series of the step's output: c rotated so that the leaf
     is n, without its copies of S_n (see the module docstring)."""
     n = len(c)
-    rotated = c[leaf:] + c[:leaf]
-    return tuple(ck - (k + ck - 1) // n for k, ck in enumerate(rotated[:-1], 1))
+    return tuple([ck - (k + ck - 1) // n for k, ck in enumerate(c[leaf:] + c[:leaf - 1], 1)])
+
+
+def raw_words(c: tuple[int, ...], leaf: int, out: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The raw words of the step at `leaf` from the series c, whose output
+    series is `out`, as (start, length) pairs in input-relation order: the
+    relation at i, present iff c_i <= c_{i+1}, has the relabelled start k,
+    and its raw word is read off `out` at k, or off c_leaf at the leaf (see
+    the module docstring)."""
+    n, c_leaf = len(c), c[leaf - 1]
+    return tuple([
+        (k, out[k - 1]) if k < n else (n - 1, c_leaf - (c_leaf - 1) // n)
+        for k, ci, after in zip(relabel_map(n, leaf), c, c[1:] + c[:1])
+        if ci <= after
+    ])
 
 
 def _step(algebra: NakayamaAlgebra, leaf: int, output: NakayamaAlgebra) -> UnamalgamationStep:
-    """The step at `leaf` whose output the caller has: each relation's raw
-    word is read off the output series at its relabelled start k, and the
-    one at the leaf off c_leaf (see the module docstring)."""
-    n, out, c_leaf = algebra.n, output.kupisch, algebra.kupisch[leaf - 1]
-    raw = tuple(
-        Relation(k, out[k - 1]) if k < n else Relation(n - 1, c_leaf - (c_leaf - 1) // n)
-        for k in ((r.start - leaf - 1) % n + 1 for r in algebra.relations)
-    )
+    """The step at `leaf` whose output the caller has."""
+    raw = raw_words(algebra.kupisch, leaf, output.kupisch)
     return UnamalgamationStep(input=algebra, leaf=leaf, raw_relations=raw, output=output)
 
 
-def _compared(algebra: NakayamaAlgebra, f: tuple[int, ...], record: AlgebraVerdict | None) -> tuple:
-    """What a leaf check compares of one side, none of it changed by a
-    rotation of the labels: the sorted weights, the reduced Betti numbers,
-    whether the relation complex is empty, and gldim.  Read off `record`
-    when the caller has one; otherwise computed without an f-vector, f
-    being Gustafson's function on `algebra`.  The relation complex is built
-    all the same, so one past MAX_SUBSETS is refused."""
+def _compared(c: tuple[int, ...], f: tuple[int, ...], record: AlgebraVerdict | None) -> tuple:
+    """What a leaf check compares of one side, the algebra with series c,
+    none of it changed by a rotation of the labels: the sorted weights, the
+    reduced Betti numbers, whether the relation complex is empty, and
+    gldim.  Read off `record` when the caller has one; otherwise computed
+    without an f-vector, f being Gustafson's function on c.  The relation
+    complex is built all the same, so one past MAX_SUBSETS is refused."""
     if record is not None:
         return sorted(record.weights), record.betti, record.complex_empty, record.gldim
+    algebra = NakayamaAlgebra(c)
     cx = relation_complex.build_complex(algebra)
-    weights = sorted(resolution.weights(algebra.kupisch, f))
+    weights = sorted(resolution.weights(c, f))
     # the vertices are the relations of length <= n, none of whose interiors
     # covers the cycle, so the complex is empty iff it has no vertex
     return weights, relation_complex.reduced_betti(cx), not cx.masks, global_dimension(algebra)
 
 
+def _leaf_check(c: tuple[int, ...], f: tuple[int, ...], leaf: int, before: tuple, known: Table | None) -> tuple:
+    """The leaf check at `leaf`, a leaf of the series c with n >= 3: the
+    output series and the four flags (quiver, weight, Betti numbers, gldim
+    sandwich).  f is Gustafson's function on c, `before` the input's
+    compared fields (see `_compared`), and `known` a table of records by
+    series.  The output's fields are read off its entry in `known` when
+    there is one, and nothing else is built; otherwise they are computed."""
+    n = len(c)
+    out = _output_series(c, leaf)
+    f_out = resolution.targets(out)
+    found = known.get(out) if known else None
+    w_out, betti_out, empty_out, g_out = _compared(out, f_out, found)
+    w_in, betti_in, empty_in, g_in = before
+    # the output's vertex k is the input's leaf + k, mod n, and a target t
+    # is relabelled to t - leaf, mod n, as `relabel_map` does
+    quiver_match = f_out == tuple([(t - leaf - 1) % n + 1 for t in f[leaf:] + f[:leaf - 1]])
+    # both finite and within two of each other, or both infinite
+    a, b = g_in.value, g_out.value
+    gldim_sandwich = (a is None) == (b is None) and (a is None or b <= a <= b + 2)
+    return (
+        out,
+        quiver_match,
+        w_in == w_out,
+        (betti_in, empty_in) == (betti_out, empty_out),
+        gldim_sandwich,
+    )
+
+
 @dataclass(frozen=True)
 class PropertyReport:
-    step: UnamalgamationStep
+    """The flags of the leaf check at `leaf` of `input`, whose output has
+    the series `output_kupisch`; the step itself is built when first read,
+    which only `to_dict` does."""
+
+    input: NakayamaAlgebra
+    leaf: int
+    output_kupisch: tuple[int, ...]
     quiver_match: bool
     weight_match: bool
     betti_match: bool
     gldim_sandwich: bool
+
+    @cached_property
+    def step(self) -> UnamalgamationStep:
+        return _step(self.input, self.leaf, NakayamaAlgebra(self.output_kupisch))
 
     @property
     def all_ok(self) -> bool:
@@ -221,30 +280,13 @@ def check_properties(
     computed.  A record is read for `.weights`, `.betti`, `.complex_empty`
     and `.gldim`, none of which a rotation changes (see `_compared`), and
     `before` for `.targets` too; the output's targets are read off its
-    Kupisch series."""
-    f_before = resolution.targets(algebra.kupisch) if before is None else before.targets
-    step = _unamalgamate(algebra, leaf, f_before)
-    f_after = resolution.targets(step.output.kupisch)
-    found = known.get(step.output.kupisch) if known else None
-    w_before, betti_before, empty_before, g_in = _compared(algebra, f_before, before)
-    w_after, betti_after, empty_after, g_out = _compared(step.output, f_after, found)
-
-    # the output's vertex k is the input's leaf + k, mod n, and a target t
-    # is relabelled to t - leaf, mod n, as `relabel_map` does
-    n = algebra.n
-    rotated = f_before[leaf:] + f_before[:leaf - 1]
-    quiver_match = f_after == tuple((t - leaf - 1) % n + 1 for t in rotated)
-    # both finite and within two of each other, or both infinite
-    gldim_sandwich = g_in.is_finite == g_out.is_finite and (
-        not g_in.is_finite or g_out.value <= g_in.value <= g_out.value + 2
-    )
-    return PropertyReport(
-        step=step,
-        quiver_match=quiver_match,
-        weight_match=w_before == w_after,
-        betti_match=(betti_before, empty_before) == (betti_after, empty_after),
-        gldim_sandwich=gldim_sandwich,
-    )
+    Kupisch series.  The flags are those of `_leaf_check`, which `verify`
+    calls itself; the report's step, raw words and all, is built when first
+    read."""
+    f = resolution.targets(algebra.kupisch) if before is None else before.targets
+    _check_leaf(algebra.n, leaf, f)
+    out, *flags = _leaf_check(algebra.kupisch, f, leaf, _compared(algebra.kupisch, f, before), known)
+    return PropertyReport(algebra, leaf, out, *flags)
 
 
 @dataclass(frozen=True)

@@ -5,21 +5,26 @@ relabel each relation, delete x_n from it with `delete_last_arrow`, and
 take the series of the words.  `delete_last_arrow` counts the letters x_n
 by floor division, `delete_letters` deletes them from one word letter by
 letter, and `eliminate_redundant` gives the minimal words of any list of
-such words.  `reduction_dict` is `reduce_fully(...).to_dict()` by the word
-path, with the leaves read off the resolution quiver at every step.
-`check_properties` is `unamalgamation.check_properties` with a full
-`record` on both sides, listed f-vector and all, built here and not by
-`verify`, whose leaf checks it is the oracle of, and a table entry rotated
-onto the step's output by `AlgebraVerdict.rotate`.  `raw_complex_matches` is
-`harness.raw_complex_matches` by enumeration: it lists every simplex of the
-raw image words' complex and compares them with the given complex's."""
+such words, with the witness of each word it drops.  `step_dict` is a
+step's JSON by the word path, and `reduction_dict` is
+`reduce_fully(...).to_dict()` by the word path, with the leaves read off
+the resolution quiver at every step.  `check_properties` is
+`unamalgamation.check_properties` with a full `record` on both sides,
+listed f-vector and all, built here and not by `verify`, whose leaf checks
+it is the oracle of, a table entry rotated onto the step's output by
+`AlgebraVerdict.rotate`, and the step's JSON by the word path.
+`raw_complex_matches` is `harness.raw_complex_matches` by enumeration: it
+lists every simplex of the raw image words' complex and compares them with
+the given complex's."""
+
+from dataclasses import dataclass
 
 from enumeration_oracle import least_rotation
 from nakayama.algebra import NakayamaAlgebra, Relation, global_dimension, kupisch_from_relations, mod1
 from nakayama.harness import AlgebraVerdict
 from nakayama.relation_complex import build_complex, interior, reduced_betti, simplex_levels
 from nakayama.resolution import build, leaves
-from nakayama.unamalgamation import PropertyReport, _witnesses, relabel_map, unamalgamate
+from nakayama.unamalgamation import relabel_map
 
 
 def delete_last_arrow(rel, n):
@@ -73,7 +78,31 @@ def eliminate_redundant(relations, n):
     if not rels:
         return (), ()
     minimal = NakayamaAlgebra(kupisch_from_relations(n, rels)).relations
-    return minimal, _witnesses(rels, minimal, n)
+    unseen = set(minimal)  # the first copy of each minimal word is kept
+    eliminated = []
+    for r in rels:
+        if r in unseen:
+            unseen.remove(r)
+        else:
+            witness = min((o for o in minimal if r.contains(o, n)), key=lambda o: (o.length, o.start))
+            eliminated.append((r, witness))
+    return minimal, tuple(eliminated)
+
+
+def step_dict(algebra, leaf):
+    """The JSON of the step at `leaf` by the word path, and its output."""
+    words, series = word_path(algebra, leaf)
+    output = NakayamaAlgebra(series)
+    return {
+        "leaf": leaf,
+        "relabel": list(relabel_map(algebra.n, leaf)),
+        "raw_relations": [[r.start, r.length] for r in words],
+        "output": output.to_dict(),
+        "eliminated": [
+            {"relation": [z.start, z.length], "witness": [w.start, w.length]}
+            for z, w in eliminate_redundant(words, algebra.n - 1)[1]
+        ],
+    }, output
 
 
 def reduction_dict(algebra):
@@ -85,20 +114,8 @@ def reduction_dict(algebra):
         n, lvs = current.n, leaves(build(current))
         if not lvs or n == 2:
             break
-        leaf = min(lvs)
-        words, series = word_path(current, leaf)
-        output = NakayamaAlgebra(series)
-        steps.append({
-            "leaf": leaf,
-            "relabel": list(relabel_map(n, leaf)),
-            "raw_relations": [[r.start, r.length] for r in words],
-            "output": output.to_dict(),
-            "eliminated": [
-                {"relation": [z.start, z.length], "witness": [w.start, w.length]}
-                for z, w in eliminate_redundant(words, n - 1)[1]
-            ],
-        })
-        current = output
+        step, current = step_dict(current, min(lvs))
+        steps.append(step)
     if lvs:
         (node,) = set(build(current).f)
         terminal, terminal_kupisch = None, [(current.kupisch[node - 1] + 1) // 2]
@@ -135,13 +152,37 @@ def look_up(known, algebra):
     return None if entry is None else entry.rotate(algebra)
 
 
+@dataclass(frozen=True)
+class Report:
+    """The four flags of a leaf check and the step's JSON."""
+
+    step: dict
+    quiver_match: bool
+    weight_match: bool
+    betti_match: bool
+    gldim_sandwich: bool
+
+    @property
+    def all_ok(self):
+        return self.quiver_match and self.weight_match and self.betti_match and self.gldim_sandwich
+
+    def to_dict(self):
+        checks = {
+            "quiver": self.quiver_match,
+            "weight": self.weight_match,
+            "betti": self.betti_match,
+            "gldim": self.gldim_sandwich,
+        }
+        return {**self.step, "checks": checks}
+
+
 def check_properties(algebra, leaf, before=None, known=None):
-    step = unamalgamate(algebra, leaf)
+    step, output = step_dict(algebra, leaf)
     if before is None:
         before = record(algebra)
-    after = look_up(known, step.output) or record(step.output)
+    after = look_up(known, output) or record(output)
 
-    phi = step.relabel
+    phi = relabel_map(algebra.n, leaf)
     f_before, f_after = before.targets, after.targets
     quiver_match = all(
         f_after[phi[i - 1] - 1] == phi[f_before[i - 1] - 1]
@@ -158,7 +199,7 @@ def check_properties(algebra, leaf, before=None, known=None):
         gldim_sandwich = g_out.value <= g_in.value <= g_out.value + 2
     else:
         gldim_sandwich = True
-    return PropertyReport(
+    return Report(
         step=step,
         quiver_match=quiver_match,
         weight_match=weight_match,
@@ -167,15 +208,15 @@ def check_properties(algebra, leaf, before=None, known=None):
     )
 
 
-def raw_complex_matches(step, cx):
+def raw_complex_matches(c, leaf, raw, cx):
     """The complex built from the raw (possibly redundant) image relations
-    must be simplex-for-simplex `cx`, the relation complex of the input,
-    under the index bijection between old and new relations."""
-    n = step.input.n
-    old_idx = [i for i, r in enumerate(step.input.relations) if r.length <= n]
-    new_idx = [i for i, r in enumerate(step.raw_relations) if r.length <= n - 1]
+    `raw`, (start, length) pairs, of the step at `leaf` of the algebra with
+    series c must be simplex-for-simplex `cx`, the relation complex of the
+    input, under the index bijection between old and new relations."""
+    n = len(c)
+    old_idx = [i for i, r in enumerate(NakayamaAlgebra(c).relations) if r.length <= n]
+    new_idx = [i for i, (_, length) in enumerate(raw) if length <= n - 1]
     if old_idx != new_idx:
         return False
-    raw = [step.raw_relations[i] for i in new_idx]
-    levels = simplex_levels(n - 1, [interior(r.start, r.length, n - 1) for r in raw])
+    levels = simplex_levels(n - 1, [interior(*raw[i], n - 1) for i in new_idx])
     return cx.simplices == tuple(tuple(level.values()) for level in levels)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nakayama import TooLargeError, cyclic, harness, radical_power_algebra, relation_complex, validate
+from nakayama import TooLargeError, cyclic, harness, radical_power_algebra, relation_complex, resolution, validate
 from nakayama.cli import algebra_from_dict, main
 
 
@@ -166,6 +166,18 @@ def test_analyze_output_is_pinned(text, tmp_path, capsys):
     assert capsys.readouterr() == (want_text, "")
     assert main(["analyze", str(path), "--format", "json"]) == 0
     assert capsys.readouterr() == (json.dumps(want_json, indent=2, sort_keys=True) + "\n", "")
+
+
+def test_analyze_computes_gustafsons_function_once(l1_file, monkeypatch, capsys):
+    """`analyze` draws the quiver with the targets `verify` computed: one
+    `resolution.targets` call on the input's series.  The leaf checks and
+    Bprime's reduction call it on the smaller series only."""
+    real, calls = resolution.targets, []
+    monkeypatch.setattr(resolution, "targets", lambda c: calls.append(c) or real(c))
+    assert main(["analyze", l1_file]) == 0
+    assert "arrows: 1->4 2->4 3->5 4->3 5->3\n" in capsys.readouterr().out
+    assert calls.count((3, 2, 2, 4, 3)) == 1
+    assert all(len(c) < 5 for c in calls if c != (3, 2, 2, 4, 3))
 
 
 def test_kupisch_input_form(l3_file, capsys):

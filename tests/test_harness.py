@@ -67,9 +67,18 @@ def test_enumeration_matches_naive_filter():
 
 
 def test_enumeration_matches_the_recursive_oracle():
+    """At every n <= 8 and c_max <= max(9, n + 2): the bounded odometer
+    lists exactly the oracle's series, which tests every sequence for the
+    wrap."""
     for n in range(1, 9):
-        for c_max in range(0, 10):
+        for c_max in range(0, max(10, n + 3)):
             assert list(kupisch_series(n, c_max)) == list(enumeration_oracle.kupisch_series(n, c_max))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(9, 11), st.integers(0, 3))
+def test_enumeration_matches_the_recursive_oracle_past_n8(n, c_max):
+    assert list(kupisch_series(n, c_max)) == list(enumeration_oracle.kupisch_series(n, c_max))
 
 
 def test_enumeration_monotone_in_c_max():

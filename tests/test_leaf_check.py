@@ -1,11 +1,12 @@
 """`unamalgamation.check_properties` computes, on each side of a step, only
 the fields it compares, and reads a table entry without rotating it; it
 agrees with the oracle in `leaf_oracle`, which builds every invariant on
-both sides and rotates the entry.  `harness.raw_complex_matches`
-certifies the raw relation complex from interior bitmasks; it agrees with
-the enumerating oracle in `leaf_oracle` on every step, and says True only
-when that oracle does.  A sweep's leaf checks find the level below's
-record by one probe with the output's own series."""
+both sides and rotates the entry, and prints the word path's JSON.
+`harness.raw_complex_matches` certifies the raw relation complex from
+interior bitmasks; it agrees with the enumerating oracle in `leaf_oracle`
+on every step, and says True only when that oracle does.  A sweep's leaf
+checks find the level below's record by one probe with the output's own
+series, and build no step, report or relation word."""
 
 import functools
 from dataclasses import replace
@@ -17,13 +18,14 @@ import leaf_oracle
 from enumeration_oracle import least_rotation, rotations
 from strategies import kupisch_series
 import nakayama
-from nakayama import Relation, algebra_from_kupisch, harness, relation_complex, unamalgamation, validate
+from nakayama import NakayamaAlgebra, algebra_from_kupisch, harness, relation_complex, unamalgamation, validate
 from nakayama.harness import (
     AlgebraVerdict,
     SweepConfig,
     enumerate_kupisch,
     raw_complex_matches,
     sweep,
+    to_csv,
     verify,
 )
 from nakayama.relation_complex import SimplicialComplex, build_complex, complex_from_interiors
@@ -58,11 +60,11 @@ def _flags(report):
 
 @pytest.mark.parametrize("with_table", [False, True], ids=["known-none", "level-below"])
 def test_check_properties_matches_the_oracle(monkeypatch, with_table):
-    """At every leaf of every algebra at n <= 7, c <= 8: the same JSON and
-    the same four flags as the oracle, without a table and with the table of
-    the level below that the sweep builds.  The input side is computed by
-    the leaf check itself; the oracle is given the input's full record, and
-    builds each output's once."""
+    """At every leaf of every algebra at n <= 7, c <= 8: the same four flags
+    as the oracle, and the same JSON as the word path's, without a table and
+    with the table of the level below that the sweep builds.  The input side
+    is computed by the leaf check itself; the oracle is given the input's
+    full record, and builds each output's once."""
     monkeypatch.setattr(leaf_oracle, "record", functools.cache(leaf_oracle.record))
     tables = _tables(6, 8) if with_table else {}
     steps = 0
@@ -120,8 +122,8 @@ def test_sweep_leaf_checks_probe_the_table_by_series(monkeypatch):
         monkeypatch.setattr(module, "least_rotation", unread, raising=False)
     built, build = [], relation_complex.build_complex
     monkeypatch.setattr(relation_complex, "build_complex", lambda a: built.append(a.kupisch) or build(a))
-    checked, check = [], unamalgamation.check_properties
-    monkeypatch.setattr(unamalgamation, "check_properties", lambda *args: checked.append(args) or check(*args))
+    checked, check = [], unamalgamation._leaf_check
+    monkeypatch.setattr(unamalgamation, "_leaf_check", lambda *args: checked.append(args) or check(*args))
     rows = [v.algebra.kupisch for v in sweep(SweepConfig(n_min=2, n_max=7, c_max=8)).verdicts]
     assert built == [c for c in rows if c == least_rotation(c)]
     assert len(checked) == 5556
@@ -143,6 +145,12 @@ def test_weights_compare_as_multisets():
     assert not check_properties(algebra, leaf, planted, {c: real for c in rotations(key)}).weight_match
 
 
+def _raw(step):
+    """A step's series, leaf and raw words, the certificate's first three
+    arguments."""
+    return step.input.kupisch, step.leaf, step.raw_relations
+
+
 def test_raw_complex_certificate_matches_the_oracle():
     """At every leaf of every algebra at n <= 6, c <= 7."""
     steps = 0
@@ -150,7 +158,7 @@ def test_raw_complex_certificate_matches_the_oracle():
         cx = build_complex(algebra)
         for leaf in _leaves(algebra):
             step = unamalgamate(algebra, leaf)
-            assert raw_complex_matches(step, cx) == leaf_oracle.raw_complex_matches(step, cx), (
+            assert raw_complex_matches(*_raw(step), cx) == leaf_oracle.raw_complex_matches(*_raw(step), cx), (
                 algebra.kupisch, leaf
             )
             steps += 1
@@ -164,10 +172,12 @@ def test_raw_complex_certificate_matches_the_oracle_up_to_n10(c):
     cx = build_complex(algebra)
     for leaf in _leaves(algebra):
         step = unamalgamate(algebra, leaf)
-        assert raw_complex_matches(step, cx) == leaf_oracle.raw_complex_matches(step, cx), leaf
+        assert raw_complex_matches(*_raw(step), cx) == leaf_oracle.raw_complex_matches(*_raw(step), cx), leaf
 
 
 def _with_raw_word(step, k, word):
+    """`step` with its k-th raw word replaced by `word`, a (start, length)
+    pair."""
     raw = list(step.raw_relations)
     raw[k] = word
     return replace(step, raw_relations=tuple(raw))
@@ -187,9 +197,9 @@ def test_raw_complex_certificate_implies_the_oracle_on_perturbed_steps():
             for k in range(len(step.raw_relations)):
                 for start in range(1, m + 1):
                     for length in range(1, m + 3):
-                        perturbed = _with_raw_word(step, k, Relation(start, length))
-                        got = raw_complex_matches(perturbed, cx)
-                        want = leaf_oracle.raw_complex_matches(perturbed, cx)
+                        perturbed = _with_raw_word(step, k, (start, length))
+                        got = raw_complex_matches(*_raw(perturbed), cx)
+                        want = leaf_oracle.raw_complex_matches(*_raw(perturbed), cx)
                         assert want or not got, (algebra.kupisch, leaf, k, start, length)
                         answers.add((got, want))
     assert answers == {(True, True), (False, True), (False, False)}
@@ -208,18 +218,18 @@ def test_raw_complex_certificate_refuses_an_index_mismatch():
     """(4, 5) is longer than the 4-cycle, so relation 2 is a vertex of L
     but not of the raw complex."""
     step, cx = _lambda2_leaf5()
-    assert raw_complex_matches(step, cx)
-    step = _with_raw_word(step, 2, Relation(4, 5))
-    assert not raw_complex_matches(step, cx)
-    assert not leaf_oracle.raw_complex_matches(step, cx)
+    assert raw_complex_matches(*_raw(step), cx)
+    step = _with_raw_word(step, 2, (4, 5))
+    assert not raw_complex_matches(*_raw(step), cx)
+    assert not leaf_oracle.raw_complex_matches(*_raw(step), cx)
 
 
 def test_raw_complex_certificate_refuses_an_interior_mismatch():
     """(3, 2) has the interior {4}, where {5, 1} without vertex 5 is {1}."""
     step, cx = _lambda2_leaf5()
-    step = _with_raw_word(step, 2, Relation(3, 2))
-    assert not raw_complex_matches(step, cx)
-    assert not leaf_oracle.raw_complex_matches(step, cx)
+    step = _with_raw_word(step, 2, (3, 2))
+    assert not raw_complex_matches(*_raw(step), cx)
+    assert not leaf_oracle.raw_complex_matches(*_raw(step), cx)
 
 
 def test_raw_complex_certificate_refuses_a_simplex_covering_all_but_the_leaf():
@@ -231,8 +241,8 @@ def test_raw_complex_certificate_refuses_a_simplex_covering_all_but_the_leaf():
     step, cx = _lambda2_leaf5()
     planted = complex_from_interiors(5, [mask & ~(1 << 4) for mask in cx.masks])
     assert [len(level) for level in planted.simplices] == [4, 6, 4, 1]
-    assert not raw_complex_matches(step, planted)
-    assert not leaf_oracle.raw_complex_matches(step, planted)
+    assert not raw_complex_matches(*_raw(step), planted)
+    assert not leaf_oracle.raw_complex_matches(*_raw(step), planted)
 
 
 def test_verify_lists_no_raw_complex_and_no_simplex_tuple(monkeypatch):
@@ -254,3 +264,39 @@ def test_verify_lists_no_raw_complex_and_no_simplex_tuple(monkeypatch):
         if algebra.kupisch == least_rotation(algebra.kupisch):
             assert verify(algebra, known=tables[5]).ok, algebra.kupisch
     assert cycles == {6}
+
+
+def test_sweep_leaf_checks_build_no_step_report_or_word(monkeypatch):
+    """A serial sweep at n <= 7, c <= 8, where every leaf check's output is
+    in the table, prints the same CSV with `UnamalgamationStep`,
+    `PropertyReport` and `Relation` in `unamalgamation` and `harness`
+    replaced by stubs that raise: the leaf checks and Bprime run on the
+    series.  The only relations built are those of the classes verified,
+    which `verify` reads for its RoundTrip and NodesEqualRelations checks."""
+    config = SweepConfig(n_min=2, n_max=7, c_max=8)
+    want = to_csv(sweep(config))
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a leaf check built a step, a report or a relation word")
+
+    for name in ("UnamalgamationStep", "PropertyReport", "Relation"):
+        for module in (unamalgamation, harness):
+            monkeypatch.setattr(module, name, unbuilt, raising=False)
+    relation, built = nakayama.algebra.Relation, []
+    monkeypatch.setattr(nakayama.algebra, "Relation", lambda *args: built.append(args) or relation(*args))
+    verified = []
+    monkeypatch.setattr(harness, "verify", lambda a, *args: verified.append(a.kupisch) or verify(a, *args))
+    assert to_csv(sweep(config)) == want
+    words = len(built)
+    assert len(verified) == 2002
+    assert words == sum(len(NakayamaAlgebra(c).relations) for c in verified)
+
+
+def test_check_properties_builds_its_step_when_read(lambda2, monkeypatch):
+    """The report's flags need no step; its JSON builds the step once."""
+    real, built = unamalgamation.UnamalgamationStep, []
+    monkeypatch.setattr(unamalgamation, "UnamalgamationStep", lambda **kw: built.append(kw) or real(**kw))
+    report = check_properties(lambda2, 5)
+    assert report.all_ok and built == []
+    assert report.to_dict()["raw_relations"] == [[1, 3], [2, 3], [4, 2], [4, 3]]
+    assert report.step is report.step and len(built) == 1
