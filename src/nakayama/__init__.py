@@ -7,20 +7,15 @@ from .algebra import (
     DuplicateStartError,
     EmptyRelationSetError,
     InvalidKupischError,
-    ModuleTooLongError,
     NakayamaAlgebra,
     ProjDim,
     RedundantRelationError,
     Relation,
     TooLargeError,
-    UniserialModule,
     algebra_from_kupisch,
     global_dimension,
     kupisch_from_relations,
-    projective_dimension,
     radical_power_algebra,
-    relations_from_kupisch,
-    syzygy,
     validate,
 )
 from .cyclic import basis_sizes, differential_squares_to_zero, hc_dimensions, hc_euler

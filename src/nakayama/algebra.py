@@ -17,8 +17,8 @@ record trusts its series, so outside input enters through one of two
 checked constructors: `validate` checks a relation list and computes its
 series, and `algebra_from_kupisch` checks that a tuple is a Kupisch series,
 then that it has at most MAX_VERTICES entries.  Both translations live
-here, as do syzygies and (global) projective dimension of the uniserial
-modules.
+here, as does the global dimension, read off the syzygies of the simple
+modules alone.
 
 The composition series of P_j runs forward from j until it completes a
 relation: either the shortest relation starting at j, or, after the arrow
@@ -65,10 +65,6 @@ class InvalidKupischError(AlgebraError):
     code = "invalid-kupisch"
 
 
-class ModuleTooLongError(AlgebraError):
-    code = "module-too-long"
-
-
 class TooLargeError(AlgebraError):
     code = "too-large"
 
@@ -104,11 +100,6 @@ class AlgebraClass(enum.Enum):
         killed arrows (none, one, more): each entry c_i = 1 is one, the
         length-1 relation (i, 1)."""
         return (cls.CYCLIC, cls.LINEAR, cls.PRODUCT_OF_LINEAR)[min(c.count(1), 2)]
-
-
-def mod1(x: int, n: int) -> int:
-    """Reduce x into 1..n."""
-    return (x - 1) % n + 1
 
 
 @dataclass(frozen=True, order=True)
@@ -238,35 +229,15 @@ def is_valid_kupisch(c) -> bool:
     return all(c[(i + 1) % n] >= c[i] - 1 for i in range(n))
 
 
-def _checked_kupisch(c) -> tuple[int, ...]:
-    c = tuple(c)
-    if not is_valid_kupisch(c):
-        raise InvalidKupischError(f"not a Kupisch series: {list(c)}")
-    return c
-
-
-def relations_from_kupisch(c) -> tuple[Relation, ...]:
-    """Minimal relations of the algebra with Kupisch series c (see
-    `NakayamaAlgebra.relations`); raises InvalidKupischError for a series
-    that is not valid."""
-    return NakayamaAlgebra(_checked_kupisch(c)).relations
-
-
 def algebra_from_kupisch(c) -> NakayamaAlgebra:
     """The algebra with Kupisch series c.  Raises InvalidKupischError for
     a series that is not valid, then TooLargeError for more than
     MAX_VERTICES entries."""
-    c = _checked_kupisch(c)
+    c = tuple(c)
+    if not is_valid_kupisch(c):
+        raise InvalidKupischError(f"not a Kupisch series: {list(c)}")
     check_vertices(len(c))
     return NakayamaAlgebra(c)
-
-
-@dataclass(frozen=True)
-class UniserialModule:
-    """Uniserial module with composition series S_top, S_{top+1}, ..., mod n."""
-
-    top: int
-    length: int
 
 
 @dataclass(frozen=True)
@@ -283,56 +254,35 @@ class ProjDim:
         return "infinite" if self.value is None else f"finite ({self.value})"
 
 
-def _check_module(algebra: NakayamaAlgebra, m: UniserialModule) -> None:
-    if not 1 <= m.top <= algebra.n:
-        raise AlgebraError(f"module top {m.top} outside 1..{algebra.n}")
-    if m.length < 1:
-        raise AlgebraError(f"module length must be positive, got {m.length}")
-    if m.length > algebra.kupisch[m.top - 1]:
-        raise ModuleTooLongError(
-            f"module ({m.top},{m.length}) longer than P_{m.top} "
-            f"(length {algebra.kupisch[m.top - 1]})"
-        )
+def global_dimension(algebra: NakayamaAlgebra) -> ProjDim:
+    """The largest projective dimension of the simple modules S_1..S_n,
+    infinite if one of them has infinite projective dimension, in one
+    memoized pass over the syzygies of all of them.
 
-
-def syzygy(algebra: NakayamaAlgebra, m: UniserialModule) -> UniserialModule | None:
-    """Kernel of the projective cover P_top ->> M, or None if M is projective.
-
-    P_top has radical series longer than M by c_top - length; the kernel is
-    the uniserial module starting where M stops.
+    A state (t, l) is the uniserial module with top S_{t+1} and length l.
+    Its syzygy, the kernel of its projective cover P_{t+1}, of length c_t,
+    is the uniserial module that starts where it stops:
+    Ω(t, l) = (t + l mod n, c_t - l), and a state with l == c_t is
+    projective.  One memo maps each state visited, as the int
+    l * n + t, to its projective dimension, or to -1 while it lies on the
+    current walk.  The walk from each simple (t, 1) follows Ω until it
+    reaches a projective (dimension 0) or a state already known, then gives
+    each state on its path its dimension, walking back.  A state marked -1
+    means the walk has come round to its own path: that resolution never
+    ends.  So each state is visited once, in a loop without recursion.
     """
-    _check_module(algebra, m)
-    c_top = algebra.kupisch[m.top - 1]
-    if m.length == c_top:
-        return None
-    return UniserialModule(mod1(m.top + m.length, algebra.n), c_top - m.length)
-
-
-def _max_projective_dimension(c: tuple[int, ...], starts) -> int | None:
-    """The largest projective dimension of the modules (t, l) in `starts`,
-    with top t + 1 and length l, over the algebra with Kupisch series c;
-    None if one of them has infinite projective dimension.
-
-    The syzygy map on states (t, l) is Ω(t, l) = (t + l mod n, c_t - l),
-    and a state with l == c_t is projective.  One memo maps each state
-    visited, as the int l * n + t, to its projective dimension, or to -1
-    while it lies on the current walk.  A walk follows Ω until it reaches a
-    projective (dimension 0) or a state already known, then gives each
-    state on its path its dimension, walking back.  A state marked -1 means
-    the walk has come round to its own path: that resolution never ends.
-    So each state is visited once, in a loop without recursion.
-    """
+    c = algebra.kupisch
     n = len(c)
     memo: dict[int, int] = {}
     worst = 0
-    for t, l in starts:
-        path = []
+    for t in range(n):
+        l, path = 1, []
         while True:
             key = l * n + t
             d = memo.get(key)
             if d is not None:
                 if d < 0:
-                    return None
+                    return ProjDim(None)
                 break
             c_t = c[t]
             if l == c_t:
@@ -346,18 +296,4 @@ def _max_projective_dimension(c: tuple[int, ...], starts) -> int | None:
             memo[key] = d
         if d > worst:
             worst = d
-    return worst
-
-
-def projective_dimension(algebra: NakayamaAlgebra, m: UniserialModule) -> ProjDim:
-    """Check m, then walk its syzygies until one is zero; the state space
-    (top, length) is finite, so a repeated module means the resolution
-    never terminates.  The walk is `global_dimension`'s, from m alone."""
-    _check_module(algebra, m)
-    return ProjDim(_max_projective_dimension(algebra.kupisch, ((m.top - 1, m.length),)))
-
-
-def global_dimension(algebra: NakayamaAlgebra) -> ProjDim:
-    """Max projective dimension over the simple modules S_1..S_n, in one
-    memoized pass over the syzygies of all of them."""
-    return ProjDim(_max_projective_dimension(algebra.kupisch, ((t, 1) for t in range(algebra.n))))
+    return ProjDim(worst)

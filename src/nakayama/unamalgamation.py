@@ -265,27 +265,17 @@ class PropertyReport:
         }
 
 
-def check_properties(
-    algebra: NakayamaAlgebra,
-    leaf: int,
-    before: AlgebraVerdict | None = None,
-    known: Table | None = None,
-) -> PropertyReport:
+def check_properties(algebra: NakayamaAlgebra, leaf: int) -> PropertyReport:
     """Verify, on one unamalgamation step, that the smaller algebra keeps the
     resolution quiver (minus the leaf), the weight, the reduced Betti numbers
-    of the relation complex, and a global dimension within two.  `before`
-    is the record of `algebra` when the caller has one, and `known` maps
-    Kupisch series to the records of algebras verified before; the smaller
-    algebra's record is looked up there by its series before its fields are
-    computed.  A record is read for `.weights`, `.betti`, `.complex_empty`
-    and `.gldim`, none of which a rotation changes (see `_compared`), and
-    `before` for `.targets` too; the output's targets are read off its
+    of the relation complex, and a global dimension within two.  Both sides'
+    fields are computed (see `_compared`), the output's targets read off its
     Kupisch series.  The flags are those of `_leaf_check`, which `verify`
-    calls itself; the report's step, raw words and all, is built when first
-    read."""
-    f = resolution.targets(algebra.kupisch) if before is None else before.targets
+    calls itself with its own record and a sweep's table; the report's
+    step, raw words and all, is built when first read."""
+    f = resolution.targets(algebra.kupisch)
     _check_leaf(algebra.n, leaf, f)
-    out, *flags = _leaf_check(algebra.kupisch, f, leaf, _compared(algebra.kupisch, f, before), known)
+    out, *flags = _leaf_check(algebra.kupisch, f, leaf, _compared(algebra.kupisch, f, None), None)
     return PropertyReport(algebra, leaf, out, *flags)
 
 

@@ -12,8 +12,10 @@ back into canonical form.  The Kupisch series is a minimum over all
 relations for every vertex, and redundancy is found by testing every pair
 of relations for containment.  An interior is listed vertex by vertex, and
 the subset scans of the relation complex read the interiors so listed.
-The global dimension walks the syzygies of each simple module afresh, and
-the series are listed by recursion over their prefixes."""
+The syzygies of a uniserial module follow the interval rule, applied here
+and not read from `nakayama`; the global dimension walks them from each
+simple module afresh, and the series are listed by recursion over their
+prefixes."""
 
 from itertools import combinations
 from typing import NamedTuple
@@ -27,8 +29,6 @@ from nakayama.algebra import (
     RedundantRelationError,
     Relation,
     TooLargeError,
-    UniserialModule,
-    syzygy,
 )
 
 
@@ -72,20 +72,48 @@ def validate(n, relations):
     return rels, kupisch_from_relations(n, rels)
 
 
+def mod1(x, n):
+    """Reduce x into 1..n."""
+    return (x - 1) % n + 1
+
+
+def syzygy(algebra, top, length):
+    """The kernel of the projective cover P_top ->> M of the uniserial
+    module M = (top, length), by the interval rule: P_top is longer than M
+    by c_top - length, and the kernel starts where M stops,
+    Ω(top, length) = (top + length mod n, c_top - length).  None when M is
+    P_top itself, so projective."""
+    c_top = algebra.kupisch[top - 1]
+    if not 1 <= length <= c_top:
+        raise ValueError(f"({top},{length}) is not a module of P_{top} (length {c_top})")
+    if length == c_top:
+        return None
+    return mod1(top + length, algebra.n), c_top - length
+
+
+def projective_dimension(algebra, top, length):
+    """The syzygies of (top, length) walked with a set of the modules seen,
+    until one is zero (the dimension is the number of steps) or one repeats
+    (infinite, None)."""
+    m, seen = (top, length), set()
+    while m is not None:
+        if m in seen:
+            return None
+        seen.add(m)
+        m = syzygy(algebra, *m)
+    return len(seen) - 1
+
+
 def global_dimension(algebra):
-    """The largest projective dimension of a simple module: each simple's
-    syzygies are walked afresh, with a set of the modules seen, until
-    one is zero (its dimension is the number of steps) or one repeats
-    (infinite)."""
+    """The largest projective dimension of a simple module, each simple's
+    syzygies walked afresh by `projective_dimension`; infinite at the first
+    simple whose resolution never ends."""
     worst = 0
     for top in range(1, algebra.n + 1):
-        m, seen = UniserialModule(top, 1), set()
-        while m is not None:
-            if m in seen:
-                return ProjDim(None)
-            seen.add(m)
-            m = syzygy(algebra, m)
-        worst = max(worst, len(seen) - 1)
+        d = projective_dimension(algebra, top, 1)
+        if d is None:
+            return ProjDim(None)
+        worst = max(worst, d)
     return ProjDim(worst)
 
 

@@ -19,8 +19,8 @@ the given complex's."""
 
 from dataclasses import dataclass
 
-from enumeration_oracle import least_rotation
-from nakayama.algebra import NakayamaAlgebra, Relation, global_dimension, kupisch_from_relations, mod1
+from enumeration_oracle import least_rotation, mod1
+from nakayama.algebra import NakayamaAlgebra, Relation, global_dimension, kupisch_from_relations
 from nakayama.harness import AlgebraVerdict
 from nakayama.relation_complex import build_complex, interior, reduced_betti, simplex_levels
 from nakayama.resolution import build, leaves

@@ -4,7 +4,9 @@ Builds the honest quiver representation of a uniserial module over a small
 prime field, forms the projective cover matrix vertex by vertex, computes
 the kernel representation by explicit Gaussian elimination (including the
 induced arrow maps on kernel bases), and iterates.  Completely independent
-of the interval arithmetic used by nakayama.algebra.syzygy.
+of the interval rule for syzygies, which `nakayama.algebra.global_dimension`
+walks from the simple modules and `enumeration_oracle.syzygy` applies to
+any uniserial module.
 """
 
 PRIME = 5

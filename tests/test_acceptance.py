@@ -5,10 +5,8 @@ are exact; nothing here tolerates approximation."""
 import time
 
 from nakayama import (
-    UniserialModule,
     algebra_from_kupisch,
     global_dimension,
-    projective_dimension,
     radical_power_algebra,
     validate,
 )
@@ -25,6 +23,7 @@ from nakayama.resolution import build, leaves
 from nakayama.unamalgamation import check_properties, unamalgamate
 from nakayama.algebra import kupisch_from_relations
 
+import enumeration_oracle
 import repr_oracle
 from closed_form_oracle import rad_power_closed_form, rad_power_euler
 
@@ -149,14 +148,26 @@ def test_criterion_4_structural_invariants():
 def test_criterion_5_oracle_equivalence():
     t0 = time.perf_counter()
     failures = []
-    checked = 0
+    checked = algebras = 0
     for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=4, c_max=5)):
         c = algebra.kupisch
+        simples = []
         for top in range(1, algebra.n + 1):
             for length in range(1, c[top - 1] + 1):
-                fast = projective_dimension(algebra, UniserialModule(top, length))
+                fast = enumeration_oracle.projective_dimension(algebra, top, length)
                 slow = repr_oracle.projective_dimension(algebra, top, length)
-                if fast.value != slow:
-                    failures.append((c, top, length, fast.value, slow))
+                if fast != slow:
+                    failures.append((c, top, length, fast, slow))
+                if length == 1:
+                    simples.append(slow)
                 checked += 1
-    _finish(5, f"interval syzygies match the kernel oracle on {checked} modules", failures, t0)
+        gldim = global_dimension(algebra).value
+        if gldim != (None if None in simples else max(simples)):
+            failures.append((c, "gldim", gldim, simples))
+        algebras += 1
+    _finish(
+        5,
+        f"interval syzygies match the kernel oracle on {checked} modules, gldim on {algebras} algebras",
+        failures,
+        t0,
+    )

@@ -7,23 +7,18 @@ from nakayama import (
     DuplicateStartError,
     EmptyRelationSetError,
     InvalidKupischError,
-    ModuleTooLongError,
     RedundantRelationError,
     Relation,
-    UniserialModule,
     algebra_from_kupisch,
     global_dimension,
     kupisch_from_relations,
-    projective_dimension,
-    relations_from_kupisch,
-    syzygy,
     validate,
 )
 from nakayama.algebra import MAX_VERTICES
 from nakayama.harness import SweepConfig, enumerate_kupisch
 
 import enumeration_oracle as oracle
-from strategies import kupisch_series
+from strategies import kupisch_series, wrapping_kupisch_series
 
 
 def test_validate_cyclic(lambda1):
@@ -82,22 +77,22 @@ def test_kupisch_lambda2(lambda2):
 
 
 def test_relations_from_kupisch_examples():
-    assert relations_from_kupisch((3, 2, 2, 4, 3)) == (
+    assert algebra_from_kupisch((3, 2, 2, 4, 3)).relations == (
         Relation(2, 2),
         Relation(3, 2),
         Relation(5, 3),
     )
-    assert relations_from_kupisch((2, 2, 2, 2)) == tuple(
+    assert algebra_from_kupisch((2, 2, 2, 2)).relations == tuple(
         Relation(i, 2) for i in (1, 2, 3, 4)
     )
-    assert relations_from_kupisch((1, 1)) == (Relation(1, 1), Relation(2, 1))
+    assert algebra_from_kupisch((1, 1)).relations == (Relation(1, 1), Relation(2, 1))
 
 
 def test_relations_from_kupisch_rejects_invalid():
     with pytest.raises(InvalidKupischError):
-        relations_from_kupisch((3, 1))
+        algebra_from_kupisch((3, 1)).relations
     with pytest.raises(InvalidKupischError):
-        relations_from_kupisch((2, 0))
+        algebra_from_kupisch((2, 0)).relations
 
 
 def test_wrapping_relations_round_trip():
@@ -109,7 +104,7 @@ def test_wrapping_relations_round_trip():
 
 @given(kupisch_series())
 def test_class_counts_the_killed_arrows(c):
-    killed = sum(1 for r in relations_from_kupisch(c) if r.length == 1)
+    killed = sum(1 for r in algebra_from_kupisch(c).relations if r.length == 1)
     classes = (AlgebraClass.CYCLIC, AlgebraClass.LINEAR, AlgebraClass.PRODUCT_OF_LINEAR)
     assert algebra_from_kupisch(c).algebra_class is classes[min(killed, 2)]
 
@@ -118,19 +113,14 @@ def test_class_counts_the_killed_arrows(c):
 def test_kupisch_round_trip(c):
     algebra = algebra_from_kupisch(c)
     assert algebra.kupisch == c
-    assert relations_from_kupisch(c) == algebra.relations
+    assert validate(algebra.n, algebra.relations) == algebra
     assert kupisch_from_relations(algebra.n, algebra.relations) == c
 
 
 def test_syzygy_examples(lambda1, lambda3):
-    assert syzygy(lambda1, UniserialModule(4, 1)) == UniserialModule(5, 3)
-    assert syzygy(lambda1, UniserialModule(5, 3)) is None  # P_5 is projective
-    assert syzygy(lambda3, UniserialModule(1, 1)) == UniserialModule(2, 1)
-
-
-def test_syzygy_rejects_too_long(lambda1):
-    with pytest.raises(ModuleTooLongError):
-        syzygy(lambda1, UniserialModule(2, 3))
+    assert oracle.syzygy(lambda1, 4, 1) == (5, 3)
+    assert oracle.syzygy(lambda1, 5, 3) is None  # P_5 is projective
+    assert oracle.syzygy(lambda3, 1, 1) == (2, 1)
 
 
 def test_syzygy_outputs_stay_valid():
@@ -138,9 +128,10 @@ def test_syzygy_outputs_stay_valid():
         c = algebra.kupisch
         for top in range(1, algebra.n + 1):
             for length in range(1, c[top - 1] + 1):
-                out = syzygy(algebra, UniserialModule(top, length))
+                out = oracle.syzygy(algebra, top, length)
                 if out is not None:
-                    assert 1 <= out.length <= c[out.top - 1]
+                    out_top, out_length = out
+                    assert 1 <= out_length <= c[out_top - 1]
 
 
 def test_global_dimension_examples(lambda1, lambda3, semisimple2):
@@ -151,8 +142,10 @@ def test_global_dimension_examples(lambda1, lambda3, semisimple2):
 
 def test_projective_dimension_walk(lambda1):
     # S_5 resolves through (1,2), S_3, S_4 before hitting the projective P_5
-    assert projective_dimension(lambda1, UniserialModule(5, 1)).value == 4
-    assert projective_dimension(lambda1, UniserialModule(5, 3)).value == 0
+    assert oracle.projective_dimension(lambda1, 5, 1) == 4
+    assert oracle.projective_dimension(lambda1, 5, 3) == 0
+    # S_5 has the largest projective dimension of the simples
+    assert global_dimension(lambda1).value == 4
 
 
 def test_global_dimension_matches_the_per_simple_walk():
@@ -162,6 +155,13 @@ def test_global_dimension_matches_the_per_simple_walk():
 
 @given(kupisch_series(max_n=40, max_c=8))
 def test_global_dimension_matches_the_walk_on_long_series(c):
+    algebra = algebra_from_kupisch(c)
+    assert global_dimension(algebra) == oracle.global_dimension(algebra)
+
+
+@given(wrapping_kupisch_series(min_n=2))
+def test_global_dimension_matches_the_walk_on_wrapping_series(c):
+    # entries up to 3n: resolutions wrap round the cycle several times
     algebra = algebra_from_kupisch(c)
     assert global_dimension(algebra) == oracle.global_dimension(algebra)
 

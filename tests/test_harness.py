@@ -20,7 +20,7 @@ from nakayama import (
     unamalgamation,
     validate,
 )
-from nakayama.algebra import is_valid_kupisch, mod1
+from nakayama.algebra import is_valid_kupisch
 from nakayama.harness import (
     STRUCTURAL_CHECKS,
     THEOREM_CHECKS,
@@ -37,7 +37,7 @@ from nakayama.resolution import build
 
 import enumeration_oracle
 import leaf_oracle
-from enumeration_oracle import least_rotation, rotations
+from enumeration_oracle import least_rotation, mod1, rotations
 from strategies import kupisch_series as kupisch_series_strategy
 
 REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference"

@@ -1,7 +1,9 @@
-"""`unamalgamation.check_properties` computes, on each side of a step, only
-the fields it compares, and reads a table entry without rotating it; it
-agrees with the oracle in `leaf_oracle`, which builds every invariant on
-both sides and rotates the entry, and prints the word path's JSON.
+"""A leaf check (`unamalgamation.check_properties`, or its core
+`_leaf_check` with the input's `_compared` fields and a table, as `verify`
+calls it) computes, on each side of a step, only the fields it compares,
+and reads a table entry without rotating it; it agrees with the oracle in
+`leaf_oracle`, which builds every invariant on both sides and rotates the
+entry, and prints the word path's JSON.
 `harness.raw_complex_matches` certifies the raw relation complex from
 interior bitmasks; it agrees with the enumerating oracle in `leaf_oracle`
 on every step, and says True only when that oracle does.  A sweep's leaf
@@ -30,7 +32,7 @@ from nakayama.harness import (
 )
 from nakayama.relation_complex import SimplicialComplex, build_complex, complex_from_interiors
 from nakayama.resolution import targets
-from nakayama.unamalgamation import check_properties, unamalgamate
+from nakayama.unamalgamation import PropertyReport, _compared, _leaf_check, check_properties, unamalgamate
 
 
 def _leaves(algebra):
@@ -61,10 +63,11 @@ def _flags(report):
 @pytest.mark.parametrize("with_table", [False, True], ids=["known-none", "level-below"])
 def test_check_properties_matches_the_oracle(monkeypatch, with_table):
     """At every leaf of every algebra at n <= 7, c <= 8: the same four flags
-    as the oracle, and the same JSON as the word path's, without a table and
-    with the table of the level below that the sweep builds.  The input side
-    is computed by the leaf check itself; the oracle is given the input's
-    full record, and builds each output's once."""
+    as the oracle, and the same JSON as the word path's: `check_properties`
+    without a table, and the core with the table of the level below that
+    the sweep builds, wrapped in a report for its JSON.  The input side is
+    computed by the leaf check itself; the oracle is given the input's full
+    record, and builds each output's once."""
     monkeypatch.setattr(leaf_oracle, "record", functools.cache(leaf_oracle.record))
     tables = _tables(6, 8) if with_table else {}
     steps = 0
@@ -74,8 +77,14 @@ def test_check_properties_matches_the_oracle(monkeypatch, with_table):
             continue
         known = tables.get(algebra.n - 1)
         before = leaf_oracle.record(algebra)
+        c = algebra.kupisch
+        f = targets(c)
+        fields = _compared(c, f, None) if with_table else None
         for leaf in lvs:
-            got = check_properties(algebra, leaf, known=known)
+            if with_table:
+                got = PropertyReport(algebra, leaf, *_leaf_check(c, f, leaf, fields, known))
+            else:
+                got = check_properties(algebra, leaf)
             want = leaf_oracle.check_properties(algebra, leaf, before, known)
             assert _flags(got) == _flags(want), (algebra.kupisch, leaf)
             assert got.to_dict() == want.to_dict(), (algebra.kupisch, leaf)
@@ -141,8 +150,12 @@ def test_weights_compare_as_multisets():
     real = verify(algebra_from_kupisch(key))
     entry = replace(real, weights=(1, 2))
     planted = replace(verify(algebra), weights=(2, 1))
-    assert check_properties(algebra, leaf, planted, {c: entry for c in rotations(key)}).weight_match
-    assert not check_properties(algebra, leaf, planted, {c: real for c in rotations(key)}).weight_match
+    c, f = algebra.kupisch, planted.targets
+    fields = _compared(c, f, planted)
+    _, _, weight_match, *_ = _leaf_check(c, f, leaf, fields, {k: entry for k in rotations(key)})
+    assert weight_match
+    _, _, weight_match, *_ = _leaf_check(c, f, leaf, fields, {k: real for k in rotations(key)})
+    assert not weight_match
 
 
 def _raw(step):
