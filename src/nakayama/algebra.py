@@ -12,8 +12,12 @@ The Kupisch series (c_1, ..., c_n), where c_i is the composition length of
 the i-th indecomposable projective P_i, determines the algebra, and
 `NakayamaAlgebra` stores nothing else: n is its length, the relations are
 the composition series (i, c_i) with c_i <= c_{i+1}, and the class is read
-off the number of entries c_i = 1.  Each is derived when first read.  The
-record trusts its series, so outside input enters through one of two
+off the number of entries c_i = 1.  One reader, `relation_pairs`, gives
+the relations as (start, length) int pairs; the algebra's JSON and every
+other request path read them there, and only `relations`, kept for
+`validate`'s callers and library readers, builds `Relation`s, a
+`NamedTuple` that orders and compares as its pair.  The record
+trusts its series, so outside input enters through one of two
 checked constructors: `validate` checks a relation list and computes its
 series, and `algebra_from_kupisch` checks that a tuple is a Kupisch series,
 then that it has at most MAX_VERTICES entries.  Both translations live
@@ -41,6 +45,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 class AlgebraError(ValueError):
@@ -102,13 +107,13 @@ class AlgebraClass(enum.Enum):
         return (cls.CYCLIC, cls.LINEAR, cls.PRODUCT_OF_LINEAR)[min(c.count(1), 2)]
 
 
-@dataclass(frozen=True, order=True)
-class Relation:
+class Relation(NamedTuple):
     """Monomial relation: the path of `length` arrows starting at arrow `start`.
 
     Its arrow interval is {start, start+1, ..., start+length-1} taken mod n.
     Lengths greater than n are legal (the path wraps around the cycle more
     than once); they arise from valid Kupisch series and must round-trip.
+    A tuple, so it orders by (start, length) and equals its plain pair.
     """
 
     start: int
@@ -127,6 +132,15 @@ class Relation:
         return (other.start - self.start) % n <= self.length - other.length
 
 
+def relation_pairs(c) -> list[tuple[int, int]]:
+    """The minimal relations of the algebra with Kupisch series c, as
+    (start, length) int pairs in start order.  The composition series of
+    each projective is a relation; P_i gives a minimal one exactly when
+    |P_i| <= |P_{i+1}|, indices mod n, so the pairs are (i, c_i) for each
+    c_i <= c_{i+1}."""
+    return [(i, ci) for i, (ci, after) in enumerate(zip(c, c[1:] + c[:1]), 1) if ci <= after]
+
+
 @dataclass(frozen=True)
 class NakayamaAlgebra:
     """The algebra with Kupisch series `kupisch`; every other attribute is
@@ -136,23 +150,21 @@ class NakayamaAlgebra:
 
     kupisch: tuple[int, ...]
 
-    @cached_property
+    @property
     def n(self) -> int:
         return len(self.kupisch)
 
     @cached_property
     def relations(self) -> tuple[Relation, ...]:
-        """The minimal relations.  The composition series of each projective
-        is a relation; P_i gives a minimal one exactly when |P_i| <= |P_{i+1}|."""
-        c, n = self.kupisch, self.n
-        return tuple(Relation(i + 1, c[i]) for i in range(n) if c[i] <= c[(i + 1) % n])
+        """The minimal relations (see `relation_pairs`)."""
+        return tuple(Relation(*p) for p in relation_pairs(self.kupisch))
 
     @cached_property
     def algebra_class(self) -> AlgebraClass:
         return AlgebraClass.of(self.kupisch)
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "relations": [[r.start, r.length] for r in self.relations]}
+        return {"n": len(self.kupisch), "relations": [[i, l] for i, l in relation_pairs(self.kupisch)]}
 
 
 def check_vertices(n: int) -> None:
@@ -174,7 +186,7 @@ def validate(n: int, relations) -> NakayamaAlgebra:
     check_vertices(n)
     if n < 2:
         raise AlgebraError(f"quiver size must be at least 2, got {n}")
-    rels = tuple(sorted(r if isinstance(r, Relation) else Relation(*r) for r in relations))
+    rels = tuple(sorted(Relation(*r) for r in relations))
     if not rels:
         raise EmptyRelationSetError("a Nakayama algebra needs at least one relation")
     for rel in rels:
@@ -203,7 +215,8 @@ def radical_power_algebra(n: int, power: int) -> NakayamaAlgebra:
 
 def kupisch_from_relations(n: int, relations) -> tuple[int, ...]:
     """Projective lengths c_j = |P_j| of the quotient of the n-cycle by a
-    nonempty list of relations with starts in 1..n; starts may repeat.
+    nonempty list of relations, `Relation`s or (start, length) pairs, with
+    starts in 1..n; starts may repeat.
 
     c_j = min(shortest relation at j, c_{j+1} + 1).  Each entry starts as
     the shortest relation at its vertex and only ever shrinks to the length
@@ -212,8 +225,8 @@ def kupisch_from_relations(n: int, relations) -> tuple[int, ...]:
     carrying on from c_1 to c_n, makes every entry exact.
     """
     c = [math.inf] * n
-    for rel in relations:
-        c[rel.start - 1] = min(c[rel.start - 1], rel.length)
+    for start, length in relations:
+        c[start - 1] = min(c[start - 1], length)
     carry = math.inf  # c_{j+1}, the entry the pass set last
     for j in 2 * [*reversed(range(n))]:
         # min(c[j], carry + 1), written without a call, which would cost

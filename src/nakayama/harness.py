@@ -67,6 +67,7 @@ from .algebra import (
     check_vertices,
     global_dimension,
     kupisch_from_relations,
+    relation_pairs,
 )
 
 THEOREM_CHECKS = ("A", "B", "Bprime", "C", "HCvsBetti", "UnamalgamationProps", "SameWeight")
@@ -244,14 +245,17 @@ def verify(
     checks plus all structural self-checks.  Failures become entries in the
     verdict, never exceptions.  `known` is a sweep's table of the algebras
     verified before; the leaf checks and `Bprime` look the smaller algebras
-    up there instead of rebuilding and reducing them."""
+    up there instead of rebuilding and reducing them.  The relations are
+    read as (start, length) pairs off the series, and no `Relation` is
+    built."""
     cx = relation_complex.build_complex(algebra)
     # before the other invariants, so that a cyclic complex past MAX_SUBSETS is refused at once
     hc_dims = cyclic.hc_dimensions(algebra)
-    f = resolution.targets(algebra.kupisch)
+    c = algebra.kupisch
+    n, pairs, f = len(c), relation_pairs(c), resolution.targets(c)
     verdict = AlgebraVerdict(
         algebra=algebra,
-        weights=resolution.weights(algebra.kupisch, f),
+        weights=resolution.weights(c, f),
         f_vector=cx.f_vector,
         betti=relation_complex.reduced_betti(cx),
         gldim=global_dimension(algebra),
@@ -271,13 +275,13 @@ def verify(
     first_out = None
     if "UnamalgamationProps" in checks:
         props_ok = True
-        if algebra.n >= 3 and lvs:
-            c = algebra.kupisch
+        if n >= 3 and lvs:
             before = unamalgamation._compared(c, f, verdict)
+            vertices = [i for i, (_, length) in enumerate(pairs) if length <= n]
             for leaf in lvs:
                 out, *flags = unamalgamation._leaf_check(c, f, leaf, before, known)
                 props_ok = props_ok and all(flags) and raw_complex_matches(
-                    c, leaf, unamalgamation.raw_words(c, leaf, out), cx
+                    c, leaf, unamalgamation.raw_words(c, leaf, out), cx, vertices
                 )
                 first_out = first_out or out
 
@@ -292,7 +296,7 @@ def verify(
         results["SameWeight"] = len(set(weights)) == 1
     if "HCvsBetti" in checks:
         expected = [1 if verdict.complex_empty else 0] + [
-            betti[p - 1] if p - 1 < len(betti) else 0 for p in range(1, algebra.n)
+            betti[p - 1] if p - 1 < len(betti) else 0 for p in range(1, n)
         ]
         results["HCvsBetti"] = list(verdict.hc_dims) == expected
     if "Bprime" in checks:
@@ -306,7 +310,7 @@ def verify(
     if "UnamalgamationProps" in checks:
         results["UnamalgamationProps"] = props_ok
 
-    results["RoundTrip"] = kupisch_from_relations(algebra.n, algebra.relations) == algebra.kupisch
+    results["RoundTrip"] = kupisch_from_relations(n, pairs) == c
     if verdict.complex_empty:
         euler_ok = chi == 0
     else:
@@ -315,7 +319,7 @@ def verify(
     results["BoundarySquare"] = relation_complex.boundary_squares_to_zero(cx)
     results["CyclicSquare"] = cyclic.differential_squares_to_zero(algebra)
     results["HCEulerIdentity"] = verdict.hc_euler == 1 - chi == linalg.alternating_sum(verdict.basis_sizes)
-    results["NodesEqualRelations"] = algebra.n - len(lvs) == len(algebra.relations)
+    results["NodesEqualRelations"] = n - len(lvs) == len(pairs)
     return verdict
 
 
@@ -341,15 +345,17 @@ def raw_complex_matches(
     leaf: int,
     raw: tuple[tuple[int, int], ...],
     cx: relation_complex.SimplicialComplex,
+    vertices: list[int],
 ) -> bool:
     """Is the complex built from the raw (possibly redundant) image relations
     `raw`, the (start, length) pairs of the step at `leaf` of the algebra
     with Kupisch series c, simplex for simplex `cx`, the relation complex of
     the input, under the index bijection between old and new relations?
     Certified in O(r) integer operations, without listing a simplex of
-    either complex (the enumerating rule is kept as a test oracle).  The
-    input's relations are read off c, as `build_complex` reads them: the
-    relation at i is present iff c_i <= c_{i+1}, with length c_i.
+    either complex (the enumerating rule is kept as a test oracle).
+    `vertices` lists the indices, in `algebra.relation_pairs(c)`, of the
+    input's relations of length <= n, its relation complex's vertices,
+    which the caller reads once for all the leaves of an algebra.
 
     Relabel by the rotation that sends the leaf to n, as the step does.
     A vertex v is interior to a word iff x_{v-1} x_v is a subword of it.
@@ -380,11 +386,9 @@ def raw_complex_matches(
     1 or 2 are refused, whatever the complex.
     """
     n = len(c)
-    lengths = [ci for ci, after in zip(c, c[1:] + c[:1]) if ci <= after]
-    old_idx = [i for i, length in enumerate(lengths) if length <= n]
     new_idx = [i for i, (_, length) in enumerate(raw) if length <= n - 1]
     masks = cx.masks
-    if old_idx != new_idx or cx.n != n or len(masks) != len(new_idx):
+    if vertices != new_idx or cx.n != n or len(masks) != len(new_idx):
         return False
     # the rotation sends bit b to b + shift mod n; `low` clears vertex n.
     # Each raw interior is `relation_complex.interior` on the (n-1)-cycle,

@@ -12,8 +12,9 @@ level by level from its smaller simplices.
 
 The vertices are read straight off the Kupisch series: the relation at i
 is (i, c_i), present iff c_i <= c_{i+1}, and a vertex iff also c_i <= n,
-so `build_complex` takes each interior from its start and length through
-the one arc rule, `interior`, and builds no `Relation`.
+so `build_complex` takes each interior from the (start, length) pairs of
+`algebra.relation_pairs` through the one arc rule, `interior`, and builds
+no `Relation`.
 
 An interior is an int bitmask, bit v-1 standing for vertex v, and a
 complex keeps only n and the interiors of its vertices.  The simplices and
@@ -43,7 +44,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import linalg
-from .algebra import MAX_SUBSETS, NakayamaAlgebra, TooLargeError
+from .algebra import MAX_SUBSETS, NakayamaAlgebra, TooLargeError, relation_pairs
 
 
 def interior(start: int, length: int, n: int) -> int:
@@ -169,16 +170,11 @@ def complex_from_interiors(n: int, masks: Sequence[int]) -> SimplicialComplex:
 def build_complex(algebra: NakayamaAlgebra) -> SimplicialComplex:
     """The complex whose vertices are the length-<=n relations and whose
     simplices are their non-covering subsets; vertex i is the i-th such
-    relation in `algebra.relations`.  The relations are read off the
-    series, (i, c_i) for each c_i <= c_{i+1}, and none is built."""
+    relation in `algebra.relations`.  The relations are read as (start,
+    length) pairs off the series, and none is built."""
     c = algebra.kupisch
     n = len(c)
-    masks = [
-        interior(i, ci, n)
-        for i, (ci, after) in enumerate(zip(c, c[1:] + c[:1]), 1)
-        if ci <= after and ci <= n
-    ]
-    return complex_from_interiors(n, masks)
+    return complex_from_interiors(n, [interior(i, ci, n) for i, ci in relation_pairs(c) if ci <= n])
 
 
 def euler_characteristic(cx: SimplicialComplex) -> int:

@@ -19,17 +19,24 @@ loses its first letter and (c_n - 1) // n more, and gets x_{n-1} prepended
 so that it stays a path: its raw word is (n - 1, c_n - (c_n - 1) // n).
 The raw words can be redundant; their minimal words are the relations of
 c'.  `raw_words` reads them off (c, leaf, c') as (start, length) int
-pairs, in input-relation order, and builds no `Relation`; a step keeps
-them for its JSON, and `harness.raw_complex_matches` takes them.  The
-output does not read them.
+pairs, in input-relation order, and builds no `Relation`; the step JSON
+and `harness.raw_complex_matches` take them.  The output does not read
+them.
+
+A step's JSON comes from one renderer, `_step_dict`, on (n, leaf, raw
+words, output series): the output's relations are read once, as pairs
+off its series, for its JSON and for the witnesses of the eliminated
+words.  `UnamalgamationStep.to_dict`, `PropertyReport.to_dict` and
+`ReductionResult.to_dict` all call it, so `unamalgamate` and `reduce`
+build no step object; `.step` and `.steps` build them only when library
+code reads them.
 
 `reduce_fully` walks the series alone: at each step it reads the leaves
 off Gustafson's targets, takes the least, and applies the rule above.  It
-keeps the chain of (series, leaf) pairs, and its steps, with their raw
-words, are derived from that chain when first read (`to_dict` reads
-them), each step's output being the next series of the chain.  So
-`reduce_fully(...).semisimple`, all that `verify`'s Bprime reads, builds
-no step and no word.
+keeps the chain of (series, leaf) pairs, each step's output being the
+next series of the chain, and its JSON renders each step from its link of
+the chain.  So `reduce_fully(...).semisimple`, all that `verify`'s Bprime
+reads, builds no step and no word.
 
 The construction preserves the resolution quiver (minus the leaf), the
 common component weight, the reduced homology of the relation complex, and
@@ -56,8 +63,8 @@ the table, and returns the output's series and the four flags.  When the
 table holds the output, it builds no algebra, step, report or word.
 `verify` calls the core at each leaf, and goes on to `raw_words` and
 `harness.raw_complex_matches`, so a sweep's leaf stage builds no step at
-all; `check_properties` is the core plus a `PropertyReport` whose step is
-built when first read, which only its JSON does.  Replayed with the
+all; `check_properties` is the core plus a `PropertyReport`, whose JSON
+is rendered from its series and leaf.  Replayed with the
 serial `n<=8,c<=9` sweep's table, its 23,840 leaf checks take about
 0.26 s, against 0.38 s when each check built its step (CPython 3.11, one
 core).
@@ -70,7 +77,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import relation_complex, resolution
-from .algebra import AlgebraError, NakayamaAlgebra, global_dimension
+from .algebra import AlgebraError, NakayamaAlgebra, global_dimension, relation_pairs
 
 if TYPE_CHECKING:
     from .harness import AlgebraVerdict, Table
@@ -92,10 +99,11 @@ def relabel_map(n: int, leaf: int) -> tuple[int, ...]:
 
 def _witnesses(words, minimal, n: int) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
     """The words eliminated in favour of `minimal`, the minimal words of
-    their Kupisch series on the n-cycle, all as (start, length) pairs: in
-    input order, every word but the first copy of each minimal word, with
-    its witness, the minimal word it contains that is least by (length,
-    start).  (s, l) contains (t, k) iff k <= l and (t - s) mod n <= l - k."""
+    their Kupisch series on the n-cycle, all as (start, length) pairs
+    (tuples, or two-item lists as in an algebra's JSON): in input order,
+    every word but the first copy of each minimal word, with its witness,
+    the minimal word it contains that is least by (length, start), each as
+    a tuple.  (s, l) contains (t, k) iff k <= l and (t - s) mod n <= l - k."""
     unseen = dict(minimal)  # minimal words have distinct starts
     eliminated = []
     for s, l in words:
@@ -127,19 +135,26 @@ class UnamalgamationStep:
     @cached_property
     def eliminated(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
         """The raw words that are not the output's relations, each with its
-        witness (see `_witnesses`); derived when first read, which
-        only `to_dict` does."""
-        minimal = [(r.start, r.length) for r in self.output.relations]
-        return _witnesses(self.raw_relations, minimal, self.output.n)
+        witness (see `_witnesses`); derived when first read."""
+        return _witnesses(self.raw_relations, relation_pairs(self.output.kupisch), self.output.n)
 
     def to_dict(self) -> dict:
-        return {
-            "leaf": self.leaf,
-            "relabel": list(self.relabel),
-            "raw_relations": [list(r) for r in self.raw_relations],
-            "output": self.output.to_dict(),
-            "eliminated": [{"relation": list(z), "witness": list(w)} for z, w in self.eliminated],
-        }
+        return _step_dict(self.input.n, self.leaf, self.raw_relations, self.output.kupisch)
+
+
+def _step_dict(n: int, leaf: int, raw: tuple[tuple[int, int], ...], out: tuple[int, ...]) -> dict:
+    """The JSON of the step at `leaf` of an algebra on n vertices, with the
+    raw words `raw` and the output series `out`.  The output's relations
+    are read off `out` once, for its JSON and for the witnesses."""
+    output = NakayamaAlgebra(out).to_dict()
+    eliminated = _witnesses(raw, output["relations"], n - 1)
+    return {
+        "leaf": leaf,
+        "relabel": list(relabel_map(n, leaf)),
+        "raw_relations": [list(r) for r in raw],
+        "output": output,
+        "eliminated": [{"relation": list(z), "witness": list(w)} for z, w in eliminated],
+    }
 
 
 def unamalgamate(algebra: NakayamaAlgebra, leaf: int) -> UnamalgamationStep:
@@ -234,8 +249,9 @@ def _leaf_check(c: tuple[int, ...], f: tuple[int, ...], leaf: int, before: tuple
 @dataclass(frozen=True)
 class PropertyReport:
     """The flags of the leaf check at `leaf` of `input`, whose output has
-    the series `output_kupisch`; the step itself is built when first read,
-    which only `to_dict` does."""
+    the series `output_kupisch`.  Its JSON is rendered from the series and
+    the leaf (see `_step_dict`); the step itself is built when first read,
+    which only library code does."""
 
     input: NakayamaAlgebra
     leaf: int
@@ -254,8 +270,9 @@ class PropertyReport:
         return self.quiver_match and self.weight_match and self.betti_match and self.gldim_sandwich
 
     def to_dict(self) -> dict:
+        c, leaf, out = self.input.kupisch, self.leaf, self.output_kupisch
         return {
-            **self.step.to_dict(),
+            **_step_dict(len(c), leaf, raw_words(c, leaf, out), out),
             "checks": {
                 "quiver": self.quiver_match,
                 "weight": self.weight_match,
@@ -272,7 +289,7 @@ def check_properties(algebra: NakayamaAlgebra, leaf: int) -> PropertyReport:
     fields are computed (see `_compared`), the output's targets read off its
     Kupisch series.  The flags are those of `_leaf_check`, which `verify`
     calls itself with its own record and a sweep's table; the report's
-    step, raw words and all, is built when first read."""
+    JSON builds no step."""
     f = resolution.targets(algebra.kupisch)
     _check_leaf(algebra.n, leaf, f)
     out, *flags = _leaf_check(algebra.kupisch, f, leaf, _compared(algebra.kupisch, f, None), None)
@@ -297,9 +314,10 @@ class ReductionResult:
 
     @cached_property
     def steps(self) -> tuple[UnamalgamationStep, ...]:
-        """The steps, derived from the chain when first read: each step's
-        input is the output of the one before, and its output is the
-        algebra of the next series, or `last`."""
+        """The steps, derived from the chain when first read, which
+        `to_dict` does not do: each step's input is the output of the one
+        before, and its output is the algebra of the next series, or
+        `last`."""
         algebras = [self.initial, *(NakayamaAlgebra(c) for c, _ in self.chain[1:]), self.last]
         return tuple(_step(a, leaf, out) for a, (_, leaf), out in zip(algebras, self.chain, algebras[1:]))
 
@@ -309,9 +327,12 @@ class ReductionResult:
 
     def to_dict(self) -> dict:
         terminal = self.terminal
+        # each step's output is the next series of the chain, or `last`'s
+        outs = [*(c for c, _ in self.chain[1:]), self.last.kupisch]
+        steps = [_step_dict(len(c), leaf, raw_words(c, leaf, out), out) for (c, leaf), out in zip(self.chain, outs)]
         return {
             "initial": self.initial.to_dict(),
-            "steps": [step.to_dict() for step in self.steps],
+            "steps": steps,
             "terminal": None if terminal is None else terminal.to_dict(),
             "terminal_kupisch": list(self.terminal_kupisch),
             "semisimple": self.semisimple,

@@ -5,8 +5,10 @@ relabel each relation, delete x_n from it with `delete_last_arrow`, and
 take the series of the words.  `delete_last_arrow` counts the letters x_n
 by floor division, `delete_letters` deletes them from one word letter by
 letter, and `eliminate_redundant` gives the minimal words of any list of
-such words, with the witness of each word it drops.  `step_dict` is a
-step's JSON by the word path, and `reduction_dict` is
+such words, with the witness of each word it drops.  `algebra_dict` is
+an algebra's JSON rendered from its `Relation`s, not by its `to_dict`,
+which it is the oracle of.  `step_dict` is a step's JSON by the word path,
+and `reduction_dict` is
 `reduce_fully(...).to_dict()` by the word path, with the leaves read off
 the resolution quiver at every step.  `check_properties` is
 `unamalgamation.check_properties` with a full `record` on both sides,
@@ -89,6 +91,11 @@ def eliminate_redundant(relations, n):
     return minimal, tuple(eliminated)
 
 
+def algebra_dict(algebra):
+    """The JSON of `algebra`, rendered from its `Relation`s."""
+    return {"n": algebra.n, "relations": [[r.start, r.length] for r in algebra.relations]}
+
+
 def step_dict(algebra, leaf):
     """The JSON of the step at `leaf` by the word path, and its output."""
     words, series = word_path(algebra, leaf)
@@ -97,7 +104,7 @@ def step_dict(algebra, leaf):
         "leaf": leaf,
         "relabel": list(relabel_map(algebra.n, leaf)),
         "raw_relations": [[r.start, r.length] for r in words],
-        "output": output.to_dict(),
+        "output": algebra_dict(output),
         "eliminated": [
             {"relation": [z.start, z.length], "witness": [w.start, w.length]}
             for z, w in eliminate_redundant(words, algebra.n - 1)[1]
@@ -120,9 +127,9 @@ def reduction_dict(algebra):
         (node,) = set(build(current).f)
         terminal, terminal_kupisch = None, [(current.kupisch[node - 1] + 1) // 2]
     else:
-        terminal, terminal_kupisch = current.to_dict(), list(current.kupisch)
+        terminal, terminal_kupisch = algebra_dict(current), list(current.kupisch)
     return {
-        "initial": algebra.to_dict(),
+        "initial": algebra_dict(algebra),
         "steps": steps,
         "terminal": terminal,
         "terminal_kupisch": terminal_kupisch,

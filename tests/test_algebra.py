@@ -18,6 +18,7 @@ from nakayama.algebra import MAX_VERTICES
 from nakayama.harness import SweepConfig, enumerate_kupisch
 
 import enumeration_oracle as oracle
+import leaf_oracle
 from strategies import kupisch_series, wrapping_kupisch_series
 
 
@@ -115,6 +116,23 @@ def test_kupisch_round_trip(c):
     assert algebra.kupisch == c
     assert validate(algebra.n, algebra.relations) == algebra
     assert kupisch_from_relations(algebra.n, algebra.relations) == c
+
+
+def test_to_dict_and_kupisch_from_relations_agree_with_the_relations():
+    """At every n <= 8, c <= 9: `to_dict`, which reads the relations as int
+    pairs off the series, equals their rendering from the `Relation`s, and
+    `kupisch_from_relations` gives the series back from the `Relation`s and
+    from plain (start, length) pairs alike, as the oracle's O(n r) rule
+    does from the `Relation`s."""
+    count = 0
+    for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=8, c_max=9)):
+        c, n, rels = algebra.kupisch, algebra.n, algebra.relations
+        assert algebra.to_dict() == leaf_oracle.algebra_dict(algebra), c
+        pairs = [(r.start, r.length) for r in rels]
+        assert kupisch_from_relations(n, rels) == kupisch_from_relations(n, pairs) == c
+        assert oracle.kupisch_from_relations(n, rels) == c
+        count += 1
+    assert count == 52_969
 
 
 def test_syzygy_examples(lambda1, lambda3):

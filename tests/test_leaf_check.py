@@ -20,7 +20,7 @@ import leaf_oracle
 from enumeration_oracle import least_rotation, rotations
 from strategies import kupisch_series
 import nakayama
-from nakayama import NakayamaAlgebra, algebra_from_kupisch, harness, relation_complex, unamalgamation, validate
+from nakayama import algebra_from_kupisch, harness, relation_complex, unamalgamation, validate
 from nakayama.harness import (
     AlgebraVerdict,
     SweepConfig,
@@ -159,9 +159,16 @@ def test_weights_compare_as_multisets():
 
 
 def _raw(step):
-    """A step's series, leaf and raw words, the certificate's first three
-    arguments."""
+    """A step's series, leaf and raw words, the first three arguments of
+    the certificate and of its oracle."""
     return step.input.kupisch, step.leaf, step.raw_relations
+
+
+def _certified(step, cx):
+    """The certificate on `step` and `cx`, given the indices of the input's
+    relations of length <= n, read off its `Relation`s."""
+    a = step.input
+    return raw_complex_matches(*_raw(step), cx, [i for i, r in enumerate(a.relations) if r.length <= a.n])
 
 
 def test_raw_complex_certificate_matches_the_oracle():
@@ -171,7 +178,7 @@ def test_raw_complex_certificate_matches_the_oracle():
         cx = build_complex(algebra)
         for leaf in _leaves(algebra):
             step = unamalgamate(algebra, leaf)
-            assert raw_complex_matches(*_raw(step), cx) == leaf_oracle.raw_complex_matches(*_raw(step), cx), (
+            assert _certified(step, cx) == leaf_oracle.raw_complex_matches(*_raw(step), cx), (
                 algebra.kupisch, leaf
             )
             steps += 1
@@ -185,7 +192,7 @@ def test_raw_complex_certificate_matches_the_oracle_up_to_n10(c):
     cx = build_complex(algebra)
     for leaf in _leaves(algebra):
         step = unamalgamate(algebra, leaf)
-        assert raw_complex_matches(*_raw(step), cx) == leaf_oracle.raw_complex_matches(*_raw(step), cx), leaf
+        assert _certified(step, cx) == leaf_oracle.raw_complex_matches(*_raw(step), cx), leaf
 
 
 def _with_raw_word(step, k, word):
@@ -211,7 +218,7 @@ def test_raw_complex_certificate_implies_the_oracle_on_perturbed_steps():
                 for start in range(1, m + 1):
                     for length in range(1, m + 3):
                         perturbed = _with_raw_word(step, k, (start, length))
-                        got = raw_complex_matches(*_raw(perturbed), cx)
+                        got = _certified(perturbed, cx)
                         want = leaf_oracle.raw_complex_matches(*_raw(perturbed), cx)
                         assert want or not got, (algebra.kupisch, leaf, k, start, length)
                         answers.add((got, want))
@@ -231,9 +238,9 @@ def test_raw_complex_certificate_refuses_an_index_mismatch():
     """(4, 5) is longer than the 4-cycle, so relation 2 is a vertex of L
     but not of the raw complex."""
     step, cx = _lambda2_leaf5()
-    assert raw_complex_matches(*_raw(step), cx)
+    assert _certified(step, cx)
     step = _with_raw_word(step, 2, (4, 5))
-    assert not raw_complex_matches(*_raw(step), cx)
+    assert not _certified(step, cx)
     assert not leaf_oracle.raw_complex_matches(*_raw(step), cx)
 
 
@@ -241,7 +248,7 @@ def test_raw_complex_certificate_refuses_an_interior_mismatch():
     """(3, 2) has the interior {4}, where {5, 1} without vertex 5 is {1}."""
     step, cx = _lambda2_leaf5()
     step = _with_raw_word(step, 2, (3, 2))
-    assert not raw_complex_matches(*_raw(step), cx)
+    assert not _certified(step, cx)
     assert not leaf_oracle.raw_complex_matches(*_raw(step), cx)
 
 
@@ -254,7 +261,7 @@ def test_raw_complex_certificate_refuses_a_simplex_covering_all_but_the_leaf():
     step, cx = _lambda2_leaf5()
     planted = complex_from_interiors(5, [mask & ~(1 << 4) for mask in cx.masks])
     assert [len(level) for level in planted.simplices] == [4, 6, 4, 1]
-    assert not raw_complex_matches(*_raw(step), planted)
+    assert not _certified(step, planted)
     assert not leaf_oracle.raw_complex_matches(*_raw(step), planted)
 
 
@@ -284,8 +291,9 @@ def test_sweep_leaf_checks_build_no_step_report_or_word(monkeypatch):
     in the table, prints the same CSV with `UnamalgamationStep`,
     `PropertyReport` and `Relation` in `unamalgamation` and `harness`
     replaced by stubs that raise: the leaf checks and Bprime run on the
-    series.  The only relations built are those of the classes verified,
-    which `verify` reads for its RoundTrip and NodesEqualRelations checks."""
+    series.  No `Relation` is built at all: `verify` reads the relations
+    for its RoundTrip and NodesEqualRelations checks as int pairs off the
+    series."""
     config = SweepConfig(n_min=2, n_max=7, c_max=8)
     want = to_csv(sweep(config))
 
@@ -302,14 +310,17 @@ def test_sweep_leaf_checks_build_no_step_report_or_word(monkeypatch):
     assert to_csv(sweep(config)) == want
     words = len(built)
     assert len(verified) == 2002
-    assert words == sum(len(NakayamaAlgebra(c).relations) for c in verified)
+    assert words == 0
 
 
 def test_check_properties_builds_its_step_when_read(lambda2, monkeypatch):
-    """The report's flags need no step; its JSON builds the step once."""
+    """The report's flags and its JSON need no step; `.step` builds it
+    once, and it prints the same JSON."""
     real, built = unamalgamation.UnamalgamationStep, []
     monkeypatch.setattr(unamalgamation, "UnamalgamationStep", lambda **kw: built.append(kw) or real(**kw))
     report = check_properties(lambda2, 5)
     assert report.all_ok and built == []
-    assert report.to_dict()["raw_relations"] == [[1, 3], [2, 3], [4, 2], [4, 3]]
+    got = report.to_dict()
+    assert got["raw_relations"] == [[1, 3], [2, 3], [4, 2], [4, 3]] and built == []
     assert report.step is report.step and len(built) == 1
+    assert {**report.step.to_dict(), "checks": got["checks"]} == got

@@ -85,8 +85,8 @@ def test_raw_complex_matches_reads_the_given_complex(lambda1, lambda2):
     for leaf in (1, 2):
         step = unamalgamate(lambda1, leaf)
         raw = (lambda1.kupisch, leaf, step.raw_relations)
-        assert raw_complex_matches(*raw, build_complex(lambda1))
-        assert not raw_complex_matches(*raw, build_complex(lambda2))
+        assert raw_complex_matches(*raw, build_complex(lambda1), [0, 1, 2])
+        assert not raw_complex_matches(*raw, build_complex(lambda2), [0, 1, 2])
 
 
 def test_unamalgamate_not_a_leaf(lambda3):
@@ -266,13 +266,17 @@ def test_semisimple_builds_no_step_and_no_word(monkeypatch):
 
 
 def test_reduction_json_is_the_word_paths():
-    """The steps `reduce_fully` derives from its chain of series, raw words
-    and eliminated words included, print as the word path's reduction, on
-    every algebra at n <= 7, c <= 8.  Reading them twice gives the same
-    steps, and they are built only once."""
+    """The JSON `reduce_fully` renders from its chain of series, raw words
+    and eliminated words included, is the word path's reduction, on every
+    algebra at n <= 7, c <= 8, and builds no step.  The steps it derives
+    from the chain when they are first read print the same; reading them
+    twice gives the same steps, and they are built only once."""
     for algebra in enumerate_kupisch(ALL_TO_7):
         result = reduce_fully(algebra)
-        assert result.to_dict() == reduction_dict(algebra), algebra.kupisch
+        got = result.to_dict()
+        assert got == reduction_dict(algebra), algebra.kupisch
+        assert "steps" not in vars(result)
+        assert [step.to_dict() for step in result.steps] == got["steps"]
         assert result.steps is result.steps
 
 
@@ -317,7 +321,8 @@ def test_properties_hold_at_every_leaf_small_sweep():
             rep = check_properties(algebra, leaf)
             assert rep.all_ok, (algebra.kupisch, leaf)
             step = rep.step
-            assert raw_complex_matches(algebra.kupisch, leaf, step.raw_relations, build_complex(algebra)), (
+            vertices = [i for i, r in enumerate(algebra.relations) if r.length <= algebra.n]
+            assert raw_complex_matches(algebra.kupisch, leaf, step.raw_relations, build_complex(algebra), vertices), (
                 algebra.kupisch, leaf
             )
             # one raw word per input relation, and the output is a sub-list
