@@ -18,7 +18,6 @@ from .algebra import (
     AlgebraClass,
     AlgebraError,
     NakayamaAlgebra,
-    Relation,
     algebra_from_kupisch,
     global_dimension,
     validate,
@@ -63,7 +62,7 @@ def algebra_from_dict(data) -> NakayamaAlgebra:
             for r in rels
         ):
             raise InputError("bad-schema", '"relations" must be a list of [start, length] pairs')
-        return validate(n, [Relation(*r) for r in rels])
+        return validate(n, rels)
     raise InputError(
         "bad-schema",
         'expected exactly the keys {"n", "relations"} or {"kupisch"}, got '

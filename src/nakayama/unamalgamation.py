@@ -23,20 +23,16 @@ pairs, in input-relation order, and builds no `Relation`; the step JSON
 and `harness.raw_complex_matches` take them.  The output does not read
 them.
 
-A step's JSON comes from one renderer, `_step_dict`, on (n, leaf, raw
-words, output series): the output's relations are read once, as pairs
-off its series, for its JSON and for the witnesses of the eliminated
-words.  `UnamalgamationStep.to_dict`, `PropertyReport.to_dict` and
-`ReductionResult.to_dict` all call it, so `unamalgamate` and `reduce`
-build no step object; `.step` and `.steps` build them only when library
-code reads them.
-
-`reduce_fully` walks the series alone: at each step it reads the leaves
-off Gustafson's targets, takes the least, and applies the rule above.  It
-keeps the chain of (series, leaf) pairs, each step's output being the
-next series of the chain, and its JSON renders each step from its link of
-the chain.  So `reduce_fully(...).semisimple`, all that `verify`'s Bprime
-reads, builds no step and no word.
+A step is one record, `UnamalgamationStep(kupisch, leaf, output_kupisch)`:
+the input series, the leaf and the output series.  Its algebras, its
+relabelling, its raw words, its eliminated words and its JSON are all read
+off those three fields.  `unamalgamate` returns one, a `PropertyReport`
+holds one next to its four flags, and `reduce_fully` keeps one per step,
+each step's output series being the next step's input series.  It walks
+the series alone: at each step it reads the leaves off Gustafson's targets,
+takes the least, and applies the rule above.  So
+`reduce_fully(...).semisimple`, all that `verify`'s Bprime reads, builds
+no word.
 
 The construction preserves the resolution quiver (minus the leaf), the
 common component weight, the reduced homology of the relation complex, and
@@ -63,18 +59,13 @@ the table, and returns the output's series and the four flags.  When the
 table holds the output, it builds no algebra, step, report or word.
 `verify` calls the core at each leaf, and goes on to `raw_words` and
 `harness.raw_complex_matches`, so a sweep's leaf stage builds no step at
-all; `check_properties` is the core plus a `PropertyReport`, whose JSON
-is rendered from its series and leaf.  Replayed with the
-serial `n<=8,c<=9` sweep's table, its 23,840 leaf checks take about
-0.26 s, against 0.38 s when each check built its step (CPython 3.11, one
-core).
+all; `check_properties` is the core plus a `PropertyReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import relation_complex, resolution
 from .algebra import AlgebraError, NakayamaAlgebra, global_dimension, relation_pairs
@@ -119,47 +110,60 @@ def _witnesses(words, minimal, n: int) -> tuple[tuple[tuple[int, int], tuple[int
     return tuple(eliminated)
 
 
-@dataclass(frozen=True)
-class UnamalgamationStep:
-    input: NakayamaAlgebra
+class UnamalgamationStep(NamedTuple):
+    """The step at `leaf` from the series `kupisch` to the series
+    `output_kupisch`; everything else is read off these three fields."""
+
+    kupisch: tuple[int, ...]
     leaf: int
-    raw_relations: tuple[tuple[int, int], ...]  # (start, length), index-parallel to input.relations
-    output: NakayamaAlgebra
+    output_kupisch: tuple[int, ...]
+
+    @property
+    def input(self) -> NakayamaAlgebra:
+        return NakayamaAlgebra(self.kupisch)
+
+    @property
+    def output(self) -> NakayamaAlgebra:
+        return NakayamaAlgebra(self.output_kupisch)
 
     @property
     def relabel(self) -> tuple[int, ...]:
         """The rotation of the labels that sends the leaf to n (see
         `relabel_map`)."""
-        return relabel_map(self.input.n, self.leaf)
+        return relabel_map(len(self.kupisch), self.leaf)
 
-    @cached_property
+    @property
+    def raw_relations(self) -> tuple[tuple[int, int], ...]:
+        """The raw words, index-parallel to the input's relations (see
+        `raw_words`)."""
+        return raw_words(self.kupisch, self.leaf, self.output_kupisch)
+
+    @property
     def eliminated(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
         """The raw words that are not the output's relations, each with its
-        witness (see `_witnesses`); derived when first read."""
-        return _witnesses(self.raw_relations, relation_pairs(self.output.kupisch), self.output.n)
+        witness (see `_witnesses`)."""
+        out = self.output_kupisch
+        return _witnesses(self.raw_relations, relation_pairs(out), len(out))
 
     def to_dict(self) -> dict:
-        return _step_dict(self.input.n, self.leaf, self.raw_relations, self.output.kupisch)
-
-
-def _step_dict(n: int, leaf: int, raw: tuple[tuple[int, int], ...], out: tuple[int, ...]) -> dict:
-    """The JSON of the step at `leaf` of an algebra on n vertices, with the
-    raw words `raw` and the output series `out`.  The output's relations
-    are read off `out` once, for its JSON and for the witnesses."""
-    output = NakayamaAlgebra(out).to_dict()
-    eliminated = _witnesses(raw, output["relations"], n - 1)
-    return {
-        "leaf": leaf,
-        "relabel": list(relabel_map(n, leaf)),
-        "raw_relations": [list(r) for r in raw],
-        "output": output,
-        "eliminated": [{"relation": list(z), "witness": list(w)} for z, w in eliminated],
-    }
+        """The step's JSON.  The output's relations are read off its series
+        once, for its JSON and for the witnesses."""
+        c, leaf, out = self
+        raw, output = raw_words(c, leaf, out), NakayamaAlgebra(out).to_dict()
+        eliminated = _witnesses(raw, output["relations"], len(out))
+        return {
+            "leaf": leaf,
+            "relabel": list(relabel_map(len(c), leaf)),
+            "raw_relations": [list(r) for r in raw],
+            "output": output,
+            "eliminated": [{"relation": list(z), "witness": list(w)} for z, w in eliminated],
+        }
 
 
 def unamalgamate(algebra: NakayamaAlgebra, leaf: int) -> UnamalgamationStep:
-    _check_leaf(algebra.n, leaf, resolution.targets(algebra.kupisch))
-    return _step(algebra, leaf, NakayamaAlgebra(_output_series(algebra.kupisch, leaf)))
+    c = algebra.kupisch
+    _check_leaf(algebra.n, leaf, resolution.targets(c))
+    return UnamalgamationStep(c, leaf, _output_series(c, leaf))
 
 
 def _check_leaf(n: int, leaf: int, targets) -> None:
@@ -193,12 +197,6 @@ def raw_words(c: tuple[int, ...], leaf: int, out: tuple[int, ...]) -> tuple[tupl
         for k, ci, after in zip(relabel_map(n, leaf), c, c[1:] + c[:1])
         if ci <= after
     ])
-
-
-def _step(algebra: NakayamaAlgebra, leaf: int, output: NakayamaAlgebra) -> UnamalgamationStep:
-    """The step at `leaf` whose output the caller has."""
-    raw = raw_words(algebra.kupisch, leaf, output.kupisch)
-    return UnamalgamationStep(input=algebra, leaf=leaf, raw_relations=raw, output=output)
 
 
 def _compared(c: tuple[int, ...], f: tuple[int, ...], record: AlgebraVerdict | None) -> tuple:
@@ -248,31 +246,21 @@ def _leaf_check(c: tuple[int, ...], f: tuple[int, ...], leaf: int, before: tuple
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """The flags of the leaf check at `leaf` of `input`, whose output has
-    the series `output_kupisch`.  Its JSON is rendered from the series and
-    the leaf (see `_step_dict`); the step itself is built when first read,
-    which only library code does."""
+    """The flags of the leaf check on `step`."""
 
-    input: NakayamaAlgebra
-    leaf: int
-    output_kupisch: tuple[int, ...]
+    step: UnamalgamationStep
     quiver_match: bool
     weight_match: bool
     betti_match: bool
     gldim_sandwich: bool
-
-    @cached_property
-    def step(self) -> UnamalgamationStep:
-        return _step(self.input, self.leaf, NakayamaAlgebra(self.output_kupisch))
 
     @property
     def all_ok(self) -> bool:
         return self.quiver_match and self.weight_match and self.betti_match and self.gldim_sandwich
 
     def to_dict(self) -> dict:
-        c, leaf, out = self.input.kupisch, self.leaf, self.output_kupisch
         return {
-            **_step_dict(len(c), leaf, raw_words(c, leaf, out), out),
+            **self.step.to_dict(),
             "checks": {
                 "quiver": self.quiver_match,
                 "weight": self.weight_match,
@@ -288,38 +276,33 @@ def check_properties(algebra: NakayamaAlgebra, leaf: int) -> PropertyReport:
     of the relation complex, and a global dimension within two.  Both sides'
     fields are computed (see `_compared`), the output's targets read off its
     Kupisch series.  The flags are those of `_leaf_check`, which `verify`
-    calls itself with its own record and a sweep's table; the report's
-    JSON builds no step."""
-    f = resolution.targets(algebra.kupisch)
+    calls itself with its own record and a sweep's table."""
+    c = algebra.kupisch
+    f = resolution.targets(c)
     _check_leaf(algebra.n, leaf, f)
-    out, *flags = _leaf_check(algebra.kupisch, f, leaf, _compared(algebra.kupisch, f, None), None)
-    return PropertyReport(algebra, leaf, out, *flags)
+    out, *flags = _leaf_check(c, f, leaf, _compared(c, f, None), None)
+    return PropertyReport(UnamalgamationStep(c, leaf, out), *flags)
 
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """A full reduction: the (series, leaf) pair of each step, in order,
-    and `last`, the algebra it stops at, leafless or a two-vertex algebra
-    with a leaf."""
+    """A full reduction: its steps, in order, each one's output series being
+    the next one's input series."""
 
     initial: NakayamaAlgebra
-    chain: tuple[tuple[tuple[int, ...], int], ...]
-    last: NakayamaAlgebra
+    steps: tuple[UnamalgamationStep, ...]
     terminal_kupisch: tuple[int, ...]
+
+    @property
+    def last(self) -> NakayamaAlgebra:
+        """The algebra the reduction stops at, leafless or a two-vertex
+        algebra with a leaf: the last step's output, or `initial`."""
+        return self.steps[-1].output if self.steps else self.initial
 
     @property
     def terminal(self) -> NakayamaAlgebra | None:
         """`last`, or None when it collapsed to one vertex."""
         return None if len(self.terminal_kupisch) == 1 else self.last
-
-    @cached_property
-    def steps(self) -> tuple[UnamalgamationStep, ...]:
-        """The steps, derived from the chain when first read, which
-        `to_dict` does not do: each step's input is the output of the one
-        before, and its output is the algebra of the next series, or
-        `last`."""
-        algebras = [self.initial, *(NakayamaAlgebra(c) for c, _ in self.chain[1:]), self.last]
-        return tuple(_step(a, leaf, out) for a, (_, leaf), out in zip(algebras, self.chain, algebras[1:]))
 
     @property
     def semisimple(self) -> bool:
@@ -327,12 +310,9 @@ class ReductionResult:
 
     def to_dict(self) -> dict:
         terminal = self.terminal
-        # each step's output is the next series of the chain, or `last`'s
-        outs = [*(c for c, _ in self.chain[1:]), self.last.kupisch]
-        steps = [_step_dict(len(c), leaf, raw_words(c, leaf, out), out) for (c, leaf), out in zip(self.chain, outs)]
         return {
             "initial": self.initial.to_dict(),
-            "steps": steps,
+            "steps": [step.to_dict() for step in self.steps],
             "terminal": None if terminal is None else terminal.to_dict(),
             "terminal_kupisch": list(self.terminal_kupisch),
             "semisimple": self.semisimple,
@@ -349,7 +329,7 @@ def reduce_fully(algebra: NakayamaAlgebra) -> ReductionResult:
     have the even lengths below c_v).  That last collapse is recorded via
     terminal_kupisch of length one, with terminal = None.
     """
-    c, chain = algebra.kupisch, []
+    c, steps = algebra.kupisch, []
     while True:
         n = len(c)
         targets = set(resolution.targets(c))
@@ -357,16 +337,12 @@ def reduce_fully(algebra: NakayamaAlgebra) -> ReductionResult:
         if not lvs or n == 2:
             break
         leaf = min(lvs)
-        chain.append((c, leaf))
-        c = _output_series(c, leaf)
+        out = _output_series(c, leaf)
+        steps.append(UnamalgamationStep(c, leaf, out))
+        c = out
     if lvs:  # two vertices and a leaf: collapse onto the node
         (node,) = targets
         terminal_kupisch = ((c[node - 1] + 1) // 2,)
     else:
         terminal_kupisch = c
-    return ReductionResult(
-        initial=algebra,
-        chain=tuple(chain),
-        last=NakayamaAlgebra(c) if chain else algebra,
-        terminal_kupisch=terminal_kupisch,
-    )
+    return ReductionResult(initial=algebra, steps=tuple(steps), terminal_kupisch=terminal_kupisch)

@@ -1,18 +1,19 @@
 """Hypothesis strategies shared by the property tests."""
 
-from hypothesis import assume
 from hypothesis import strategies as st
 
 
 @st.composite
 def kupisch_series(draw, min_n=2, max_n=6, min_c=1, max_c=6):
     """A valid Kupisch series: entries in [min_c, max_c] with the cyclic
-    constraint c_{i+1} >= c_i - 1."""
+    constraint c_{i+1} >= c_i - 1.  Each c_j, j >= 2, is drawn at most
+    c_1 + 1 + n - j, the bound `harness.kupisch_series` counts under: every
+    prefix then extends to a series by stepping down, so every draw wraps
+    (c_1 >= c_n - 1), and every series can still be drawn."""
     n = draw(st.integers(min_n, max_n))
     c = [draw(st.integers(min_c, max_c))]
-    for _ in range(n - 1):
-        c.append(draw(st.integers(max(min_c, c[-1] - 1), max_c)))
-    assume(c[0] >= c[-1] - 1)
+    for j in range(2, n + 1):
+        c.append(draw(st.integers(max(min_c, c[-1] - 1), min(max_c, c[0] + 1 + n - j))))
     return tuple(c)
 
 

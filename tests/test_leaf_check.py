@@ -20,7 +20,7 @@ import leaf_oracle
 from enumeration_oracle import least_rotation, rotations
 from strategies import kupisch_series
 import nakayama
-from nakayama import algebra_from_kupisch, harness, relation_complex, unamalgamation, validate
+from nakayama import NakayamaAlgebra, algebra_from_kupisch, harness, relation_complex, unamalgamation, validate
 from nakayama.harness import (
     AlgebraVerdict,
     SweepConfig,
@@ -32,7 +32,14 @@ from nakayama.harness import (
 )
 from nakayama.relation_complex import SimplicialComplex, build_complex, complex_from_interiors
 from nakayama.resolution import targets
-from nakayama.unamalgamation import PropertyReport, _compared, _leaf_check, check_properties, unamalgamate
+from nakayama.unamalgamation import (
+    PropertyReport,
+    UnamalgamationStep,
+    _compared,
+    _leaf_check,
+    check_properties,
+    unamalgamate,
+)
 
 
 def _leaves(algebra):
@@ -82,7 +89,8 @@ def test_check_properties_matches_the_oracle(monkeypatch, with_table):
         fields = _compared(c, f, None) if with_table else None
         for leaf in lvs:
             if with_table:
-                got = PropertyReport(algebra, leaf, *_leaf_check(c, f, leaf, fields, known))
+                out, *flags = _leaf_check(c, f, leaf, fields, known)
+                got = PropertyReport(UnamalgamationStep(c, leaf, out), *flags)
             else:
                 got = check_properties(algebra, leaf)
             want = leaf_oracle.check_properties(algebra, leaf, before, known)
@@ -161,14 +169,16 @@ def test_weights_compare_as_multisets():
 def _raw(step):
     """A step's series, leaf and raw words, the first three arguments of
     the certificate and of its oracle."""
-    return step.input.kupisch, step.leaf, step.raw_relations
+    return step.kupisch, step.leaf, step.raw_relations
 
 
-def _certified(step, cx):
-    """The certificate on `step` and `cx`, given the indices of the input's
-    relations of length <= n, read off its `Relation`s."""
-    a = step.input
-    return raw_complex_matches(*_raw(step), cx, [i for i, r in enumerate(a.relations) if r.length <= a.n])
+def _certified(raw, cx):
+    """The certificate on `raw`, a series, a leaf and raw words, and `cx`,
+    given the indices of the series' relations of length <= n, read off
+    its `Relation`s."""
+    c = raw[0]
+    vertices = [i for i, r in enumerate(NakayamaAlgebra(c).relations) if r.length <= len(c)]
+    return raw_complex_matches(*raw, cx, vertices)
 
 
 def test_raw_complex_certificate_matches_the_oracle():
@@ -177,10 +187,8 @@ def test_raw_complex_certificate_matches_the_oracle():
     for algebra in enumerate_kupisch(SweepConfig(n_min=3, n_max=6, c_max=7)):
         cx = build_complex(algebra)
         for leaf in _leaves(algebra):
-            step = unamalgamate(algebra, leaf)
-            assert _certified(step, cx) == leaf_oracle.raw_complex_matches(*_raw(step), cx), (
-                algebra.kupisch, leaf
-            )
+            raw = _raw(unamalgamate(algebra, leaf))
+            assert _certified(raw, cx) == leaf_oracle.raw_complex_matches(*raw, cx), (algebra.kupisch, leaf)
             steps += 1
     assert steps == 7128
 
@@ -191,16 +199,17 @@ def test_raw_complex_certificate_matches_the_oracle_up_to_n10(c):
     algebra = algebra_from_kupisch(c)
     cx = build_complex(algebra)
     for leaf in _leaves(algebra):
-        step = unamalgamate(algebra, leaf)
-        assert _certified(step, cx) == leaf_oracle.raw_complex_matches(*_raw(step), cx), leaf
+        raw = _raw(unamalgamate(algebra, leaf))
+        assert _certified(raw, cx) == leaf_oracle.raw_complex_matches(*raw, cx), leaf
 
 
-def _with_raw_word(step, k, word):
-    """`step` with its k-th raw word replaced by `word`, a (start, length)
-    pair."""
-    raw = list(step.raw_relations)
-    raw[k] = word
-    return replace(step, raw_relations=tuple(raw))
+def _with_raw_word(raw, k, word):
+    """`raw`, a series, a leaf and raw words, with the k-th raw word
+    replaced by `word`, a (start, length) pair."""
+    c, leaf, words = raw
+    words = list(words)
+    words[k] = word
+    return c, leaf, tuple(words)
 
 
 def test_raw_complex_certificate_implies_the_oracle_on_perturbed_steps():
@@ -213,13 +222,13 @@ def test_raw_complex_certificate_implies_the_oracle_on_perturbed_steps():
         cx = build_complex(algebra)
         m = algebra.n - 1
         for leaf in _leaves(algebra):
-            step = unamalgamate(algebra, leaf)
-            for k in range(len(step.raw_relations)):
+            raw = _raw(unamalgamate(algebra, leaf))
+            for k in range(len(raw[2])):
                 for start in range(1, m + 1):
                     for length in range(1, m + 3):
-                        perturbed = _with_raw_word(step, k, (start, length))
+                        perturbed = _with_raw_word(raw, k, (start, length))
                         got = _certified(perturbed, cx)
-                        want = leaf_oracle.raw_complex_matches(*_raw(perturbed), cx)
+                        want = leaf_oracle.raw_complex_matches(*perturbed, cx)
                         assert want or not got, (algebra.kupisch, leaf, k, start, length)
                         answers.add((got, want))
     assert answers == {(True, True), (False, True), (False, False)}
@@ -231,25 +240,25 @@ def _lambda2_leaf5():
     {5, 1} and {1, 2}; the raw words (1, 3), (2, 3), (4, 2), (4, 3) on the
     4-cycle have the interiors {2, 3}, {3, 4}, {1} and {1, 2}."""
     algebra = validate(5, [(1, 3), (2, 4), (4, 3), (5, 3)])
-    return unamalgamate(algebra, 5), build_complex(algebra)
+    return _raw(unamalgamate(algebra, 5)), build_complex(algebra)
 
 
 def test_raw_complex_certificate_refuses_an_index_mismatch():
     """(4, 5) is longer than the 4-cycle, so relation 2 is a vertex of L
     but not of the raw complex."""
-    step, cx = _lambda2_leaf5()
-    assert _certified(step, cx)
-    step = _with_raw_word(step, 2, (4, 5))
-    assert not _certified(step, cx)
-    assert not leaf_oracle.raw_complex_matches(*_raw(step), cx)
+    raw, cx = _lambda2_leaf5()
+    assert _certified(raw, cx)
+    raw = _with_raw_word(raw, 2, (4, 5))
+    assert not _certified(raw, cx)
+    assert not leaf_oracle.raw_complex_matches(*raw, cx)
 
 
 def test_raw_complex_certificate_refuses_an_interior_mismatch():
     """(3, 2) has the interior {4}, where {5, 1} without vertex 5 is {1}."""
-    step, cx = _lambda2_leaf5()
-    step = _with_raw_word(step, 2, (3, 2))
-    assert not _certified(step, cx)
-    assert not leaf_oracle.raw_complex_matches(*_raw(step), cx)
+    raw, cx = _lambda2_leaf5()
+    raw = _with_raw_word(raw, 2, (3, 2))
+    assert not _certified(raw, cx)
+    assert not leaf_oracle.raw_complex_matches(*raw, cx)
 
 
 def test_raw_complex_certificate_refuses_a_simplex_covering_all_but_the_leaf():
@@ -258,11 +267,11 @@ def test_raw_complex_certificate_refuses_a_simplex_covering_all_but_the_leaf():
     holds the leaf and together they cover 1..4.  So all four vertices span
     a simplex of this complex (no set covers vertex 5) but not of the raw
     complex, whose interiors cover the 4-cycle."""
-    step, cx = _lambda2_leaf5()
+    raw, cx = _lambda2_leaf5()
     planted = complex_from_interiors(5, [mask & ~(1 << 4) for mask in cx.masks])
     assert [len(level) for level in planted.simplices] == [4, 6, 4, 1]
-    assert not _certified(step, planted)
-    assert not leaf_oracle.raw_complex_matches(*_raw(step), planted)
+    assert not _certified(raw, planted)
+    assert not leaf_oracle.raw_complex_matches(*raw, planted)
 
 
 def test_verify_lists_no_raw_complex_and_no_simplex_tuple(monkeypatch):
@@ -313,14 +322,15 @@ def test_sweep_leaf_checks_build_no_step_report_or_word(monkeypatch):
     assert words == 0
 
 
-def test_check_properties_builds_its_step_when_read(lambda2, monkeypatch):
-    """The report's flags and its JSON need no step; `.step` builds it
-    once, and it prints the same JSON."""
-    real, built = unamalgamation.UnamalgamationStep, []
-    monkeypatch.setattr(unamalgamation, "UnamalgamationStep", lambda **kw: built.append(kw) or real(**kw))
+def test_check_properties_holds_the_step_unamalgamate_returns(lambda2):
+    """The report's step is the step `unamalgamate` returns, at every leaf
+    of every algebra at n <= 6, c <= 6, and the report prints its JSON with
+    the checks."""
     report = check_properties(lambda2, 5)
-    assert report.all_ok and built == []
+    assert report.all_ok
     got = report.to_dict()
-    assert got["raw_relations"] == [[1, 3], [2, 3], [4, 2], [4, 3]] and built == []
-    assert report.step is report.step and len(built) == 1
+    assert got["raw_relations"] == [[1, 3], [2, 3], [4, 2], [4, 3]]
     assert {**report.step.to_dict(), "checks": got["checks"]} == got
+    for algebra in enumerate_kupisch(SweepConfig(n_min=3, n_max=6, c_max=6)):
+        for leaf in _leaves(algebra):
+            assert check_properties(algebra, leaf).step == unamalgamate(algebra, leaf), (algebra.kupisch, leaf)

@@ -250,15 +250,15 @@ def test_reduction_goes_on_from_the_step_at_the_least_leaf():
 ALL_TO_7 = SweepConfig(n_min=2, n_max=7, c_max=8)
 
 
-def test_semisimple_builds_no_step_and_no_word(monkeypatch):
+def test_semisimple_builds_no_word(monkeypatch):
     """`reduce_fully(a).semisimple`, all that Bprime reads, walks the
-    Kupisch series alone: no `UnamalgamationStep` and no `Relation` is
-    built, on every algebra at n <= 7, c <= 8."""
+    Kupisch series alone: no raw word is read and no `Relation` is built,
+    on every algebra at n <= 7, c <= 8."""
     def unbuilt(*args, **kwargs):
-        raise AssertionError("reduce_fully built a step or a word")
+        raise AssertionError("reduce_fully built a word")
 
     series = [a.kupisch for a in enumerate_kupisch(ALL_TO_7)]
-    monkeypatch.setattr(nakayama.unamalgamation, "UnamalgamationStep", unbuilt)
+    monkeypatch.setattr(nakayama.unamalgamation, "raw_words", unbuilt)
     monkeypatch.setattr(nakayama.unamalgamation, "Relation", unbuilt, raising=False)
     monkeypatch.setattr(nakayama.algebra, "Relation", unbuilt)
     semisimple = sum(reduce_fully(NakayamaAlgebra(c)).semisimple for c in series)
@@ -266,18 +266,23 @@ def test_semisimple_builds_no_step_and_no_word(monkeypatch):
 
 
 def test_reduction_json_is_the_word_paths():
-    """The JSON `reduce_fully` renders from its chain of series, raw words
-    and eliminated words included, is the word path's reduction, on every
-    algebra at n <= 7, c <= 8, and builds no step.  The steps it derives
-    from the chain when they are first read print the same; reading them
-    twice gives the same steps, and they are built only once."""
+    """The JSON of `reduce_fully`, raw words and eliminated words included,
+    is the word path's reduction, on every algebra at n <= 7, c <= 8.  Its
+    first step is the step `unamalgamate` returns at the least leaf, each
+    step's output series is the next step's input series, and `last` is
+    the last step's output, or the initial algebra when there is no step."""
     for algebra in enumerate_kupisch(ALL_TO_7):
         result = reduce_fully(algebra)
         got = result.to_dict()
         assert got == reduction_dict(algebra), algebra.kupisch
-        assert "steps" not in vars(result)
-        assert [step.to_dict() for step in result.steps] == got["steps"]
-        assert result.steps is result.steps
+        steps = result.steps
+        assert [step.to_dict() for step in steps] == got["steps"]
+        if steps:
+            assert steps[0] == unamalgamate(algebra, min(leaves(build(algebra)))), algebra.kupisch
+            assert all(step.output_kupisch == after.kupisch for step, after in zip(steps, steps[1:]))
+            assert result.last.kupisch == steps[-1].output_kupisch, algebra.kupisch
+        else:
+            assert result.last is algebra
 
 
 @settings(max_examples=300, deadline=None)
