@@ -101,14 +101,14 @@ def _critical_cells(c: Sequence[int]) -> list[dict[int, tuple[int, ...]]]:
     last station w only to an x <= min(n, w + c_w - 1) that the path from w
     reaches and with wrap_bound[x] <= w_1.  Extending a level in
     lexicographic order, in order, lists the next one in lexicographic
-    order.
+    order.  The walk stops at the first degree with no tuple to extend.
     """
     n, wrap_bound = len(c), _wrap_bounds(c)
     # the stations the path from w reaches are w + 1, ..., ends[w] - 1
     ends = [0] + [min(n, w + c[w - 1] - 1) + 1 for w in range(1, n + 1)]
     levels = [{2: (1,)} if 1 < wrap_bound[1] else {}]
     walked = [((1, x), 2 | 1 << x) for x in range(2, ends[1]) if wrap_bound[x] <= x]
-    for _ in range(1, n):
+    while walked:
         levels.append({bits: tup for tup, bits in walked if 1 < wrap_bound[tup[-1]]})
         walked = [
             (tup + (x,), bits | 1 << x)
@@ -116,7 +116,9 @@ def _critical_cells(c: Sequence[int]) -> list[dict[int, tuple[int, ...]]]:
             for x in range(tup[-1] + 1, ends[tup[-1]])
             if wrap_bound[x] <= tup[1]
         ]
-    return levels
+    # a tuple has at most n stations, so the walk ends by degree n - 1;
+    # every degree after it has no cell
+    return levels + [{} for _ in range(n - len(levels))]
 
 
 def _cell_counts(c: Sequence[int]) -> tuple[int, ...]:

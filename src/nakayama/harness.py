@@ -35,15 +35,23 @@ its series to appear; every other row finds its class in one lookup.
 `sweep` runs `verify` once per class, on the least rotation, and gives
 that verdict to the rows of the other rotations with their own algebra
 swapped in, and `to_csv` formats the columns after the series once per
-distinct verdict.  A verdict is the one record kept per algebra: the
-invariants, the checks, and what Bprime's reduction found.  The sweep
-keeps the verdicts of the level below for the leaf checks and Bprime,
-each class's verdict keyed by every series of the class, so that a step's
-output finds its record in one probe by its own series; with several
-worker processes, each level's classes are split between them and every
-worker gets that table.  A level past MAX_SUBSETS, where `verify` refuses
-every algebra, is its first series alone, taken in closed form, and the
-sweep stops at the first such level.
+distinct verdict.  The opposite algebra A^op of a Nakayama algebra A is
+again one, and the two share every invariant that reads no vertex label:
+the relation complex, HC and the cell counts, and gldim.  So the walk
+also pairs each class with its mirror class, that of A^op, and of a pair
+of distinct classes only the one that comes first computes those
+invariants; the later one takes them, as the same objects, and computes
+what depends on the labels (the weights, the leaves, the leaf checks,
+Bprime and the named checks) itself.  A verdict is the one record kept
+per algebra: the invariants, the checks, and what Bprime's reduction
+found.  The sweep keeps the verdicts of the level below for the leaf
+checks and Bprime, each class's verdict keyed by every series of the
+class, so that a step's output finds its record in one probe by its own
+series; with several worker processes, each level's classes are split
+between them, the two classes of a mirror pair to one worker, and every
+worker gets that table.  A level past MAX_SUBSETS, where `verify`
+refuses every algebra, is its first series alone, taken in closed form,
+and the sweep stops at the first such level.
 """
 
 from __future__ import annotations
@@ -232,7 +240,9 @@ class AlgebraVerdict:
 
 # What a sweep keeps of the level below: every enumerated Kupisch series of
 # a verified rotation class maps to that class's verdict, the verdict of its
-# least rotation, so the rows of one class share one record.
+# least rotation, so the rows of one class share one record.  While a level
+# is verified, the least rotation of the later class of each mirror pair
+# maps to the verdict of the earlier class (see `_verify_classes`).
 Table = dict[tuple[int, ...], AlgebraVerdict]
 
 
@@ -245,28 +255,37 @@ def verify(
     checks plus all structural self-checks.  Failures become entries in the
     verdict, never exceptions.  `known` is a sweep's table of the algebras
     verified before; the leaf checks and `Bprime` look the smaller algebras
-    up there instead of rebuilding and reducing them.  The relations are
-    read as (start, length) pairs off the series, and no `Relation` is
-    built."""
-    cx = relation_complex.build_complex(algebra)
-    # before the other invariants, so that a cyclic complex past MAX_SUBSETS is refused at once
-    hc_dims = cyclic.hc_dimensions(algebra)
+    up there instead of rebuilding and reducing them, and when it holds the
+    algebra's own series, the verdict there is that of its mirror class,
+    whose label-free fields (see `_label_free`) are taken as the same
+    objects.  The relations are read as (start, length) pairs off the
+    series, and no `Relation` is built."""
     c = algebra.kupisch
+    mirror = known.get(c) if known else None
+    cx = relation_complex.build_complex(algebra)
+    if mirror is None:
+        shared = _label_free(algebra, cx)
+    else:
+        shared = (
+            mirror.f_vector, mirror.betti, mirror.gldim, mirror.hc_dims, mirror.basis_sizes,
+            mirror.checks["EulerPoincare"], mirror.checks["BoundarySquare"],
+        )
+    f_vector, betti, gldim, hc_dims, basis_sizes, euler_ok, boundary_ok = shared
     n, pairs, f = len(c), relation_pairs(c), resolution.targets(c)
     verdict = AlgebraVerdict(
         algebra=algebra,
         weights=resolution.weights(c, f),
-        f_vector=cx.f_vector,
-        betti=relation_complex.reduced_betti(cx),
-        gldim=global_dimension(algebra),
+        f_vector=f_vector,
+        betti=betti,
+        gldim=gldim,
         hc_dims=hc_dims,
-        basis_sizes=cyclic.basis_sizes(algebra),
+        basis_sizes=basis_sizes,
     )
     # seed the cached `targets`; a rotated verdict, a new instance, derives its own
     verdict.__dict__["targets"] = f
     results = verdict.checks
-    weights, chi, betti, lvs = verdict.weights, verdict.chi, verdict.betti, verdict.leaves
-    finite = verdict.gldim.is_finite
+    weights, chi, lvs = verdict.weights, verdict.chi, verdict.leaves
+    finite = gldim.is_finite
 
     # the leaf checks run first, so that Bprime can go on from the output of
     # the step at the least leaf, the first step of the full reduction.
@@ -295,13 +314,13 @@ def verify(
     if "SameWeight" in checks:
         results["SameWeight"] = len(set(weights)) == 1
     if "HCvsBetti" in checks:
-        expected = [1 if verdict.complex_empty else 0] + [
+        expected = [1 if not f_vector else 0] + [
             betti[p - 1] if p - 1 < len(betti) else 0 for p in range(1, n)
         ]
-        results["HCvsBetti"] = list(verdict.hc_dims) == expected
+        results["HCvsBetti"] = list(hc_dims) == expected
     if "Bprime" in checks:
         if finite:
-            acyclic = not any(betti) and not verdict.complex_empty
+            acyclic = not any(betti) and bool(f_vector)
             if acyclic:
                 verdict.semisimple = _reduces_to_semisimple(algebra, first_out, known)
             results["Bprime"] = acyclic and verdict.semisimple
@@ -311,16 +330,31 @@ def verify(
         results["UnamalgamationProps"] = props_ok
 
     results["RoundTrip"] = kupisch_from_relations(n, pairs) == c
-    if verdict.complex_empty:
-        euler_ok = chi == 0
-    else:
-        euler_ok = chi == 1 + linalg.alternating_sum(betti)
-    results["EulerPoincare"] = euler_ok and relation_complex.cone_factorization_holds(cx)
-    results["BoundarySquare"] = relation_complex.boundary_squares_to_zero(cx)
+    results["EulerPoincare"] = euler_ok
+    results["BoundarySquare"] = boundary_ok
     results["CyclicSquare"] = cyclic.differential_squares_to_zero(algebra)
-    results["HCEulerIdentity"] = verdict.hc_euler == 1 - chi == linalg.alternating_sum(verdict.basis_sizes)
+    results["HCEulerIdentity"] = verdict.hc_euler == 1 - chi == linalg.alternating_sum(basis_sizes)
     results["NodesEqualRelations"] = n - len(lvs) == len(pairs)
     return verdict
+
+
+def _label_free(algebra: NakayamaAlgebra, cx: relation_complex.SimplicialComplex) -> tuple:
+    """The part of `verify` that reads no vertex label, and so is the same
+    on the opposite algebra A^op: (f_vector, betti, gldim, hc_dims,
+    basis_sizes, EulerPoincare, BoundarySquare).  The relation complex of
+    A^op is that of A with every arc reversed, its cyclic complex has the
+    stations read in reverse, and left and right global dimension agree
+    (Auslander, Nagoya Math. J. 9, 1955)."""
+    # before the other invariants, so that a cyclic complex past MAX_SUBSETS is refused at once
+    hc_dims = cyclic.hc_dimensions(algebra)
+    f_vector, betti = cx.f_vector, relation_complex.reduced_betti(cx)
+    chi = linalg.alternating_sum(f_vector)
+    euler_ok = chi == 1 + linalg.alternating_sum(betti) if f_vector else chi == 0
+    return (
+        f_vector, betti, global_dimension(algebra), hc_dims, cyclic.basis_sizes(algebra),
+        euler_ok and relation_complex.cone_factorization_holds(cx),
+        relation_complex.boundary_squares_to_zero(cx),
+    )
 
 
 def _reduces_to_semisimple(
@@ -447,9 +481,35 @@ class TheoremReport:
         }
 
 
+def _mirror(c: tuple[int, ...]) -> tuple[int, ...]:
+    """The Kupisch series of the opposite algebra A^op of the algebra A
+    with series c, its cycle relabelled i -> n + 1 - i, so that a relation
+    (s, L) of A becomes (n - s - L + 1 mod n, L).
+
+    Entry j is the length of A's injective at i = n + 1 - j, the uniserial
+    module with socle S_i: max{k >= 1 : c_{i-k+1} >= k}, as P_t reaches
+    i iff t + c_t > i, for t <= i.  t + c_t does not decrease in t, since
+    c_{t+1} >= c_t - 1, so neither does the least t with t + c_t > i as i
+    grows, and one pointer walks it: the length is i + 1 - t.  O(n + max(c))."""
+    n = len(c)
+    t = 1  # walked down to the least t with t + c_t > 1
+    while t - 1 + c[(t - 2) % n] > 1:
+        t -= 1
+    lengths = []
+    for i in range(1, n + 1):
+        while t + c[(t - 1) % n] <= i:
+            t += 1
+        lengths.append(i + 1 - t)
+    lengths.reverse()
+    return tuple(lengths)
+
+
 def _levels(config: SweepConfig):
     """The enumerated algebras one nonempty level (one n) at a time, each
-    with its class key, the least rotation of its series.
+    with its class key, the least rotation of its series, and the mirror
+    pairs of the level: a dict from the key of each class whose mirror
+    class, that of the opposite algebra (see `_mirror`), comes later in
+    the level to that class's key.
 
     A level walks `kupisch_series` once.  The series come in lexicographic
     order, so the first series of a rotation class to appear is its least
@@ -457,6 +517,13 @@ def _levels(config: SweepConfig):
     rotations is mapped to it, or to None when the class is filtered out.
     Every later series of the class takes its key from that map and leaves
     it, so the map holds only the rotations still to come.
+
+    At a class's least rotation c0 its mirror's series is read off c0 and
+    rotated to start at its largest entry, max(c0).  Unless c0 is
+    constant, and so its own mirror, that rotation r is above c0, whose
+    first entry is its least.  So r is still to come: it is in the map iff
+    its class came earlier, and the map gives that class's key.  Mirror
+    classes share the class filter, as A^op kills as many arrows as A.
 
     Past MAX_SUBSETS station subsets `verify` refuses every algebra, so
     the first level past it is its first algebra alone, the least of the
@@ -471,6 +538,7 @@ def _levels(config: SweepConfig):
     `check_vertices`, as `validate` refuses it, before its series is
     built."""
     for n in range(config.n_min, config.n_max + 1):
+        mirrors: dict[tuple[int, ...], tuple[int, ...]] = {}
         if 2 ** n - 1 <= MAX_SUBSETS:
             level, keys = [], []
             key_of: dict[tuple[int, ...], tuple[int, ...] | None] = {}
@@ -479,6 +547,12 @@ def _levels(config: SweepConfig):
                     c0 = key_of.pop(c)
                 else:
                     c0 = c if AlgebraClass.of(c) in config.classes else None
+                    if c0 is not None:
+                        m = _mirror(c)
+                        top = m.index(max(m))
+                        earlier = key_of.get(m[top:] + m[:top])
+                        if earlier is not None:
+                            mirrors[earlier] = c
                     for k in range(1, n):
                         key_of[c[k:] + c[:k]] = c0
                     key_of.pop(c, None)  # a periodic c is one of its own rotations
@@ -495,33 +569,62 @@ def _levels(config: SweepConfig):
             # the least series of its class is the least of its rotations
             keys = [a.kupisch for a in level]
         if level:
-            yield level, keys
+            yield level, keys, mirrors
         if 2 ** n - 1 > MAX_SUBSETS:
             return
 
 
 def _verify_classes(
-    algebras: list[NakayamaAlgebra], checks: tuple[str, ...], known: Table
+    algebras: list[NakayamaAlgebra],
+    mirrors: dict[tuple[int, ...], tuple[int, ...]],
+    checks: tuple[str, ...],
+    known: Table,
 ) -> list[AlgebraVerdict]:
-    return [verify(algebra, checks, known) for algebra in algebras]
+    """The verdicts of a level's classes, in order.  Once the verdict of a
+    class that `mirrors` pairs with a later one is made, it goes into
+    `known` under that class's series, where `verify` finds it."""
+    verdicts = []
+    for algebra in algebras:
+        verdict = verify(algebra, checks, known)
+        later = mirrors.get(algebra.kupisch)
+        if later is not None:
+            known[later] = verdict
+        verdicts.append(verdict)
+    return verdicts
 
 
-def _start_level(pool, workers, algebras, checks, known) -> Callable[[], list[AlgebraVerdict]]:
+def _start_level(
+    pool, workers, algebras, mirrors, checks, known
+) -> Callable[[], list[AlgebraVerdict]]:
     """Start verifying one level's classes; the returned function waits for
-    their verdicts, in order.  With a pool, worker i takes every
-    `workers`-th algebra from the i-th on, and every worker gets the table
-    of the level below."""
+    their verdicts, in order.  With a pool, the classes are dealt to the
+    workers in turn, but the later class of a mirror pair goes to the worker
+    of the earlier one, so that it can take its fields; every worker gets
+    the table of the level below."""
     if pool is None or len(algebras) < 2 * workers:
-        verdicts = _verify_classes(algebras, checks, known)
+        verdicts = _verify_classes(algebras, mirrors, checks, known)
         return lambda: verdicts
-    shares = [algebras[i::workers] for i in range(workers)]
-    parts = pool.map(_verify_classes, shares, [checks] * workers, [known] * workers)
+    shares = [[] for _ in range(workers)]
+    paired = [{} for _ in range(workers)]
+    share_of: dict[tuple[int, ...], int] = {}
+    owners, dealt = [], 0
+    for algebra in algebras:
+        c = algebra.kupisch
+        i = share_of.pop(c, None)
+        if i is None:
+            i, dealt = dealt % workers, dealt + 1
+        later = mirrors.get(c)
+        if later is not None:
+            share_of[later] = i
+            paired[i][c] = later
+        shares[i].append(algebra)
+        owners.append(i)
+    parts = pool.map(_verify_classes, shares, paired, [checks] * workers, [known] * workers)
 
     def collect() -> list[AlgebraVerdict]:
-        verdicts: list[AlgebraVerdict] = [None] * len(algebras)
-        for i, part in enumerate(parts):
-            verdicts[i::workers] = part
-        return verdicts
+        # each share keeps the level's order
+        returned = [iter(part) for part in parts]
+        return [next(returned[i]) for i in owners]
 
     return collect
 
@@ -533,22 +636,24 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
     Only the least rotation of each Kupisch series is verified: the other
     rows of its rotation class find it by the class key `_levels` gives
     them and get its verdict, with their algebra swapped in (see
-    `AlgebraVerdict.rotate`).  The levels (one n each) run in order, and
-    each level's classes are verified with the table of the level below,
-    where the leaf checks find the smaller algebras by their series: each
-    row of a class is a key, and the rows of one class share its verdict.
-    On `workers` processes, each level's classes are split between them,
-    and the next level is enumerated while they work."""
+    `AlgebraVerdict.rotate`).  A class whose mirror class came earlier in
+    the level takes that verdict's label-free fields.  The levels (one n
+    each) run in order, and each level's classes are verified with the
+    table of the level below, where the leaf checks find the smaller
+    algebras by their series: each row of a class is a key, and the rows
+    of one class share its verdict.  On `workers` processes, each level's
+    classes are split between them, and the next level is enumerated while
+    they work."""
     verdicts: list[AlgebraVerdict] = []
     known: Table = {}
     levels = _levels(config)
     spawn = get_context("spawn")
     with (ProcessPoolExecutor(workers, mp_context=spawn) if workers > 1 else nullcontext()) as pool:
-        level, keys = next(levels, ([], []))
+        level, keys, mirrors = next(levels, ([], [], {}))
         while level:
             classes = [a for a, c0 in zip(level, keys) if a.kupisch == c0]
-            collect = _start_level(pool, workers, classes, config.checks, known)
-            upcoming = next(levels, ([], []))
+            collect = _start_level(pool, workers, classes, mirrors, config.checks, known)
+            upcoming = next(levels, ([], [], {}))
             by_class = {a.kupisch: v for a, v in zip(classes, collect())}
             # a class is enumerated first at its least rotation, so every
             # row finds its class verified
@@ -557,7 +662,7 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
                 for a, c0 in zip(level, keys)
             )
             known = {a.kupisch: by_class[c0] for a, c0 in zip(level, keys)}
-            level, keys = upcoming
+            level, keys, mirrors = upcoming
     return TheoremReport(config=config, verdicts=verdicts)
 
 
@@ -584,15 +689,17 @@ def to_csv(report: TheoremReport) -> str:
 
     Every column after `kupisch` depends only on gldim, the weights, the
     f-vector (through chi), the reduced Betti numbers, `hc_dims` and the
-    checks, which the rows of a rotation class share but for the order of
-    several distinct weights.  So that text is formatted once for each
-    distinct set of those values, keyed by the values themselves, and each
+    names of the failed checks, in order, which the rows of a rotation
+    class share but for the order of several distinct weights.  So that
+    text is formatted once for each distinct set of those values, keyed by
+    the values themselves (no name, (), when every check passes), and each
     row is `n,kupisch,` followed by it.  No field needs CSV quoting: each
     is a number, numbers joined by spaces or `|`, or check names."""
     tails: dict[tuple, str] = {}
     lines = [",".join(CSV_COLUMNS)]
     for v in report.verdicts:
-        key = (v.gldim.value, v.weights, v.f_vector, v.betti, v.hc_dims, tuple(v.checks.items()))
+        failed = () if all(v.checks.values()) else tuple(v.failed)
+        key = (v.gldim.value, v.weights, v.f_vector, v.betti, v.hc_dims, failed)
         tail = tails.get(key)
         if tail is None:
             tail = tails[key] = _csv_tail(v)

@@ -5,7 +5,8 @@ in `nakayama.relation_complex`, for the Kupisch recurrence of
 global dimension, for the odometer of `nakayama.harness.kupisch_series`
 and the rotation-class keys of the sweep, and for the shift-and-fold arc
 rule of `nakayama.relation_complex.interior` and the relation complex's
-vertices, which `build_complex` reads off the Kupisch series.
+vertices, which `build_complex` reads off the Kupisch series, and for the
+Kupisch series of the opposite algebra that a sweep pairs classes by.
 The cells come from scanning every subset with `itertools.combinations`;
 the cyclic differential composes adjacent gaps and rotates the wrap face
 back into canonical form.  The Kupisch series is a minimum over all
@@ -228,6 +229,20 @@ def least_rotation(c):
     n = len(c)
     twice = c + c
     return min(twice[j:j + n] for j in range(n))
+
+
+def opposite_kupisch(c):
+    """The Kupisch series of the opposite algebra, its cycle relabelled
+    i -> n + 1 - i, by the word rule.  The path of length c_i from i is
+    zero for every i, and these paths span the relations.  In the opposite
+    algebra the arrow x_i, i -> i + 1, runs from i + 1 to i, and so from
+    n - i to n + 1 - i after relabelling: it is the arrow x_{n-i}.  So the
+    path x_s ... x_{s+L-1} becomes the path of L arrows from arrow
+    n - s - L + 1 (mod n), and the series is read off those words by
+    `kupisch_from_relations` above."""
+    n = len(c)
+    words = [Relation(mod1(n - s - length + 1, n), length) for s, length in enumerate(c, 1)]
+    return kupisch_from_relations(n, words)
 
 
 def rotations(c):

@@ -13,6 +13,7 @@ from nakayama import (
     AlgebraClass,
     TooLargeError,
     algebra_from_kupisch,
+    cyclic,
     harness,
     radical_power_algebra,
     resolution,
@@ -102,7 +103,7 @@ def test_a_level_past_max_subsets_is_its_least_series_in_closed_form(monkeypatch
     monkeypatch.setattr(harness, "MAX_SUBSETS", 1)
     monkeypatch.setattr(harness, "kupisch_series", None)  # not walked at all
     for config, first in zip(configs, walked):
-        assert [a.kupisch for level, _ in harness._levels(config) for a in level] == first, config
+        assert [a.kupisch for level, _, _ in harness._levels(config) for a in level] == first, config
 
 
 def test_levels_stop_at_the_first_level_past_max_subsets(monkeypatch):
@@ -112,7 +113,7 @@ def test_levels_stop_at_the_first_level_past_max_subsets(monkeypatch):
     n_max is far beyond what a walk of every level could reach; the
     classified series stand in for the levels examined."""
     config = SweepConfig(n_min=17, n_max=10**18, c_max=1)
-    assert [[a.kupisch for a in level] for level, _ in islice(harness._levels(config), 2)] == [[(1,) * 17]]
+    assert [[a.kupisch for a in level] for level, _, _ in islice(harness._levels(config), 2)] == [[(1,) * 17]]
     classify = AlgebraClass.of
     examined = []
 
@@ -144,19 +145,24 @@ def test_level_keys_are_the_least_rotations(monkeypatch, classes):
     """A level's rows are the enumerated algebras of the requested classes,
     and the class key each row reads off the level's map is the least
     rotation of its series, at n <= 7, c <= 8.  Each rotation class is
-    classified once, requested or not."""
+    classified once, requested or not.  Each class whose mirror class, that
+    of the opposite algebra by the oracle's word rule, has a larger key is
+    paired with that key, and no other class is paired."""
     config = SweepConfig(n_min=2, n_max=7, c_max=8, classes=classes)
     classify = AlgebraClass.of
     classified = []
     monkeypatch.setattr(AlgebraClass, "of", staticmethod(lambda c: classified.append(c) or classify(c)))
-    rows, keys = [], []
-    for level, level_keys in harness._levels(config):
+    rows, keys, mirrors = [], [], {}
+    for level, level_keys, level_mirrors in harness._levels(config):
         assert len(level) == len(level_keys)
         rows += [a.kupisch for a in level]
         keys += level_keys
+        mirrors |= level_mirrors
     monkeypatch.undo()
     assert rows == [a.kupisch for a in enumerate_kupisch(config)]
     assert keys == [least_rotation(c) for c in rows]
+    expected = {c0: least_rotation(enumeration_oracle.opposite_kupisch(c0)) for c0 in set(keys)}
+    assert mirrors == {m0: c0 for c0, m0 in expected.items() if m0 < c0}
     every = [c for n in range(2, 8) for c in kupisch_series(n, 8)]
     assert classified == [c for c in every if least_rotation(c) == c]
 
@@ -468,6 +474,33 @@ def test_csv_rows_keep_their_own_weight_order():
     assert [row.split(",")[4] for row in rows] == ["1|2", "2|1", "1|2", "2|1|2", "2|2|1"]
 
 
+def test_csv_rows_keep_their_own_failed_checks():
+    """The failed check names are part of the key under which `to_csv`
+    formats a row's tail once, so planted verdicts that differ only in
+    which checks fail, or in the order they fail in, each print their
+    own."""
+    v = verify(algebra_from_kupisch((3, 3, 4, 3)))
+
+    def planted(checks):
+        return replace(v, checks=checks)
+
+    verdicts = [
+        planted(checks)
+        for checks in [
+            {"A": True, "B": True},
+            {"A": False, "B": True},
+            {"A": True, "B": False},
+            {"A": False, "B": False},
+            {"B": False, "A": False},
+            {"B": True, "A": True},
+            {"A": True},
+        ]
+    ]
+    rows = to_csv(TheoremReport(SweepConfig(), verdicts)).splitlines()[1:]
+    assert rows == [_csv_row(p) for p in verdicts]
+    assert [row.split(",")[-1] for row in rows] == ["ok", "A", "B", "A;B", "B;A", "ok", "ok"]
+
+
 def test_sweep_derives_relations_only_for_the_classes_it_verifies():
     """A row that is not the least rotation of its series gets its class's
     verdict without deriving its relations.  When a writer reads them, they
@@ -531,3 +564,63 @@ def test_rotation_leaves_every_invariant_and_check_unchanged(c, k):
     assert a.hc_dims == b.hc_dims
     assert a.basis_sizes == b.basis_sizes
     assert a.checks == b.checks
+
+
+def test_verify_agrees_on_each_algebra_and_its_opposite():
+    """Full `verify`, with no table, on the least rotation of every class
+    at n <= 7, c <= 8 and on its opposite algebra agrees on every field a
+    sweep shares between mirror classes, on the sorted weights, and on the
+    checks whose inputs those are."""
+    shared = ("f_vector", "betti", "hc_dims", "basis_sizes", "gldim")
+    checked = 0
+    for n in range(2, 8):
+        for c in kupisch_series(n, 8):
+            if least_rotation(c) != c:
+                continue
+            a = verify(algebra_from_kupisch(c))
+            b = verify(algebra_from_kupisch(enumeration_oracle.opposite_kupisch(c)))
+            for name in shared:
+                assert getattr(a, name) == getattr(b, name), (c, name)
+            assert sorted(a.weights) == sorted(b.weights), c
+            for name in ("EulerPoincare", "BoundarySquare", "HCEulerIdentity"):
+                assert a.checks[name] == b.checks[name], (c, name)
+            checked += 1
+    assert checked == 2002
+
+
+def test_sweep_computes_cyclic_homology_once_per_mirror_pair(monkeypatch):
+    """A serial sweep at n <= 6, c <= 7 ranks the cyclic complex of 458
+    classes, those distinct up to rotation and reflection, of its 592
+    rotation classes."""
+    ranked = []
+    real = cyclic.hc_dimensions
+    monkeypatch.setattr(cyclic, "hc_dimensions", lambda a: ranked.append(a.kupisch) or real(a))
+    report = sweep(SweepConfig(n_min=2, n_max=6, c_max=7), workers=1)
+    classes = {least_rotation(v.algebra.kupisch) for v in report.verdicts}
+    assert len(classes) == 592
+    assert len(ranked) == len(set(ranked)) == 458
+    assert set(ranked) <= classes
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mirror_classes_share_their_pairs_label_free_fields(workers):
+    """In a sweep at n <= 6, c <= 7, each of the 134 later classes of a
+    mirror pair holds the f-vector, Betti numbers, cyclic dimensions, basis
+    sizes and gldim of its pair's verdict, the same objects, with 2
+    workers too, so the pair was verified by one worker.  Its algebra,
+    targets, leaves and checks are its own, as `verify` gives them."""
+    verdicts = sweep(SweepConfig(n_min=2, n_max=6, c_max=7), workers=workers).verdicts
+    by_class = {c: v for v in verdicts if (c := v.algebra.kupisch) == least_rotation(c)}
+    later = 0
+    for c0, v in by_class.items():
+        m0 = least_rotation(enumeration_oracle.opposite_kupisch(c0))
+        if m0 >= c0:
+            continue
+        pair = by_class[m0]
+        for name in ("f_vector", "betti", "hc_dims", "basis_sizes", "gldim"):
+            assert getattr(v, name) is getattr(pair, name), (c0, name)
+        assert v.algebra.kupisch == c0 and v.checks is not pair.checks
+        own = verify(v.algebra)
+        assert (v.targets, v.leaves, v.checks) == (own.targets, own.leaves, own.checks), c0
+        later += 1
+    assert later == len(by_class) - 458 == 134

@@ -1,19 +1,20 @@
-"""The Kupisch recurrence, `validate`'s redundancy criterion c_{s+1} < L and
-`eliminate_redundant`'s minimal words, all read off one Kupisch series,
-against the O(n r) series and the pairwise containment scans of
+"""The Kupisch recurrence, `validate`'s redundancy criterion c_{s+1} < L,
+`eliminate_redundant`'s minimal words and the sweep's mirror rule (the
+series of the opposite algebra), all read off one Kupisch series, against
+the O(n r) series, the pairwise containment scans and the word rule of
 `enumeration_oracle`."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumeration_oracle as oracle
-from nakayama import AlgebraError, Relation, kupisch_from_relations, validate
-from nakayama.harness import SweepConfig, enumerate_kupisch
+from nakayama import AlgebraClass, AlgebraError, Relation, kupisch_from_relations, validate
+from nakayama.harness import SweepConfig, _mirror, enumerate_kupisch, kupisch_series
 from nakayama.resolution import targets
 from nakayama.unamalgamation import unamalgamate
 
 from leaf_oracle import eliminate_redundant
-from strategies import relation_lists
+from strategies import relation_lists, wrapping_kupisch_series
 
 
 def _validate(n, relations):
@@ -76,3 +77,29 @@ def test_raw_relation_lists_match_pairwise_oracles(case):
         rels = [Relation(*pair) for pair in pairs]
         assert kupisch_from_relations(n, rels) == oracle.kupisch_from_relations(n, rels)
         assert eliminate_redundant(rels, n) == oracle.eliminate_redundant(rels, n)
+
+
+def _check_mirror(c):
+    """The mirror rule agrees with the oracle's word rule, keeps the class
+    and the largest entry, and is an involution up to rotation."""
+    m = _mirror(c)
+    assert m == oracle.opposite_kupisch(c), c
+    assert AlgebraClass.of(m) == AlgebraClass.of(c) and max(m) == max(c), c
+    assert oracle.least_rotation(_mirror(m)) == oracle.least_rotation(c), c
+
+
+def test_mirror_rule_matches_the_word_rule():
+    """Every series at n <= 8, c <= 9."""
+    checked = 0
+    for n in range(2, 9):
+        for c in kupisch_series(n, 9):
+            _check_mirror(c)
+            checked += 1
+    assert checked == 52969
+
+
+@settings(max_examples=300, deadline=None)
+@given(wrapping_kupisch_series(min_n=2))
+def test_mirror_rule_matches_the_word_rule_on_wrapping_series(c):
+    """Series up to n = 40 whose words wrap the cycle up to three times."""
+    _check_mirror(c)
