@@ -16,8 +16,9 @@ records named checks:
   HCvsBetti            dim HC_p equals the (p-1)-st reduced Betti number
   UnamalgamationProps  the four leaf-removal properties at every leaf, and
                        the raw image words' relation complex equal to the
-                       input's, certified from interior bitmasks without
-                       listing a simplex (`raw_complex_matches`)
+                       input's, certified from interior bitmasks and the
+                       output series without listing a simplex or a word
+                       (`raw_complex_matches`), in one loop over the leaves
   SameWeight           all components carry the same weight
 
 Structural self-checks always run alongside: d∘d = 0 on both complexes,
@@ -290,7 +291,7 @@ def verify(
     # the leaf checks run first, so that Bprime can go on from the output of
     # the step at the least leaf, the first step of the full reduction.
     # They run on the series, through the core of `check_properties`, and
-    # build no step.
+    # build no step: at each leaf the output series is the one series built.
     first_out = None
     if "UnamalgamationProps" in checks:
         props_ok = True
@@ -298,11 +299,22 @@ def verify(
             before = unamalgamation._compared(c, f, verdict)
             vertices = [i for i, (_, length) in enumerate(pairs) if length <= n]
             for leaf in lvs:
-                out, *flags = unamalgamation._leaf_check(c, f, leaf, before, known)
-                props_ok = props_ok and all(flags) and raw_complex_matches(
-                    c, leaf, unamalgamation.raw_words(c, leaf, out), cx, vertices
+                out, quiver_ok, weight_ok, betti_ok, gldim_ok = unamalgamation._leaf_check(
+                    c, f, leaf, before, known
                 )
-                first_out = first_out or out
+                if first_out is None:
+                    first_out = out
+                if not (
+                    quiver_ok and weight_ok and betti_ok and gldim_ok
+                    and raw_complex_matches(c, leaf, out, cx, vertices)
+                ):
+                    # the leaves after a failure are not checked, and no
+                    # refusal is lost: an output's relations are among its
+                    # step's raw words, and a raw word is a vertex of its
+                    # complex iff its relation is one of `cx`, so the
+                    # output's complex fits MAX_SUBSETS whenever `cx` does
+                    props_ok = False
+                    break
 
     weight_one = sum(1 for w in weights if w == 1)
     if "A" in checks:
@@ -377,21 +389,26 @@ def _reduces_to_semisimple(
 def raw_complex_matches(
     c: tuple[int, ...],
     leaf: int,
-    raw: tuple[tuple[int, int], ...],
+    out: tuple[int, ...],
     cx: relation_complex.SimplicialComplex,
     vertices: list[int],
 ) -> bool:
     """Is the complex built from the raw (possibly redundant) image relations
-    `raw`, the (start, length) pairs of the step at `leaf` of the algebra
-    with Kupisch series c, simplex for simplex `cx`, the relation complex of
-    the input, under the index bijection between old and new relations?
-    Certified in O(r) integer operations, without listing a simplex of
-    either complex (the enumerating rule is kept as a test oracle).
-    `vertices` lists the indices, in `algebra.relation_pairs(c)`, of the
-    input's relations of length <= n, its relation complex's vertices,
-    which the caller reads once for all the leaves of an algebra.
+    of the step at `leaf` of the algebra with Kupisch series c, whose
+    output series is `out`, simplex for simplex `cx`, the relation complex
+    of the input, under the index bijection between old and new relations?
+    Certified in O(n) integer operations, without listing a simplex of
+    either complex and without building a raw word: each is read off `out`
+    as it is met (the word-taking, enumerating rule is kept as a test
+    oracle).  `vertices` lists the indices, in `algebra.relation_pairs(c)`,
+    of the input's relations of length <= n, its relation complex's
+    vertices, which the caller reads once for all the leaves of an algebra.
 
-    Relabel by the rotation that sends the leaf to n, as the step does.
+    Relabel by the rotation that sends the leaf to n, as the step does: the
+    relation at i, present iff c_i <= c_{i+1}, gets the start
+    k = (i - leaf - 1) mod n + 1, and its raw word is (k, out_k), or
+    (n - 1, c_leaf - (c_leaf - 1) // n) at the leaf (see
+    `unamalgamation.raw_words`, which lists them for the step's JSON).
     A vertex v is interior to a word iff x_{v-1} x_v is a subword of it.
     Deleting x_n merges x_{n-1} x_n and x_n x_1 into x_{n-1} x_1 and leaves
     every other pair of adjacent letters alone.  So vertex n leaves each
@@ -405,7 +422,8 @@ def raw_complex_matches(
     union of all the interiors that avoid n is every vertex but n: that
     union's vertices are one such set, and any such set lies among them.
 
-    So this checks, reading the interiors off `cx`:
+    So this checks, reading the interiors off `cx`, in one pass over the
+    relations:
       1. the same relations, by index, are vertices of both complexes, and
          `cx` lies on the input's n-cycle;
       2. each raw interior is the interior of its vertex of `cx`,
@@ -416,30 +434,39 @@ def raw_complex_matches(
     since a relation is a vertex on both sides or on neither unless it has
     length n and starts at the leaf, which would make the leaf its own
     target.
-    Given 1 and 2, 3 holds iff the complexes match.  Raw words that break
-    1 or 2 are refused, whatever the complex.
+    Given 1 and 2, 3 holds iff the complexes match.  An output series
+    whose raw words break 1 or 2 is refused, whatever the complex.
     """
     n = len(c)
-    new_idx = [i for i, (_, length) in enumerate(raw) if length <= n - 1]
     masks = cx.masks
-    if vertices != new_idx or cx.n != n or len(masks) != len(new_idx):
+    count = len(vertices)
+    if cx.n != n or len(masks) != count:
         return False
     # the rotation sends bit b to b + shift mod n; `low` clears vertex n.
     # Each raw interior is `relation_complex.interior` on the (n-1)-cycle,
     # written out: the arc of bits start..start+length-2, folded mod n-1
     m = n - 1
     shift, low = n - leaf, (1 << m) - 1
-    for i, mask in zip(new_idx, masks):
-        start, length = raw[i]
-        arc = ((1 << length - 1) - 1) << start
-        if (arc | arc >> m) & low != (mask << shift | mask >> n - shift) & low:
-            return False
-    leaf_bit = 1 << leaf - 1
-    union = 0
-    for mask in masks:
-        if not mask & leaf_bit:
-            union |= mask
-    return union != ((1 << n) - 1) ^ leaf_bit
+    c_leaf = c[leaf - 1]
+    leaf_length, leaf_bit = c_leaf - (c_leaf - 1) // n, 1 << leaf - 1
+    union = index = v = 0  # `index` counts the relations, `v` the vertices
+    for i in range(n):
+        if c[i] > c[i + 1 - n]:  # no relation at i + 1
+            continue
+        k = (i - leaf) % n + 1
+        start, length = (k, out[k - 1]) if k < n else (m, leaf_length)
+        if length <= m:
+            if v == count or vertices[v] != index:
+                return False
+            mask = masks[v]
+            v += 1
+            arc = ((1 << length - 1) - 1) << start
+            if (arc | arc >> m) & low != (mask << shift | mask >> n - shift) & low:
+                return False
+            if not mask & leaf_bit:
+                union |= mask
+        index += 1
+    return v == count and union != ((1 << n) - 1) ^ leaf_bit
 
 
 @dataclass

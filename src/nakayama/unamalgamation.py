@@ -19,9 +19,9 @@ loses its first letter and (c_n - 1) // n more, and gets x_{n-1} prepended
 so that it stays a path: its raw word is (n - 1, c_n - (c_n - 1) // n).
 The raw words can be redundant; their minimal words are the relations of
 c'.  `raw_words` reads them off (c, leaf, c') as (start, length) int
-pairs, in input-relation order, and builds no `Relation`; the step JSON
-and `harness.raw_complex_matches` take them.  The output does not read
-them.
+pairs, in input-relation order, and builds no `Relation`, for the step
+JSON alone: `harness.raw_complex_matches` reads each word off c' as it
+meets it, and the output does not read them.
 
 A step is one record, `UnamalgamationStep(kupisch, leaf, output_kupisch)`:
 the input series, the leaf and the output series.  Its algebras, its
@@ -55,11 +55,16 @@ so that the leaf is n and relabelled the same way.
 The check runs in one core, `_leaf_check`, on Kupisch tuples and ints: it
 takes the input's series and targets, the leaf, the input's compared
 fields, which a caller reads once for all the leaves of an algebra, and
-the table, and returns the output's series and the four flags.  When the
-table holds the output, it builds no algebra, step, report or word.
-`verify` calls the core at each leaf, and goes on to `raw_words` and
-`harness.raw_complex_matches`, so a sweep's leaf stage builds no step at
-all; `check_properties` is the core plus a `PropertyReport`.
+the table, and returns the output's series and the four flags.  The
+quiver match compares the targets entry by entry, in integer arithmetic,
+and a table entry's weights are sorted only when they differ from the
+input's sorted weights.  So when the table holds the output, the output
+series, which is also the table key, is the one series the core builds:
+no targets, algebra, step, report or word.  `verify` runs every leaf
+check of an algebra in one loop over its leaves, calling the core and
+`harness.raw_complex_matches` on the output series at each, and stops at
+the first leaf that fails; `check_properties` is the core on one leaf
+plus a `PropertyReport`.
 """
 
 from __future__ import annotations
@@ -202,18 +207,19 @@ def raw_words(c: tuple[int, ...], leaf: int, out: tuple[int, ...]) -> tuple[tupl
 def _compared(c: tuple[int, ...], f: tuple[int, ...], record: AlgebraVerdict | None) -> tuple:
     """What a leaf check compares of one side, the algebra with series c,
     none of it changed by a rotation of the labels: the sorted weights, the
-    reduced Betti numbers, whether the relation complex is empty, and
-    gldim.  Read off `record` when the caller has one; otherwise computed
-    without an f-vector, f being Gustafson's function on c.  The relation
-    complex is built all the same, so one past MAX_SUBSETS is refused."""
+    reduced Betti numbers, whether the relation complex is empty, and the
+    value of gldim (None when infinite).  Read off `record` when the caller
+    has one; otherwise computed without an f-vector, f being Gustafson's
+    function on c.  The relation complex is built all the same, so one past
+    MAX_SUBSETS is refused."""
     if record is not None:
-        return sorted(record.weights), record.betti, record.complex_empty, record.gldim
+        return tuple(sorted(record.weights)), record.betti, record.complex_empty, record.gldim.value
     algebra = NakayamaAlgebra(c)
     cx = relation_complex.build_complex(algebra)
-    weights = sorted(resolution.weights(c, f))
+    weights = tuple(sorted(resolution.weights(c, f)))
     # the vertices are the relations of length <= n, none of whose interiors
     # covers the cycle, so the complex is empty iff it has no vertex
-    return weights, relation_complex.reduced_betti(cx), not cx.masks, global_dimension(algebra)
+    return weights, relation_complex.reduced_betti(cx), not cx.masks, global_dimension(algebra).value
 
 
 def _leaf_check(c: tuple[int, ...], f: tuple[int, ...], leaf: int, before: tuple, known: Table | None) -> tuple:
@@ -222,26 +228,30 @@ def _leaf_check(c: tuple[int, ...], f: tuple[int, ...], leaf: int, before: tuple
     sandwich).  f is Gustafson's function on c, `before` the input's
     compared fields (see `_compared`), and `known` a table of records by
     series.  The output's fields are read off its entry in `known` when
-    there is one, and nothing else is built; otherwise they are computed."""
+    there is one, and the output series is the one series built;
+    otherwise they are computed."""
     n = len(c)
+    m = n - 1
     out = _output_series(c, leaf)
-    f_out = resolution.targets(out)
-    found = known.get(out) if known else None
-    w_out, betti_out, empty_out, g_out = _compared(out, f_out, found)
     w_in, betti_in, empty_in, g_in = before
-    # the output's vertex k is the input's leaf + k, mod n, and a target t
+    found = known.get(out) if known else None
+    if found is None:
+        w_out, betti_out, empty_out, g_out = _compared(out, resolution.targets(out), None)
+    else:
+        w_out, betti_out, empty_out, g_out = found.weights, found.betti, found.complex_empty, found.gldim.value
+        if w_out != w_in:  # equal to w_in, which is sorted, they need no sort
+            w_out = tuple(sorted(w_out))
+    # entry by entry: the output's vertex k is the input's leaf + k, mod n,
+    # with the target k + c'_k, mod n - 1, and the input's target t there
     # is relabelled to t - leaf, mod n, as `relabel_map` does
-    quiver_match = f_out == tuple([(t - leaf - 1) % n + 1 for t in f[leaf:] + f[:leaf - 1]])
+    quiver_match = True
+    for k, ck in enumerate(out, 1):
+        if (k + ck - 1) % m != (f[(leaf + k - 1) % n] - leaf - 1) % n:
+            quiver_match = False
+            break
     # both finite and within two of each other, or both infinite
-    a, b = g_in.value, g_out.value
-    gldim_sandwich = (a is None) == (b is None) and (a is None or b <= a <= b + 2)
-    return (
-        out,
-        quiver_match,
-        w_in == w_out,
-        (betti_in, empty_in) == (betti_out, empty_out),
-        gldim_sandwich,
-    )
+    gldim_sandwich = (g_in is None) == (g_out is None) and (g_in is None or g_out <= g_in <= g_out + 2)
+    return out, quiver_match, w_in == w_out, betti_in == betti_out and empty_in == empty_out, gldim_sandwich
 
 
 @dataclass(frozen=True)

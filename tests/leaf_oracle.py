@@ -15,9 +15,10 @@ the resolution quiver at every step.  `check_properties` is
 listed f-vector and all, built here and not by `verify`, whose leaf checks
 it is the oracle of, a table entry rotated onto the step's output by
 `AlgebraVerdict.rotate`, and the step's JSON by the word path.
-`raw_complex_matches` is `harness.raw_complex_matches` by enumeration: it
-lists every simplex of the raw image words' complex and compares them with
-the given complex's."""
+`raw_complex_matches` is the word-taking form of
+`harness.raw_complex_matches`, by enumeration: it takes the raw image
+words themselves, not the output series they are read off, lists every
+simplex of their complex and compares them with the given complex's."""
 
 from dataclasses import dataclass
 

@@ -84,9 +84,8 @@ def test_unamalgamate_lambda1_properties(lambda1):
 def test_raw_complex_matches_reads_the_given_complex(lambda1, lambda2):
     for leaf in (1, 2):
         step = unamalgamate(lambda1, leaf)
-        raw = (lambda1.kupisch, leaf, step.raw_relations)
-        assert raw_complex_matches(*raw, build_complex(lambda1), [0, 1, 2])
-        assert not raw_complex_matches(*raw, build_complex(lambda2), [0, 1, 2])
+        assert raw_complex_matches(*step, build_complex(lambda1), [0, 1, 2])
+        assert not raw_complex_matches(*step, build_complex(lambda2), [0, 1, 2])
 
 
 def test_unamalgamate_not_a_leaf(lambda3):
@@ -327,7 +326,7 @@ def test_properties_hold_at_every_leaf_small_sweep():
             assert rep.all_ok, (algebra.kupisch, leaf)
             step = rep.step
             vertices = [i for i, r in enumerate(algebra.relations) if r.length <= algebra.n]
-            assert raw_complex_matches(algebra.kupisch, leaf, step.raw_relations, build_complex(algebra), vertices), (
+            assert raw_complex_matches(*step, build_complex(algebra), vertices), (
                 algebra.kupisch, leaf
             )
             # one raw word per input relation, and the output is a sub-list
