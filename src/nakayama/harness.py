@@ -30,15 +30,16 @@ characteristic, ranked from the critical cells, and the alternating sum
 of the cell counts, which list no cell.
 
 Rotating the vertex labels is an isomorphism, so the sweep's rows are
-worked per rotation class.  Each level (one n) walks the series once and
-classifies each class once, at its least rotation, which is the first of
-its series to appear; every other row finds its class in one lookup.
-`sweep` runs `verify` once per class, on the least rotation, and gives
+worked per rotation class.  A class is named by its least rotation, a
+necklace, and each level (one n) lists those keys directly, in
+lexicographic order, by the Fredricksen–Kessler–Maiorana rule
+(`_necklaces`), classifying each class once, at its key; no row is
+visited.  `sweep` runs `verify` once per class, on the key, and gives
 that verdict to the rows of the other rotations with their own algebra
 swapped in, and `to_csv` formats the columns after the series once per
 distinct verdict.  The opposite algebra A^op of a Nakayama algebra A is
 again one, and the two share every invariant that reads no vertex label:
-the relation complex, HC and the cell counts, and gldim.  So the walk
+the relation complex, HC and the cell counts, and gldim.  So each level
 also pairs each class with its mirror class, that of A^op, and of a pair
 of distinct classes only the one that comes first computes those
 invariants; the later one takes them, as the same objects, and computes
@@ -48,9 +49,10 @@ per algebra: the invariants, the checks, and what Bprime's reduction
 found.  The sweep keeps the verdicts of the level below for the leaf
 checks and Bprime, each class's verdict keyed by every series of the
 class, so that a step's output finds its record in one probe by its own
-series; with several worker processes, each level's classes are split
-between them, the two classes of a mirror pair to one worker, and every
-worker gets that table.  A level past MAX_SUBSETS, where `verify`
+series; that table's keys, sorted, are also the level's rows.  With
+several worker processes, each level's classes are split between them,
+the two classes of a mirror pair to one worker, and every worker gets
+the table of the level below.  A level past MAX_SUBSETS, where `verify`
 refuses every algebra, is its first series alone, taken in closed form,
 and the sweep stops at the first such level.
 """
@@ -146,6 +148,38 @@ def kupisch_series(n: int, c_max: int) -> Iterator[tuple[int, ...]]:
             top[1:] = [min(c_max, c[0] + n - k) for k in range(1, n)]
         for j in range(i + 1, n):
             c[j] = max(1, c[j - 1] - 1)
+
+
+def _necklaces(n: int, c_max: int) -> Iterator[tuple[int, ...]]:
+    """The least rotations of the Kupisch series of length n with entries
+    <= c_max, one per rotation class, in lexicographic order.
+
+    A word is a necklace when it is the least of its rotations, and a
+    prenecklace when it is a prefix of one.  If a_1..a_{t-1} is a
+    prenecklace whose longest Lyndon prefix has length p, then a_1..a_t is
+    one iff a_t >= a_{t-p}: equality keeps p and a larger entry sets p = t,
+    and a prenecklace of length n is a necklace iff p divides n
+    (Fredricksen and Maiorana, Discrete Math. 23, 1978; Ruskey, Savage and
+    Wang, "Generating necklaces", J. Algorithms 13, 1992).  Every prefix of
+    a series keeps the bounds `kupisch_series` counts under,
+    max(1, a_{t-1} - 1) <= a_t <= min(c_max, a_1 + 1 + n - t), and a word
+    that keeps them wraps, so each entry runs over the intersection of the
+    two ranges and no word is tested.  A range can be empty, which ends a
+    prefix that no series extends.  Recursion is n deep, and `_levels`
+    calls this only for n <= 16."""
+    a = [0] * (n + 1)  # a[0] = 0 is below every entry, so a_1 sets p = 1
+
+    def extend(t: int, p: int) -> Iterator[tuple[int, ...]]:
+        if t > n:
+            if n % p == 0:
+                yield tuple(a[1:])
+            return
+        top = min(c_max, a[1] + 1 + n - t) if t > 1 else c_max
+        for v in range(max(1, a[t - 1] - 1, a[t - p]), top + 1):
+            a[t] = v
+            yield from extend(t + 1, p if v == a[t - p] else t)
+
+    return extend(1, 1)
 
 
 def enumerate_kupisch(config: SweepConfig) -> Iterator[NakayamaAlgebra]:
@@ -531,30 +565,27 @@ def _mirror(c: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(lengths)
 
 
+def _rotations(c: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every rotation of c, c itself first; a periodic c lists some twice."""
+    return [c[k:] + c[:k] for k in range(len(c))]
+
+
 def _levels(config: SweepConfig):
-    """The enumerated algebras one nonempty level (one n) at a time, each
-    with its class key, the least rotation of its series, and the mirror
-    pairs of the level: a dict from the key of each class whose mirror
-    class, that of the opposite algebra (see `_mirror`), comes later in
-    the level to that class's key.
+    """The requested rotation classes one nonempty level (one n) at a
+    time: the class keys, each the least rotation of its series, in
+    lexicographic order, and the mirror pairs of the level, a dict from
+    the key of each class whose mirror class, that of the opposite algebra
+    (see `_mirror`), comes later in the level to that class's key.
 
-    A level walks `kupisch_series` once.  The series come in lexicographic
-    order, so the first series of a rotation class to appear is its least
-    rotation.  There the class is classified, once, and each of its other
-    rotations is mapped to it, or to None when the class is filtered out.
-    Every later series of the class takes its key from that map and leaves
-    it, so the map holds only the rotations still to come.
-
-    At a class's least rotation c0 its mirror's series is read off c0 and
-    rotated to start at its largest entry, max(c0).  Unless c0 is
-    constant, and so its own mirror, that rotation r is above c0, whose
-    first entry is its least.  So r is still to come: it is in the map iff
-    its class came earlier, and the map gives that class's key.  Mirror
-    classes share the class filter, as A^op kills as many arrows as A.
+    The keys are the necklaces among the series, listed by `_necklaces`,
+    and each is classified once.  The mirror class of a key c0 has the key
+    m0, the least rotation of `_mirror(c0)`; when m0 < c0 the mirror class
+    came earlier, and the pair is (m0, c0).  Mirror classes share the
+    class filter, as A^op kills as many arrows as A.
 
     Past MAX_SUBSETS station subsets `verify` refuses every algebra, so
     the first level past it is its first algebra alone, the least of the
-    requested classes, and the walk ends there: that algebra's refusal ends
+    requested classes, and the levels end there: that algebra's refusal ends
     the sweep, and when the level has none, no later level has one either.
     That algebra is taken in closed form, since the series ahead of it can
     be exponentially many.  (1,) * n is the least series, a product of
@@ -567,53 +598,38 @@ def _levels(config: SweepConfig):
     for n in range(config.n_min, config.n_max + 1):
         mirrors: dict[tuple[int, ...], tuple[int, ...]] = {}
         if 2 ** n - 1 <= MAX_SUBSETS:
-            level, keys = [], []
-            key_of: dict[tuple[int, ...], tuple[int, ...] | None] = {}
-            for c in kupisch_series(n, config.c_max):
-                if c in key_of:
-                    c0 = key_of.pop(c)
-                else:
-                    c0 = c if AlgebraClass.of(c) in config.classes else None
-                    if c0 is not None:
-                        m = _mirror(c)
-                        top = m.index(max(m))
-                        earlier = key_of.get(m[top:] + m[:top])
-                        if earlier is not None:
-                            mirrors[earlier] = c
-                    for k in range(1, n):
-                        key_of[c[k:] + c[:k]] = c0
-                    key_of.pop(c, None)  # a periodic c is one of its own rotations
-                if c0 is not None:
-                    level.append(NakayamaAlgebra(c))
-                    keys.append(c0)
+            keys = [c0 for c0 in _necklaces(n, config.c_max) if AlgebraClass.of(c0) in config.classes]
+            for c0 in keys:
+                m0 = min(_rotations(_mirror(c0)))
+                if m0 < c0:
+                    mirrors[m0] = c0
         else:
-            # the least series of each class, (c_1, c_2, ..., c_2) as (c_1, c_2), least first
+            # the least series of each class, (c_1, c_2, ..., c_2) as (c_1, c_2), least first;
+            # the least series of its class is the least of its rotations
             least = [(1, 1)] + ([(1, 2), (2, 2)] if config.c_max >= 2 else [])
             first = [(h, t) for h, t in least if AlgebraClass.of((h, t, t)) in config.classes][:1]
             if first:
                 check_vertices(n)
-            level = [NakayamaAlgebra((h,) + (t,) * (n - 1)) for h, t in first]
-            # the least series of its class is the least of its rotations
-            keys = [a.kupisch for a in level]
-        if level:
-            yield level, keys, mirrors
+            keys = [(h,) + (t,) * (n - 1) for h, t in first]
+        if keys:
+            yield keys, mirrors
         if 2 ** n - 1 > MAX_SUBSETS:
             return
 
 
 def _verify_classes(
-    algebras: list[NakayamaAlgebra],
+    keys: list[tuple[int, ...]],
     mirrors: dict[tuple[int, ...], tuple[int, ...]],
     checks: tuple[str, ...],
     known: Table,
 ) -> list[AlgebraVerdict]:
-    """The verdicts of a level's classes, in order.  Once the verdict of a
-    class that `mirrors` pairs with a later one is made, it goes into
-    `known` under that class's series, where `verify` finds it."""
+    """The verdicts of a level's classes, by their keys, in order.  Once
+    the verdict of a class that `mirrors` pairs with a later one is made,
+    it goes into `known` under that class's key, where `verify` finds it."""
     verdicts = []
-    for algebra in algebras:
-        verdict = verify(algebra, checks, known)
-        later = mirrors.get(algebra.kupisch)
+    for c in keys:
+        verdict = verify(NakayamaAlgebra(c), checks, known)
+        later = mirrors.get(c)
         if later is not None:
             known[later] = verdict
         verdicts.append(verdict)
@@ -621,22 +637,21 @@ def _verify_classes(
 
 
 def _start_level(
-    pool, workers, algebras, mirrors, checks, known
+    pool, workers, keys, mirrors, checks, known
 ) -> Callable[[], list[AlgebraVerdict]]:
     """Start verifying one level's classes; the returned function waits for
     their verdicts, in order.  With a pool, the classes are dealt to the
     workers in turn, but the later class of a mirror pair goes to the worker
     of the earlier one, so that it can take its fields; every worker gets
     the table of the level below."""
-    if pool is None or len(algebras) < 2 * workers:
-        verdicts = _verify_classes(algebras, mirrors, checks, known)
+    if pool is None or len(keys) < 2 * workers:
+        verdicts = _verify_classes(keys, mirrors, checks, known)
         return lambda: verdicts
     shares = [[] for _ in range(workers)]
     paired = [{} for _ in range(workers)]
     share_of: dict[tuple[int, ...], int] = {}
     owners, dealt = [], 0
-    for algebra in algebras:
-        c = algebra.kupisch
+    for c in keys:
         i = share_of.pop(c, None)
         if i is None:
             i, dealt = dealt % workers, dealt + 1
@@ -644,7 +659,7 @@ def _start_level(
         if later is not None:
             share_of[later] = i
             paired[i][c] = later
-        shares[i].append(algebra)
+        shares[i].append(c)
         owners.append(i)
     parts = pool.map(_verify_classes, shares, paired, [checks] * workers, [known] * workers)
 
@@ -660,36 +675,31 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
     """Verify every enumerated algebra; the verdict order is the enumeration
     order regardless of worker count.
 
-    Only the least rotation of each Kupisch series is verified: the other
-    rows of its rotation class find it by the class key `_levels` gives
-    them and get its verdict, with their algebra swapped in (see
-    `AlgebraVerdict.rotate`).  A class whose mirror class came earlier in
-    the level takes that verdict's label-free fields.  The levels (one n
-    each) run in order, and each level's classes are verified with the
+    Only the least rotation of each Kupisch series, the class key that
+    `_levels` lists, is verified.  A class whose mirror class came earlier
+    in the level takes that verdict's label-free fields.  The levels (one
+    n each) run in order, and each level's classes are verified with the
     table of the level below, where the leaf checks find the smaller
-    algebras by their series: each row of a class is a key, and the rows
-    of one class share its verdict.  On `workers` processes, each level's
-    classes are split between them, and the next level is enumerated while
-    they work."""
+    algebras by their series: each class's verdict is keyed by every
+    rotation of its key.  Those keys, sorted, are the level's rows, so the
+    table serves both: a row that is not its class's key gets the class's
+    verdict with its own algebra swapped in (see `AlgebraVerdict.rotate`).
+    On `workers` processes, each level's classes are split between them,
+    and the next level is listed while they work."""
     verdicts: list[AlgebraVerdict] = []
     known: Table = {}
     levels = _levels(config)
     spawn = get_context("spawn")
     with (ProcessPoolExecutor(workers, mp_context=spawn) if workers > 1 else nullcontext()) as pool:
-        level, keys, mirrors = next(levels, ([], [], {}))
-        while level:
-            classes = [a for a, c0 in zip(level, keys) if a.kupisch == c0]
-            collect = _start_level(pool, workers, classes, mirrors, config.checks, known)
-            upcoming = next(levels, ([], [], {}))
-            by_class = {a.kupisch: v for a, v in zip(classes, collect())}
-            # a class is enumerated first at its least rotation, so every
-            # row finds its class verified
-            verdicts.extend(
-                by_class[c0] if a.kupisch == c0 else by_class[c0].rotate(a)
-                for a, c0 in zip(level, keys)
-            )
-            known = {a.kupisch: by_class[c0] for a, c0 in zip(level, keys)}
-            level, keys, mirrors = upcoming
+        keys, mirrors = next(levels, ((), {}))
+        while keys:
+            collect = _start_level(pool, workers, keys, mirrors, config.checks, known)
+            upcoming = next(levels, ((), {}))
+            known = {c: v for v in collect() for c in _rotations(v.algebra.kupisch)}
+            for c in sorted(known):
+                v = known[c]
+                verdicts.append(v if v.algebra.kupisch == c else v.rotate(NakayamaAlgebra(c)))
+            keys, mirrors = upcoming
     return TheoremReport(config=config, verdicts=verdicts)
 
 

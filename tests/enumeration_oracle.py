@@ -6,7 +6,9 @@ global dimension, for the odometer of `nakayama.harness.kupisch_series`
 and the rotation-class keys of the sweep, and for the shift-and-fold arc
 rule of `nakayama.relation_complex.interior` and the relation complex's
 vertices, which `build_complex` reads off the Kupisch series, and for the
-Kupisch series of the opposite algebra that a sweep pairs classes by.
+Kupisch series of the opposite algebra that a sweep pairs classes by, and
+for the rotation classes and mirror pairs of a sweep level, by the walk
+over every series that the necklace rule replaced.
 The cells come from scanning every subset with `itertools.combinations`;
 the cyclic differential composes adjacent gaps and rotates the wrap face
 back into canonical form.  The Kupisch series is a minimum over all
@@ -18,11 +20,13 @@ and not read from `nakayama`; the global dimension walks them from each
 simple module afresh, and the series are listed by recursion over their
 prefixes."""
 
+from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
 from nakayama.algebra import (
     MAX_VERTICES,
+    AlgebraClass,
     AlgebraError,
     DuplicateStartError,
     EmptyRelationSetError,
@@ -243,6 +247,37 @@ def opposite_kupisch(c):
     n = len(c)
     words = [Relation(mod1(n - s - length + 1, n), length) for s, length in enumerate(c, 1)]
     return kupisch_from_relations(n, words)
+
+
+def level_classes(series, classes):
+    """The class keys and mirror pairs of one sweep level, by the walk over
+    every series that the necklace rule replaced.  `series` lists the
+    level's series in lexicographic order, so the first series of a
+    rotation class to appear is its least rotation, the class key: the walk
+    maps every rotation of it to that key, or to None when the class is not
+    requested, and each later series of the class finds it there.  The keys
+    are listed in the order the walk meets them.  Each class whose mirror
+    class, that of the opposite algebra by the word rule, has a smaller key
+    is paired with it: that key maps to its own."""
+    key_of, keys, mirrors = {}, [], {}
+    for c in series:
+        if c in key_of:
+            continue
+        c0 = c if AlgebraClass.of(c) in classes else None
+        key_of.update(dict.fromkeys(rotations(c), c0))
+        if c0 is not None:
+            keys.append(c0)
+            m0 = mirror_key(c0)
+            if m0 < c0:
+                mirrors[m0] = c0
+    return keys, mirrors
+
+
+@cache
+def mirror_key(c0):
+    """The least rotation of the opposite algebra's series; cached, as the
+    tests ask it of one class under many class filters."""
+    return least_rotation(opposite_kupisch(c0))
 
 
 def rotations(c):

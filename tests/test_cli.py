@@ -414,17 +414,21 @@ def test_sweep_level_past_max_subsets_stops_at_its_first_series(monkeypatch, cap
     """Every algebra on 30 vertices is refused by `verify`, so the level is
     its first series alone, (1,) * 30, refused by the relation complex's
     subset limit, instead of all 2^30 sequences in {1, 2}^30.  That series
-    is taken in closed form: none is drawn from the walk."""
-    series = harness.kupisch_series
+    is taken in closed form: none is drawn from the series or from the
+    class keys, the necklaces."""
     drawn = []
 
-    def counted(n, c_max):
-        for c in series(n, c_max):
-            drawn.append(c)
-            assert len(drawn) <= 10, "the level was enumerated past its first series"
-            yield c
+    def counted(walk):
+        def walked(n, c_max):
+            for c in walk(n, c_max):
+                drawn.append(c)
+                assert len(drawn) <= 10, "the level was enumerated past its first series"
+                yield c
 
-    monkeypatch.setattr(harness, "kupisch_series", counted)
+        return walked
+
+    monkeypatch.setattr(harness, "kupisch_series", counted(harness.kupisch_series))
+    monkeypatch.setattr(harness, "_necklaces", counted(harness._necklaces))
     start = time.perf_counter()
     assert main(["sweep", "--n-min", "30", "--n-max", "30", "--c-max", "2"]) == 1
     assert time.perf_counter() - start < 10
@@ -440,12 +444,14 @@ def test_class_filtered_sweep_level_past_max_subsets_ends_at_once(monkeypatch, c
     series that start with 1, and the first linear one, (1, 2, ..., 2),
     the 2^28 that start (1, 1); the level is refused at that series
     without walking the ones ahead of it.  (1, 2, ..., 2) has 29
-    relations, as the path of length 2 at 30 contains the relation (1, 1)."""
+    relations, as the path of length 2 at 30 contains the relation (1, 1).
+    Neither the series nor the class keys, the necklaces, are listed."""
 
     def walked(n, c_max):
         raise AssertionError("the series ahead of the level's first member were walked")
 
     monkeypatch.setattr(harness, "kupisch_series", walked)
+    monkeypatch.setattr(harness, "_necklaces", walked)
     start = time.perf_counter()
     assert main(["sweep", "--n-min", "30", "--n-max", "30", "--c-max", "2", "--class", cls]) == 1
     assert time.perf_counter() - start < 10

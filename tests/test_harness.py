@@ -21,10 +21,11 @@ from nakayama import (
     unamalgamation,
     validate,
 )
-from nakayama.algebra import is_valid_kupisch
+from nakayama.algebra import ProjDim, is_valid_kupisch
 from nakayama.harness import (
     STRUCTURAL_CHECKS,
     THEOREM_CHECKS,
+    AlgebraVerdict,
     SweepConfig,
     TheoremReport,
     enumerate_kupisch,
@@ -101,19 +102,21 @@ def test_a_level_past_max_subsets_is_its_least_series_in_closed_form(monkeypatch
     ]
     walked = [[a.kupisch for a in islice(enumerate_kupisch(config), 1)] for config in configs]
     monkeypatch.setattr(harness, "MAX_SUBSETS", 1)
-    monkeypatch.setattr(harness, "kupisch_series", None)  # not walked at all
+    # not walked at all, neither series by series nor class by class
+    monkeypatch.setattr(harness, "kupisch_series", None)
+    monkeypatch.setattr(harness, "_necklaces", None)
     for config, first in zip(configs, walked):
-        assert [a.kupisch for level, _, _ in harness._levels(config) for a in level] == first, config
+        assert [c for keys, _ in harness._levels(config) for c in keys] == first, config
 
 
 def test_levels_stop_at_the_first_level_past_max_subsets(monkeypatch):
     """The class of each closed-form least series does not depend on n, so
-    the first level past MAX_SUBSETS ends the walk: `verify` refuses its
+    the first level past MAX_SUBSETS ends the levels: `verify` refuses its
     one algebra, or, when it has none, no later level has one either.
     n_max is far beyond what a walk of every level could reach; the
     classified series stand in for the levels examined."""
     config = SweepConfig(n_min=17, n_max=10**18, c_max=1)
-    assert [[a.kupisch for a in level] for level, _, _ in islice(harness._levels(config), 2)] == [[(1,) * 17]]
+    assert [keys for keys, _ in islice(harness._levels(config), 2)] == [[(1,) * 17]]
     classify = AlgebraClass.of
     examined = []
 
@@ -142,29 +145,57 @@ CLASS_SET_IDS = ["+".join(sorted(c.value for c in s)) for s in CLASS_SETS]
 
 @pytest.mark.parametrize("classes", CLASS_SETS, ids=CLASS_SET_IDS)
 def test_level_keys_are_the_least_rotations(monkeypatch, classes):
-    """A level's rows are the enumerated algebras of the requested classes,
-    and the class key each row reads off the level's map is the least
-    rotation of its series, at n <= 7, c <= 8.  Each rotation class is
-    classified once, requested or not.  Each class whose mirror class, that
-    of the opposite algebra by the oracle's word rule, has a larger key is
-    paired with that key, and no other class is paired."""
+    """A sweep's rows are the enumerated algebras of the requested classes,
+    at n <= 7, c <= 8, and the classes it verifies are keyed by the least
+    rotations of those rows, each once, in the order the rows first meet
+    them.  Each rotation class is classified once, requested or not.  Each
+    class whose mirror class, that of the opposite algebra by the oracle's
+    word rule, has a larger key is paired with that key, and no other class
+    is paired.  `verify` is stubbed, as the rows are what is checked."""
     config = SweepConfig(n_min=2, n_max=7, c_max=8, classes=classes)
     classify = AlgebraClass.of
-    classified = []
+    classified, verified = [], []
+
+    def stub(algebra, checks, known):
+        verified.append(algebra.kupisch)
+        return AlgebraVerdict(algebra, (1,), (), (), ProjDim(0), (), ())
+
+    monkeypatch.setattr(harness, "verify", stub)
     monkeypatch.setattr(AlgebraClass, "of", staticmethod(lambda c: classified.append(c) or classify(c)))
-    rows, keys, mirrors = [], [], {}
-    for level, level_keys, level_mirrors in harness._levels(config):
-        assert len(level) == len(level_keys)
-        rows += [a.kupisch for a in level]
-        keys += level_keys
-        mirrors |= level_mirrors
+    rows = [v.algebra.kupisch for v in sweep(config).verdicts]
     monkeypatch.undo()
     assert rows == [a.kupisch for a in enumerate_kupisch(config)]
-    assert keys == [least_rotation(c) for c in rows]
-    expected = {c0: least_rotation(enumeration_oracle.opposite_kupisch(c0)) for c0 in set(keys)}
-    assert mirrors == {m0: c0 for c0, m0 in expected.items() if m0 < c0}
+    assert verified == list(dict.fromkeys(least_rotation(c) for c in rows))
     every = [c for n in range(2, 8) for c in kupisch_series(n, 8)]
     assert classified == [c for c in every if least_rotation(c) == c]
+    mirrors = {}
+    for _, level_mirrors in harness._levels(config):
+        mirrors |= level_mirrors
+    expected = {c0: least_rotation(enumeration_oracle.opposite_kupisch(c0)) for c0 in verified}
+    assert mirrors == {m0: c0 for c0, m0 in expected.items() if m0 < c0}
+
+
+@pytest.mark.parametrize("classes", CLASS_SETS, ids=CLASS_SET_IDS)
+def test_levels_match_the_walk_oracle(classes):
+    """At every n <= 8 and 1 <= c_max <= n + 2, a level's class keys and
+    mirror pairs, listed as necklaces, are those the oracle finds by
+    walking every series of the level, and a level with no requested
+    class is not listed."""
+    for n in range(2, 9):
+        for c_max in range(1, n + 3):
+            _check_level(n, c_max, classes)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(9, 11), st.integers(1, 4), st.sampled_from(CLASS_SETS))
+def test_levels_match_the_walk_oracle_past_n8(n, c_max, classes):
+    _check_level(n, c_max, classes)
+
+
+def _check_level(n, c_max, classes):
+    expected = enumeration_oracle.level_classes(kupisch_series(n, c_max), classes)
+    got = list(harness._levels(SweepConfig(n_min=n, n_max=n, c_max=c_max, classes=classes)))
+    assert got == ([expected] if expected[0] else []), (n, c_max)
 
 
 def test_config_validation():
