@@ -40,19 +40,20 @@ swapped in, and `to_csv` formats the columns after the series once per
 distinct verdict.  The opposite algebra A^op of a Nakayama algebra A is
 again one, and the two share every invariant that reads no vertex label:
 the relation complex, HC and the cell counts, and gldim.  So each level
-also pairs each class with its mirror class, that of A^op, and of a pair
-of distinct classes only the one that comes first computes those
-invariants; the later one takes them, as the same objects, and computes
-what depends on the labels (the weights, the leaves, the leaf checks,
-Bprime and the named checks) itself.  A verdict is the one record kept
-per algebra: the invariants, the checks, and what Bprime's reduction
-found.  The sweep keeps the verdicts of the level below for the leaf
-checks and Bprime, each class's verdict keyed by every series of the
-class, so that a step's output finds its record in one probe by its own
-series; that table's keys, sorted, are also the level's rows.  With
-several worker processes, each level's classes are split between them,
-the two classes of a mirror pair to one worker, and every worker gets
-the table of the level below.  A level past MAX_SUBSETS, where `verify`
+is listed as units, its mirror orbits: a class with its mirror class,
+that of A^op, or a class alone when it is its own mirror.  Of a pair of
+distinct classes only the first computes those invariants; the second
+takes them, as the same objects, and computes what depends on the labels
+(the weights, the leaves, the leaf checks, Bprime and the named checks)
+itself.  A verdict is the one record kept per algebra: the invariants,
+the checks, and what Bprime's reduction found.  The sweep keeps the
+verdicts of the level below for the leaf checks and Bprime, each class's
+verdict keyed by every series of the class, so that a step's output
+finds its record in one probe by its own series; that table's keys,
+sorted, are also the level's rows, so the order in which a level's
+verdicts are made reaches no output.  With several worker processes,
+each level's units are dealt to them in turn, and every worker gets the
+table of the level below.  A level past MAX_SUBSETS, where `verify`
 refuses every algebra, is its first series alone, taken in closed form,
 and the sweep stops at the first such level.
 """
@@ -66,8 +67,9 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from multiprocessing import get_context
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import cyclic, linalg, relation_complex, resolution, unamalgamation
 from .algebra import (
@@ -275,9 +277,9 @@ class AlgebraVerdict:
 
 # What a sweep keeps of the level below: every enumerated Kupisch series of
 # a verified rotation class maps to that class's verdict, the verdict of its
-# least rotation, so the rows of one class share one record.  While a level
-# is verified, the least rotation of the later class of each mirror pair
-# maps to the verdict of the earlier class (see `_verify_classes`).
+# least rotation, so the rows of one class share one record.  While a unit
+# of a level is verified, the key of its second class maps to the verdict
+# of its first (see `_verify_units`).
 Table = dict[tuple[int, ...], AlgebraVerdict]
 
 
@@ -292,9 +294,9 @@ def verify(
     verified before; the leaf checks and `Bprime` look the smaller algebras
     up there instead of rebuilding and reducing them, and when it holds the
     algebra's own series, the verdict there is that of its mirror class,
-    whose label-free fields (see `_label_free`) are taken as the same
-    objects.  The relations are read as (start, length) pairs off the
-    series, and no `Relation` is built."""
+    the first class of its unit, whose label-free fields (see
+    `_label_free`) are taken as the same objects.  The relations are read
+    as (start, length) pairs off the series, and no `Relation` is built."""
     c = algebra.kupisch
     mirror = known.get(c) if known else None
     cx = relation_complex.build_complex(algebra)
@@ -572,16 +574,17 @@ def _rotations(c: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def _levels(config: SweepConfig):
     """The requested rotation classes one nonempty level (one n) at a
-    time: the class keys, each the least rotation of its series, in
-    lexicographic order, and the mirror pairs of the level, a dict from
-    the key of each class whose mirror class, that of the opposite algebra
-    (see `_mirror`), comes later in the level to that class's key.
+    time, as a list of units: each unit is a mirror orbit, the classes of
+    an algebra A and of its opposite A^op (see `_mirror`), by their keys,
+    each the least rotation of its series.  A unit is (c0, m0) when the
+    mirror class is distinct, its key m0 the larger, and (c0,) when the
+    class is its own mirror.
 
     The keys are the necklaces among the series, listed by `_necklaces`,
     and each is classified once.  The mirror class of a key c0 has the key
-    m0, the least rotation of `_mirror(c0)`; when m0 < c0 the mirror class
-    came earlier, and the pair is (m0, c0).  Mirror classes share the
-    class filter, as A^op kills as many arrows as A.
+    m0, the least rotation of `_mirror(c0)`; when m0 < c0, c0 is already in
+    m0's unit.  Mirror classes share the class filter, as A^op kills as
+    many arrows as A.
 
     Past MAX_SUBSETS station subsets `verify` refuses every algebra, so
     the first level past it is its first algebra alone, the least of the
@@ -596,13 +599,15 @@ def _levels(config: SweepConfig):
     `check_vertices`, as `validate` refuses it, before its series is
     built."""
     for n in range(config.n_min, config.n_max + 1):
-        mirrors: dict[tuple[int, ...], tuple[int, ...]] = {}
+        units: list[tuple[tuple[int, ...], ...]] = []
         if 2 ** n - 1 <= MAX_SUBSETS:
-            keys = [c0 for c0 in _necklaces(n, config.c_max) if AlgebraClass.of(c0) in config.classes]
-            for c0 in keys:
-                m0 = min(_rotations(_mirror(c0)))
-                if m0 < c0:
-                    mirrors[m0] = c0
+            for c0 in _necklaces(n, config.c_max):
+                if AlgebraClass.of(c0) in config.classes:
+                    m0 = min(_rotations(_mirror(c0)))
+                    if m0 > c0:
+                        units.append((c0, m0))
+                    elif m0 == c0:
+                        units.append((c0,))
         else:
             # the least series of each class, (c_1, c_2, ..., c_2) as (c_1, c_2), least first;
             # the least series of its class is the least of its rotations
@@ -610,65 +615,27 @@ def _levels(config: SweepConfig):
             first = [(h, t) for h, t in least if AlgebraClass.of((h, t, t)) in config.classes][:1]
             if first:
                 check_vertices(n)
-            keys = [(h,) + (t,) * (n - 1) for h, t in first]
-        if keys:
-            yield keys, mirrors
+            units = [((h,) + (t,) * (n - 1),) for h, t in first]
+        if units:
+            yield units
         if 2 ** n - 1 > MAX_SUBSETS:
             return
 
 
-def _verify_classes(
-    keys: list[tuple[int, ...]],
-    mirrors: dict[tuple[int, ...], tuple[int, ...]],
-    checks: tuple[str, ...],
-    known: Table,
+def _verify_units(
+    units: list[tuple[tuple[int, ...], ...]], checks: tuple[str, ...], known: Table
 ) -> list[AlgebraVerdict]:
-    """The verdicts of a level's classes, by their keys, in order.  Once
-    the verdict of a class that `mirrors` pairs with a later one is made,
-    it goes into `known` under that class's key, where `verify` finds it."""
+    """The verdicts of the classes of `units`.  Once the verdict of the
+    first class of a pair is made, it goes into `known` under the mirror
+    class's key, where `verify` finds it."""
     verdicts = []
-    for c in keys:
-        verdict = verify(NakayamaAlgebra(c), checks, known)
-        later = mirrors.get(c)
-        if later is not None:
-            known[later] = verdict
+    for c0, *mirror in units:
+        verdict = verify(NakayamaAlgebra(c0), checks, known)
         verdicts.append(verdict)
+        for m0 in mirror:
+            known[m0] = verdict
+            verdicts.append(verify(NakayamaAlgebra(m0), checks, known))
     return verdicts
-
-
-def _start_level(
-    pool, workers, keys, mirrors, checks, known
-) -> Callable[[], list[AlgebraVerdict]]:
-    """Start verifying one level's classes; the returned function waits for
-    their verdicts, in order.  With a pool, the classes are dealt to the
-    workers in turn, but the later class of a mirror pair goes to the worker
-    of the earlier one, so that it can take its fields; every worker gets
-    the table of the level below."""
-    if pool is None or len(keys) < 2 * workers:
-        verdicts = _verify_classes(keys, mirrors, checks, known)
-        return lambda: verdicts
-    shares = [[] for _ in range(workers)]
-    paired = [{} for _ in range(workers)]
-    share_of: dict[tuple[int, ...], int] = {}
-    owners, dealt = [], 0
-    for c in keys:
-        i = share_of.pop(c, None)
-        if i is None:
-            i, dealt = dealt % workers, dealt + 1
-        later = mirrors.get(c)
-        if later is not None:
-            share_of[later] = i
-            paired[i][c] = later
-        shares[i].append(c)
-        owners.append(i)
-    parts = pool.map(_verify_classes, shares, paired, [checks] * workers, [known] * workers)
-
-    def collect() -> list[AlgebraVerdict]:
-        # each share keeps the level's order
-        returned = [iter(part) for part in parts]
-        return [next(returned[i]) for i in owners]
-
-    return collect
 
 
 def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
@@ -676,30 +643,34 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
     order regardless of worker count.
 
     Only the least rotation of each Kupisch series, the class key that
-    `_levels` lists, is verified.  A class whose mirror class came earlier
-    in the level takes that verdict's label-free fields.  The levels (one
-    n each) run in order, and each level's classes are verified with the
-    table of the level below, where the leaf checks find the smaller
-    algebras by their series: each class's verdict is keyed by every
-    rotation of its key.  Those keys, sorted, are the level's rows, so the
-    table serves both: a row that is not its class's key gets the class's
-    verdict with its own algebra swapped in (see `AlgebraVerdict.rotate`).
-    On `workers` processes, each level's classes are split between them,
-    and the next level is listed while they work."""
+    `_levels` lists, is verified, a mirror pair at a time: the second class
+    of a pair takes the first's label-free fields.  The levels (one n each)
+    run in order, and each level's units are verified with the table of the
+    level below, where the leaf checks find the smaller algebras by their
+    series: each class's verdict is keyed by every rotation of its key.
+    Those keys, sorted, are the level's rows, so the table serves both, and
+    the order in which the verdicts come back reaches no output: a row that
+    is not its class's key gets the class's verdict with its own algebra
+    swapped in (see `AlgebraVerdict.rotate`).  On `workers` processes, each
+    level's units are dealt to them in turn, every worker gets the table of
+    the level below, and the next level is listed while they work."""
     verdicts: list[AlgebraVerdict] = []
     known: Table = {}
     levels = _levels(config)
     spawn = get_context("spawn")
     with (ProcessPoolExecutor(workers, mp_context=spawn) if workers > 1 else nullcontext()) as pool:
-        keys, mirrors = next(levels, ((), {}))
-        while keys:
-            collect = _start_level(pool, workers, keys, mirrors, config.checks, known)
-            upcoming = next(levels, ((), {}))
-            known = {c: v for v in collect() for c in _rotations(v.algebra.kupisch)}
+        units = next(levels, [])
+        while units:
+            if pool is None or len(units) < 2 * workers:
+                parts = [_verify_units(units, config.checks, known)]
+            else:
+                shares = [units[i::workers] for i in range(workers)]
+                parts = pool.map(_verify_units, shares, repeat(config.checks), repeat(known))
+            units = next(levels, [])
+            known = {c: v for part in parts for v in part for c in _rotations(v.algebra.kupisch)}
             for c in sorted(known):
                 v = known[c]
                 verdicts.append(v if v.algebra.kupisch == c else v.rotate(NakayamaAlgebra(c)))
-            keys, mirrors = upcoming
     return TheoremReport(config=config, verdicts=verdicts)
 
 

@@ -124,10 +124,6 @@ class UnamalgamationStep(NamedTuple):
     output_kupisch: tuple[int, ...]
 
     @property
-    def input(self) -> NakayamaAlgebra:
-        return NakayamaAlgebra(self.kupisch)
-
-    @property
     def output(self) -> NakayamaAlgebra:
         return NakayamaAlgebra(self.output_kupisch)
 

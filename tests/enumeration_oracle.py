@@ -250,27 +250,30 @@ def opposite_kupisch(c):
 
 
 def level_classes(series, classes):
-    """The class keys and mirror pairs of one sweep level, by the walk over
-    every series that the necklace rule replaced.  `series` lists the
-    level's series in lexicographic order, so the first series of a
-    rotation class to appear is its least rotation, the class key: the walk
-    maps every rotation of it to that key, or to None when the class is not
-    requested, and each later series of the class finds it there.  The keys
-    are listed in the order the walk meets them.  Each class whose mirror
-    class, that of the opposite algebra by the word rule, has a smaller key
-    is paired with it: that key maps to its own."""
-    key_of, keys, mirrors = {}, [], {}
+    """The units of one sweep level, its mirror orbits of rotation classes,
+    by the walk over every series that the necklace rule replaced.
+    `series` lists the level's series in lexicographic order, so the first
+    series of a rotation class to appear is its least rotation, the class
+    key: the walk maps every rotation of it to that key, or to None when
+    the class is not requested, and each later series of the class finds
+    it there.  The units are listed in the order the walk meets their first
+    keys.  A class whose mirror class, that of the opposite algebra by the
+    word rule, has a larger key makes the unit (key, mirror key); a class
+    that is its own mirror makes (key,); a class whose mirror key is
+    smaller is already in that key's unit."""
+    key_of, units = {}, []
     for c in series:
         if c in key_of:
             continue
         c0 = c if AlgebraClass.of(c) in classes else None
         key_of.update(dict.fromkeys(rotations(c), c0))
         if c0 is not None:
-            keys.append(c0)
             m0 = mirror_key(c0)
-            if m0 < c0:
-                mirrors[m0] = c0
-    return keys, mirrors
+            if m0 > c0:
+                units.append((c0, m0))
+            elif m0 == c0:
+                units.append((c0,))
+    return units
 
 
 @cache

@@ -106,7 +106,7 @@ def test_a_level_past_max_subsets_is_its_least_series_in_closed_form(monkeypatch
     monkeypatch.setattr(harness, "kupisch_series", None)
     monkeypatch.setattr(harness, "_necklaces", None)
     for config, first in zip(configs, walked):
-        assert [c for keys, _ in harness._levels(config) for c in keys] == first, config
+        assert [c for units in harness._levels(config) for unit in units for c in unit] == first, config
 
 
 def test_levels_stop_at_the_first_level_past_max_subsets(monkeypatch):
@@ -116,7 +116,8 @@ def test_levels_stop_at_the_first_level_past_max_subsets(monkeypatch):
     n_max is far beyond what a walk of every level could reach; the
     classified series stand in for the levels examined."""
     config = SweepConfig(n_min=17, n_max=10**18, c_max=1)
-    assert [keys for keys, _ in islice(harness._levels(config), 2)] == [[(1,) * 17]]
+    levels = islice(harness._levels(config), 2)
+    assert [[c for unit in units for c in unit] for units in levels] == [[(1,) * 17]]
     classify = AlgebraClass.of
     examined = []
 
@@ -147,11 +148,12 @@ CLASS_SET_IDS = ["+".join(sorted(c.value for c in s)) for s in CLASS_SETS]
 def test_level_keys_are_the_least_rotations(monkeypatch, classes):
     """A sweep's rows are the enumerated algebras of the requested classes,
     at n <= 7, c <= 8, and the classes it verifies are keyed by the least
-    rotations of those rows, each once, in the order the rows first meet
-    them.  Each rotation class is classified once, requested or not.  Each
-    class whose mirror class, that of the opposite algebra by the oracle's
-    word rule, has a larger key is paired with that key, and no other class
-    is paired.  `verify` is stubbed, as the rows are what is checked."""
+    rotations of those rows, each once, in the order of the levels' units,
+    so the earlier class of a mirror pair before its pair.  Each rotation
+    class is classified once, requested or not.  Each class whose mirror
+    class, that of the opposite algebra by the oracle's word rule, has a
+    larger key is paired with that key, and no other class is paired.
+    `verify` is stubbed, as the rows are what is checked."""
     config = SweepConfig(n_min=2, n_max=7, c_max=8, classes=classes)
     classify = AlgebraClass.of
     classified, verified = [], []
@@ -165,14 +167,14 @@ def test_level_keys_are_the_least_rotations(monkeypatch, classes):
     rows = [v.algebra.kupisch for v in sweep(config).verdicts]
     monkeypatch.undo()
     assert rows == [a.kupisch for a in enumerate_kupisch(config)]
-    assert verified == list(dict.fromkeys(least_rotation(c) for c in rows))
+    units = [unit for level in harness._levels(config) for unit in level]
+    assert verified == [c for unit in units for c in unit]
+    assert sorted(verified) == sorted({least_rotation(c) for c in rows})
     every = [c for n in range(2, 8) for c in kupisch_series(n, 8)]
     assert classified == [c for c in every if least_rotation(c) == c]
-    mirrors = {}
-    for _, level_mirrors in harness._levels(config):
-        mirrors |= level_mirrors
+    mirrors = {unit[0]: unit[1] for unit in units if len(unit) == 2}
     expected = {c0: least_rotation(enumeration_oracle.opposite_kupisch(c0)) for c0 in verified}
-    assert mirrors == {m0: c0 for c0, m0 in expected.items() if m0 < c0}
+    assert mirrors == {c0: m0 for c0, m0 in expected.items() if m0 > c0}
 
 
 @pytest.mark.parametrize("classes", CLASS_SETS, ids=CLASS_SET_IDS)
@@ -195,7 +197,7 @@ def test_levels_match_the_walk_oracle_past_n8(n, c_max, classes):
 def _check_level(n, c_max, classes):
     expected = enumeration_oracle.level_classes(kupisch_series(n, c_max), classes)
     got = list(harness._levels(SweepConfig(n_min=n, n_max=n, c_max=c_max, classes=classes)))
-    assert got == ([expected] if expected[0] else []), (n, c_max)
+    assert got == ([expected] if expected else []), (n, c_max)
 
 
 def test_config_validation():
@@ -292,11 +294,15 @@ def test_csv_and_json_outputs():
     assert data["config"]["c_max"] == 3
 
 
-def test_parallel_sweep_matches_serial():
-    config = SweepConfig(n_min=2, n_max=4, c_max=4)
+@pytest.mark.parametrize("workers", [2, 3])
+def test_parallel_sweep_matches_serial(workers):
+    """Each level's mirror pairs dealt to 2 or 3 workers give the serial
+    sweep's outputs, byte for byte."""
+    config = SweepConfig(n_min=2, n_max=6, c_max=7)
     serial = sweep(config, workers=1)
-    parallel = sweep(config, workers=2)
+    parallel = sweep(config, workers=workers)
     assert to_csv(serial) == to_csv(parallel)
+    assert to_json(serial) == to_json(parallel)
 
 
 def test_sweep_rows_match_recorded_reference():
@@ -337,7 +343,9 @@ def test_sweep_builds_invariants_once_per_rotation_class(monkeypatch):
     """A full sweep computes the invariants of a verdict, counted by its
     weights, once per rotation class, for its least rotation, and never
     for a leaf: every smaller algebra of a leaf check is found in the table
-    of the level below, and a rotated row shares its class's weights."""
+    of the level below, and a rotated row shares its class's weights.  The
+    classes of a level are verified a mirror pair at a time, so `built` is
+    compared as a sorted list."""
     built = []
     real = resolution.weights
 
@@ -349,7 +357,8 @@ def test_sweep_builds_invariants_once_per_rotation_class(monkeypatch):
     report = sweep(SweepConfig(n_min=2, n_max=5, c_max=6), workers=1)
     rows = [v.algebra.kupisch for v in report.verdicts]
     assert any(v.leaves for v in report.verdicts if v.algebra.n >= 3)
-    assert built == [c for c in rows if least_rotation(c) == c]
+    assert sorted(built) == sorted(c for c in rows if least_rotation(c) == c)
+    assert len(set(built)) == len(built)
     assert len(built) < len(rows) / 3
 
 
@@ -633,11 +642,11 @@ def test_sweep_computes_cyclic_homology_once_per_mirror_pair(monkeypatch):
     assert set(ranked) <= classes
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_mirror_classes_share_their_pairs_label_free_fields(workers):
     """In a sweep at n <= 6, c <= 7, each of the 134 later classes of a
     mirror pair holds the f-vector, Betti numbers, cyclic dimensions, basis
-    sizes and gldim of its pair's verdict, the same objects, with 2
+    sizes and gldim of its pair's verdict, the same objects, with 2 and 3
     workers too, so the pair was verified by one worker.  Its algebra,
     targets, leaves and checks are its own, as `verify` gives them."""
     verdicts = sweep(SweepConfig(n_min=2, n_max=6, c_max=7), workers=workers).verdicts
