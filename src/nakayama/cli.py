@@ -212,7 +212,7 @@ def cmd_sweep(args) -> int:
         _emit(harness.to_csv(report), args.out + ".csv")
         _emit(harness.to_json(report), args.out + ".json")
         sys.stdout.write(
-            f"checked {len(report.verdicts)} algebras, "
+            f"checked {len(report)} algebras, "
             f"{len(counterexamples)} counterexamples; "
             f"wrote {args.out}.csv and {args.out}.json\n"
         )

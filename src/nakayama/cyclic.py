@@ -57,8 +57,9 @@ wrap gap n - w + w_0 is below c_w iff w_0 < wrap_bound[w]).
     every station x from w_1 on has wrap_bound[x] <= wrap_bound[w_p] <= w_1,
     and the walk steps to no other station.
   - The number of cells of each degree, `basis_sizes`, is counted by a
-    dynamic program over (least station, last station, count) that lists
-    no cell: the stations that step to x form an interval.
+    dynamic program over the last station that lists no cell: the
+    stations that step to x form an interval.  It counts for every least
+    station at once, each count a field of one packed integer.
 
 Nothing here keeps a record of the complex: `hc_dimensions` walks the
 critical cells and ranks them, `basis_sizes` counts the cells, and
@@ -125,33 +126,46 @@ def _cell_counts(c: Sequence[int]) -> tuple[int, ...]:
     """The number of p-cells for p = 0..n-1, counted without listing one.
 
     The stations y < x whose path reaches x (x - y < c_y) are those from
-    reach[x] on, because y + c_y does not decrease.  For each least station
-    s, upto[x] sums t^k over the tuples from s with short inner gaps, k
-    stations and last station at most x.  A polynomial is one integer, the
-    coefficient of t^k in bits n*k to n*k + n - 1: no count reaches 2^n, the
-    number of station sets, so adding, subtracting and multiplying by t
-    (a shift by n bits) act on each coefficient alone.
+    reach[x] on, because y + c_y does not decrease.  One pass over the
+    last station x counts for every least station s at once: upto[x] sums
+    z^s t^k over the tuples with short inner gaps, least station s, k
+    stations and last station at most x.  The tuples ending at x are {x}
+    and, with x appended, the tuples whose last station lies from reach[x]
+    to x - 1, so ending = t * (upto[x - 1] - upto[reach[x] - 1]) + z^x t.
+    Of those, the ones with s < wrap_bound[x] are cells: their wrap gap
+    carries a path.
+
+    A polynomial is one integer: the coefficient of z^s t^k in bits
+    s*W + n*k to s*W + n*k + n - 1, with W = (n + 1) * n for the n + 1
+    powers of t.  No coefficient reaches 2^n, the number of station sets;
+    upto[x] does not decrease in x coefficient by coefficient, so the
+    subtraction borrows across no field; and upto[x - 1] has no tuple of n
+    stations, so multiplying by t, a shift by n bits, keeps each
+    coefficient in its z-block.  So each operation acts on every
+    coefficient alone, and the cells with s < wrap_bound[x] are the bits
+    of `ending` below wrap_bound[x] * W.  The z-blocks are then summed one
+    block at a time; a sum counts cells, so it stays below 2^n as well.
     """
-    n, wrap_bound = len(c), _wrap_bounds(c)
-    reach = [0] * (n + 1)
-    y = 1
+    n = len(c)
+    width = (n + 1) * n
+    upto = [0]
+    total = cells = 0
+    reach = 1
     for x in range(1, n + 1):
-        while y < x and y + c[y - 1] <= x:
-            y += 1
-        reach[x] = y
-    cells = 0
-    for s in range(1, n + 1):
-        upto = [0] * (n + 1)
-        upto[s] = 1 << n
-        if s < wrap_bound[s]:
-            cells += upto[s]
-        for x in range(s + 1, n + 1):
-            ending = (upto[x - 1] - upto[max(s, reach[x]) - 1]) << n
-            upto[x] = upto[x - 1] + ending
-            if s < wrap_bound[x]:
-                cells += ending
+        while reach < x and reach + c[reach - 1] <= x:
+            reach += 1
+        ending = ((total - upto[reach - 1]) << n) + (1 << x * width + n)
+        total += ending
+        upto.append(total)
+        bound = min(c[x - 1] - n + x, x + 1)  # wrap_bound[x]; `ending` has no block past x
+        if bound > 1:
+            cells += ending & (1 << bound * width) - 1
+    counts, block = 0, (1 << width) - 1
+    while cells:
+        counts += cells & block
+        cells >>= width
     mask = (1 << n) - 1
-    return tuple(cells >> n * k & mask for k in range(1, n + 1))
+    return tuple(counts >> n * k & mask for k in range(1, n + 1))
 
 
 def _check_size(n: int) -> None:

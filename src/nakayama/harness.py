@@ -34,12 +34,14 @@ worked per rotation class.  A class is named by its least rotation, a
 necklace, and each level (one n) lists those keys directly, in
 lexicographic order, by the Fredricksen–Kessler–Maiorana rule
 (`_necklaces`), classifying each class once, at its key; no row is
-visited.  `sweep` runs `verify` once per class, on the key, and gives
-that verdict to the rows of the other rotations with their own algebra
-swapped in, and `to_csv` formats the columns after the series once per
-distinct verdict.  The opposite algebra A^op of a Nakayama algebra A is
-again one, and the two share every invariant that reads no vertex label:
-the relation complex, HC and the cell counts, and gldim.  So each level
+visited.  `sweep` runs `verify` once per class, on the key, and its
+report keeps that one verdict per class: a row is its own series and a
+reference to its class's verdict, and no verdict or algebra is made for
+a row.  `to_csv` formats the columns after the series once per class,
+and `totals` counts each class once.  The opposite algebra A^op of a
+Nakayama algebra A is again one, and the two share every invariant that
+reads no vertex label: the relation complex, HC and the cell counts, and
+gldim.  So each level
 is listed as units, its mirror orbits: a class with its mirror class,
 that of A^op, or a class alone when it is its own mirror.  Of a pair of
 distinct classes only the first computes those invariants; the second
@@ -242,17 +244,24 @@ class AlgebraVerdict:
 
     def rotate(self, algebra: NakayamaAlgebra) -> "AlgebraVerdict":
         """The verdict of `algebra`, a rotation of this algebra: only the
-        labels differ, so all else is shared.  The weights are listed by
-        least vertex, so several distinct weights, which only a
-        counterexample to SameWeight has, are read off the rotated quiver;
-        the targets, a new instance's, are derived from `algebra`."""
-        weights = self.weights
-        if len(set(weights)) > 1:
-            weights = resolution.weights(algebra.kupisch)
+        labels differ, so all else is shared, and the targets, a new
+        instance's, are derived from `algebra`.  A sweep's report keeps one
+        verdict per class, and rotates it only for `TheoremReport.verdicts`
+        and the counterexamples."""
         return AlgebraVerdict(
-            algebra, weights, self.f_vector, self.betti, self.gldim,
+            algebra, self._row_weights(algebra.kupisch), self.f_vector, self.betti, self.gldim,
             self.hc_dims, self.basis_sizes, self.checks, self.semisimple,
         )
+
+    def _row_weights(self, c: tuple[int, ...]) -> tuple[int, ...]:
+        """The weights of the algebra with series c, a rotation of this
+        one.  They are listed by least vertex, so several distinct weights,
+        which only a counterexample to SameWeight has, are read off the
+        quiver of c when c is another rotation."""
+        weights = self.weights
+        if len(set(weights)) > 1 and c != self.algebra.kupisch:
+            weights = resolution.weights(c)
+        return weights
 
     def to_dict(self) -> dict:
         algebra = self.algebra
@@ -505,33 +514,80 @@ def raw_complex_matches(
     return v == count and union != ((1 << n) - 1) ^ leaf_bit
 
 
-@dataclass
+# A report's row: its Kupisch series, and the verdict of its rotation class,
+# whose algebra is the class's key or, in a report built from verdicts, the
+# row's own.
+_Row = tuple[tuple[int, ...], AlgebraVerdict]
+
+
 class TheoremReport:
-    config: SweepConfig
-    verdicts: list[AlgebraVerdict]
+    """The outcome of a sweep: its config and its rows in output order.
+    A row is its own Kupisch series and a reference to its class's
+    verdict, so a report keeps one verdict per rotation class, and the
+    writers, `totals` and `counterexamples` read each class once.
+    `TheoremReport(config, verdicts)` builds a report with one row per
+    verdict, duplicates kept, each its own class; `verdicts` lists one
+    verdict per row, each with its own algebra, the class's verdict
+    rotated onto the row (`AlgebraVerdict.rotate`) when first read."""
+
+    def __init__(self, config: SweepConfig, verdicts: list[AlgebraVerdict]):
+        self.config = config
+        self._rows: list[_Row] = [(v.algebra.kupisch, v) for v in verdicts]
+
+    @classmethod
+    def _of_rows(cls, config: SweepConfig, rows: list[_Row]) -> "TheoremReport":
+        report = cls(config, [])
+        report._rows = rows
+        return report
+
+    def __len__(self) -> int:
+        """The number of rows."""
+        return len(self._rows)
+
+    @cached_property
+    def verdicts(self) -> list[AlgebraVerdict]:
+        """One verdict per row, each with the row's own algebra."""
+        return [_row_verdict(c, v) for c, v in self._rows]
+
+    @cached_property
+    def _classes(self) -> list[list]:
+        """[verdict, row count] for each distinct class verdict, in the
+        order of their first rows."""
+        classes: dict[int, list] = {}
+        for _, v in self._rows:
+            entry = classes.get(id(v))
+            if entry is None:
+                classes[id(v)] = [v, 1]
+            else:
+                entry[1] += 1
+        return list(classes.values())
 
     @property
     def counterexamples(self) -> list[AlgebraVerdict]:
-        return [v for v in self.verdicts if not v.ok]
+        """The verdicts of the rows whose class verdict fails a check; only
+        these rows are rotated."""
+        failing = {id(v) for v, _ in self._classes if not v.ok}
+        return [_row_verdict(c, v) for c, v in self._rows if id(v) in failing] if failing else []
 
     @property
     def ok(self) -> bool:
-        return not self.counterexamples
+        return all(v.ok for v, _ in self._classes)
 
     def totals(self) -> dict[tuple[int, str], int]:
+        """Rows by n and algebra class, counted per class verdict: the
+        algebra class counts the entries 1, which a rotation keeps."""
         out: dict[tuple[int, str], int] = {}
-        for v in self.verdicts:
-            # read off the series: a rotated row's algebra has nothing cached
+        for v, rows in self._classes:
             c = v.algebra.kupisch
             key = (len(c), AlgebraClass.of(c).value)
-            out[key] = out.get(key, 0) + 1
+            out[key] = out.get(key, 0) + rows
         return out
 
     def to_dict(self) -> dict:
         counterexamples = self.counterexamples
         return {
             "config": self.config.to_dict(),
-            "algebra_count": len(self.verdicts),
+            "algebra_count": len(self._rows),
             "totals": [
                 {"n": n, "class": cls, "count": count}
                 for (n, cls), count in sorted(self.totals().items())
@@ -542,6 +598,11 @@ class TheoremReport:
             ],
             "ok": not counterexamples,
         }
+
+
+def _row_verdict(c: tuple[int, ...], v: AlgebraVerdict) -> AlgebraVerdict:
+    """The verdict of the row with series c whose class verdict is v."""
+    return v if c == v.algebra.kupisch else v.rotate(NakayamaAlgebra(c))
 
 
 def _mirror(c: tuple[int, ...]) -> tuple[int, ...]:
@@ -572,6 +633,13 @@ def _rotations(c: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [c[k:] + c[:k] for k in range(len(c))]
 
 
+def _least_rotation(c: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of c, which starts at an occurrence of the least
+    entry: only those rotations are built."""
+    low = min(c)
+    return min(c[k:] + c[:k] for k, x in enumerate(c) if x == low)
+
+
 def _levels(config: SweepConfig):
     """The requested rotation classes one nonempty level (one n) at a
     time, as a list of units: each unit is a mirror orbit, the classes of
@@ -582,9 +650,9 @@ def _levels(config: SweepConfig):
 
     The keys are the necklaces among the series, listed by `_necklaces`,
     and each is classified once.  The mirror class of a key c0 has the key
-    m0, the least rotation of `_mirror(c0)`; when m0 < c0, c0 is already in
-    m0's unit.  Mirror classes share the class filter, as A^op kills as
-    many arrows as A.
+    m0, the least rotation of `_mirror(c0)` (`_least_rotation`); when
+    m0 < c0, c0 is already in m0's unit.  Mirror classes share the class
+    filter, as A^op kills as many arrows as A.
 
     Past MAX_SUBSETS station subsets `verify` refuses every algebra, so
     the first level past it is its first algebra alone, the least of the
@@ -603,7 +671,7 @@ def _levels(config: SweepConfig):
         if 2 ** n - 1 <= MAX_SUBSETS:
             for c0 in _necklaces(n, config.c_max):
                 if AlgebraClass.of(c0) in config.classes:
-                    m0 = min(_rotations(_mirror(c0)))
+                    m0 = _least_rotation(_mirror(c0))
                     if m0 > c0:
                         units.append((c0, m0))
                     elif m0 == c0:
@@ -639,8 +707,8 @@ def _verify_units(
 
 
 def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
-    """Verify every enumerated algebra; the verdict order is the enumeration
-    order regardless of worker count.
+    """Verify every enumerated algebra; the rows are in enumeration order
+    regardless of worker count.
 
     Only the least rotation of each Kupisch series, the class key that
     `_levels` lists, is verified, a mirror pair at a time: the second class
@@ -648,13 +716,14 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
     run in order, and each level's units are verified with the table of the
     level below, where the leaf checks find the smaller algebras by their
     series: each class's verdict is keyed by every rotation of its key.
-    Those keys, sorted, are the level's rows, so the table serves both, and
-    the order in which the verdicts come back reaches no output: a row that
-    is not its class's key gets the class's verdict with its own algebra
-    swapped in (see `AlgebraVerdict.rotate`).  On `workers` processes, each
-    level's units are dealt to them in turn, every worker gets the table of
-    the level below, and the next level is listed while they work."""
-    verdicts: list[AlgebraVerdict] = []
+    Those keys, sorted, with their class's verdict, are the level's rows,
+    so the table serves both, and the order in which the verdicts come
+    back reaches no output.  A row is its series and its class's verdict,
+    so the report keeps one verdict per class and builds none per row
+    (see `TheoremReport`).  On `workers` processes, each level's units are
+    dealt to them in turn, every worker gets the table of the level below,
+    and the next level is listed while they work."""
+    rows: list[_Row] = []
     known: Table = {}
     levels = _levels(config)
     spawn = get_context("spawn")
@@ -668,10 +737,8 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
                 parts = pool.map(_verify_units, shares, repeat(config.checks), repeat(known))
             units = next(levels, [])
             known = {c: v for part in parts for v in part for c in _rotations(v.algebra.kupisch)}
-            for c in sorted(known):
-                v = known[c]
-                verdicts.append(v if v.algebra.kupisch == c else v.rotate(NakayamaAlgebra(c)))
-    return TheoremReport(config=config, verdicts=verdicts)
+            rows += sorted(known.items())
+    return TheoremReport._of_rows(config, rows)
 
 
 def default_workers() -> int:
@@ -693,33 +760,36 @@ CSV_COLUMNS = (
 
 
 def to_csv(report: TheoremReport) -> str:
-    """One row per verdict under the CSV_COLUMNS header.
+    """One row per report row under the CSV_COLUMNS header.
 
     Every column after `kupisch` depends only on gldim, the weights, the
     f-vector (through chi), the reduced Betti numbers, `hc_dims` and the
-    names of the failed checks, in order, which the rows of a rotation
-    class share but for the order of several distinct weights.  So that
-    text is formatted once for each distinct set of those values, keyed by
-    the values themselves (no name, (), when every check passes), and each
-    row is `n,kupisch,` followed by it.  No field needs CSV quoting: each
-    is a number, numbers joined by spaces or `|`, or check names."""
-    tails: dict[tuple, str] = {}
+    failed checks, which the rows of a rotation class share but for the
+    order of several distinct weights.  So each class verdict's text after
+    the series is formatted once, when its first row is met, and each
+    entry's word is made once, when the first class with that entry is
+    met: a row is its n, its entries' words and its class's text.  A
+    class whose weights differ, which only a counterexample to SameWeight
+    has, formats each row's weights in that row's order.  No field needs
+    CSV quoting: each is a number, numbers joined by spaces or `|`, or
+    check names."""
+    words: list[str] = []  # words[x] is the text of the entry x
+    word = words.__getitem__
+    tails: dict[int, str] = {}  # by class verdict; "" where each row has its own weights
     lines = [",".join(CSV_COLUMNS)]
-    for v in report.verdicts:
-        failed = () if all(v.checks.values()) else tuple(v.failed)
-        key = (v.gldim.value, v.weights, v.f_vector, v.betti, v.hc_dims, failed)
-        tail = tails.get(key)
+    for c, v in report._rows:
+        tail = tails.get(id(v))
         if tail is None:
-            tail = tails[key] = _csv_tail(v)
-        c = v.algebra.kupisch
-        lines.append(f"{len(c)},{' '.join(map(str, c))},{tail}")
+            words += map(str, range(len(words), max(c) + 1))
+            tail = tails[id(v)] = "," + _csv_tail(v, v.weights) if len(set(v.weights)) == 1 else ""
+        lines.append(f"{len(c)},{' '.join(map(word, c))}{tail or ',' + _csv_tail(v, v._row_weights(c))}")
     lines.append("")
     return "\n".join(lines)
 
 
-def _csv_tail(v: AlgebraVerdict) -> str:
-    """The CSV columns of `v` after `kupisch`, joined."""
-    weights = v.weights
+def _csv_tail(v: AlgebraVerdict, weights: tuple[int, ...]) -> str:
+    """The CSV columns after `kupisch` of a row whose verdict is v and
+    whose weights are `weights`, joined."""
     return ",".join(
         (
             "inf" if not v.gldim.is_finite else str(v.gldim.value),

@@ -14,7 +14,9 @@ counts the rest.  `cyclic_cells` walks every cell, as the package did
 before, and `is_up_set` checks Fact 1 on them, so that the critical cells,
 the counts and the HC read off them can be compared with the whole
 complex.  `arcs_hold` is the inequality behind Fact 1 checked at every
-distance, where `CyclicSquare` compares neighbours only."""
+distance, where `CyclicSquare` compares neighbours only.
+`cell_counts_by_least_station` is the count the package made before it
+packed every least station into one integer: one pass per least station."""
 
 from nakayama import cyclic, linalg
 
@@ -106,6 +108,35 @@ def cyclic_cells(algebra):
         levels.append({bits: tup for tup, bits in walked if tup[0] < wrap_bound[tup[-1]]})
         walked = [(tup + (x,), bits | bit) for tup, bits in walked for x, bit in steps[tup[-1]]]
     return levels
+
+
+def cell_counts_by_least_station(c):
+    """The number of p-cells for p = 0..n-1, by one dynamic program per
+    least station s: upto[x] sums t^k over the tuples from s with short
+    inner gaps, k stations and last station at most x, one integer with
+    the coefficient of t^k in bits n*k to n*k + n - 1.  The stations y < x
+    whose path reaches x are those from reach[x] on."""
+    n = len(c)
+    wrap_bound = [0] + [c[w - 1] - n + w for w in range(1, n + 1)]
+    reach = [0] * (n + 1)
+    y = 1
+    for x in range(1, n + 1):
+        while y < x and y + c[y - 1] <= x:
+            y += 1
+        reach[x] = y
+    cells = 0
+    for s in range(1, n + 1):
+        upto = [0] * (n + 1)
+        upto[s] = 1 << n
+        if s < wrap_bound[s]:
+            cells += upto[s]
+        for x in range(s + 1, n + 1):
+            ending = (upto[x - 1] - upto[max(s, reach[x]) - 1]) << n
+            upto[x] = upto[x - 1] + ending
+            if s < wrap_bound[x]:
+                cells += ending
+    mask = (1 << n) - 1
+    return tuple(cells >> n * k & mask for k in range(1, n + 1))
 
 
 def is_up_set(n, levels):

@@ -3,15 +3,22 @@ every cell, as `linalg_oracle.cyclic_cells` walks them: the walk lists
 exactly the critical cells of the matching W <-> W + {1}, no face of one is
 matched, the HC they give is the HC of all cells (ranked by the kernel,
 and by Bareiss elimination map by map), and the counting gives the number
-of cells of each degree."""
+of cells of each degree, as the count by least station does."""
 
 from hypothesis import given, settings
 
 import linalg_oracle as oracle
 from linalg_oracle import bareiss_rank, boundary_maps, to_dense
 from nakayama import NakayamaAlgebra, radical_power_algebra
-from nakayama.cyclic import _SIGN, _critical_cells, basis_sizes, differential_squares_to_zero, hc_dimensions
-from nakayama.harness import SweepConfig, enumerate_kupisch
+from nakayama.cyclic import (
+    _SIGN,
+    _cell_counts,
+    _critical_cells,
+    basis_sizes,
+    differential_squares_to_zero,
+    hc_dimensions,
+)
+from nakayama.harness import SweepConfig, enumerate_kupisch, kupisch_series as all_series
 from nakayama.linalg import chain_ranks
 from enumeration_oracle import least_rotation
 from strategies import kupisch_series
@@ -80,6 +87,26 @@ def test_counts_match_the_walk():
     for algebra in classes + _radical_powers(16):
         sizes = tuple(len(level) for level in oracle.cyclic_cells(algebra))
         assert basis_sizes(algebra) == sizes, algebra.kupisch
+
+
+def test_packed_counts_match_the_count_by_least_station():
+    """The one pass that packs every least station into one integer gives
+    the counts of one pass per least station, on every series at n <= 8,
+    c <= n + 1."""
+    checked = 0
+    for n in range(2, 9):
+        for c in all_series(n, n + 1):
+            assert _cell_counts(c) == oracle.cell_counts_by_least_station(c), c
+            checked += 1
+    assert checked == 49743
+
+
+@settings(max_examples=200, deadline=None)
+@given(kupisch_series(min_n=2, max_n=16, max_c=40))
+def test_packed_counts_match_the_count_by_least_station_random(c):
+    """Up to n = 16, the widest packing MAX_SUBSETS admits, with entries
+    past n + 1, whose wrap bounds pass the last z-block."""
+    assert _cell_counts(c) == oracle.cell_counts_by_least_station(c)
 
 
 def test_no_face_of_a_critical_cell_is_matched():

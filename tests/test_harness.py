@@ -21,7 +21,7 @@ from nakayama import (
     unamalgamation,
     validate,
 )
-from nakayama.algebra import ProjDim, is_valid_kupisch
+from nakayama.algebra import NakayamaAlgebra, ProjDim, is_valid_kupisch
 from nakayama.harness import (
     STRUCTURAL_CHECKS,
     THEOREM_CHECKS,
@@ -512,6 +512,40 @@ def test_csv_rows_keep_their_own_weight_order():
     rows = to_csv(TheoremReport(SweepConfig(), verdicts)).splitlines()[1:]
     assert rows == [_csv_row(p) for p in verdicts]
     assert [row.split(",")[4] for row in rows] == ["1|2", "2|1", "1|2", "2|1|2", "2|2|1"]
+
+
+def test_sweep_rows_of_a_class_with_several_weights_keep_their_own_order(monkeypatch):
+    """A sweep keeps one verdict per class, and a class whose weights
+    differ prints each row's weights in that row's order, read off the
+    row's own quiver.  By SameWeight no real class has several weights, so
+    the quiver of the class of (2, 3, 3, 3) is planted: its weights are the
+    row's position of the entry 2, then 5."""
+    c0 = (2, 3, 3, 3)
+    real = resolution.weights
+    planted = {c: (c.index(2) + 1, 5) for c in rotations(c0)}
+    monkeypatch.setattr(resolution, "weights", lambda c, f=None: planted.get(c) or real(c, f))
+    report = sweep(SweepConfig(n_min=2, n_max=4, c_max=3), workers=1)
+    rows = to_csv(report).splitlines()[1:]
+    assert rows == [_csv_row(v) for v in report.verdicts]
+    weights = {tuple(map(int, row.split(",")[1].split())): row.split(",")[4] for row in rows}
+    assert {c: weights[c] for c in planted} == {c: f"{c.index(2) + 1}|5" for c in planted}
+
+
+def test_sweep_writers_build_no_verdict_or_algebra_per_row(monkeypatch):
+    """A serial sweep at n <= 6, c <= 7, written as CSV and JSON, rotates
+    no verdict and builds one algebra per rotation class, its key, the one
+    `verify` reads: no row gets a verdict or an algebra of its own."""
+    def unread(self, algebra):
+        raise AssertionError("a verdict was rotated")
+
+    built, init = [], NakayamaAlgebra.__init__
+    monkeypatch.setattr(AlgebraVerdict, "rotate", unread)
+    monkeypatch.setattr(NakayamaAlgebra, "__init__", lambda self, c: built.append(c) or init(self, c))
+    report = sweep(SweepConfig(n_min=2, n_max=6, c_max=7), workers=1)
+    rows = to_csv(report).splitlines()[1:]
+    assert json.loads(to_json(report))["algebra_count"] == len(rows) == len(report) == 2996
+    classes = {least_rotation(tuple(map(int, row.split(",")[1].split()))) for row in rows}
+    assert sorted(built) == sorted(classes) and len(classes) == 592
 
 
 def test_csv_rows_keep_their_own_failed_checks():
