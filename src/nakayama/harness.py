@@ -36,13 +36,13 @@ lexicographic order, by the Fredricksen–Kessler–Maiorana rule
 (`_necklaces`), classifying each class once, at its key; no row is
 visited.  `sweep` runs `verify` once per class, on the key, and its
 report keeps that one verdict per class: a row is its own series and a
-reference to its class's verdict, and no verdict or algebra is made for
-a row.  `to_csv` formats the columns after the series once per class,
-and `totals` counts each class once.  The opposite algebra A^op of a
-Nakayama algebra A is again one, and the two share every invariant that
-reads no vertex label: the relation complex, HC and the cell counts, and
-gldim.  So each level
-is listed as units, its mirror orbits: a class with its mirror class,
+reference to its class's verdict, and no verdict is made for a row, nor
+an algebra but for a counterexample's JSON.  `to_csv` formats the
+columns after the series once per class, and `totals` counts each class
+once.  The opposite algebra A^op of a Nakayama algebra A is again one,
+and the two share every invariant that reads no vertex label: the
+relation complex, HC and the cell counts, and gldim.  So each level is
+listed as units, its mirror orbits: a class with its mirror class,
 that of A^op, or a class alone when it is its own mirror.  Of a pair of
 distinct classes only the first computes those invariants; the second
 takes them, as the same objects, and computes what depends on the labels
@@ -201,7 +201,10 @@ class AlgebraVerdict:
     sizes, the named checks, and `reduce_fully(algebra).semisimple` when
     the Bprime check computed it (None otherwise).  The quiver's targets
     are read off the algebra's Kupisch series when first read, unless
-    `verify` seeded them with the ones it computed for the weights."""
+    `verify` seeded them with the ones it computed for the weights.  In a
+    sweep's report it is the verdict of a rotation class, its algebra the
+    class's key, and every row of the class refers to it; only a row's
+    weights are read for the row (`_row_weights`)."""
 
     algebra: NakayamaAlgebra
     weights: tuple[int, ...]
@@ -242,22 +245,12 @@ class AlgebraVerdict:
     def ok(self) -> bool:
         return not self.failed
 
-    def rotate(self, algebra: NakayamaAlgebra) -> "AlgebraVerdict":
-        """The verdict of `algebra`, a rotation of this algebra: only the
-        labels differ, so all else is shared, and the targets, a new
-        instance's, are derived from `algebra`.  A sweep's report keeps one
-        verdict per class, and rotates it only for `TheoremReport.verdicts`
-        and the counterexamples."""
-        return AlgebraVerdict(
-            algebra, self._row_weights(algebra.kupisch), self.f_vector, self.betti, self.gldim,
-            self.hc_dims, self.basis_sizes, self.checks, self.semisimple,
-        )
-
     def _row_weights(self, c: tuple[int, ...]) -> tuple[int, ...]:
         """The weights of the algebra with series c, a rotation of this
-        one.  They are listed by least vertex, so several distinct weights,
-        which only a counterexample to SameWeight has, are read off the
-        quiver of c when c is another rotation."""
+        one, as `to_csv` writes them for a row of this verdict's class.
+        They are listed by least vertex, so several distinct weights, which
+        only a counterexample to SameWeight has, are read off the quiver of
+        c when c is another rotation."""
         weights = self.weights
         if len(set(weights)) > 1 and c != self.algebra.kupisch:
             weights = resolution.weights(c)
@@ -327,7 +320,7 @@ def verify(
         hc_dims=hc_dims,
         basis_sizes=basis_sizes,
     )
-    # seed the cached `targets`; a rotated verdict, a new instance, derives its own
+    # seed the cached `targets` with those the weights were computed from
     verdict.__dict__["targets"] = f
     results = verdict.checks
     weights, chi, lvs = verdict.weights, verdict.chi, verdict.leaves
@@ -516,45 +509,34 @@ def raw_complex_matches(
 
 # A report's row: its Kupisch series, and the verdict of its rotation class,
 # whose algebra is the class's key or, in a report built from verdicts, the
-# row's own.
+# row's own.  No verdict is made for a row.
 _Row = tuple[tuple[int, ...], AlgebraVerdict]
 
 
 class TheoremReport:
-    """The outcome of a sweep: its config and its rows in output order.
-    A row is its own Kupisch series and a reference to its class's
+    """The outcome of a sweep: its config and `rows`, its rows in output
+    order.  A row is its own Kupisch series and a reference to its class's
     verdict, so a report keeps one verdict per rotation class, and the
     writers, `totals` and `counterexamples` read each class once.
     `TheoremReport(config, verdicts)` builds a report with one row per
-    verdict, duplicates kept, each its own class; `verdicts` lists one
-    verdict per row, each with its own algebra, the class's verdict
-    rotated onto the row (`AlgebraVerdict.rotate`) when first read."""
+    verdict, on the verdict's own series; a verdict listed more than once
+    is one class with several rows.  `sweep` fills `rows` level by level,
+    and the class summaries are read once the rows are in."""
 
     def __init__(self, config: SweepConfig, verdicts: list[AlgebraVerdict]):
         self.config = config
-        self._rows: list[_Row] = [(v.algebra.kupisch, v) for v in verdicts]
-
-    @classmethod
-    def _of_rows(cls, config: SweepConfig, rows: list[_Row]) -> "TheoremReport":
-        report = cls(config, [])
-        report._rows = rows
-        return report
+        self.rows: list[_Row] = [(v.algebra.kupisch, v) for v in verdicts]
 
     def __len__(self) -> int:
         """The number of rows."""
-        return len(self._rows)
-
-    @cached_property
-    def verdicts(self) -> list[AlgebraVerdict]:
-        """One verdict per row, each with the row's own algebra."""
-        return [_row_verdict(c, v) for c, v in self._rows]
+        return len(self.rows)
 
     @cached_property
     def _classes(self) -> list[list]:
         """[verdict, row count] for each distinct class verdict, in the
         order of their first rows."""
         classes: dict[int, list] = {}
-        for _, v in self._rows:
+        for _, v in self.rows:
             entry = classes.get(id(v))
             if entry is None:
                 classes[id(v)] = [v, 1]
@@ -563,11 +545,10 @@ class TheoremReport:
         return list(classes.values())
 
     @property
-    def counterexamples(self) -> list[AlgebraVerdict]:
-        """The verdicts of the rows whose class verdict fails a check; only
-        these rows are rotated."""
+    def counterexamples(self) -> list[_Row]:
+        """The rows whose class verdict fails a check, in row order."""
         failing = {id(v) for v, _ in self._classes if not v.ok}
-        return [_row_verdict(c, v) for c, v in self._rows if id(v) in failing] if failing else []
+        return [row for row in self.rows if id(row[1]) in failing] if failing else []
 
     @property
     def ok(self) -> bool:
@@ -587,22 +568,17 @@ class TheoremReport:
         counterexamples = self.counterexamples
         return {
             "config": self.config.to_dict(),
-            "algebra_count": len(self._rows),
+            "algebra_count": len(self.rows),
             "totals": [
                 {"n": n, "class": cls, "count": count}
                 for (n, cls), count in sorted(self.totals().items())
             ],
             "counterexamples": [
-                {"algebra": v.algebra.to_dict(), "failed": v.failed}
-                for v in counterexamples
+                {"algebra": NakayamaAlgebra(c).to_dict(), "failed": v.failed}
+                for c, v in counterexamples
             ],
             "ok": not counterexamples,
         }
-
-
-def _row_verdict(c: tuple[int, ...], v: AlgebraVerdict) -> AlgebraVerdict:
-    """The verdict of the row with series c whose class verdict is v."""
-    return v if c == v.algebra.kupisch else v.rotate(NakayamaAlgebra(c))
 
 
 def _mirror(c: tuple[int, ...]) -> tuple[int, ...]:
@@ -723,7 +699,7 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
     (see `TheoremReport`).  On `workers` processes, each level's units are
     dealt to them in turn, every worker gets the table of the level below,
     and the next level is listed while they work."""
-    rows: list[_Row] = []
+    report = TheoremReport(config, [])
     known: Table = {}
     levels = _levels(config)
     spawn = get_context("spawn")
@@ -737,8 +713,8 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
                 parts = pool.map(_verify_units, shares, repeat(config.checks), repeat(known))
             units = next(levels, [])
             known = {c: v for part in parts for v in part for c in _rotations(v.algebra.kupisch)}
-            rows += sorted(known.items())
-    return TheoremReport._of_rows(config, rows)
+            report.rows += sorted(known.items())
+    return report
 
 
 def default_workers() -> int:
@@ -777,7 +753,7 @@ def to_csv(report: TheoremReport) -> str:
     word = words.__getitem__
     tails: dict[int, str] = {}  # by class verdict; "" where each row has its own weights
     lines = [",".join(CSV_COLUMNS)]
-    for c, v in report._rows:
+    for c, v in report.rows:
         tail = tails.get(id(v))
         if tail is None:
             words += map(str, range(len(words), max(c) + 1))

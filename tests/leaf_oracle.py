@@ -13,16 +13,19 @@ and `reduction_dict` is
 the resolution quiver at every step.  `check_properties` is
 `unamalgamation.check_properties` with a full `record` on both sides,
 listed f-vector and all, built here and not by `verify`, whose leaf checks
-it is the oracle of, a table entry rotated onto the step's output by
-`AlgebraVerdict.rotate`, and the step's JSON by the word path.
+it is the oracle of, a table entry relabelled onto the step's output by
+`relabel`, and the step's JSON by the word path.  `relabel` is also the
+oracle of a sweep's row: its class's verdict read onto the row's own
+series.
 `raw_complex_matches` is the word-taking form of
 `harness.raw_complex_matches`, by enumeration: it takes the raw image
 words themselves, not the output series they are read off, lists every
 simplex of their complex and compares them with the given complex's."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from enumeration_oracle import least_rotation, mod1
+from nakayama import resolution
 from nakayama.algebra import NakayamaAlgebra, Relation, global_dimension, kupisch_from_relations
 from nakayama.harness import AlgebraVerdict
 from nakayama.relation_complex import build_complex, interior, reduced_betti, simplex_levels
@@ -151,13 +154,21 @@ def record(algebra):
     return rec
 
 
+def relabel(verdict, algebra):
+    """`verdict`, the verdict of a rotation of `algebra`, read onto
+    `algebra`: the fields that read no label and the checks as they are,
+    and the targets, the leaves and the weights, listed by least vertex,
+    off the series of `algebra` itself."""
+    return replace(verdict, algebra=algebra, weights=resolution.weights(algebra.kupisch))
+
+
 def look_up(known, algebra):
-    """The record of `algebra`, rotated out of the entry for its rotation
+    """The record of `algebra`, relabelled from the entry for its rotation
     class, or None when `known` has no entry."""
     if not known:
         return None
     entry = known.get(least_rotation(algebra.kupisch))
-    return None if entry is None else entry.rotate(algebra)
+    return None if entry is None else relabel(entry, algebra)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from nakayama.resolution import build
 
 import enumeration_oracle
 import leaf_oracle
+import planted_checks
 from enumeration_oracle import least_rotation, mod1, rotations
 from strategies import kupisch_series as kupisch_series_strategy
 
@@ -164,7 +165,7 @@ def test_level_keys_are_the_least_rotations(monkeypatch, classes):
 
     monkeypatch.setattr(harness, "verify", stub)
     monkeypatch.setattr(AlgebraClass, "of", staticmethod(lambda c: classified.append(c) or classify(c)))
-    rows = [v.algebra.kupisch for v in sweep(config).verdicts]
+    rows = [c for c, _ in sweep(config).rows]
     monkeypatch.undo()
     assert rows == [a.kupisch for a in enumerate_kupisch(config)]
     units = [unit for level in harness._levels(config) for unit in level]
@@ -256,7 +257,7 @@ def test_sweep_small_is_clean():
     report = sweep(SweepConfig(n_min=2, n_max=4, c_max=5))
     assert report.ok
     assert not report.counterexamples
-    assert len(report.verdicts) == 168
+    assert len(report.rows) == 168
     totals = report.totals()
     # 82 = brute-force count of 4-tuples in [2,5]^4 with c_{i+1} >= c_i - 1
     assert totals[(4, "cyclic")] == 82
@@ -264,8 +265,8 @@ def test_sweep_small_is_clean():
 
 def test_sweep_single_algebra():
     report = sweep(SweepConfig(n_min=4, n_max=4, c_max=2, classes=frozenset({AlgebraClass.CYCLIC})))
-    assert len(report.verdicts) == 1
-    assert report.verdicts[0].algebra.kupisch == (2, 2, 2, 2)
+    ((c, v),) = report.rows
+    assert c == v.algebra.kupisch == (2, 2, 2, 2)
     assert report.ok
 
 
@@ -284,14 +285,40 @@ def test_csv_and_json_outputs():
     csv_text = to_csv(report)
     lines = csv_text.splitlines()
     assert lines[0] == "n,kupisch,gldim,components,weight,chi,betti,hc_dims,verdicts"
-    assert len(lines) == 1 + len(report.verdicts)
+    assert len(lines) == 1 + len(report.rows)
     assert csv_text == to_csv(report)  # deterministic
 
     data = json.loads(to_json(report))
     assert data["ok"] is True
-    assert data["algebra_count"] == len(report.verdicts)
+    assert data["algebra_count"] == len(report.rows)
     assert data["counterexamples"] == []
     assert data["config"]["c_max"] == 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_counterexamples_are_the_failing_rows(monkeypatch, workers):
+    """With check A planted to fail on every class whose entries sum to a
+    multiple of 3, through the `verify` that the sweep calls in each of its
+    processes, a sweep at n <= 6, c <= 7 reports exactly the failing rows,
+    in row order: the JSON writes each as the algebra of its own series,
+    not its class's key, with its class's failed checks, and the CSV marks
+    the same rows with the same checks."""
+    monkeypatch.setattr(harness, "_verify_units", planted_checks.verify_units)
+    config = SweepConfig(n_min=2, n_max=6, c_max=7)
+    report = sweep(config, workers=workers)
+    series = _series(config)
+    failing = [c for c in series if planted_checks.fails(c)]
+    assert any(c != least_rotation(c) for c in failing) and 0 < len(failing) < len(series) == 2996
+    data = json.loads(to_json(report))
+    assert data["ok"] is False and data["algebra_count"] == len(report) == len(series)
+    assert data["counterexamples"] == [
+        {"algebra": algebra_from_kupisch(c).to_dict(), "failed": ["A"]} for c in failing
+    ]
+    assert len(report.counterexamples) == len(failing)
+    rows = [row.split(",") for row in to_csv(report).splitlines()[1:]]
+    assert [(tuple(map(int, row[1].split())), row[-1]) for row in rows if row[-1] != "ok"] == [
+        (c, "A") for c in failing
+    ]
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -331,12 +358,26 @@ def test_subset_limit_admits_rad12_on_11_vertices():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_verdicts_match_verify_without_table(workers):
-    """The table of verdicts a sweep keeps changes no verdict: each one
-    equals a `verify` that builds every smaller algebra afresh."""
+    """The table of verdicts a sweep keeps changes no verdict, and a class
+    verdict holds for every row of the class: on each row, a `verify` of
+    the row's own algebra that builds every smaller algebra afresh has the
+    class verdict's checks, f-vector, Betti numbers, gldim, cyclic
+    dimensions, basis sizes and sorted weights.  On a class's key row it
+    has the class verdict's whole dict, and on every row the dict of the
+    class verdict relabelled onto the row by the oracle."""
     report = sweep(SweepConfig(n_min=2, n_max=5, c_max=6), workers=workers)
-    assert len(report.verdicts) > 400
-    for v in report.verdicts:
-        assert v.to_dict() == verify(v.algebra).to_dict(), v.algebra.kupisch
+    assert len(report.rows) > 400
+    keys = 0
+    for c, v in report.rows:
+        own = verify(NakayamaAlgebra(c))
+        for name in ("checks", "f_vector", "betti", "gldim", "hc_dims", "basis_sizes"):
+            assert getattr(v, name) == getattr(own, name), (c, name)
+        assert sorted(v.weights) == sorted(own.weights), c
+        if c == v.algebra.kupisch:
+            assert v.to_dict() == own.to_dict(), c
+            keys += 1
+        assert leaf_oracle.relabel(v, NakayamaAlgebra(c)).to_dict() == own.to_dict(), c
+    assert 0 < keys < len(report.rows)
 
 
 def test_sweep_builds_invariants_once_per_rotation_class(monkeypatch):
@@ -355,8 +396,8 @@ def test_sweep_builds_invariants_once_per_rotation_class(monkeypatch):
 
     monkeypatch.setattr(resolution, "weights", counting)
     report = sweep(SweepConfig(n_min=2, n_max=5, c_max=6), workers=1)
-    rows = [v.algebra.kupisch for v in report.verdicts]
-    assert any(v.leaves for v in report.verdicts if v.algebra.n >= 3)
+    rows = [c for c, _ in report.rows]
+    assert any(v.leaves for _, v in report.rows if v.algebra.n >= 3)
     assert sorted(built) == sorted(c for c in rows if least_rotation(c) == c)
     assert len(set(built)) == len(built)
     assert len(built) < len(rows) / 3
@@ -379,13 +420,18 @@ def exhaustive(request):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_class_sweep_matches_exhaustive_oracle(exhaustive, workers):
-    """The sweep verifies one algebra per rotation class and rotates its
-    record into the other rows; its CSV, its JSON and every verdict's dict
-    equal those of the exhaustive sweep."""
+    """The sweep verifies one algebra per rotation class, and every row of
+    the class refers to its record; its CSV and its JSON equal those of the
+    exhaustive sweep, row for row the same series, and each row's class
+    verdict, relabelled onto the row by the oracle, has the dict of the
+    exhaustive sweep's verdict of that row."""
     report = sweep(exhaustive.config, workers=workers)
     assert to_csv(report) == to_csv(exhaustive)
     assert to_json(report) == to_json(exhaustive)
-    assert [v.to_dict() for v in report.verdicts] == [v.to_dict() for v in exhaustive.verdicts]
+    assert [c for c, _ in report.rows] == [c for c, _ in exhaustive.rows]
+    assert [leaf_oracle.relabel(v, NakayamaAlgebra(c)).to_dict() for c, v in report.rows] == [
+        v.to_dict() for _, v in exhaustive.rows
+    ]
 
 
 def test_bprime_reads_the_entry_at_the_least_leaf():
@@ -452,11 +498,11 @@ def test_sweep_with_missing_smaller_algebras_matches_full_sweep():
     part = sweep(SweepConfig(n_min=3, n_max=5, c_max=6, classes=only_cyclic))
     full = sweep(SweepConfig(n_min=2, n_max=5, c_max=6))
     kept = [
-        v for v in full.verdicts
-        if v.algebra.n >= 3 and v.algebra.algebra_class in only_cyclic
+        line for (c, _), line in zip(full.rows, to_csv(full).splitlines()[1:], strict=True)
+        if len(c) >= 3 and AlgebraClass.of(c) in only_cyclic
     ]
-    assert len(part.verdicts) == len(kept) > 100
-    assert to_csv(part).splitlines()[1:] == to_csv(TheoremReport(full.config, kept)).splitlines()[1:]
+    assert len(part.rows) == len(kept) > 100
+    assert to_csv(part).splitlines()[1:] == kept
 
 
 @pytest.fixture(scope="module")
@@ -470,9 +516,12 @@ def test_class_filtered_sweep_keeps_the_rows_of_its_classes(all_classes_sweep, c
     totals, of those classes in the sweep of all classes, n <= 6, c <= 7."""
     full = all_classes_sweep
     part = sweep(replace(full.config, classes=classes))
-    kept = [v for v in full.verdicts if v.algebra.algebra_class in classes]
-    assert len(part.verdicts) == len(kept) > 0
-    assert to_csv(part).splitlines()[1:] == to_csv(TheoremReport(full.config, kept)).splitlines()[1:]
+    kept = [
+        line for (c, _), line in zip(full.rows, to_csv(full).splitlines()[1:], strict=True)
+        if AlgebraClass.of(c) in classes
+    ]
+    assert len(part.rows) == len(kept) > 0
+    assert to_csv(part).splitlines()[1:] == kept
     names = {c.value for c in classes}
     totals = json.loads(to_json(full))["totals"]
     assert json.loads(to_json(part))["totals"] == [t for t in totals if t["class"] in names]
@@ -526,26 +575,25 @@ def test_sweep_rows_of_a_class_with_several_weights_keep_their_own_order(monkeyp
     monkeypatch.setattr(resolution, "weights", lambda c, f=None: planted.get(c) or real(c, f))
     report = sweep(SweepConfig(n_min=2, n_max=4, c_max=3), workers=1)
     rows = to_csv(report).splitlines()[1:]
-    assert rows == [_csv_row(v) for v in report.verdicts]
+    assert rows == [_csv_row(leaf_oracle.relabel(v, NakayamaAlgebra(c))) for c, v in report.rows]
     weights = {tuple(map(int, row.split(",")[1].split())): row.split(",")[4] for row in rows}
     assert {c: weights[c] for c in planted} == {c: f"{c.index(2) + 1}|5" for c in planted}
 
 
 def test_sweep_writers_build_no_verdict_or_algebra_per_row(monkeypatch):
-    """A serial sweep at n <= 6, c <= 7, written as CSV and JSON, rotates
-    no verdict and builds one algebra per rotation class, its key, the one
-    `verify` reads: no row gets a verdict or an algebra of its own."""
-    def unread(self, algebra):
-        raise AssertionError("a verdict was rotated")
-
+    """A serial sweep at n <= 6, c <= 7, written as CSV and JSON, builds one
+    verdict and one algebra per rotation class, its key, the one `verify`
+    reads: no row gets a verdict or an algebra of its own."""
+    made, new = [], AlgebraVerdict.__init__
     built, init = [], NakayamaAlgebra.__init__
-    monkeypatch.setattr(AlgebraVerdict, "rotate", unread)
+    monkeypatch.setattr(AlgebraVerdict, "__init__", lambda self, *a, **kw: made.append(self) or new(self, *a, **kw))
     monkeypatch.setattr(NakayamaAlgebra, "__init__", lambda self, c: built.append(c) or init(self, c))
     report = sweep(SweepConfig(n_min=2, n_max=6, c_max=7), workers=1)
     rows = to_csv(report).splitlines()[1:]
     assert json.loads(to_json(report))["algebra_count"] == len(rows) == len(report) == 2996
     classes = {least_rotation(tuple(map(int, row.split(",")[1].split()))) for row in rows}
-    assert sorted(built) == sorted(classes) and len(classes) == 592
+    assert sorted(built) == sorted(v.algebra.kupisch for v in made) == sorted(classes)
+    assert len(classes) == 592
 
 
 def test_csv_rows_keep_their_own_failed_checks():
@@ -576,50 +624,47 @@ def test_csv_rows_keep_their_own_failed_checks():
 
 
 def test_sweep_derives_relations_only_for_the_classes_it_verifies():
-    """A row that is not the least rotation of its series gets its class's
-    verdict without deriving its relations.  When a writer reads them, they
-    are those `validate` gives for the class's relations, relabelled."""
-    verdicts = sweep(SweepConfig(n_min=2, n_max=6, c_max=7)).verdicts
+    """A row that is not the least rotation of its series holds its class's
+    verdict, whose algebra is the class's key, so no relation of the row is
+    derived.  The relations a counterexample's JSON writes for such a row,
+    those of the algebra of its own series, are those `validate` gives for
+    the class's relations, relabelled."""
+    rows = sweep(SweepConfig(n_min=2, n_max=6, c_max=7)).rows
     verified = {}
     rotated = 0
-    for v in verdicts:
-        algebra = v.algebra
-        c, n = algebra.kupisch, algebra.n
+    for c, v in rows:
+        algebra, n = v.algebra, len(c)
         c0 = least_rotation(c)
+        assert algebra.kupisch == c0, c
         if c == c0:
             verified[c0] = algebra
             continue
-        assert "relations" not in vars(algebra), c
         k = next(k for k in range(n) if c0[k:] + c0[:k] == c)
         relabelled = [(mod1(r.start - k, n), r.length) for r in verified[c0].relations]
-        assert algebra.to_dict() == validate(n, relabelled).to_dict()
+        assert NakayamaAlgebra(c).to_dict() == validate(n, relabelled).to_dict()
         rotated += 1
-    assert len(verified) + rotated == len(verdicts) == 2996 and rotated > len(verified)
+    assert len(verified) + rotated == len(rows) == 2996 and rotated > len(verified)
 
 
 def test_rotated_rows_share_their_class_verdict():
-    """In a serial sweep at n <= 6, c <= 7, a row that is not the least
-    rotation of its series holds its class verdict's f-vector, Betti
-    numbers, cyclic dimensions, basis sizes and checks, the same objects,
-    not copies.  Its algebra is its own series, and its targets and leaves
-    are those of `verify` on that row."""
+    """In a serial sweep at n <= 6, c <= 7, the rows are the enumerated
+    series, and every row holds the verdict of its class, the one of the
+    row that is the class's least rotation, the same object, not a copy.
+    That verdict, relabelled onto a row by the oracle, has the targets and
+    leaves of `verify` on the row."""
     config = SweepConfig(n_min=2, n_max=6, c_max=7)
-    verdicts = sweep(config, workers=1).verdicts
-    by_class = {c: v for v in verdicts if (c := v.algebra.kupisch) == least_rotation(c)}
+    rows = sweep(config, workers=1).rows
+    table = {c: v for c, v in rows if c == least_rotation(c)}
     rotated = 0
-    for v, algebra in zip(verdicts, enumerate_kupisch(config), strict=True):
-        assert v.algebra.kupisch == algebra.kupisch
-        c0 = least_rotation(algebra.kupisch)
-        if algebra.kupisch == c0:
+    for (c, v), algebra in zip(rows, enumerate_kupisch(config), strict=True):
+        assert c == algebra.kupisch
+        assert v is table[least_rotation(c)], c
+        if c == v.algebra.kupisch:
             continue
-        shared = by_class[c0]
-        assert v is not shared
-        for name in ("f_vector", "betti", "hc_dims", "basis_sizes", "checks"):
-            assert getattr(v, name) is getattr(shared, name), (algebra.kupisch, name)
-        own = verify(algebra)
-        assert (v.targets, v.leaves) == (own.targets, own.leaves), algebra.kupisch
+        row, own = leaf_oracle.relabel(v, algebra), verify(algebra)
+        assert (row.targets, row.leaves) == (own.targets, own.leaves), c
         rotated += 1
-    assert rotated == len(verdicts) - len(by_class) == 2404
+    assert rotated == len(rows) - len(table) == 2404
 
 
 @settings(max_examples=150, deadline=None)
@@ -670,7 +715,7 @@ def test_sweep_computes_cyclic_homology_once_per_mirror_pair(monkeypatch):
     real = cyclic.hc_dimensions
     monkeypatch.setattr(cyclic, "hc_dimensions", lambda a: ranked.append(a.kupisch) or real(a))
     report = sweep(SweepConfig(n_min=2, n_max=6, c_max=7), workers=1)
-    classes = {least_rotation(v.algebra.kupisch) for v in report.verdicts}
+    classes = {least_rotation(c) for c, _ in report.rows}
     assert len(classes) == 592
     assert len(ranked) == len(set(ranked)) == 458
     assert set(ranked) <= classes
@@ -683,8 +728,8 @@ def test_mirror_classes_share_their_pairs_label_free_fields(workers):
     sizes and gldim of its pair's verdict, the same objects, with 2 and 3
     workers too, so the pair was verified by one worker.  Its algebra,
     targets, leaves and checks are its own, as `verify` gives them."""
-    verdicts = sweep(SweepConfig(n_min=2, n_max=6, c_max=7), workers=workers).verdicts
-    by_class = {c: v for v in verdicts if (c := v.algebra.kupisch) == least_rotation(c)}
+    rows = sweep(SweepConfig(n_min=2, n_max=6, c_max=7), workers=workers).rows
+    by_class = {c: v for c, v in rows if c == least_rotation(c)}
     later = 0
     for c0, v in by_class.items():
         m0 = least_rotation(enumeration_oracle.opposite_kupisch(c0))

@@ -58,16 +58,10 @@ def _tables(n_max, c_max):
     series of a class keys the verdict of its least rotation, one entry
     shared by the class.  Cached, so the tests that read one bound share
     one sweep: no test may change a table or an entry."""
-    verdicts = sweep(SweepConfig(n_min=2, n_max=n_max, c_max=c_max)).verdicts
-    records = {}
-    for v in verdicts:
-        c = v.algebra.kupisch
-        if c == least_rotation(c):
-            records[c] = v
     tables = {}
-    for v in verdicts:
-        c = v.algebra.kupisch
-        tables.setdefault(len(c), {})[c] = records[least_rotation(c)]
+    for c, v in sweep(SweepConfig(n_min=2, n_max=n_max, c_max=c_max)).rows:
+        assert v.algebra.kupisch == least_rotation(c)
+        tables.setdefault(len(c), {})[c] = v
     return tables
 
 
@@ -167,16 +161,16 @@ def test_leaf_checks_compute_no_f_vector(monkeypatch):
 
 def test_table_entries_are_read_as_they_are(monkeypatch):
     """`verify` reads the level below's entries for the leaf checks and
-    Bprime without rotating one, on every class at n = 6, c <= 6."""
+    Bprime as they are, relabelling none onto the output's series: on every
+    class at n = 6, c <= 6, the one verdict it makes is its own."""
     tables = _tables(5, 6)
-
-    def unread(self, algebra):
-        raise AssertionError("a table entry was rotated")
-
-    monkeypatch.setattr(AlgebraVerdict, "rotate", unread)
+    made, init = [], AlgebraVerdict.__init__
+    monkeypatch.setattr(AlgebraVerdict, "__init__", lambda self, *a, **kw: made.append(self) or init(self, *a, **kw))
     for algebra in enumerate_kupisch(SweepConfig(n_min=6, n_max=6, c_max=6)):
         if algebra.kupisch == least_rotation(algebra.kupisch):
-            assert verify(algebra, known=tables[5]).ok, algebra.kupisch
+            made.clear()
+            verdict = verify(algebra, known=tables[5])
+            assert verdict.ok and len(made) == 1 and made[0] is verdict, algebra.kupisch
 
 
 def test_sweep_leaf_checks_probe_the_table_by_series(monkeypatch):
@@ -195,7 +189,7 @@ def test_sweep_leaf_checks_probe_the_table_by_series(monkeypatch):
     monkeypatch.setattr(relation_complex, "build_complex", lambda a: built.append(a.kupisch) or build(a))
     checked, check = [], unamalgamation._leaf_check
     monkeypatch.setattr(unamalgamation, "_leaf_check", lambda *args: checked.append(args) or check(*args))
-    rows = [v.algebra.kupisch for v in sweep(SweepConfig(n_min=2, n_max=7, c_max=8)).verdicts]
+    rows = [c for c, _ in sweep(SweepConfig(n_min=2, n_max=7, c_max=8)).rows]
     assert sorted(built) == sorted(c for c in rows if c == least_rotation(c))
     assert len(set(built)) == len(built)
     assert len(checked) == 5556

@@ -286,37 +286,51 @@ def test_reduction_json_is_the_word_paths():
 
 @settings(max_examples=300, deadline=None)
 @given(kupisch_series(max_n=8, max_c=9), st.integers(0, 7))
-def test_rotate_equals_invariants_of_the_rotated_algebra(c, k):
-    """`AlgebraVerdict.rotate` turns the verdict of an algebra into the
-    verdict of its rotation, field for field, the targets and leaves
-    included: the rotated record does not keep the targets seeded into the
-    original."""
+def test_verify_under_rotation_relabels_only_the_targets_and_leaves(c, k):
+    """`verify` on a rotation of an algebra gives the verdict of the
+    algebra but for the labels: every field that reads no label, the
+    sorted weights, the checks and `semisimple` are equal, and the targets
+    and leaves are the algebra's relabelled.  A sweep keeps one verdict per
+    rotation class, which every row of the class reads, on this."""
     k %= len(c)
-    rotated = algebra_from_kupisch(c[k:] + c[:k])
-    got = verify(algebra_from_kupisch(c)).rotate(rotated)
-    want = verify(rotated)
-    # an algebra compares by its Kupisch series alone, so the derived
-    # fields are compared too
-    assert got == want
-    assert got.algebra.relations == want.algebra.relations
-    assert got.algebra.algebra_class is want.algebra.algebra_class
-    assert got.targets == want.targets
-    assert got.leaves == want.leaves
+    n = len(c)
+    algebra, rotated = algebra_from_kupisch(c), algebra_from_kupisch(c[k:] + c[:k])
+    got, want = verify(algebra), verify(rotated)
+    for name in ("f_vector", "betti", "gldim", "hc_dims", "basis_sizes", "checks", "semisimple"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert sorted(got.weights) == sorted(want.weights)
+    assert algebra.algebra_class is rotated.algebra_class
+
+    # vertex i of the rotation is vertex i + k of the algebra
+    def label(v):
+        return (v - 1 - k) % n + 1
+
+    assert want.targets == tuple(label(got.targets[(i + k) % n]) for i in range(n))
+    assert want.leaves == tuple(sorted(map(label, got.leaves)))
+    assert want.algebra.relations == tuple(
+        sorted(Relation(label(r.start), r.length) for r in algebra.relations)
+    )
 
 
-def test_rotate_reads_several_weights_off_the_rotated_quiver():
-    """Only a counterexample to SameWeight has components of different
-    weights, so this record is planted: its weights (1, 2) belong to no
-    algebra of its series.  Rotating it must read the weights off the
-    rotated algebra's quiver, which has one component of weight 1, and not
-    carry the planted ones along."""
+def test_row_weights_read_several_weights_off_the_rows_quiver():
+    """A sweep's CSV row reads its weights through its class verdict's
+    `_row_weights`.  Only a counterexample to SameWeight has components of
+    different weights, so this record is planted: its weights (1, 2)
+    belong to no algebra of its series.  For its own series they are kept;
+    for the rotation (2, 2, 4, 3, 3) they are read off that series'
+    quiver, which has one component of weight 1, and the planted ones are
+    not carried along.  Weights that are all equal are kept for every
+    rotation, as their order is the same."""
     record = AlgebraVerdict(
         algebra_from_kupisch((3, 2, 2, 4, 3)), weights=(1, 2), f_vector=(), betti=(), gldim=ProjDim(None),
         hc_dims=(), basis_sizes=(),
     )
-    rotated = algebra_from_kupisch((2, 2, 4, 3, 3))
-    assert build(rotated).weights == (1,)
-    assert record.rotate(rotated).weights == build(rotated).weights
+    rotated = (2, 2, 4, 3, 3)
+    assert build(algebra_from_kupisch(rotated)).weights == (1,)
+    assert record._row_weights(rotated) == (1,)
+    assert record._row_weights((3, 2, 2, 4, 3)) == (1, 2)
+    record.weights = (2, 2)
+    assert record._row_weights(rotated) == (2, 2)
 
 
 def test_properties_hold_at_every_leaf_small_sweep():
