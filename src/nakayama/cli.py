@@ -20,6 +20,7 @@ from .algebra import (
     NakayamaAlgebra,
     algebra_from_kupisch,
     global_dimension,
+    relation_pairs,
     validate,
 )
 
@@ -107,7 +108,7 @@ def _analyze_text(verdict: harness.AlgebraVerdict) -> str:
     a = verdict.algebra
     lines = [
         f"algebra: n={a.n} class={a.algebra_class.value} "
-        + "relations=" + " ".join(f"({r.start},{r.length})" for r in a.relations),
+        + "relations=" + " ".join(f"({start},{length})" for start, length in relation_pairs(a.kupisch)),
         "kupisch: " + " ".join(str(c) for c in a.kupisch),
     ]
     rq = resolution.build(a, verdict.targets)

@@ -47,17 +47,19 @@ that of A^op, or a class alone when it is its own mirror.  Of a pair of
 distinct classes only the first computes those invariants; the second
 takes them, as the same objects, and computes what depends on the labels
 (the weights, the leaves, the leaf checks, Bprime and the named checks)
-itself.  A verdict is the one record kept per algebra: the invariants,
-the checks, and what Bprime's reduction found.  The sweep keeps the
-verdicts of the level below for the leaf checks and Bprime, each class's
-verdict keyed by every series of the class, so that a step's output
-finds its record in one probe by its own series; that table's keys,
-sorted, are also the level's rows, so the order in which a level's
-verdicts are made reaches no output.  With several worker processes,
-each level's units are dealt to them in turn, and every worker gets the
-table of the level below.  A level past MAX_SUBSETS, where `verify`
-refuses every algebra, is its first series alone, taken in closed form,
-and the sweep stops at the first such level.
+itself: `verify` is handed the first's verdict as `mirror`.  A verdict
+is the one record kept per algebra: the invariants, the checks, and what
+Bprime's reduction found.  The sweep keeps the verdicts of the level
+below for the leaf checks and Bprime, each class's verdict keyed by
+every series of the class, so that a step's output finds its record in
+one probe by its own series; nothing writes to that table once it is
+made.  Its keys, sorted, are also the level's rows, so the order in
+which a level's verdicts are made reaches no output, and the report
+lists each class verdict with its number of rows.  With several worker
+processes, each level's units are dealt to them in turn, and every
+worker gets the table of the level below.  A level past MAX_SUBSETS,
+where `verify` refuses every algebra, is its first series alone, taken
+in closed form, and the sweep stops at the first such level.
 """
 
 from __future__ import annotations
@@ -279,9 +281,8 @@ class AlgebraVerdict:
 
 # What a sweep keeps of the level below: every enumerated Kupisch series of
 # a verified rotation class maps to that class's verdict, the verdict of its
-# least rotation, so the rows of one class share one record.  While a unit
-# of a level is verified, the key of its second class maps to the verdict
-# of its first (see `_verify_units`).
+# least rotation, so the rows of one class share one record.  It is only
+# read once made.
 Table = dict[tuple[int, ...], AlgebraVerdict]
 
 
@@ -289,18 +290,18 @@ def verify(
     algebra: NakayamaAlgebra,
     checks: tuple[str, ...] = THEOREM_CHECKS,
     known: Table | None = None,
+    mirror: AlgebraVerdict | None = None,
 ) -> AlgebraVerdict:
     """Compute every invariant of one algebra and test the requested named
     checks plus all structural self-checks.  Failures become entries in the
-    verdict, never exceptions.  `known` is a sweep's table of the algebras
-    verified before; the leaf checks and `Bprime` look the smaller algebras
-    up there instead of rebuilding and reducing them, and when it holds the
-    algebra's own series, the verdict there is that of its mirror class,
-    the first class of its unit, whose label-free fields (see
-    `_label_free`) are taken as the same objects.  The relations are read
-    as (start, length) pairs off the series, and no `Relation` is built."""
+    verdict, never exceptions.  `known` is a sweep's table of the level
+    below; the leaf checks and `Bprime` look the smaller algebras up there
+    instead of rebuilding and reducing them.  `mirror` is the verdict of
+    the opposite algebra's class, when the sweep has made it, whose
+    label-free fields (see `_label_free`) are taken as the same objects.
+    The relations are read as (start, length) pairs off the series, and no
+    `Relation` is built."""
     c = algebra.kupisch
-    mirror = known.get(c) if known else None
     cx = relation_complex.build_complex(algebra)
     if mirror is None:
         shared = _label_free(algebra, cx)
@@ -514,51 +515,40 @@ _Row = tuple[tuple[int, ...], AlgebraVerdict]
 
 
 class TheoremReport:
-    """The outcome of a sweep: its config and `rows`, its rows in output
-    order.  A row is its own Kupisch series and a reference to its class's
-    verdict, so a report keeps one verdict per rotation class, and the
-    writers, `totals` and `counterexamples` read each class once.
-    `TheoremReport(config, verdicts)` builds a report with one row per
-    verdict, on the verdict's own series; a verdict listed more than once
-    is one class with several rows.  `sweep` fills `rows` level by level,
-    and the class summaries are read once the rows are in."""
+    """The outcome of a sweep: its config, `rows`, its rows in output
+    order, and `classes`, a (class verdict, row count) entry per class.  A
+    row is its own Kupisch series and a reference to its class's verdict,
+    so a report keeps one verdict per rotation class; `totals`, `ok` and
+    `counterexamples` read `classes`, and the rows are walked only for the
+    rows of a failing class.  `TheoremReport(config, verdicts)` builds a
+    report with one row and one one-row entry per verdict, on the
+    verdict's own series, so a verdict listed twice is two entries.
+    `sweep` fills both lists level by level."""
 
     def __init__(self, config: SweepConfig, verdicts: list[AlgebraVerdict]):
         self.config = config
         self.rows: list[_Row] = [(v.algebra.kupisch, v) for v in verdicts]
+        self.classes: list[tuple[AlgebraVerdict, int]] = [(v, 1) for v in verdicts]
 
     def __len__(self) -> int:
         """The number of rows."""
         return len(self.rows)
 
-    @cached_property
-    def _classes(self) -> list[list]:
-        """[verdict, row count] for each distinct class verdict, in the
-        order of their first rows."""
-        classes: dict[int, list] = {}
-        for _, v in self.rows:
-            entry = classes.get(id(v))
-            if entry is None:
-                classes[id(v)] = [v, 1]
-            else:
-                entry[1] += 1
-        return list(classes.values())
-
     @property
     def counterexamples(self) -> list[_Row]:
         """The rows whose class verdict fails a check, in row order."""
-        failing = {id(v) for v, _ in self._classes if not v.ok}
+        failing = {id(v) for v, _ in self.classes if not v.ok}
         return [row for row in self.rows if id(row[1]) in failing] if failing else []
 
     @property
     def ok(self) -> bool:
-        return all(v.ok for v, _ in self._classes)
+        return all(v.ok for v, _ in self.classes)
 
     def totals(self) -> dict[tuple[int, str], int]:
         """Rows by n and algebra class, counted per class verdict: the
         algebra class counts the entries 1, which a rotation keeps."""
         out: dict[tuple[int, str], int] = {}
-        for v, rows in self._classes:
+        for v, rows in self.classes:
             c = v.algebra.kupisch
             key = (len(c), AlgebraClass.of(c).value)
             out[key] = out.get(key, 0) + rows
@@ -669,16 +659,15 @@ def _levels(config: SweepConfig):
 def _verify_units(
     units: list[tuple[tuple[int, ...], ...]], checks: tuple[str, ...], known: Table
 ) -> list[AlgebraVerdict]:
-    """The verdicts of the classes of `units`.  Once the verdict of the
-    first class of a pair is made, it goes into `known` under the mirror
-    class's key, where `verify` finds it."""
+    """The verdicts of the classes of `units`, with `known` the table of
+    the level below.  The second class of a pair is handed the first's
+    verdict as its `mirror`."""
     verdicts = []
-    for c0, *mirror in units:
+    for c0, *pair in units:
         verdict = verify(NakayamaAlgebra(c0), checks, known)
         verdicts.append(verdict)
-        for m0 in mirror:
-            known[m0] = verdict
-            verdicts.append(verify(NakayamaAlgebra(m0), checks, known))
+        for m0 in pair:
+            verdicts.append(verify(NakayamaAlgebra(m0), checks, known, verdict))
     return verdicts
 
 
@@ -693,12 +682,14 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
     level below, where the leaf checks find the smaller algebras by their
     series: each class's verdict is keyed by every rotation of its key.
     Those keys, sorted, with their class's verdict, are the level's rows,
-    so the table serves both, and the order in which the verdicts come
-    back reaches no output.  A row is its series and its class's verdict,
-    so the report keeps one verdict per class and builds none per row
-    (see `TheoremReport`).  On `workers` processes, each level's units are
-    dealt to them in turn, every worker gets the table of the level below,
-    and the next level is listed while they work."""
+    so the table serves both, and each class's entry counts its distinct
+    rotations.  The classes are listed in key order, that of their first
+    rows, so the order in which the verdicts come back reaches no output.
+    A row is its series and its class's verdict, so the report keeps one
+    verdict per class and builds none per row (see `TheoremReport`).  On
+    `workers` processes, each level's units are dealt to them in turn,
+    every worker gets the table of the level below, and the next level is
+    listed while they work."""
     report = TheoremReport(config, [])
     known: Table = {}
     levels = _levels(config)
@@ -712,8 +703,10 @@ def sweep(config: SweepConfig, workers: int = 1) -> TheoremReport:
                 shares = [units[i::workers] for i in range(workers)]
                 parts = pool.map(_verify_units, shares, repeat(config.checks), repeat(known))
             units = next(levels, [])
-            known = {c: v for part in parts for v in part for c in _rotations(v.algebra.kupisch)}
+            verdicts = sorted((v for part in parts for v in part), key=lambda v: v.algebra.kupisch)
+            known = {c: v for v in verdicts for c in _rotations(v.algebra.kupisch)}
             report.rows += sorted(known.items())
+            report.classes += [(v, len(set(_rotations(v.algebra.kupisch)))) for v in verdicts]
     return report
 
 

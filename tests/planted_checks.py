@@ -18,8 +18,8 @@ def fails(c):
     return sum(c) % 3 == 0
 
 
-def planted_verify(algebra, checks=harness.THEOREM_CHECKS, known=None):
-    verdict = _verify(algebra, checks, known)
+def planted_verify(algebra, checks=harness.THEOREM_CHECKS, known=None, mirror=None):
+    verdict = _verify(algebra, checks, known, mirror)
     if fails(algebra.kupisch):
         verdict.checks["A"] = False
     return verdict

@@ -529,8 +529,8 @@ def test_sweep_stdout_json(capsys):
 def test_counterexample_exit_code(l1_file, monkeypatch, capsys):
     real_verify = harness.verify
 
-    def broken_verify(algebra, checks=harness.THEOREM_CHECKS, known=None):
-        verdict = real_verify(algebra, checks, known)
+    def broken_verify(algebra, checks=harness.THEOREM_CHECKS, known=None, mirror=None):
+        verdict = real_verify(algebra, checks, known, mirror)
         verdict.checks["A"] = False
         return verdict
 

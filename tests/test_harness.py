@@ -159,7 +159,7 @@ def test_level_keys_are_the_least_rotations(monkeypatch, classes):
     classify = AlgebraClass.of
     classified, verified = [], []
 
-    def stub(algebra, checks, known):
+    def stub(algebra, checks, known, mirror=None):
         verified.append(algebra.kupisch)
         return AlgebraVerdict(algebra, (1,), (), (), ProjDim(0), (), ())
 
@@ -743,3 +743,76 @@ def test_mirror_classes_share_their_pairs_label_free_fields(workers):
         assert (v.targets, v.leaves, v.checks) == (own.targets, own.leaves, own.checks), c0
         later += 1
     assert later == len(by_class) - 458 == 134
+
+
+def test_verify_units_leave_the_table_below_as_it_is():
+    """`_verify_units` on the n = 6 units of `n<=6,c<=7`, given the n = 5
+    table, leaves that table as it was: the same keys, each with the same
+    object.  The second class of a pair gets the first's verdict as
+    `mirror`, and holds its label-free fields as the same objects."""
+    table = {c: v for c, v in sweep(SweepConfig(n_min=5, n_max=5, c_max=7)).rows}
+    before = dict(table)
+    (units,) = harness._levels(SweepConfig(n_min=6, n_max=6, c_max=7))
+    verdicts = harness._verify_units(units, THEOREM_CHECKS, table)
+    assert len(verdicts) == sum(map(len, units))
+    assert table.keys() == before.keys()
+    assert all(table[c] is v for c, v in before.items())
+    c0, m0 = next(unit for unit in units if len(unit) == 2)
+    v0 = verify(NakayamaAlgebra(c0), known=table)
+    vm = verify(NakayamaAlgebra(m0), known=table, mirror=v0)
+    for name in ("f_vector", "betti", "hc_dims", "basis_sizes", "gldim"):
+        assert getattr(vm, name) is getattr(v0, name), name
+    assert vm.algebra.kupisch == m0 and vm.checks == verify(NakayamaAlgebra(m0)).checks
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_report_classes_are_the_distinct_row_verdicts(monkeypatch, workers, planted):
+    """A sweep's `classes` at n <= 7, c <= 8, with 1 and 2 workers, and with
+    check A planted to fail on some classes, are the distinct verdicts of
+    its rows, by identity, in the order of their first rows, each counted
+    with the rows that refer to it; `totals` is a per-row count by n and
+    algebra class, and `counterexamples` the failing rows."""
+    if planted:
+        monkeypatch.setattr(harness, "_verify_units", planted_checks.verify_units)
+    report = sweep(SweepConfig(n_min=2, n_max=7, c_max=8), workers=workers)
+    first, rows_of = {}, {}
+    totals = {}
+    for c, v in report.rows:
+        first.setdefault(id(v), v)
+        rows_of[id(v)] = rows_of.get(id(v), 0) + 1
+        key = (len(c), AlgebraClass.of(c).value)
+        totals[key] = totals.get(key, 0) + 1
+    assert [id(v) for v, _ in report.classes] == list(first)
+    assert [rows for v, rows in report.classes] == [rows_of[id(v)] for v in first.values()]
+    assert report.totals() == totals
+    failing = [row for row in report.rows if not row[1].ok]
+    assert report.counterexamples == failing and report.ok is not bool(failing)
+    assert bool(failing) is planted
+
+
+def test_report_of_a_verdict_listed_twice(lambda1, lambda3):
+    """`TheoremReport(config, [v, v, w])` lists v as two one-row entries and
+    writes v's rows twice: its CSV, JSON and counterexamples are those of a
+    report that counted v's rows under one entry."""
+    v = verify(lambda1)
+    v = replace(v, checks={**v.checks, "A": False})
+    w = verify(lambda3)
+    report = TheoremReport(SweepConfig(), [v, v, w])
+    assert report.classes == [(v, 1), (v, 1), (w, 1)]
+    assert to_csv(report) == (
+        "n,kupisch,gldim,components,weight,chi,betti,hc_dims,verdicts\n"
+        "5,3 2 2 4 3,4,1,1,1,,0 0 0 0 0,A\n"
+        "5,3 2 2 4 3,4,1,1,1,,0 0 0 0 0,A\n"
+        "4,2 2 2 2,inf,2,1,2,0 0 1,0 0 0 1,ok\n"
+    )
+    lambda1_json = {"algebra": {"n": 5, "relations": [[2, 2], [3, 2], [5, 3]]}, "failed": ["A"]}
+    assert json.loads(to_json(report)) == {
+        "algebra_count": 3,
+        "config": SweepConfig().to_dict(),
+        "counterexamples": [lambda1_json, lambda1_json],
+        "ok": False,
+        "totals": [{"class": "cyclic", "count": 1, "n": 4}, {"class": "cyclic", "count": 2, "n": 5}],
+    }
+    assert report.counterexamples == [(lambda1.kupisch, v)] * 2
+    assert all(u is v for _, u in report.counterexamples)
