@@ -22,12 +22,14 @@ records named checks:
   SameWeight           all components carry the same weight
 
 Structural self-checks always run alongside: d∘d = 0 on both complexes,
-certified without building a map (`BoundarySquare` from the cells,
-`CyclicSquare` from the Kupisch series), Euler identities, the Kupisch
-round-trip and leaf/relation counts.  `HCEulerIdentity` compares two
-independent computations of the cyclic side with 1 - χ(L): the HC Euler
-characteristic, ranked from the critical cells, and the alternating sum
-of the cell counts, which list no cell.
+certified without building a map (`BoundarySquare` from the sets of the
+one walk over the deletion of a vertex that the relation complex's
+f-vector and Betti numbers are read off, `CyclicSquare` from the Kupisch
+series), Euler identities, the Kupisch round-trip and leaf/relation
+counts.  `HCEulerIdentity` compares two independent computations of the
+cyclic side with 1 - χ(L): the HC Euler characteristic, ranked from the
+critical cells, and the alternating sum of the cell counts, which list no
+cell.
 
 Rotating the vertex labels is an isomorphism, so the sweep's rows are
 worked per rotation class.  A class is named by its least rotation, a

@@ -17,23 +17,33 @@ so `build_complex` takes each interior from the (start, length) pairs of
 no `Relation`.
 
 An interior is an int bitmask, bit v-1 standing for vertex v, and a
-complex keeps only n and the interiors of its vertices.  The simplices and
-the f-vector are computed the first time they are read, so a caller pays
-only for what it reads, and each has one rule, whatever was read before
-it.
+complex keeps only n and the interiors of its vertices.  What is read of
+it is computed the first time it is read, so a caller pays only for what
+it reads, and each member has one rule, whatever was read before it.
 
 A relation of length 1 has an empty interior, so it can join any simplex:
 it is a cone point.  With k cone points, the complex is the join of the
-(k-1)-simplex with the complex of the other relations, so its f-vector is a
-binomial convolution of that smaller complex's, and, being a cone, it has
-no reduced homology.
+(k-1)-simplex with the complex L'' of the other relations, so its f-vector
+is a binomial convolution of that smaller complex's, and, being a cone, it
+has no reduced homology.
 
 The reduced homology of any nonempty complex L is that of a pair: the star
 st v of a vertex v is a cone, so H̃_p(L) = H_p(L, st v).  The cells of the
-pair are the simplices σ with σ + v not in L, an up-set of L, and
+pair are the simplices σ ∌ v with σ + v not in L, an up-set of L, and
 `linalg.chain_ranks` ranks them as a relative complex over the rationals,
 the way it ranks the cyclic complex C(Δ, K).  Taking v with the smallest
 interior leaves the fewest cells, and none when v is a cone point.
+
+The invariants come from one walk over the deletion of v, the sets σ ∌ v
+of L, listed level by level as `_extend` lists a complex.  A set is a
+cell of the pair when its interiors and v's cover the cycle, and a set of
+the link of v otherwise; link sets are only counted.  A simplex of L
+either misses v or is a link set plus v, so the f-vector is F_L(t) =
+cells(t) + (1 + t) link(t), the empty set among the link sets, and the
+d∘d = 0 certificate checks every facet of every set the walk lists.  A
+complex with cone points takes its f-vector from the walk of L'' instead,
+and its self-check compares that with the walk of L at a cone point.
+Only the simplex lists, the OFF dump among them, list all of L.
 """
 
 from __future__ import annotations
@@ -71,6 +81,10 @@ class SimplicialComplex:
         return simplex_levels(self.n, self.masks)
 
     @cached_property
+    def _walk(self) -> Walk:
+        return _deletion_walk(self.n, self.masks)
+
+    @cached_property
     def simplices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """simplices[p] lists the p-simplices as sorted vertex-index tuples,
         in lexicographic order."""
@@ -79,22 +93,75 @@ class SimplicialComplex:
     @property
     def cone_points(self) -> int:
         """The number of vertices with an empty interior."""
-        return sum(1 for mask in self.masks if not mask)
+        return self.masks.count(0)
 
     @cached_property
     def f_vector(self) -> tuple[int, ...]:
-        """Simplex counts by dimension.  Cone points, if any, spare
-        enumerating the complex (see `_join_f_vector`): only the complex L''
-        of the other vertices is.  Otherwise its levels are counted."""
+        """Simplex counts by dimension, read off the walk over the deletion
+        of a vertex.  Cone points, if any, spare that walk (see
+        `_join_f_vector`): only the complex L'' of the other vertices is
+        walked."""
         k = self.cone_points
         if not k:
-            return tuple(len(level) for level in self._levels)
-        rest = [len(level) for level in simplex_levels(self.n, [m for m in self.masks if m])]
-        return _join_f_vector(k, rest)
+            return _walk_f_vector(self._walk)
+        return _join_f_vector(k, _walk_f_vector(_deletion_walk(self.n, [m for m in self.masks if m])))
 
     @property
     def is_empty(self) -> bool:
         return not self.f_vector
+
+
+# What the walk over a deletion finds (see `_deletion_walk`).
+Walk = tuple[
+    list[list[tuple[tuple[int, ...], int, int]]],  # listed: the sets it lists
+    list[dict[int, tuple[int, ...]]],  # cells: the pair's cells among them
+    list[int],  # link: the counts of the others
+]
+
+
+def _deletion_walk(n: int, masks: Sequence[int]) -> Walk:
+    """The walk over the deletion of v, the first vertex with the smallest
+    interior: the sets σ ∌ v of L, level by level as `_extend` lists a
+    complex, v's interior being taken as full so that no set reaches v.
+    It returns (listed, cells, link).  `listed[p]` holds the p-sets as
+    `_extend` yields them, (vertex tuple, vertex bitmask, union of
+    interiors), in lexicographic order.  A set is a cell of the pair
+    (L, st v) when its interiors and I_v cover the cycle, so that σ + v is
+    not in L; `cells` keeps those, by dimension, as `linalg.chain_ranks`
+    reads them.  The others are the link of v, and `link[s]` counts its
+    sets on s vertices, the empty set included.  A complex with no vertex
+    has no v, and its walk finds nothing, not even the empty set."""
+    _check_size(len(masks))
+    full = (1 << n) - 1
+    sizes = [mask.bit_count() for mask in masks]
+    v = sizes.index(min(sizes)) if sizes else None
+    if v is None or masks[v] == full:  # no vertex: every interior covers the cycle
+        return [], [], []
+    masks, iv = [*masks], masks[v]
+    masks[v] = full
+    level = [((i,), 1 << i, mask) for i, mask in enumerate(masks) if mask != full]
+    listed, cells, link = [], [], [1]
+    while level:
+        listed.append(level)
+        cells.append({bits: simplex for simplex, bits, mask in level if mask | iv == full})
+        link.append(len(level) - len(cells[-1]))
+        level = _extend(level, masks, full)
+    return listed, cells, link
+
+
+def _walk_f_vector(walk: Walk) -> tuple[int, ...]:
+    """The simplex counts of L off its walk: a simplex either misses v, and
+    is a cell or a link set, or is a link set plus v, so F_L(t) = cells(t)
+    + (1 + t) link(t), counting sets on s vertices by t^s."""
+    _, cells, link = walk
+    if not link:
+        return ()
+    link = [*link, 0]
+    f = [len(level) + link[s + 1] + link[s] for s, level in enumerate(cells)]
+    f.append(link[-2])
+    while not f[-1]:
+        f.pop()
+    return tuple(f)
 
 
 def _join_f_vector(k: int, rest: Sequence[int]) -> tuple[int, ...]:
@@ -113,10 +180,11 @@ def _join_f_vector(k: int, rest: Sequence[int]) -> tuple[int, ...]:
 
 
 def cone_factorization_holds(cx: SimplicialComplex) -> bool:
-    """The f-vector equals the enumerated simplex counts.  With cone points
-    it is the binomial convolution over L'', enumerated on its own, so the
-    comparison checks the join factorization."""
-    return cx.f_vector == tuple(len(level) for level in cx._levels)
+    """The f-vector equals the counts of the walk of L.  With cone points
+    the f-vector is the binomial convolution over L'', walked on its own,
+    and L is walked at a cone point, so the comparison checks the join
+    factorization."""
+    return cx.f_vector == _walk_f_vector(cx._walk)
 
 
 def _check_size(r: int) -> None:
@@ -128,7 +196,8 @@ def simplex_levels(n: int, masks: Sequence[int]) -> list[dict[int, tuple[int, ..
     """The non-covering subsets of the interiors `masks`, by dimension:
     level p maps each p-simplex's vertex bitmask to its sorted vertex tuple,
     in lexicographic order.  The list ends at the complex's top
-    dimension."""
+    dimension.  Only the simplex lists read it; the invariants come from
+    the walk over a deletion."""
     _check_size(len(masks))
     full = (1 << n) - 1
     level = [((i,), 1 << i, mask) for i, mask in enumerate(masks) if mask != full]
@@ -186,21 +255,15 @@ def reduced_betti(cx: SimplicialComplex) -> tuple[int, ...]:
     dimensions of H_p(L, st v) for the vertex v with the smallest interior.
 
     A cone point has an empty interior, so when there is one st v is all of
-    L, and a cone reports () without being enumerated.  The empty complex
+    L, and a cone reports () without being walked.  The empty complex
     (every relation longer than n) also reports (); its one unit of reduced
     homology sits in degree -1 and is exposed via is_empty instead.
-    Otherwise a p-simplex σ is a cell of the pair iff v is not in σ and
-    σ + v is not a (p+1)-simplex.
+    Otherwise the cells of the pair are those of the walk over the deletion
+    of v: the sets σ ∌ v of L with σ + v not in L.
     """
-    sizes = [mask.bit_count() for mask in cx.masks]
-    if not sizes or not min(sizes):
+    if not cx.masks or 0 in cx.masks:  # no vertex, or a cone point
         return ()
-    v = sizes.index(min(sizes))
-    levels = cx._levels
-    cells = [
-        {bits: s for bits, s in level.items() if not bits >> v & 1 and bits | 1 << v not in above}
-        for level, above in zip(levels, [*levels[1:], {}])
-    ]
+    _, cells, _ = cx._walk
     ranks = [0, *linalg.chain_ranks(cells, 1), 0]
     betti = [len(cells[p]) - ranks[p] - ranks[p + 1] for p in range(len(cells))]
     while betti and betti[-1] == 0:
@@ -210,15 +273,17 @@ def reduced_betti(cx: SimplicialComplex) -> tuple[int, ...]:
 
 def boundary_squares_to_zero(cx: SimplicialComplex) -> bool:
     """d∘d = 0 on L and on each pair (L, st v), certified without building
-    a map: the sign rule alternates, and L is down-closed, every facet of a
-    simplex being a simplex of the level below.  Then ∂ is the simplicial
+    a map: the sign rule alternates up to the top dimension of L, and every
+    facet of every set the walk lists is listed one level down, so the
+    deletion of v is down-closed, as L is.  Then ∂ is the simplicial
     boundary of a simplicial complex, and st v, down-closed as L is, is a
     subcomplex."""
-    levels = cx._levels
-    return linalg.signs_alternate(len(levels) - 1, 1) and all(
+    listed, _, _ = cx._walk
+    lowers = [{bits for _, bits, _ in level} for level in listed[:-1]]
+    return linalg.signs_alternate(len(cx.f_vector) - 1, 1) and all(
         bits ^ 1 << v in lower
-        for lower, level in zip(levels, levels[1:])
-        for bits, simplex in level.items()
+        for lower, level in zip(lowers, listed[1:])
+        for simplex, bits, _ in level
         for v in simplex
     )
 

@@ -43,8 +43,10 @@ A leaf check reads, on each side, only what it compares: the quiver's
 targets, off the Kupisch series; the sorted weights, from one walk along
 Gustafson's function that builds no component; the reduced Betti numbers,
 for which the relation complex is built, so one past MAX_SUBSETS is
-refused, and a cone is not enumerated; whether the complex is empty, which
-it is iff no relation has length <= n; and gldim.  It computes no f-vector.
+refused, and the cells of the pair (L, st v) are ranked off one walk over
+the deletion of v, a cone being walked not at all; whether the complex is
+empty, which it is iff no relation has length <= n; and gldim.  It
+computes no f-vector.
 A side whose record the caller holds (`verify`'s verdict of the input, or
 a sweep's table entry for the output's series, the verdict of the least
 rotation of its class) is read off that record as it is: none of these

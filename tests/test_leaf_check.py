@@ -455,18 +455,18 @@ def test_step_outputs_fit_max_subsets_whenever_their_inputs_do():
 
 def test_verify_lists_no_raw_complex_and_no_simplex_tuple(monkeypatch):
     """With the table of the level below, which answers for each step's
-    output, `verify` enumerates only complexes on its own n-cycle, none on
-    the (n-1)-cycle of a step's raw words, and never builds `simplices`:
-    on every class at n = 6, c <= 6."""
+    output, `verify` walks only complexes on its own n-cycle, none on the
+    (n-1)-cycle of a step's raw words, and never builds `simplices`: on
+    every class at n = 6, c <= 6."""
     tables = _tables(5, 6)
 
     def unread(self):
         raise AssertionError("verify read the simplex tuples")
 
-    levels, cycles = relation_complex.simplex_levels, set()
+    walk, cycles = relation_complex._deletion_walk, set()
     monkeypatch.setattr(SimplicialComplex, "simplices", property(unread))
     monkeypatch.setattr(
-        relation_complex, "simplex_levels", lambda n, masks: cycles.add(n) or levels(n, masks)
+        relation_complex, "_deletion_walk", lambda n, masks: cycles.add(n) or walk(n, masks)
     )
     for algebra in enumerate_kupisch(SweepConfig(n_min=6, n_max=6, c_max=6)):
         if algebra.kupisch == least_rotation(algebra.kupisch):

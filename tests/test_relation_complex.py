@@ -11,7 +11,8 @@ from closed_form_oracle import rad_power_euler
 from enumeration_oracle import complex_vertices, is_simplex
 from linalg_oracle import bareiss_rank
 from strategies import cyclic_kupisch_series
-from nakayama import Relation, algebra_from_kupisch, linalg, radical_power_algebra, relation_complex, validate
+from nakayama import Relation, algebra_from_kupisch, harness, linalg, radical_power_algebra, relation_complex, validate
+from nakayama.algebra import relation_pairs
 from nakayama.harness import SweepConfig, enumerate_kupisch, verify
 from nakayama.relation_complex import (
     SimplicialComplex,
@@ -22,6 +23,7 @@ from nakayama.relation_complex import (
     interior,
     reduced_betti,
     report,
+    simplex_levels,
     to_off,
 )
 from nakayama.resolution import build, leaves
@@ -92,6 +94,74 @@ def test_cone_factorization_matches_enumeration_over_sweep():
     assert cones + others == 12600 and cones and others
 
 
+def _read_off_levels(n, masks):
+    """What the walk over the deletion of v should find, read off the listed
+    complex: v is the first vertex with the smallest interior; the sets of
+    L that miss v, by dimension, as (vertex bitmask, vertex tuple) pairs in
+    lexicographic order; those σ of them with σ + v not in L, the pair's
+    cells; the counts of the others by size, the empty set included; and
+    the f-vector."""
+    levels = simplex_levels(n, masks)
+    if not levels:
+        return [], [], [], ()
+    sizes = [mask.bit_count() for mask in masks]
+    v = sizes.index(min(sizes))
+    simplices = set().union(*levels)
+    deletion = [[(bits, s) for bits, s in level.items() if v not in s] for level in levels]
+    deletion = [level for level in deletion if level]
+    cells = [{bits: s for bits, s in level if bits | 1 << v not in simplices} for level in deletion]
+    link = [1] + [len(level) - len(c) for level, c in zip(deletion, cells)]
+    return deletion, cells, link, tuple(len(level) for level in levels)
+
+
+def _assert_walk_matches_listing(n, masks):
+    cx = complex_from_interiors(n, masks)
+    deletion, cells, link, f = _read_off_levels(n, masks)
+    walked, walked_cells, walked_link = cx._walk
+    assert [[(bits, s) for s, bits, _ in level] for level in walked] == deletion, masks
+    assert [list(level.items()) for level in walked_cells] == [list(level.items()) for level in cells], masks
+    assert walked_link == link and relation_complex._walk_f_vector(cx._walk) == f and cx.f_vector == f, masks
+
+
+def test_walk_matches_the_listed_complex_over_sweep():
+    """The walk's pair cells, link counts and f-vector, and the f-vector read
+    off the cone points where there are any, equal those read off the
+    listed complex, on every algebra at n <= 7, c <= 8 and on every class
+    key at n = 8, c <= 9."""
+    count = 0
+    for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=7, c_max=8)):
+        _assert_walk_matches_listing(algebra.n, build_complex(algebra).masks)
+        count += 1
+    assert count == 12600
+    keys = list(harness._necklaces(8, 9))
+    for c in keys:
+        _assert_walk_matches_listing(8, [interior(i, ci, 8) for i, ci in relation_pairs(c) if ci <= 8])
+    assert len(keys) == 4795
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclic_kupisch_series(min_n=2, max_n=12, max_c=13), st.lists(st.integers(0, 12), max_size=3))
+def test_walk_matches_the_listed_complex_with_cone_points(kupisch, cones):
+    """The walk matches the listed complex past the sweep's bounds, with up
+    to three cone points put in among the interiors of an algebra without
+    one: there the walk runs at a cone point and finds no cell."""
+    n = len(kupisch)
+    masks = list(build_complex(algebra_from_kupisch(kupisch)).masks)
+    for at in cones:
+        masks.insert(min(at, len(masks)), 0)
+    _assert_walk_matches_listing(n, masks)
+
+
+def test_walk_skips_full_interiors():
+    """A vertex whose interior covers the cycle spans no simplex: the walk
+    passes over it as the listing does, and a complex of such vertices
+    alone is empty."""
+    for masks in ([0b1111, 0b0010, 0b0100, 0b1001], [0b0110, 0b1111], [0b1111], [0b1111, 0], []):
+        _assert_walk_matches_listing(4, masks)
+    cx = complex_from_interiors(4, [0b1111, 0b1111])
+    assert cx.is_empty and reduced_betti(cx) == () and boundary_squares_to_zero(cx)
+
+
 @pytest.mark.parametrize("kupisch", [
     (1,) * 10,  # semisimple: ten cone points and nothing else; leafy-queries' largest
     (3, 3, 3, 3, 3, 3, 3, 3, 2, 1),
@@ -104,9 +174,16 @@ def test_cones_build_no_simplices_and_no_boundary_maps(monkeypatch, kupisch):
     def unread(*args):
         raise AssertionError("the complex was enumerated or its boundaries built or ranked")
 
+    walk = relation_complex._deletion_walk
+
+    def no_cone(n, masks):
+        # L'' has no cone point, and is walked; a cone is not
+        if 0 in masks:
+            unread()
+        return walk(n, masks)
+
     monkeypatch.setattr(linalg, "chain_ranks", unread)
-    # the simplices and the f-vector of a complex without cone points are
-    # read off its enumerated levels
+    monkeypatch.setattr(relation_complex, "_deletion_walk", no_cone)
     monkeypatch.setattr(SimplicialComplex, "_levels", property(unread))
     algebra = algebra_from_kupisch(kupisch)
     cx = build_complex(algebra)
@@ -114,8 +191,8 @@ def test_cones_build_no_simplices_and_no_boundary_maps(monkeypatch, kupisch):
     assert report(cx)["reduced_betti"] == []
     for leaf in leaves(build(algebra)):
         assert check_properties(algebra, leaf).all_ok
-    # verify's EulerPoincare and BoundarySquare self-checks enumerate the
-    # complex, so its verdict is read with the patches undone
+    # verify's EulerPoincare and BoundarySquare self-checks walk the cone at
+    # a cone point, so its verdict is read with the patches undone
     monkeypatch.undo()
     assert verify(algebra).f_vector == cx.f_vector
 
@@ -135,9 +212,11 @@ def test_reduced_betti_matches_the_augmented_complex(kupisch):
 
 def test_reduced_betti_ranks_the_cells_of_the_pair(monkeypatch):
     """rad^2 = 0 on the 4-cycle: L is the boundary of the tetrahedron, every
-    interior is one vertex, and v is vertex 0.  Every simplex but the
-    triangle opposite v, together with v, spans a simplex, so that
-    triangle is the pair's one cell, and it carries the 2-sphere's class."""
+    interior is one vertex, and v is vertex 0.  The walk over the deletion
+    of v lists the seven faces of the triangle opposite v.  Every one of
+    them but that triangle, together with v, spans a simplex, so the
+    triangle is the pair's one cell, and it carries the 2-sphere's
+    class."""
     ranked = []
     chain_ranks = linalg.chain_ranks
     monkeypatch.setattr(linalg, "chain_ranks", lambda cells, sign: ranked.append(cells) or chain_ranks(cells, sign))
@@ -170,45 +249,64 @@ def test_boundary_square_needs_alternating_signs(monkeypatch, kupisch):
 
 @pytest.mark.parametrize("kupisch", CERTIFIED)
 def test_boundary_square_needs_every_facet(monkeypatch, kupisch):
-    """A planted missing facet, the first facet of the first top simplex,
-    fails the certificate, in `verify` too.  The kernel would skip that
-    face as zero, so only the certificate sees it."""
+    """A planted missing facet, the first facet of the first top set of the
+    walk over the deletion of v, fails the certificate, in `verify` too.
+    The kernel would skip that face as zero, so only the certificate sees
+    it."""
     algebra = algebra_from_kupisch(kupisch)
     r = len(complex_vertices(algebra))
-    levels_of = relation_complex.simplex_levels
+    walk = relation_complex._deletion_walk
 
     def planted(n, masks):
-        levels = levels_of(n, masks)
+        found = walk(n, masks)
         if (n, len(masks)) == (algebra.n, r):  # L itself, not L'' of a cone
-            bits, simplex = next(iter(levels[-1].items()))
-            del levels[-2][bits ^ 1 << simplex[0]]
-        return levels
+            listed, _, _ = found
+            simplex, bits, _ = listed[-1][0]
+            listed[-2].remove(next(face for face in listed[-2] if face[1] == bits ^ 1 << simplex[0]))
+        return found
 
-    monkeypatch.setattr(relation_complex, "simplex_levels", planted)
+    monkeypatch.setattr(relation_complex, "_deletion_walk", planted)
     assert not boundary_squares_to_zero(build_complex(algebra))
     assert not verify(algebra).checks["BoundarySquare"]
 
 
 @pytest.mark.parametrize("kupisch", [(1,) * 10, (3, 3, 3, 3, 3, 3, 3, 3, 2, 1), (2, 1, 3, 2, 1, 2, 2, 2, 1)])
 def test_verify_checks_the_cone_factorization(monkeypatch, kupisch):
-    """`verify` enumerates a cone's L'' once, for the f-vector, and the cone
-    once, for the self-checks (the leaf checks enumerate only complexes on
-    n - 1 vertices).  Its EulerPoincare self-check compares the binomial
-    convolution over L'' with the enumerated counts: a planted C(k+1, a)
-    for C(k, a) makes it fail."""
+    """`verify` walks a cone's L'' once, for the f-vector, and the cone
+    once, at a cone point, for the self-checks (the leaf checks walk only
+    complexes on n - 1 vertices).  Its EulerPoincare self-check compares
+    the binomial convolution over L'' with the counts of the walk of L: a
+    planted C(k+1, a) for C(k, a) makes it fail."""
     algebra = algebra_from_kupisch(kupisch)
     r = len(complex_vertices(algebra))
     k = build_complex(algebra).cone_points
-    levels = relation_complex.simplex_levels
+    walk = relation_complex._deletion_walk
     calls = []
     monkeypatch.setattr(
-        relation_complex, "simplex_levels",
-        lambda n, masks: calls.append((n, len(masks))) or levels(n, masks),
+        relation_complex, "_deletion_walk",
+        lambda n, masks: calls.append((n, len(masks))) or walk(n, masks),
     )
     assert verify(algebra).checks["EulerPoincare"]
     assert [call for call in calls if call[0] == algebra.n] == [(algebra.n, r - k), (algebra.n, r)]
     monkeypatch.setattr(relation_complex, "math", SimpleNamespace(comb=lambda k, a: math.comb(k + 1, a)))
     assert not verify(algebra).checks["EulerPoincare"]
+
+
+def test_verify_and_report_list_no_simplex(monkeypatch):
+    """`verify`, the leaf checks and `report` read everything they need off
+    the walk over a deletion, and never list the relation complex, on every
+    algebra at n <= 6, c <= 7: cones, spheres and empty complexes among
+    them."""
+    def unlisted(*args):
+        raise AssertionError("the relation complex was listed")
+
+    monkeypatch.setattr(relation_complex, "simplex_levels", unlisted)
+    for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=6, c_max=7)):
+        assert verify(algebra).ok, algebra.kupisch
+        report(build_complex(algebra))
+    for algebra in enumerate_kupisch(SweepConfig(n_min=3, n_max=5, c_max=6)):
+        for leaf in leaves(build(algebra)):
+            assert check_properties(algebra, leaf).all_ok, (algebra.kupisch, leaf)
 
 
 def test_empty_complex():
