@@ -269,8 +269,14 @@ class ProjDim:
 
 def global_dimension(algebra: NakayamaAlgebra) -> ProjDim:
     """The largest projective dimension of the simple modules S_1..S_n,
-    infinite if one of them has infinite projective dimension, in one
-    memoized pass over the syzygies of all of them.
+    infinite if one of them has infinite projective dimension (see
+    `_global_dimension`)."""
+    return ProjDim(_global_dimension(algebra.kupisch))
+
+
+def _global_dimension(c: tuple[int, ...]) -> int | None:
+    """The global dimension of the algebra with Kupisch series c, None when
+    infinite, in one memoized pass over the syzygies of the simple modules.
 
     A state (t, l) is the uniserial module with top S_{t+1} and length l.
     Its syzygy, the kernel of its projective cover P_{t+1}, of length c_t,
@@ -284,7 +290,6 @@ def global_dimension(algebra: NakayamaAlgebra) -> ProjDim:
     means the walk has come round to its own path: that resolution never
     ends.  So each state is visited once, in a loop without recursion.
     """
-    c = algebra.kupisch
     n = len(c)
     memo: dict[int, int] = {}
     worst = 0
@@ -295,7 +300,7 @@ def global_dimension(algebra: NakayamaAlgebra) -> ProjDim:
             d = memo.get(key)
             if d is not None:
                 if d < 0:
-                    return ProjDim(None)
+                    return None
                 break
             c_t = c[t]
             if l == c_t:
@@ -309,4 +314,4 @@ def global_dimension(algebra: NakayamaAlgebra) -> ProjDim:
             memo[key] = d
         if d > worst:
             worst = d
-    return ProjDim(worst)
+    return worst

@@ -449,7 +449,7 @@ def raw_complex_matches(
     relation at i, present iff c_i <= c_{i+1}, gets the start
     k = (i - leaf - 1) mod n + 1, and its raw word is (k, out_k), or
     (n - 1, c_leaf - (c_leaf - 1) // n) at the leaf (see
-    `unamalgamation.raw_words`, which lists them for the step's JSON).
+    `UnamalgamationStep.raw_relations`, which lists them).
     A vertex v is interior to a word iff x_{v-1} x_v is a subword of it.
     Deleting x_n merges x_{n-1} x_n and x_n x_1 into x_{n-1} x_1 and leaves
     every other pair of adjacent letters alone.  So vertex n leaves each

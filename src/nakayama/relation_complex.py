@@ -12,9 +12,10 @@ level by level from its smaller simplices.
 
 The vertices are read straight off the Kupisch series: the relation at i
 is (i, c_i), present iff c_i <= c_{i+1}, and a vertex iff also c_i <= n,
-so `build_complex` takes each interior from the (start, length) pairs of
+so `_interiors` takes each interior from the (start, length) pairs of
 `algebra.relation_pairs` through the one arc rule, `interior`, and builds
-no `Relation`.
+no `Relation`.  `build_complex` keeps them in a complex, and a leaf check
+(`unamalgamation`) that has no record of a side reads them bare.
 
 An interior is an int bitmask, bit v-1 standing for vertex v, and a
 complex keeps only n and the interiors of its vertices.  What is read of
@@ -35,7 +36,10 @@ the way it ranks the cyclic complex C(Δ, K).  Taking v with the smallest
 interior leaves the fewest cells, and none when v is a cone point.
 
 The invariants come from one walk over the deletion of v, the sets σ ∌ v
-of L, listed level by level as `_extend` lists a complex.  A set is a
+of L, listed level by level as `_extend` lists a complex.  The reduced
+Betti numbers are ranked off the walk's cells by one rule, `_betti`,
+which `reduced_betti` applies to a complex's walk and a leaf check to the
+walk of bare interiors, built into no complex.  A set is a
 cell of the pair when its interiors and v's cover the cycle, and a set of
 the link of v otherwise; link sets are only counted.  A simplex of L
 either misses v or is a link set plus v, so the f-vector is F_L(t) =
@@ -236,14 +240,21 @@ def complex_from_interiors(n: int, masks: Sequence[int]) -> SimplicialComplex:
     return SimplicialComplex(n=n, masks=tuple(masks))
 
 
+def _interiors(c: Sequence[int]) -> list[int]:
+    """The interiors of the vertices of the relation complex of the series
+    c: the relations of length <= n, read as (start, length) pairs off c,
+    through the arc rule `interior`, in start order."""
+    n = len(c)
+    return [interior(i, ci, n) for i, ci in relation_pairs(c) if ci <= n]
+
+
 def build_complex(algebra: NakayamaAlgebra) -> SimplicialComplex:
     """The complex whose vertices are the length-<=n relations and whose
     simplices are their non-covering subsets; vertex i is the i-th such
     relation in `algebra.relations`.  The relations are read as (start,
     length) pairs off the series, and none is built."""
     c = algebra.kupisch
-    n = len(c)
-    return complex_from_interiors(n, [interior(i, ci, n) for i, ci in relation_pairs(c) if ci <= n])
+    return complex_from_interiors(len(c), _interiors(c))
 
 
 def euler_characteristic(cx: SimplicialComplex) -> int:
@@ -263,7 +274,13 @@ def reduced_betti(cx: SimplicialComplex) -> tuple[int, ...]:
     """
     if not cx.masks or 0 in cx.masks:  # no vertex, or a cone point
         return ()
-    _, cells, _ = cx._walk
+    return _betti(cx._walk[1])
+
+
+def _betti(cells: list[dict[int, tuple[int, ...]]]) -> tuple[int, ...]:
+    """The dimensions of H_p(L, st v), trailing zeros stripped, off the
+    cells of the pair that the walk over the deletion of v lists (see
+    `_deletion_walk`)."""
     ranks = [0, *linalg.chain_ranks(cells, 1), 0]
     betti = [len(cells[p]) - ranks[p] - ranks[p + 1] for p in range(len(cells))]
     while betti and betti[-1] == 0:

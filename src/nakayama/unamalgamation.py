@@ -18,10 +18,19 @@ copies, so its raw word is (k, c'_k).  The relation at n, if there is one,
 loses its first letter and (c_n - 1) // n more, and gets x_{n-1} prepended
 so that it stays a path: its raw word is (n - 1, c_n - (c_n - 1) // n).
 The raw words can be redundant; their minimal words are the relations of
-c'.  `raw_words` reads them off (c, leaf, c') as (start, length) int
-pairs, in input-relation order, and builds no `Relation`, for the step
-JSON alone: `harness.raw_complex_matches` reads each word off c' as it
-meets it, and the output does not read them.
+c', and each of those is among them.  So a raw word is eliminated unless
+it is the output's relation at its start and the first raw word that is:
+(k, c'_k), k < n - 1, is kept iff c'_k <= c'_{k+1}, and only the start
+n - 1 has two raw words, the one at k = n - 1 and the leaf's, kept only
+the first of them that equals the output's relation (n - 1, c'_{n-1}),
+present iff c'_{n-1} <= c'_1.  `_raw_words` lists the raw words off
+(c, leaf, c') in one pass over the input's relations, as [start, length]
+lists in input-relation order, together with the eliminated ones, and
+builds no `Relation`; only an eliminated word is matched against the
+output's relations, for its witness.  A step's JSON, its raw relations
+and its eliminated words all come from that pass, and the JSON lists the
+output's relations once, off c'.  `harness.raw_complex_matches` reads
+each raw word off c' as it meets it, and the output does not read them.
 
 A step is one record, `UnamalgamationStep(kupisch, leaf, output_kupisch)`:
 the input series, the leaf and the output series.  Its algebras, its
@@ -42,11 +51,14 @@ all four facts on one step; `reduce_fully` iterates to a leafless algebra.
 A leaf check reads, on each side, only what it compares: the quiver's
 targets, off the Kupisch series; the sorted weights, from one walk along
 Gustafson's function that builds no component; the reduced Betti numbers,
-for which the relation complex is built, so one past MAX_SUBSETS is
-refused, and the cells of the pair (L, st v) are ranked off one walk over
-the deletion of v, a cone being walked not at all; whether the complex is
-empty, which it is iff no relation has length <= n; and gldim.  It
-computes no f-vector.
+ranked off the cells of one walk over the deletion of v, a cone being
+walked not at all; whether the complex is empty, which it is iff no
+relation has length <= n; and gldim.  A side computed without a record
+builds no algebra and no `SimplicialComplex`: it reads the interiors off
+its Kupisch series and ranks the walk's cells through the rules
+`build_complex` and `reduced_betti` use, and reads gldim off the series.
+A complex past MAX_SUBSETS is still refused, cone or not.  It computes no
+f-vector.
 A side whose record the caller holds (`verify`'s verdict of the input, or
 a sweep's table entry for the output's series, the verdict of the least
 rotation of its class) is read off that record as it is: none of these
@@ -75,7 +87,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import relation_complex, resolution
-from .algebra import AlgebraError, NakayamaAlgebra, global_dimension, relation_pairs
+from .algebra import AlgebraError, NakayamaAlgebra, _global_dimension, relation_pairs
 
 if TYPE_CHECKING:
     from .harness import AlgebraVerdict, Table
@@ -93,28 +105,6 @@ def relabel_map(n: int, leaf: int) -> tuple[int, ...]:
     """Rotation of 1..n sending the leaf, a vertex in 1..n, to n (entry i-1
     is the new name of i)."""
     return (*range(n - leaf + 1, n + 1), *range(1, n - leaf + 1))
-
-
-def _witnesses(words, minimal, n: int) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
-    """The words eliminated in favour of `minimal`, the minimal words of
-    their Kupisch series on the n-cycle, all as (start, length) pairs
-    (tuples, or two-item lists as in an algebra's JSON): in input order,
-    every word but the first copy of each minimal word, with its witness,
-    the minimal word it contains that is least by (length, start), each as
-    a tuple.  (s, l) contains (t, k) iff k <= l and (t - s) mod n <= l - k."""
-    unseen = dict(minimal)  # minimal words have distinct starts
-    eliminated = []
-    for s, l in words:
-        if unseen.get(s) == l:
-            del unseen[s]
-        else:
-            # a minimal word contains no other minimal word, so a repeated
-            # kept word is its own witness
-            witness = min(
-                ((t, k) for t, k in minimal if k <= l and (t - s) % n <= l - k), key=lambda o: (o[1], o[0])
-            )
-            eliminated.append(((s, l), witness))
-    return tuple(eliminated)
 
 
 class UnamalgamationStep(NamedTuple):
@@ -138,28 +128,33 @@ class UnamalgamationStep(NamedTuple):
     @property
     def raw_relations(self) -> tuple[tuple[int, int], ...]:
         """The raw words, index-parallel to the input's relations (see
-        `raw_words`)."""
-        return raw_words(self.kupisch, self.leaf, self.output_kupisch)
+        `_raw_words`)."""
+        return tuple([tuple(word) for word in _raw_words(*self)[0]])
 
     @property
     def eliminated(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
         """The raw words that are not the output's relations, each with its
-        witness (see `_witnesses`)."""
+        witness (see `_witness`)."""
         out = self.output_kupisch
-        return _witnesses(self.raw_relations, relation_pairs(out), len(out))
+        relations = relation_pairs(out)
+        return tuple([(tuple(word), _witness(word, relations, len(out))) for word in _raw_words(*self)[1]])
 
     def to_dict(self) -> dict:
-        """The step's JSON.  The output's relations are read off its series
-        once, for its JSON and for the witnesses."""
+        """The step's JSON, from one pass over the input's relations.  The
+        output's relations are listed once, for its JSON, and only the
+        eliminated words are matched against them, for their witnesses."""
         c, leaf, out = self
-        raw, output = raw_words(c, leaf, out), NakayamaAlgebra(out).to_dict()
-        eliminated = _witnesses(raw, output["relations"], len(out))
+        raw, eliminated = _raw_words(c, leaf, out)
+        output = NakayamaAlgebra(out).to_dict()
+        relations, m = output["relations"], len(out)
         return {
             "leaf": leaf,
             "relabel": list(relabel_map(len(c), leaf)),
-            "raw_relations": [list(r) for r in raw],
+            "raw_relations": raw,
             "output": output,
-            "eliminated": [{"relation": list(z), "witness": list(w)} for z, w in eliminated],
+            "eliminated": [
+                {"relation": list(word), "witness": list(_witness(word, relations, m))} for word in eliminated
+            ],
         }
 
 
@@ -188,18 +183,47 @@ def _output_series(c: tuple[int, ...], leaf: int) -> tuple[int, ...]:
     return tuple([ck - (k + ck - 1) // n for k, ck in enumerate(c[leaf:] + c[:leaf - 1], 1)])
 
 
-def raw_words(c: tuple[int, ...], leaf: int, out: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+def _raw_words(c: tuple[int, ...], leaf: int, out: tuple[int, ...]) -> tuple[list[list[int]], list[list[int]]]:
     """The raw words of the step at `leaf` from the series c, whose output
-    series is `out`, as (start, length) pairs in input-relation order: the
-    relation at i, present iff c_i <= c_{i+1}, has the relabelled start k,
-    and its raw word is read off `out` at k, or off c_leaf at the leaf (see
-    the module docstring)."""
-    n, c_leaf = len(c), c[leaf - 1]
-    return tuple([
-        (k, out[k - 1]) if k < n else (n - 1, c_leaf - (c_leaf - 1) // n)
-        for k, ci, after in zip(relabel_map(n, leaf), c, c[1:] + c[:1])
-        if ci <= after
-    ])
+    series is `out`, as [start, length] lists in input-relation order, and
+    the eliminated ones among them, the same lists: every raw word but the
+    first copy of each of the output's relations.  The relation at i,
+    present iff c_i <= c_{i+1}, has the relabelled start k, and its raw
+    word is (k, c'_k), read off `out`, or (n - 1, c_leaf - (c_leaf - 1) // n)
+    at the leaf (see the module docstring).  (k, c'_k) is the output's
+    relation at k iff c'_k <= c'_{k+1}, indices mod n - 1.  Only the start
+    n - 1 has two raw words, the one at k = n - 1 and the leaf's, and the
+    first of them that is the output's relation there is kept."""
+    n = len(c)
+    m = n - 1
+    c_leaf = c[leaf - 1]
+    free = out[m - 1] <= out[0]  # the output's relation at n - 1, until a raw word takes it
+    raw, eliminated = [], []
+    for i in range(n):
+        if c[i] > c[i + 1 - n]:  # no relation at i + 1
+            continue
+        k = (i - leaf) % n + 1  # the start `relabel_map` gives i + 1
+        if k < m:
+            word = [k, out[k - 1]]
+            kept = word[1] <= out[k]
+        else:
+            word = [m, out[m - 1] if k == m else c_leaf - (c_leaf - 1) // n]
+            kept = free and word[1] == out[m - 1]
+            free = free and not kept
+        raw.append(word)
+        if not kept:
+            eliminated.append(word)
+    return raw, eliminated
+
+
+def _witness(word, relations, m: int):
+    """The witness of the eliminated raw word `word`: the relation among
+    `relations`, the output's on the m-cycle, that it contains, least by
+    (length, start), all as (start, length) pairs.  (s, l) contains (t, k)
+    iff k <= l and (t - s) mod m <= l - k.  A relation contains no other
+    relation, so a repeated kept word is its own witness."""
+    s, l = word
+    return min(((t, k) for t, k in relations if k <= l and (t - s) % m <= l - k), key=lambda o: (o[1], o[0]))
 
 
 def _compared(c: tuple[int, ...], f: tuple[int, ...], record: AlgebraVerdict | None) -> tuple:
@@ -207,17 +231,22 @@ def _compared(c: tuple[int, ...], f: tuple[int, ...], record: AlgebraVerdict | N
     none of it changed by a rotation of the labels: the sorted weights, the
     reduced Betti numbers, whether the relation complex is empty, and the
     value of gldim (None when infinite).  Read off `record` when the caller
-    has one; otherwise computed without an f-vector, f being Gustafson's
-    function on c.  The relation complex is built all the same, so one past
-    MAX_SUBSETS is refused."""
+    has one; otherwise computed off c and f, Gustafson's function on c,
+    without an f-vector, an algebra or a `SimplicialComplex`: the
+    interiors and the Betti numbers through the rules of `build_complex`
+    and `reduced_betti`.  A complex past MAX_SUBSETS is refused, as
+    `build_complex` refuses it."""
     if record is not None:
         return tuple(sorted(record.weights)), record.betti, record.complex_empty, record.gldim.value
-    algebra = NakayamaAlgebra(c)
-    cx = relation_complex.build_complex(algebra)
+    n = len(c)
+    masks = relation_complex._interiors(c)
+    relation_complex._check_size(len(masks))
+    # no vertex, or a cone point: no cell, and no walk, as in `reduced_betti`
+    betti = () if not masks or 0 in masks else relation_complex._betti(relation_complex._deletion_walk(n, masks)[1])
     weights = tuple(sorted(resolution.weights(c, f)))
     # the vertices are the relations of length <= n, none of whose interiors
     # covers the cycle, so the complex is empty iff it has no vertex
-    return weights, relation_complex.reduced_betti(cx), not cx.masks, global_dimension(algebra).value
+    return weights, betti, not masks, _global_dimension(c)
 
 
 def _leaf_check(c: tuple[int, ...], f: tuple[int, ...], leaf: int, before: tuple, known: Table | None) -> tuple:
@@ -267,23 +296,23 @@ class PropertyReport:
         return self.quiver_match and self.weight_match and self.betti_match and self.gldim_sandwich
 
     def to_dict(self) -> dict:
-        return {
-            **self.step.to_dict(),
-            "checks": {
-                "quiver": self.quiver_match,
-                "weight": self.weight_match,
-                "betti": self.betti_match,
-                "gldim": self.gldim_sandwich,
-            },
+        """The step's JSON with the flags under "checks"."""
+        step = self.step.to_dict()
+        step["checks"] = {
+            "quiver": self.quiver_match,
+            "weight": self.weight_match,
+            "betti": self.betti_match,
+            "gldim": self.gldim_sandwich,
         }
+        return step
 
 
 def check_properties(algebra: NakayamaAlgebra, leaf: int) -> PropertyReport:
     """Verify, on one unamalgamation step, that the smaller algebra keeps the
     resolution quiver (minus the leaf), the weight, the reduced Betti numbers
     of the relation complex, and a global dimension within two.  Both sides'
-    fields are computed (see `_compared`), the output's targets read off its
-    Kupisch series.  The flags are those of `_leaf_check`, which `verify`
+    fields are computed off their Kupisch series (see `_compared`), the
+    output's targets too.  The flags are those of `_leaf_check`, which `verify`
     calls itself with its own record and a sweep's table."""
     c = algebra.kupisch
     f = resolution.targets(c)
@@ -317,11 +346,16 @@ class ReductionResult:
         return all(c == 1 for c in self.terminal_kupisch)
 
     def to_dict(self) -> dict:
-        terminal = self.terminal
+        """The reduction's JSON.  `terminal`, when there is one, is `last`,
+        so its JSON is the last step's output JSON, or the initial one,
+        listed once."""
+        initial = self.initial.to_dict()
+        steps = [step.to_dict() for step in self.steps]
+        last = steps[-1]["output"] if steps else initial
         return {
-            "initial": self.initial.to_dict(),
-            "steps": [step.to_dict() for step in self.steps],
-            "terminal": None if terminal is None else terminal.to_dict(),
+            "initial": initial,
+            "steps": steps,
+            "terminal": None if len(self.terminal_kupisch) == 1 else last,
             "terminal_kupisch": list(self.terminal_kupisch),
             "semisimple": self.semisimple,
         }

@@ -62,3 +62,18 @@ def relation_lists(draw, max_n=8, words_only=False):
         for _ in range(count)
     ]
     return n, rels
+
+
+@st.composite
+def cone_kupisch_series(draw, min_n=3, max_n=12, max_c=4):
+    """A valid Kupisch series with at least one entry 1, a relation of
+    length 1 and so a cone point of the relation complex.  It is drawn
+    backwards from c_n = 1, each entry at most one more than the next, so
+    the cyclic constraint holds, then rotated."""
+    n = draw(st.integers(min_n, max_n))
+    c = [1]
+    for _ in range(n - 1):
+        c.append(draw(st.integers(1, min(max_c, c[-1] + 1))))
+    c.reverse()
+    k = draw(st.integers(0, n - 1))
+    return tuple(c[k:] + c[:k])

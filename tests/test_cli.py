@@ -310,8 +310,8 @@ def test_too_large_fails_before_enumerating(tmp_path, monkeypatch, capsys, comma
     # 2^17 - 1 relation subsets of a cone, whose f-vector needs no
     # enumeration but whose build is refused all the same, or 2^10 + 1
     # vertices, one over algebra.MAX_VERTICES.  The leaf check at 3, the one
-    # leaf of a cone with 19 relations, builds its relation complex, so it
-    # is refused too.
+    # leaf of a cone with 19 relations, reads its relation complex's
+    # interiors, with the same size guard, so it is refused too.
     def no_enumeration(*args):
         raise AssertionError("subset enumeration started")
 

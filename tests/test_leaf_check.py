@@ -21,9 +21,20 @@ from hypothesis import given, settings
 
 import leaf_oracle
 from enumeration_oracle import least_rotation, rotations
-from strategies import kupisch_series
+from strategies import cone_kupisch_series, kupisch_series
 import nakayama
-from nakayama import NakayamaAlgebra, ProjDim, algebra_from_kupisch, harness, relation_complex, unamalgamation, validate
+from nakayama import (
+    NakayamaAlgebra,
+    ProjDim,
+    TooLargeError,
+    algebra_from_kupisch,
+    global_dimension,
+    harness,
+    relation_complex,
+    resolution,
+    unamalgamation,
+    validate,
+)
 from nakayama.algebra import relation_pairs
 from nakayama.harness import (
     AlgebraVerdict,
@@ -34,7 +45,7 @@ from nakayama.harness import (
     to_csv,
     verify,
 )
-from nakayama.relation_complex import SimplicialComplex, build_complex, complex_from_interiors
+from nakayama.relation_complex import SimplicialComplex, build_complex, complex_from_interiors, reduced_betti
 from nakayama.resolution import targets
 from nakayama.unamalgamation import (
     PropertyReport,
@@ -42,7 +53,6 @@ from nakayama.unamalgamation import (
     _compared,
     _leaf_check,
     check_properties,
-    raw_words,
     reduce_fully,
     unamalgamate,
 )
@@ -69,17 +79,32 @@ def _flags(report):
     return report.quiver_match, report.weight_match, report.betti_match, report.gldim_sandwich, report.all_ok
 
 
+def _leaf_word_kept(algebra, leaf, step):
+    """Whether the step JSON `step` keeps the leaf's own raw word: it is
+    the output's relation and no earlier raw word is; None when the leaf
+    has no relation."""
+    starts = [start for start, _ in relation_pairs(algebra.kupisch)]
+    if leaf not in starts:
+        return None
+    i = starts.index(leaf)
+    raw = step["raw_relations"]
+    return raw[i] in step["output"]["relations"] and raw[i] not in raw[:i]
+
+
 @pytest.mark.parametrize("with_table", [False, True], ids=["known-none", "level-below"])
 def test_check_properties_matches_the_oracle(monkeypatch, with_table):
     """At every leaf of every algebra at n <= 7, c <= 8: the same four flags
-    as the oracle, and the same JSON as the word path's: `check_properties`
-    without a table, and the core with the table of the level below that
-    the sweep builds, wrapped in a report for its JSON.  The input side is
-    computed by the leaf check itself; the oracle is given the input's full
-    record, and builds each output's once."""
+    as the oracle, and the same JSON as the word path's
+    (`leaf_oracle.step_dict`, with the flags): `check_properties` without
+    a table, and the core with the table of the level below that the sweep
+    builds, wrapped in a report for its JSON.  The input side is computed
+    by the leaf check itself; the oracle is given the input's full record,
+    and builds each output's once.  The leaf's own word is kept at some
+    steps and eliminated at others, with relation words that wrap round
+    the cycle and without."""
     monkeypatch.setattr(leaf_oracle, "record", functools.cache(leaf_oracle.record))
     tables = _tables(6, 8) if with_table else {}
-    steps = 0
+    steps, kinds = 0, set()
     for algebra in enumerate_kupisch(SweepConfig(n_min=3, n_max=7, c_max=8)):
         lvs = _leaves(algebra)
         if not lvs:
@@ -97,9 +122,12 @@ def test_check_properties_matches_the_oracle(monkeypatch, with_table):
                 got = check_properties(algebra, leaf)
             want = leaf_oracle.check_properties(algebra, leaf, before, known)
             assert _flags(got) == _flags(want), (algebra.kupisch, leaf)
-            assert got.to_dict() == want.to_dict(), (algebra.kupisch, leaf)
+            got_json = got.to_dict()
+            assert got_json == want.to_dict(), (algebra.kupisch, leaf)
+            kinds.add((_leaf_word_kept(algebra, leaf, got_json), max(c) > algebra.n))
             steps += 1
     assert steps == 36432
+    assert {(True, True), (False, True), (None, True), (True, False), (False, False)} <= kinds
 
 
 def _oracle_props(algebra, known, cx):
@@ -149,11 +177,15 @@ def test_unamalgamation_props_is_the_oracles_conjunction_up_to_n10(c):
 
 def test_leaf_checks_compute_no_f_vector(monkeypatch):
     """Neither side of a leaf check computes an f-vector: at every leaf of
-    every algebra at n <= 6, c <= 6, without a table."""
-    def unread(self):
+    every algebra at n <= 6, c <= 6, without a table.  A leaf check builds
+    no complex, so the rules an f-vector is counted by are watched, not
+    only the complex's member."""
+    def unread(*args):
         raise AssertionError("a leaf check computed an f-vector")
 
     monkeypatch.setattr(SimplicialComplex, "f_vector", property(unread))
+    monkeypatch.setattr(relation_complex, "_walk_f_vector", unread)
+    monkeypatch.setattr(relation_complex, "_join_f_vector", unread)
     for algebra in enumerate_kupisch(SweepConfig(n_min=3, n_max=6, c_max=6)):
         for leaf in _leaves(algebra):
             assert check_properties(algebra, leaf).all_ok, (algebra.kupisch, leaf)
@@ -176,10 +208,12 @@ def test_table_entries_are_read_as_they_are(monkeypatch):
 def test_sweep_leaf_checks_probe_the_table_by_series(monkeypatch):
     """In a sweep at n <= 7, c <= 8, each leaf check finds its output's
     record by one probe with the output's own series: no least rotation is
-    taken, and the only relation complexes built are those of the classes
-    verified, once each, so no output whose class was verified is computed
-    from scratch.  The classes of a level are verified a mirror pair at a
-    time, so `built` is compared as a sorted list."""
+    taken, no side of a leaf check is computed without its record, so no
+    output whose class was verified is computed from scratch, and the only
+    relation complexes built are those of the classes verified, once each.
+    A side computed without a record builds no complex, so it is watched
+    at `_compared`.  The classes of a level are verified a mirror pair at
+    a time, so `built` is compared as a sorted list."""
     def unread(c):
         raise AssertionError("a least rotation was taken")
 
@@ -187,12 +221,76 @@ def test_sweep_leaf_checks_probe_the_table_by_series(monkeypatch):
         monkeypatch.setattr(module, "least_rotation", unread, raising=False)
     built, build = [], relation_complex.build_complex
     monkeypatch.setattr(relation_complex, "build_complex", lambda a: built.append(a.kupisch) or build(a))
+    computed, compared = [], unamalgamation._compared
+
+    def watched(c, f, record):
+        if record is None:
+            computed.append(c)
+        return compared(c, f, record)
+
+    monkeypatch.setattr(unamalgamation, "_compared", watched)
     checked, check = [], unamalgamation._leaf_check
     monkeypatch.setattr(unamalgamation, "_leaf_check", lambda *args: checked.append(args) or check(*args))
     rows = [c for c, _ in sweep(SweepConfig(n_min=2, n_max=7, c_max=8)).rows]
+    assert computed == []
     assert sorted(built) == sorted(c for c in rows if c == least_rotation(c))
     assert len(set(built)) == len(built)
     assert len(checked) == 5556
+
+
+def _fields(c):
+    """What a leaf check compares of the algebra with series c, read
+    through the complex's and the quiver's own readers: the sorted
+    weights, `reduced_betti` and emptiness of `build_complex`, and
+    `global_dimension`."""
+    algebra = NakayamaAlgebra(c)
+    cx = build_complex(algebra)
+    return tuple(sorted(resolution.weights(c))), reduced_betti(cx), cx.is_empty, global_dimension(algebra).value
+
+
+def test_compared_without_a_record_reads_the_complex_and_the_quiver():
+    """`_compared` without a record, which builds no complex, gives the
+    fields read through `build_complex`, `reduced_betti`,
+    `global_dimension` and `resolution.weights`, on every class key at
+    n <= 8, c <= 9.  Cones, empty complexes, nonzero Betti numbers and
+    infinite gldim all occur."""
+    seen = set()
+    keys = 0
+    for algebra in enumerate_kupisch(SweepConfig(n_min=2, n_max=8, c_max=9)):
+        c = algebra.kupisch
+        if c != least_rotation(c):
+            continue
+        got = _compared(c, targets(c), None)
+        assert got == _fields(c), c
+        seen.add((1 in c, got[2], any(got[1]), got[3] is None))
+        keys += 1
+    assert keys == 7165
+    assert {(True, False, False, False), (False, True, False, True), (False, False, True, True)} <= seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone_kupisch_series(max_n=12))
+def test_compared_without_a_record_reads_the_complex_of_a_cone(c):
+    """With cone points, which leave no cell and are walked not at all."""
+    assert _compared(c, targets(c), None) == _fields(c)
+
+
+@pytest.mark.parametrize("series, leaf", [((1,) + (2,) * 19, 3), ((3,) + (2,) * 17, 3)], ids=["cone", "walked"])
+def test_check_properties_refuses_a_complex_past_max_subsets(monkeypatch, series, leaf):
+    """A leaf check reads the input's relation complex, so one with more
+    subsets than MAX_SUBSETS is refused before any subset is listed: the
+    cone with 19 relations at its one leaf, 3, which is not walked, and
+    (3, 2, ..., 2) on the 18-cycle, with 17 relations and none of length
+    1, at its one leaf, 3."""
+    def no_enumeration(*args):
+        raise AssertionError("subset enumeration started")
+
+    monkeypatch.setattr(relation_complex, "_extend", no_enumeration)
+    algebra = algebra_from_kupisch(series)
+    assert _leaves(algebra) == [leaf]
+    r = len(relation_pairs(series))
+    with pytest.raises(TooLargeError, match=rf"2\^{r} - 1 subsets"):
+        check_properties(algebra, leaf)
 
 
 def test_weights_compare_as_multisets():
@@ -245,8 +343,8 @@ def _certified(c, leaf, out, cx):
 
 def _oracle(c, leaf, out, cx):
     """The enumerating oracle on the raw words that the step's JSON lists
-    for the same step, read off `out` by `raw_words`."""
-    return leaf_oracle.raw_complex_matches(c, leaf, raw_words(c, leaf, out), cx)
+    for the same step, read off `out` by `UnamalgamationStep.raw_relations`."""
+    return leaf_oracle.raw_complex_matches(c, leaf, UnamalgamationStep(c, leaf, out).raw_relations, cx)
 
 
 def test_raw_complex_certificate_matches_the_oracle():
@@ -323,7 +421,7 @@ def test_raw_complex_certificate_refuses_an_index_mismatch():
     assert raw_complex_matches(c, leaf, out, cx, [0, 1, 2, 3])
     assert not raw_complex_matches(c, leaf, out, cx, [0, 1, 2, 4])
     out = _with_entry(out, 3, 5)
-    assert raw_words(c, leaf, out)[2] == (4, 5)
+    assert UnamalgamationStep(c, leaf, out).raw_relations[2] == (4, 5)
     assert not _certified(c, leaf, out, cx)
     assert not _oracle(c, leaf, out, cx)
 
@@ -334,7 +432,7 @@ def test_raw_complex_certificate_refuses_an_interior_mismatch():
     vertex 5 is {1}."""
     (c, leaf, out), cx = _lambda2_leaf5()
     out = _with_entry(out, 3, 3)
-    assert raw_words(c, leaf, out)[2] == (4, 3)
+    assert UnamalgamationStep(c, leaf, out).raw_relations[2] == (4, 3)
     assert not _certified(c, leaf, out, cx)
     assert not _oracle(c, leaf, out, cx)
 
@@ -478,7 +576,7 @@ def test_sweep_leaf_checks_build_no_step_report_or_word(monkeypatch):
     """A serial sweep at n <= 7, c <= 8, where every leaf check's output is
     in the table, prints the same CSV with `UnamalgamationStep`,
     `PropertyReport` and `Relation` in `unamalgamation` and `harness`
-    and `raw_words` replaced by stubs that raise: the leaf checks, their
+    and `_raw_words` replaced by stubs that raise: the leaf checks, their
     certificate and Bprime run on the series.  No `Relation` is built at all: `verify` reads the relations
     for its RoundTrip and NodesEqualRelations checks as int pairs off the
     series."""
@@ -488,7 +586,7 @@ def test_sweep_leaf_checks_build_no_step_report_or_word(monkeypatch):
     def unbuilt(*args, **kwargs):
         raise AssertionError("a leaf check built a step, a report or a relation word")
 
-    for name in ("UnamalgamationStep", "PropertyReport", "Relation", "raw_words"):
+    for name in ("UnamalgamationStep", "PropertyReport", "Relation", "_raw_words"):
         for module in (unamalgamation, harness):
             monkeypatch.setattr(module, name, unbuilt, raising=False)
     relation, built = nakayama.algebra.Relation, []

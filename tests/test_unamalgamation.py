@@ -28,7 +28,7 @@ from nakayama.unamalgamation import (
 )
 
 from enumeration_oracle import least_rotation
-from leaf_oracle import delete_last_arrow, delete_letters, eliminate_redundant, reduction_dict, word_path
+from leaf_oracle import delete_last_arrow, delete_letters, eliminate_redundant, reduction_dict, step_dict, word_path
 from strategies import kupisch_series, raw_relation_lists, wrapping_kupisch_series
 
 sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
@@ -257,7 +257,7 @@ def test_semisimple_builds_no_word(monkeypatch):
         raise AssertionError("reduce_fully built a word")
 
     series = [a.kupisch for a in enumerate_kupisch(ALL_TO_7)]
-    monkeypatch.setattr(nakayama.unamalgamation, "raw_words", unbuilt)
+    monkeypatch.setattr(nakayama.unamalgamation, "_raw_words", unbuilt)
     monkeypatch.setattr(nakayama.unamalgamation, "Relation", unbuilt, raising=False)
     monkeypatch.setattr(nakayama.algebra, "Relation", unbuilt)
     semisimple = sum(reduce_fully(NakayamaAlgebra(c)).semisimple for c in series)
@@ -282,6 +282,22 @@ def test_reduction_json_is_the_word_paths():
             assert result.last.kupisch == steps[-1].output_kupisch, algebra.kupisch
         else:
             assert result.last is algebra
+
+
+@settings(max_examples=200, deadline=None)
+@given(wrapping_kupisch_series(max_n=12))
+def test_step_json_at_every_leaf_is_the_word_paths_up_to_n12(c):
+    """The JSON of `check_properties` at every leaf, without its flags, is
+    the word path's step JSON, on series with n <= 12 whose words wrap
+    round the cycle up to three times, where a word passes x_n several
+    times and the leaf's own word may be eliminated.  At n <= 7, c <= 8
+    every leaf is checked, flags and all, by
+    `test_leaf_check.test_check_properties_matches_the_oracle`."""
+    algebra = algebra_from_kupisch(c)
+    for leaf in sorted(set(range(1, algebra.n + 1)).difference(targets(c))):
+        got = check_properties(algebra, leaf).to_dict()
+        del got["checks"]
+        assert got == step_dict(algebra, leaf)[0], (c, leaf)
 
 
 @settings(max_examples=300, deadline=None)
