@@ -19,7 +19,7 @@ from .algebra import (
     validate,
 )
 from .cyclic import basis_sizes, differential_squares_to_zero, hc_dimensions, hc_euler
-from .harness import SweepConfig, enumerate_kupisch, sweep, verify
+from .harness import SweepConfig, sweep, verify
 from .relation_complex import (
     build_complex,
     euler_characteristic,

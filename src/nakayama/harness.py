@@ -72,7 +72,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import repeat
 from multiprocessing import get_context
 from typing import Iterator
@@ -126,38 +125,6 @@ class SweepConfig:
         }
 
 
-def kupisch_series(n: int, c_max: int) -> Iterator[tuple[int, ...]]:
-    """All valid Kupisch series of length n with entries <= c_max, in
-    lexicographic order.
-
-    A series has entries in 1..c_max, c_{j+1} >= c_j - 1, and wraps,
-    c_1 >= c_n - 1.  Stepping down by at most one from c_j reaches
-    c_n <= c_1 + 1, so c_j <= c_1 + 1 + n - j for every j >= 2; and under
-    that bound every prefix extends to a series, by stepping down by one.
-    So the series are counted off like an odometer: raise the last entry
-    below its bound (c_max for c_1, min(c_max, c_1 + 1 + n - j) for c_j)
-    and reset every entry after it to its least value, max(1, c_{j-1} - 1).
-    Every tuple this reaches is a series, in lexicographic order, and none
-    is tested.  A loop rather than recursion, as n may reach MAX_VERTICES."""
-    if c_max < 1:
-        return
-    c = [1] * n
-    # the bounds, 0-based: c[0] <= c_max and c[k] <= min(c_max, c[0] + n - k)
-    top = [c_max] + [min(c_max, c[0] + n - k) for k in range(1, n)]
-    while True:
-        yield tuple(c)
-        i = n - 1
-        while i >= 0 and c[i] == top[i]:
-            i -= 1
-        if i < 0:
-            return
-        c[i] += 1
-        if i == 0:
-            top[1:] = [min(c_max, c[0] + n - k) for k in range(1, n)]
-        for j in range(i + 1, n):
-            c[j] = max(1, c[j - 1] - 1)
-
-
 def _necklaces(n: int, c_max: int) -> Iterator[tuple[int, ...]]:
     """The least rotations of the Kupisch series of length n with entries
     <= c_max, one per rotation class, in lexicographic order.
@@ -168,13 +135,15 @@ def _necklaces(n: int, c_max: int) -> Iterator[tuple[int, ...]]:
     one iff a_t >= a_{t-p}: equality keeps p and a larger entry sets p = t,
     and a prenecklace of length n is a necklace iff p divides n
     (Fredricksen and Maiorana, Discrete Math. 23, 1978; Ruskey, Savage and
-    Wang, "Generating necklaces", J. Algorithms 13, 1992).  Every prefix of
-    a series keeps the bounds `kupisch_series` counts under,
-    max(1, a_{t-1} - 1) <= a_t <= min(c_max, a_1 + 1 + n - t), and a word
-    that keeps them wraps, so each entry runs over the intersection of the
-    two ranges and no word is tested.  A range can be empty, which ends a
-    prefix that no series extends.  Recursion is n deep, and `_levels`
-    calls this only for n <= 16."""
+    Wang, "Generating necklaces", J. Algorithms 13, 1992).  A series has
+    a_{t+1} >= a_t - 1 and wraps, a_1 >= a_n - 1; stepping down by at most
+    one from a_t reaches a_n <= a_1 + 1, so every prefix of a series keeps
+    the bounds max(1, a_{t-1} - 1) <= a_t <= min(c_max, a_1 + 1 + n - t),
+    and under them every prefix extends to a series, by stepping down by
+    one, and a word that keeps them wraps.  So each entry runs over the
+    intersection of the two ranges and no word is tested.  A range can be
+    empty, which ends a prefix that no series extends.  Recursion is n
+    deep, and `_levels` calls this only for n <= 16."""
     a = [0] * (n + 1)  # a[0] = 0 is below every entry, so a_1 sets p = 1
 
     def extend(t: int, p: int) -> Iterator[tuple[int, ...]]:
@@ -190,27 +159,20 @@ def _necklaces(n: int, c_max: int) -> Iterator[tuple[int, ...]]:
     return extend(1, 1)
 
 
-def enumerate_kupisch(config: SweepConfig) -> Iterator[NakayamaAlgebra]:
-    for n in range(config.n_min, config.n_max + 1):
-        for c in kupisch_series(n, config.c_max):
-            if AlgebraClass.of(c) in config.classes:
-                yield NakayamaAlgebra(c)
-
-
 @dataclass
 class AlgebraVerdict:
     """What `verify` finds on one algebra, the one record kept per algebra:
     the resolution quiver's weights, the relation complex's f-vector and
     reduced Betti numbers, gldim, the cyclic homology dimensions and basis
-    sizes, the named checks, and `reduce_fully(algebra).semisimple` when
-    the Bprime check computed it (None otherwise).  The quiver's targets
-    are read off the algebra's Kupisch series when first read, unless
-    `verify` seeded them with the ones it computed for the weights.  In a
-    sweep's report it is the verdict of a rotation class, its algebra the
-    class's key, and every row of the class refers to it; only a row's
-    weights are read for the row (`_row_weights`)."""
+    sizes, the named checks, `reduce_fully(algebra).semisimple` when the
+    Bprime check computed it (None otherwise), and the quiver's targets the
+    weights were computed from.  In a sweep's report it is the verdict of
+    a rotation class, its algebra the class's key, and every row of the
+    class refers to it; only a row's weights are read for the row
+    (`_row_weights`)."""
 
     algebra: NakayamaAlgebra
+    targets: tuple[int, ...]  # entry i-1 is the target of the arrow at i
     weights: tuple[int, ...]
     f_vector: tuple[int, ...]
     betti: tuple[int, ...]
@@ -219,11 +181,6 @@ class AlgebraVerdict:
     basis_sizes: tuple[int, ...]
     checks: dict[str, bool] = field(default_factory=dict)
     semisimple: bool | None = None
-
-    @cached_property
-    def targets(self) -> tuple[int, ...]:
-        """Entry i-1 is the target of the arrow at i."""
-        return resolution.targets(self.algebra.kupisch)
 
     @property
     def leaves(self) -> tuple[int, ...]:
@@ -316,6 +273,7 @@ def verify(
     n, pairs, f = len(c), relation_pairs(c), resolution.targets(c)
     verdict = AlgebraVerdict(
         algebra=algebra,
+        targets=f,
         weights=resolution.weights(c, f),
         f_vector=f_vector,
         betti=betti,
@@ -323,8 +281,6 @@ def verify(
         hc_dims=hc_dims,
         basis_sizes=basis_sizes,
     )
-    # seed the cached `targets` with those the weights were computed from
-    verdict.__dict__["targets"] = f
     results = verdict.checks
     weights, chi, lvs = verdict.weights, verdict.chi, verdict.leaves
     finite = gldim.is_finite

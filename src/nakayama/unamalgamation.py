@@ -71,8 +71,8 @@ takes the input's series and targets, the leaf, the input's compared
 fields, which a caller reads once for all the leaves of an algebra, and
 the table, and returns the output's series and the four flags.  The
 quiver match compares the targets entry by entry, in integer arithmetic,
-and a table entry's weights are sorted only when they differ from the
-input's sorted weights.  So when the table holds the output, the output
+and both sides' compared fields are read by `_compared`, off a record or
+off the series.  So when the table holds the output, the output
 series, which is also the table key, is the one series the core builds:
 no targets, algebra, step, report or word.  `verify` runs every leaf
 check of an algebra in one loop over its leaves, calling the core and
@@ -226,15 +226,15 @@ def _witness(word, relations, m: int):
     return min(((t, k) for t, k in relations if k <= l and (t - s) % m <= l - k), key=lambda o: (o[1], o[0]))
 
 
-def _compared(c: tuple[int, ...], f: tuple[int, ...], record: AlgebraVerdict | None) -> tuple:
+def _compared(c: tuple[int, ...], f: tuple[int, ...] | None, record: AlgebraVerdict | None) -> tuple:
     """What a leaf check compares of one side, the algebra with series c,
     none of it changed by a rotation of the labels: the sorted weights, the
     reduced Betti numbers, whether the relation complex is empty, and the
     value of gldim (None when infinite).  Read off `record` when the caller
-    has one; otherwise computed off c and f, Gustafson's function on c,
-    without an f-vector, an algebra or a `SimplicialComplex`: the
-    interiors and the Betti numbers through the rules of `build_complex`
-    and `reduced_betti`.  A complex past MAX_SUBSETS is refused, as
+    has one, and f is then not read; otherwise computed off c and f,
+    Gustafson's function on c, without an f-vector, an algebra or a
+    `SimplicialComplex`: the interiors and the Betti numbers through the
+    rules of `build_complex` and `reduced_betti`.  A complex past MAX_SUBSETS is refused, as
     `build_complex` refuses it."""
     if record is not None:
         return tuple(sorted(record.weights)), record.betti, record.complex_empty, record.gldim.value
@@ -262,12 +262,7 @@ def _leaf_check(c: tuple[int, ...], f: tuple[int, ...], leaf: int, before: tuple
     out = _output_series(c, leaf)
     w_in, betti_in, empty_in, g_in = before
     found = known.get(out) if known else None
-    if found is None:
-        w_out, betti_out, empty_out, g_out = _compared(out, resolution.targets(out), None)
-    else:
-        w_out, betti_out, empty_out, g_out = found.weights, found.betti, found.complex_empty, found.gldim.value
-        if w_out != w_in:  # equal to w_in, which is sorted, they need no sort
-            w_out = tuple(sorted(w_out))
+    w_out, betti_out, empty_out, g_out = _compared(out, None if found else resolution.targets(out), found)
     # entry by entry: the output's vertex k is the input's leaf + k, mod n,
     # with the target k + c'_k, mod n - 1, and the input's target t there
     # is relabelled to t - leaf, mod n, as `relabel_map` does

@@ -2,9 +2,9 @@
 the face rule of `nakayama.cyclic`, for the level-wise relation complex
 in `nakayama.relation_complex`, for the Kupisch recurrence of
 `nakayama.algebra` with the minimality rule read off it, for its memoized
-global dimension, for the odometer of `nakayama.harness.kupisch_series`
-and the rotation-class keys of the sweep, and for the shift-and-fold arc
-rule of `nakayama.relation_complex.interior` and the relation complex's
+global dimension, for the Kupisch series a sweep's rows list, in their
+order (`enumerate_kupisch`), and for the shift-and-fold arc rule of
+`nakayama.relation_complex.interior` and the relation complex's
 vertices, which `build_complex` reads off the Kupisch series, and for the
 Kupisch series of the opposite algebra that a sweep pairs classes by, and
 for the rotation classes and mirror pairs of a sweep level, by the walk
@@ -30,6 +30,7 @@ from nakayama.algebra import (
     AlgebraError,
     DuplicateStartError,
     EmptyRelationSetError,
+    NakayamaAlgebra,
     ProjDim,
     RedundantRelationError,
     Relation,
@@ -122,11 +123,13 @@ def global_dimension(algebra):
     return ProjDim(worst)
 
 
+@cache
 def kupisch_series(n, c_max):
-    """The Kupisch series of length n with entries <= c_max, by recursion
-    over their prefixes: each entry runs from its least value
-    max(1, c_{i-1} - 1) up to c_max, and a full sequence is kept if it
-    wraps, c_1 >= c_n - 1."""
+    """The Kupisch series of length n with entries <= c_max, in
+    lexicographic order, by recursion over their prefixes: each entry runs
+    from its least value max(1, c_{i-1} - 1) up to c_max, and a full
+    sequence is kept if it wraps, c_1 >= c_n - 1.  A tuple, listed once per
+    (n, c_max) in a test session, as many tests walk the same levels."""
 
     def extend(prefix):
         if len(prefix) == n:
@@ -137,7 +140,18 @@ def kupisch_series(n, c_max):
         for v in range(lo, c_max + 1):
             yield from extend(prefix + (v,))
 
-    yield from extend(())
+    return tuple(extend(()))
+
+
+def enumerate_kupisch(config):
+    """The algebras within a `SweepConfig`'s bounds and classes, in a
+    sweep's row order: n ascending, each level's series in lexicographic
+    order, those of a requested class kept.  Each is a fresh
+    `NakayamaAlgebra`, as some tests count the reads made on one."""
+    for n in range(config.n_min, config.n_max + 1):
+        for c in kupisch_series(n, config.c_max):
+            if AlgebraClass.of(c) in config.classes:
+                yield NakayamaAlgebra(c)
 
 
 def eliminate_redundant(relations, n):

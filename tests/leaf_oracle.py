@@ -149,9 +149,7 @@ def record(algebra):
     left empty."""
     rq, cx = build(algebra), build_complex(algebra)
     f_vector = tuple(len(level) for level in cx.simplices)
-    rec = AlgebraVerdict(algebra, rq.weights, f_vector, reduced_betti(cx), global_dimension(algebra), (), ())
-    rec.__dict__["targets"] = rq.f
-    return rec
+    return AlgebraVerdict(algebra, rq.f, rq.weights, f_vector, reduced_betti(cx), global_dimension(algebra), (), ())
 
 
 def relabel(verdict, algebra):
@@ -159,7 +157,8 @@ def relabel(verdict, algebra):
     `algebra`: the fields that read no label and the checks as they are,
     and the targets, the leaves and the weights, listed by least vertex,
     off the series of `algebra` itself."""
-    return replace(verdict, algebra=algebra, weights=resolution.weights(algebra.kupisch))
+    c = algebra.kupisch
+    return replace(verdict, algebra=algebra, targets=resolution.targets(c), weights=resolution.weights(c))
 
 
 def look_up(known, algebra):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 def kupisch_series(draw, min_n=2, max_n=6, min_c=1, max_c=6):
     """A valid Kupisch series: entries in [min_c, max_c] with the cyclic
     constraint c_{i+1} >= c_i - 1.  Each c_j, j >= 2, is drawn at most
-    c_1 + 1 + n - j, the bound `harness.kupisch_series` counts under: every
+    c_1 + 1 + n - j, the bound `harness._necklaces` lists under: every
     prefix then extends to a series by stepping down, so every draw wraps
     (c_1 >= c_n - 1), and every series can still be drawn."""
     n = draw(st.integers(min_n, max_n))

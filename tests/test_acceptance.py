@@ -12,7 +12,7 @@ from nakayama import (
 )
 from nakayama.cyclic import differential_squares_to_zero, hc_euler
 from nakayama.cyclic import hc_dimensions
-from nakayama.harness import SweepConfig, enumerate_kupisch, sweep
+from nakayama.harness import SweepConfig, sweep
 from nakayama.relation_complex import (
     boundary_squares_to_zero,
     build_complex,
@@ -24,6 +24,7 @@ from nakayama.unamalgamation import check_properties, unamalgamate
 from nakayama.algebra import kupisch_from_relations
 
 import enumeration_oracle
+from enumeration_oracle import enumerate_kupisch
 import repr_oracle
 from closed_form_oracle import rad_power_closed_form, rad_power_euler
 

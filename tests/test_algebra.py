@@ -15,9 +15,10 @@ from nakayama import (
     validate,
 )
 from nakayama.algebra import MAX_VERTICES
-from nakayama.harness import SweepConfig, enumerate_kupisch
+from nakayama.harness import SweepConfig
 
 import enumeration_oracle as oracle
+from enumeration_oracle import enumerate_kupisch
 import leaf_oracle
 from strategies import kupisch_series, wrapping_kupisch_series
 

@@ -414,8 +414,8 @@ def test_sweep_level_past_max_subsets_stops_at_its_first_series(monkeypatch, cap
     """Every algebra on 30 vertices is refused by `verify`, so the level is
     its first series alone, (1,) * 30, refused by the relation complex's
     subset limit, instead of all 2^30 sequences in {1, 2}^30.  That series
-    is taken in closed form: none is drawn from the series or from the
-    class keys, the necklaces."""
+    is taken in closed form: none is drawn from the class keys, the
+    necklaces."""
     drawn = []
 
     def counted(walk):
@@ -427,7 +427,6 @@ def test_sweep_level_past_max_subsets_stops_at_its_first_series(monkeypatch, cap
 
         return walked
 
-    monkeypatch.setattr(harness, "kupisch_series", counted(harness.kupisch_series))
     monkeypatch.setattr(harness, "_necklaces", counted(harness._necklaces))
     start = time.perf_counter()
     assert main(["sweep", "--n-min", "30", "--n-max", "30", "--c-max", "2"]) == 1
@@ -445,12 +444,11 @@ def test_class_filtered_sweep_level_past_max_subsets_ends_at_once(monkeypatch, c
     the 2^28 that start (1, 1); the level is refused at that series
     without walking the ones ahead of it.  (1, 2, ..., 2) has 29
     relations, as the path of length 2 at 30 contains the relation (1, 1).
-    Neither the series nor the class keys, the necklaces, are listed."""
+    The class keys, the necklaces, are not listed."""
 
     def walked(n, c_max):
         raise AssertionError("the series ahead of the level's first member were walked")
 
-    monkeypatch.setattr(harness, "kupisch_series", walked)
     monkeypatch.setattr(harness, "_necklaces", walked)
     start = time.perf_counter()
     assert main(["sweep", "--n-min", "30", "--n-max", "30", "--c-max", "2", "--class", cls]) == 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enumeration_oracle import canonicalize, station_gaps
+from enumeration_oracle import canonicalize, enumerate_kupisch, station_gaps
 import linalg_oracle
 from linalg_oracle import bareiss_rank, cyclic_bases, cyclic_cells, cyclic_differentials, is_up_set, to_dense
 from nakayama import AlgebraClass, NakayamaAlgebra, linalg, radical_power_algebra, validate
@@ -17,7 +17,7 @@ from nakayama.cyclic import (
     hc_euler,
     report,
 )
-from nakayama.harness import SweepConfig, enumerate_kupisch
+from nakayama.harness import SweepConfig
 from nakayama.linalg import rank
 from nakayama.relation_complex import (
     build_complex,

@@ -18,9 +18,9 @@ from nakayama.cyclic import (
     differential_squares_to_zero,
     hc_dimensions,
 )
-from nakayama.harness import SweepConfig, enumerate_kupisch, kupisch_series as all_series
+from nakayama.harness import SweepConfig
 from nakayama.linalg import chain_ranks
-from enumeration_oracle import least_rotation
+from enumeration_oracle import enumerate_kupisch, kupisch_series as all_series, least_rotation
 from strategies import kupisch_series
 
 SWEEP = SweepConfig(n_min=2, n_max=7, c_max=8)  # 12,600 algebras

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumeration_oracle as oracle
+from enumeration_oracle import enumerate_kupisch, kupisch_series
 import linalg_oracle
 from nakayama import NakayamaAlgebra, Relation, radical_power_algebra, relation_complex
-from nakayama.harness import SweepConfig, enumerate_kupisch, kupisch_series
+from nakayama.harness import SweepConfig
 from nakayama.relation_complex import (
     build_complex,
     complex_from_interiors,

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumeration_oracle as oracle
+from enumeration_oracle import enumerate_kupisch, kupisch_series
 from nakayama import AlgebraClass, AlgebraError, Relation, kupisch_from_relations, validate
-from nakayama.harness import SweepConfig, _mirror, enumerate_kupisch, kupisch_series
+from nakayama.harness import SweepConfig, _mirror
 from nakayama.resolution import targets
 from nakayama.unamalgamation import unamalgamate
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 
 import leaf_oracle
-from enumeration_oracle import least_rotation, rotations
+from enumeration_oracle import enumerate_kupisch, least_rotation, rotations
 from strategies import cone_kupisch_series, kupisch_series
 import nakayama
 from nakayama import (
@@ -39,7 +39,6 @@ from nakayama.algebra import relation_pairs
 from nakayama.harness import (
     AlgebraVerdict,
     SweepConfig,
-    enumerate_kupisch,
     raw_complex_matches,
     sweep,
     to_csv,

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from enumeration_oracle import enumerate_kupisch
 import linalg_oracle
 from linalg_oracle import bareiss_rank, boundary_maps, compose, squares_to_zero, to_dense, to_sparse
 from nakayama import linalg, radical_power_algebra
 from nakayama.cyclic import _SIGN
-from nakayama.harness import SweepConfig, enumerate_kupisch
+from nakayama.harness import SweepConfig
 from nakayama.linalg import chain_ranks, rank
 from nakayama.relation_complex import build_complex
 

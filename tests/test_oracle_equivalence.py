@@ -4,9 +4,10 @@ with n <= 4, c_i <= 5; and `global_dimension`, the package's walk from the
 simple modules, against both oracles on those algebras."""
 
 from nakayama import global_dimension
-from nakayama.harness import SweepConfig, enumerate_kupisch
+from nakayama.harness import SweepConfig
 
 import enumeration_oracle
+from enumeration_oracle import enumerate_kupisch
 import repr_oracle
 
 

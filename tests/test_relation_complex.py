@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 import linalg_oracle
 from closed_form_oracle import rad_power_euler
-from enumeration_oracle import complex_vertices, is_simplex
+from enumeration_oracle import complex_vertices, enumerate_kupisch, is_simplex
 from linalg_oracle import bareiss_rank
 from strategies import cyclic_kupisch_series
 from nakayama import Relation, algebra_from_kupisch, harness, linalg, radical_power_algebra, relation_complex, validate
 from nakayama.algebra import relation_pairs
-from nakayama.harness import SweepConfig, enumerate_kupisch, verify
+from nakayama.harness import SweepConfig, verify
 from nakayama.relation_complex import (
     SimplicialComplex,
     boundary_squares_to_zero,

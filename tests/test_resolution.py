@@ -1,8 +1,9 @@
 from hypothesis import given, settings
 
 from closed_form_oracle import rad_power_closed_form
+from enumeration_oracle import enumerate_kupisch
 from nakayama import NakayamaAlgebra, radical_power_algebra, validate
-from nakayama.harness import SweepConfig, enumerate_kupisch
+from nakayama.harness import SweepConfig
 from nakayama.resolution import (
     build,
     leaves,

@@ -17,7 +17,7 @@ from nakayama import (
     global_dimension,
     kupisch_from_relations,
 )
-from nakayama.harness import AlgebraVerdict, SweepConfig, enumerate_kupisch, raw_complex_matches, verify
+from nakayama.harness import AlgebraVerdict, SweepConfig, raw_complex_matches, verify
 from nakayama.relation_complex import build_complex, euler_characteristic
 from nakayama.resolution import build, leaves, targets
 from nakayama.unamalgamation import (
@@ -27,7 +27,7 @@ from nakayama.unamalgamation import (
     unamalgamate,
 )
 
-from enumeration_oracle import least_rotation
+from enumeration_oracle import enumerate_kupisch, least_rotation
 from leaf_oracle import delete_last_arrow, delete_letters, eliminate_redundant, reduction_dict, step_dict, word_path
 from strategies import kupisch_series, raw_relation_lists, wrapping_kupisch_series
 
@@ -338,8 +338,8 @@ def test_row_weights_read_several_weights_off_the_rows_quiver():
     not carried along.  Weights that are all equal are kept for every
     rotation, as their order is the same."""
     record = AlgebraVerdict(
-        algebra_from_kupisch((3, 2, 2, 4, 3)), weights=(1, 2), f_vector=(), betti=(), gldim=ProjDim(None),
-        hc_dims=(), basis_sizes=(),
+        algebra_from_kupisch((3, 2, 2, 4, 3)), targets=targets((3, 2, 2, 4, 3)), weights=(1, 2), f_vector=(),
+        betti=(), gldim=ProjDim(None), hc_dims=(), basis_sizes=(),
     )
     rotated = (2, 2, 4, 3, 3)
     assert build(algebra_from_kupisch(rotated)).weights == (1,)
