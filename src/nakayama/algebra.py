@@ -22,7 +22,11 @@ checked constructors: `validate` checks a relation list and computes its
 series, and `algebra_from_kupisch` checks that a tuple is a Kupisch series,
 then that it has at most MAX_VERTICES entries.  Both translations live
 here, as does the global dimension, read off the syzygies of the simple
-modules alone.
+modules alone.  An algebra object keeps the facts it is asked for
+through `NakayamaAlgebra.fact`, so a caller that asks one object many
+questions (every leaf check of an algebra, then its gldim, quiver and
+JSON) computes each of them once; the memo is the object's own and dies
+with it.
 
 The composition series of P_j runs forward from j until it completes a
 relation: either the shortest relation starting at j, or, after the arrow
@@ -45,7 +49,9 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple, TypeVar
+
+_T = TypeVar("_T")
 
 
 class AlgebraError(ValueError):
@@ -144,9 +150,13 @@ def relation_pairs(c) -> list[tuple[int, int]]:
 @dataclass(frozen=True)
 class NakayamaAlgebra:
     """The algebra with Kupisch series `kupisch`; every other attribute is
-    derived from it when first read.  The constructor trusts its argument
-    to be a valid series: outside input goes through `validate` or
-    `algebra_from_kupisch`."""
+    derived from it when first read, and kept.  The constructor trusts its
+    argument to be a valid series: outside input goes through `validate`
+    or `algebra_from_kupisch`.
+
+    The object is its own memo: each fact of the series read through
+    `fact` is computed at most once per object, and dies with it.
+    Equality, hashing and the repr read the series alone."""
 
     kupisch: tuple[int, ...]
 
@@ -154,17 +164,43 @@ class NakayamaAlgebra:
     def n(self) -> int:
         return len(self.kupisch)
 
+    def fact(self, name: str, read: Callable[[tuple[int, ...]], _T]) -> _T:
+        """`read(kupisch)`, computed the first time the fact `name` is asked
+        for and kept in this object's `__dict__` under that name, as a
+        `cached_property` keeps its value.  A read that raises keeps
+        nothing, so a refusal is raised again on every call.  Without a
+        lock, two threads may both compute a fact; `read` is a pure
+        function of the series, so either keeps an equal value, and every
+        reader sees one.  The facts are the relation pairs (`"pairs"`),
+        Gustafson's targets (`"targets"`), the value of gldim (`"gldim"`)
+        and a leaf check's compared fields of its input (`"compared"`);
+        `harness.verify` reads none of them, so a verdict, which holds its
+        algebra, carries no kept fact to or from a worker."""
+        memo = self.__dict__
+        if name in memo:
+            return memo[name]
+        value = memo[name] = read(self.kupisch)
+        return value
+
     @cached_property
     def relations(self) -> tuple[Relation, ...]:
         """The minimal relations (see `relation_pairs`)."""
-        return tuple(Relation(*p) for p in relation_pairs(self.kupisch))
+        return tuple(Relation(*p) for p in self.fact("pairs", relation_pairs))
 
     @cached_property
     def algebra_class(self) -> AlgebraClass:
         return AlgebraClass.of(self.kupisch)
 
     def to_dict(self) -> dict:
-        return {"n": len(self.kupisch), "relations": [[i, l] for i, l in relation_pairs(self.kupisch)]}
+        return algebra_json(self.kupisch, self.fact("pairs", relation_pairs))
+
+
+def algebra_json(c, pairs) -> dict:
+    """The JSON of the algebra with Kupisch series c and relation pairs
+    `pairs` (see `relation_pairs`): n and the relations as [start, length]
+    lists.  A step's output JSON is written here off its series, with no
+    algebra object built for it."""
+    return {"n": len(c), "relations": [[i, l] for i, l in pairs]}
 
 
 def check_vertices(n: int) -> None:
@@ -270,8 +306,9 @@ class ProjDim:
 def global_dimension(algebra: NakayamaAlgebra) -> ProjDim:
     """The largest projective dimension of the simple modules S_1..S_n,
     infinite if one of them has infinite projective dimension (see
-    `_global_dimension`)."""
-    return ProjDim(_global_dimension(algebra.kupisch))
+    `_global_dimension`), computed once per algebra object (see
+    `NakayamaAlgebra.fact`): a leaf check of the algebra keeps it too."""
+    return ProjDim(algebra.fact("gldim", _global_dimension))
 
 
 def _global_dimension(c: tuple[int, ...]) -> int | None:

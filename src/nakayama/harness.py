@@ -82,8 +82,8 @@ from .algebra import (
     AlgebraClass,
     NakayamaAlgebra,
     ProjDim,
+    _global_dimension,
     check_vertices,
-    global_dimension,
     kupisch_from_relations,
     relation_pairs,
 )
@@ -259,7 +259,10 @@ def verify(
     the opposite algebra's class, when the sweep has made it, whose
     label-free fields (see `_label_free`) are taken as the same objects.
     The relations are read as (start, length) pairs off the series, and no
-    `Relation` is built."""
+    `Relation` is built.  Every fact is read off the series into locals,
+    and none is kept on the algebra (see `NakayamaAlgebra.fact`): the
+    verdict holds the algebra, and a sweep pickles verdicts to and from
+    its workers."""
     c = algebra.kupisch
     cx = relation_complex.build_complex(algebra)
     if mirror is None:
@@ -360,7 +363,7 @@ def _label_free(algebra: NakayamaAlgebra, cx: relation_complex.SimplicialComplex
     chi = linalg.alternating_sum(f_vector)
     euler_ok = chi == 1 + linalg.alternating_sum(betti) if f_vector else chi == 0
     return (
-        f_vector, betti, global_dimension(algebra), hc_dims, cyclic.basis_sizes(algebra),
+        f_vector, betti, ProjDim(_global_dimension(algebra.kupisch)), hc_dims, cyclic.basis_sizes(algebra),
         euler_ok and relation_complex.cone_factorization_holds(cx),
         relation_complex.boundary_squares_to_zero(cx),
     )

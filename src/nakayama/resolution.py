@@ -94,10 +94,11 @@ def weights(kupisch: tuple[int, ...], f: tuple[int, ...] | None = None) -> tuple
 def build(algebra: NakayamaAlgebra, f: tuple[int, ...] | None = None) -> ResolutionQuiver:
     """The resolution quiver: its components, ordered by least vertex, with
     their vertices and cycles, read off the walk of `weights` along f
-    (`targets(algebra.kupisch)` unless given)."""
+    (unless given, the algebra's targets, computed once per algebra object:
+    see `NakayamaAlgebra.fact`)."""
     c = algebra.kupisch
     if f is None:
-        f = targets(c)
+        f = algebra.fact("targets", targets)
     walk, least, cycles = _walk(c, f)
     members: dict[int, list[int]] = {}
     for v in range(1, algebra.n + 1):

@@ -63,6 +63,11 @@ A side whose record the caller holds (`verify`'s verdict of the input, or
 a sweep's table entry for the output's series, the verdict of the least
 rotation of its class) is read off that record as it is: none of these
 fields but the targets depends on the labels, so an entry is not rotated.
+The input of `check_properties` has no record, and its side is kept on
+the algebra object instead (`NakayamaAlgebra.fact`): its targets and
+compared fields are computed at the first leaf checked and read at every
+other, and its gldim among them is the one `global_dimension` then reads.
+A refusal keeps nothing, so it is raised again at every leaf.
 The quiver match compares the output's targets with the input's, rotated
 so that the leaf is n and relabelled the same way.
 
@@ -77,8 +82,8 @@ series, which is also the table key, is the one series the core builds:
 no targets, algebra, step, report or word.  `verify` runs every leaf
 check of an algebra in one loop over its leaves, calling the core and
 `harness.raw_complex_matches` on the output series at each, and stops at
-the first leaf that fails; `check_properties` is the core on one leaf
-plus a `PropertyReport`.
+the first leaf that fails, and keeps nothing on the algebra;
+`check_properties` is the core on one leaf plus a `PropertyReport`.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import relation_complex, resolution
-from .algebra import AlgebraError, NakayamaAlgebra, _global_dimension, relation_pairs
+from .algebra import AlgebraError, NakayamaAlgebra, _global_dimension, algebra_json, relation_pairs
 
 if TYPE_CHECKING:
     from .harness import AlgebraVerdict, Table
@@ -141,11 +146,12 @@ class UnamalgamationStep(NamedTuple):
 
     def to_dict(self) -> dict:
         """The step's JSON, from one pass over the input's relations.  The
-        output's relations are listed once, for its JSON, and only the
-        eliminated words are matched against them, for their witnesses."""
+        output's relations are listed once, off its series, for its JSON
+        (`algebra_json`, with no algebra built), and only the eliminated
+        words are matched against them, for their witnesses."""
         c, leaf, out = self
         raw, eliminated = _raw_words(c, leaf, out)
-        output = NakayamaAlgebra(out).to_dict()
+        output = algebra_json(out, relation_pairs(out))
         relations, m = output["relations"], len(out)
         return {
             "leaf": leaf,
@@ -160,7 +166,7 @@ class UnamalgamationStep(NamedTuple):
 
 def unamalgamate(algebra: NakayamaAlgebra, leaf: int) -> UnamalgamationStep:
     c = algebra.kupisch
-    _check_leaf(algebra.n, leaf, resolution.targets(c))
+    _check_leaf(algebra.n, leaf, algebra.fact("targets", resolution.targets))
     return UnamalgamationStep(c, leaf, _output_series(c, leaf))
 
 
@@ -302,17 +308,33 @@ class PropertyReport:
         return step
 
 
+def _input_fields(algebra: NakayamaAlgebra, f: tuple[int, ...]) -> tuple:
+    """The compared fields of the input of a leaf check (see `_compared`),
+    f being its targets, computed once per algebra object and kept on it
+    (see `NakayamaAlgebra.fact`).  The value of gldim among them is kept
+    as the object's gldim too, which `global_dimension` reads."""
+
+    def read(c: tuple[int, ...]) -> tuple:
+        fields = _compared(c, f, None)
+        algebra.fact("gldim", lambda c: fields[3])
+        return fields
+
+    return algebra.fact("compared", read)
+
+
 def check_properties(algebra: NakayamaAlgebra, leaf: int) -> PropertyReport:
     """Verify, on one unamalgamation step, that the smaller algebra keeps the
     resolution quiver (minus the leaf), the weight, the reduced Betti numbers
     of the relation complex, and a global dimension within two.  Both sides'
     fields are computed off their Kupisch series (see `_compared`), the
-    output's targets too.  The flags are those of `_leaf_check`, which `verify`
-    calls itself with its own record and a sweep's table."""
-    c = algebra.kupisch
-    f = resolution.targets(c)
+    output's targets too; the input's, and its targets, once per algebra
+    object, whatever the number of its leaves checked (see `_input_fields`).
+    A vertex that is not a leaf is refused before any field is computed.
+    The flags are those of `_leaf_check`, which `verify` calls itself with
+    its own record and a sweep's table."""
+    c, f = algebra.kupisch, algebra.fact("targets", resolution.targets)
     _check_leaf(algebra.n, leaf, f)
-    out, *flags = _leaf_check(c, f, leaf, _compared(c, f, None), None)
+    out, *flags = _leaf_check(c, f, leaf, _input_fields(algebra, f), None)
     return PropertyReport(UnamalgamationStep(c, leaf, out), *flags)
 
 
